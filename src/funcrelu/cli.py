@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -61,10 +62,23 @@ def _node_values(args, grid):
         values = np.zeros(grid.node_count)
         seen = np.zeros(grid.node_count, dtype=bool)
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].lstrip().startswith("#"):
                     continue
-                i, v = int(row[0]), float(row[1])
+                where = f"{path}: line {reader.line_num}"
+                try:
+                    i, v = int(row[0]), float(row[1])
+                except (ValueError, IndexError):
+                    raise SystemExit(
+                        f"{where}: expected 'node_index,value', got {row}"
+                    ) from None
+                if not 0 <= i < grid.node_count:
+                    raise SystemExit(
+                        f"{where}: node index {i} outside [0, {grid.node_count})"
+                    )
+                if not math.isfinite(v):
+                    raise SystemExit(f"{where}: value {v} is not finite")
                 values[i] = v
                 seen[i] = True
         if not seen.all():

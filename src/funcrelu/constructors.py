@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
 from .relu_net import Layer, ReluNetwork
-from .simplicial import ScaledGrid, spike
+from .simplicial import ScaledGrid, spike, support_pairs
 
 DEFAULT_NODE_CAP = 200_000
 
@@ -58,7 +57,6 @@ def build_min_net(d: int) -> ReluNetwork:
         W[2, w_prev - 1] = -1.0
         new_layers.append((W, np.zeros(3)))
         layers = new_layers
-        a = np.array([[1.0, -1.0, -1.0]])
     return ReluNetwork(d, layers, a)
 
 
@@ -210,33 +208,24 @@ def build_interpolation_net(spec: InterpolationSpec,
                             np.zeros(n * lay.rows)))
     layers.append(Layer(_kron_identity(n, sp.csr_matrix(np.asarray(mn.output))),
                         np.zeros(n)))
-    return ReluNetwork(t, layers, spec.node_values.reshape(1, n))
+    return ReluNetwork(t, layers, spec.node_values.reshape(1, n), grid=grid)
 
 
 def interpolant_values(spec: InterpolationSpec, y: np.ndarray) -> np.ndarray:
     """Direct evaluation of the interpolant formula (no network): sums
     node_value(xi) * spike((y - xi) / cell) over the <= 3^t nodes whose
-    spike can be nonzero at y."""
+    spike can be nonzero at y, in ascending node order."""
     grid = spec.grid
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     pts = y[None, :] if single else y
-    if pts.shape[1] != grid.t:
-        raise ValueError(f"points have dimension {pts.shape[1]}, grid is {grid.t}")
-    u = (pts + grid.R) / grid.h
-    base = np.floor(u).astype(np.int64)
-    total = np.zeros(pts.shape[0])
-    dims = (grid.N + 1,) * grid.t
-    for off in product((-1, 0, 1), repeat=grid.t):
-        idx = base + np.array(off)
-        valid = np.all((idx >= 0) & (idx <= grid.N), axis=1)
-        if not valid.any():
-            continue
-        iv = idx[valid]
-        xi = -grid.R + grid.h * iv
-        psi = spike((pts[valid] - xi) / grid.h)
-        flat = np.ravel_multi_index(iv.T, dims)
-        total[valid] += spec.node_values[flat] * psi
+    point, node = support_pairs(pts, grid)
+    iv = np.stack(np.unravel_index(node, (grid.N + 1,) * grid.t), axis=-1)
+    xi = -grid.R + grid.h * iv
+    psi = spike((pts[point] - xi) / grid.h)
+    # bincount adds each point's terms in pair order, starting from 0.0
+    total = np.bincount(point, weights=spec.node_values[node] * psi,
+                        minlength=pts.shape[0])
     return float(total[0]) if single else total
 
 

@@ -31,6 +31,7 @@ from .constructors import (
     InterpolationSpec,
     build_interpolation_net,
     interpolant_values,
+    interpolation_error_bound,
     spike_nominal_nonzeros,
 )
 from .discretize import (
@@ -381,7 +382,7 @@ def _measure_point(cfg, functional, op, nus, F_vals, eps_hat, radius,
     row.sup_error = float(errors.max())
     row.poly_gap = float(poly_pieces.max())
     row.grid_gap = float(grid_pieces.max())
-    row.grid_bound = 2.0 * t * float(omega_t(2.0 * radius.R / N))
+    row.grid_bound = interpolation_error_bound(t, N, radius.R, omega_t)
     row.oracle_gap = float(np.max(np.abs(theta - direct)))
     row.decomposition_ok = bool(
         np.all(errors <= poly_pieces + grid_pieces + 1e-12)

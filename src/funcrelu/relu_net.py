@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+
+from .simplicial import ScaledGrid, support_pairs
 
 FORMAT_VERSION = 1
 
@@ -74,11 +77,21 @@ class ReluNetwork:
 
     ``output`` is a matrix so that intermediate construction stages can
     carry several values; scalar networks have a single output row.
+
+    ``grid`` is set only by
+    :func:`funcrelu.constructors.build_interpolation_net`.  It states that
+    every layer is ``grid.node_count`` copies of block 0 (the first layer
+    stacked on the shared input, the others block diagonal, one unit per
+    copy in the last), that the copies differ only in first-layer shifts
+    and output coefficients, and that copy i is the spike of grid node i.
+    :func:`forward` then evaluates only the copies whose spike can be
+    nonzero at each point.
     """
 
     input_dim: int
     layers: list = field(default_factory=list)
     output: object = None
+    grid: Optional[ScaledGrid] = None
 
     def __post_init__(self):
         self.layers = [
@@ -99,6 +112,16 @@ class ReluNetwork:
             raise ValueError(
                 f"output expects {self.output.shape[1]} inputs, got {prev}"
             )
+        if self.grid is not None:
+            n = self.grid.node_count
+            if not (self.grid.t == self.input_dim and self.layers
+                    and self.layers[-1].rows == n
+                    and all(l.rows % n == 0 for l in self.layers)
+                    and all(l.cols % n == 0 for l in self.layers[1:])):
+                raise ValueError(
+                    f"layers are not {n} copies of one spike block on a "
+                    f"t = {self.grid.t} grid"
+                )
 
     @property
     def output_dim(self) -> int:
@@ -147,22 +170,25 @@ def _matmul(w, h):
     return np.asarray(out)
 
 
-def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> np.ndarray:
-    """All output rows for a batch of inputs.
+# (point, copy) pairs per run of the pruned pass
+_PAIR_RUN = 4096
 
-    ``x`` is one point of shape (input_dim,) or a batch (n, input_dim);
-    returns (output_dim,) or (n, output_dim).  Wide networks are evaluated
-    in chunks so the activation buffer stays below ``max_batch_bytes``.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != net.input_dim:
-        raise ValueError(
-            f"input has dimension {pts.shape[1]}, network expects {net.input_dim}"
-        )
+
+def _chunk_points(net: ReluNetwork, max_batch_bytes: int) -> int:
+    """Points per chunk so that the widest full layer stays below
+    ``max_batch_bytes`` of float64 activations."""
     width = max((l.rows for l in net.layers), default=net.input_dim)
-    chunk = max(1, int(max_batch_bytes // (8 * width)))
+    return max(1, int(max_batch_bytes // (8 * width)))
+
+
+def _full_forward(net: ReluNetwork, pts: np.ndarray,
+                  max_batch_bytes: int = 1 << 29) -> np.ndarray:
+    """Every unit of every layer for a batch (n, input_dim) -> (n, output_dim).
+
+    The reference evaluation: :func:`forward` takes it for every net without
+    a grid, and the tests compare the pruned path against it.
+    """
+    chunk = _chunk_points(net, max_batch_bytes)
     outs = []
     for lo in range(0, pts.shape[0], chunk):
         h = pts[lo : lo + chunk].T
@@ -171,7 +197,72 @@ def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> 
             h += layer.shifts[:, None]
             np.maximum(h, 0.0, out=h)
         outs.append(_matmul(net.output, h).T)
-    res = np.vstack(outs)
+    return np.vstack(outs)
+
+
+def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
+                    max_batch_bytes: int) -> np.ndarray:
+    """:func:`_full_forward` of an interpolation net, over the candidate
+    spike copies of each point only.
+
+    Runs the block-0 slice of each stored layer over the (point, candidate)
+    pairs from :func:`funcrelu.simplicial.support_pairs`, adding each
+    candidate's own first-layer shifts, then scatters the last hidden layer
+    into a zero (copies x points) array and applies the output stage as the
+    full pass does.  A copy left out has a negative first-layer form at the
+    point, so in the full pass the minimum recursion gives it an exact 0:
+    the output stage sees the same numbers.  Point chunks match the full
+    pass, and no chunk holds more activations than the full pass would.
+    """
+    n = net.grid.node_count
+    first = net.layers[0]
+    D = first.rows // n
+    w1, b1 = first.weights[:D], first.shifts.reshape(n, D)
+    # deeper copies share block 0's weights and shifts
+    blocks = [(l.weights[: l.rows // n, : l.cols // n], l.shifts[: l.rows // n, None])
+              for l in net.layers[1:]]
+    chunk = _chunk_points(net, max_batch_bytes)
+    outs = []
+    for lo in range(0, pts.shape[0], chunk):
+        part = pts[lo : lo + chunk]
+        point, node = support_pairs(part, net.grid)
+        last = np.zeros((n, part.shape[0]))
+        # pairs are independent columns; short runs of them keep each
+        # layer's activations in cache
+        for a in range(0, point.shape[0], _PAIR_RUN):
+            p, c = point[a : a + _PAIR_RUN], node[a : a + _PAIR_RUN]
+            h = _matmul(w1, part[p].T)
+            h += b1[c].T
+            np.maximum(h, 0.0, out=h)
+            for weights, shifts in blocks:
+                h = _matmul(weights, h)
+                h += shifts
+                np.maximum(h, 0.0, out=h)
+            last[c, p] = h[0]
+        outs.append(_matmul(net.output, last).T)
+    return np.vstack(outs)
+
+
+def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> np.ndarray:
+    """All output rows for a batch of inputs.
+
+    ``x`` is one point of shape (input_dim,) or a batch (n, input_dim);
+    returns (output_dim,) or (n, output_dim).  Wide networks are evaluated
+    in chunks so the activation buffer stays below ``max_batch_bytes``.
+    An interpolation net (``net.grid`` set) runs only the spike copies
+    whose support holds each point, with the same result as running all
+    of them.  Non-finite inputs raise ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    if pts.shape[1] != net.input_dim:
+        raise ValueError(
+            f"input has dimension {pts.shape[1]}, network expects {net.input_dim}"
+        )
+    _check_finite(pts, "input points")
+    run = _full_forward if net.grid is None else _pruned_forward
+    res = run(net, pts, max_batch_bytes)
     return res[0] if single else res
 
 

@@ -82,6 +82,18 @@ class ScaledGrid:
                                         (self.N + 1,) * self.t))
 
 
+def _finite_points(y, grid: ScaledGrid) -> np.ndarray:
+    """y as an (n, t) float batch; rejects a wrong dimension or a
+    non-finite coordinate."""
+    pts = np.atleast_2d(np.asarray(y, dtype=float))
+    if pts.shape[1] != grid.t:
+        raise ValueError(f"points have dimension {pts.shape[1]}, grid is {grid.t}")
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        raise ValueError(f"point {int(np.argmax(bad))} has a non-finite coordinate")
+    return pts
+
+
 def locate_batch(y: np.ndarray, grid: ScaledGrid):
     """Canonical (n, rho) of the containing simplex for each row of y.
 
@@ -89,12 +101,18 @@ def locate_batch(y: np.ndarray, grid: ScaledGrid):
     all cells containing the point: coordinates hitting a lattice plane
     take the lower shift (fractional offset 1 at the top of the chain),
     and tied offsets are ordered by coordinate index.  Returns integer
-    arrays (n, rho) of the same shape as y.
+    arrays (n, rho) of the same shape as y.  Raises ValueError for a
+    non-finite point and for one whose shift n does not fit in int64.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if y.shape[1] != grid.t:
-        raise ValueError(f"points have dimension {y.shape[1]}, grid is {grid.t}")
+    y = _finite_points(y, grid)
     z = y / grid.h
+    # strict bound: floor(z) - 1 on a lattice plane must still fit
+    far = ~(np.abs(z) < 2.0**63).all(axis=1)
+    if far.any():
+        raise ValueError(
+            f"point {int(np.argmax(far))} lies beyond the int64 range of "
+            f"cell shifts at h = {grid.h}"
+        )
     n = np.floor(z).astype(np.int64)
     frac = z - n
     on_face = frac == 0.0
@@ -105,12 +123,47 @@ def locate_batch(y: np.ndarray, grid: ScaledGrid):
 
 
 def locate(y, grid: ScaledGrid) -> SimplexId:
-    """Canonical containing simplex of a single point; total on R^t."""
+    """Canonical containing simplex of a single point.
+
+    Defined for every finite point whose cell shift fits in int64; raises
+    ValueError otherwise (see :func:`locate_batch`)."""
     n, rho = locate_batch(np.asarray(y, dtype=float)[None, :], grid)
     sid = SimplexId(tuple(int(v) for v in n[0]), tuple(int(v) for v in rho[0]))
     if not contains(sid, y, grid):
         raise AssertionError("constructed simplex fails its membership chain")
     return sid
+
+
+# Slack, in cells, added to each side of a spike's support when choosing
+# candidate nodes.  It is far above the rounding of an interpolation net's
+# first layer (a few ulp of N + 2), so every node it leaves out has a
+# first-layer form below zero there, and its spike block outputs exact 0.
+SUPPORT_SLACK = 1e-6
+
+
+def support_pairs(y, grid: ScaledGrid):
+    """(point, node) index pairs of every grid node whose spike can be
+    nonzero at a point: on each axis |y - xi| <= (1 + SUPPORT_SLACK) * h,
+    which holds for at most 3 nodes per axis, so at most 3^t per point.
+
+    Pairs come point by point, nodes in ascending flat (C order) index.
+    Rejects non-finite points; a finite point more than one cell outside
+    the cube has no pair, so an interpolant is 0 there.
+    """
+    pts = _finite_points(y, grid)
+    # clipping before the int cast keeps far-out points (1e300) in range;
+    # two cells out, the window on that axis is already empty
+    u = np.clip((pts + grid.R) / grid.h, -2.0, grid.N + 2.0)
+    lo = np.maximum(np.ceil(u - 1.0 - SUPPORT_SLACK), 0).astype(np.int64)
+    hi = np.minimum(np.floor(u + 1.0 + SUPPORT_SLACK), grid.N).astype(np.int64)
+    point = np.arange(pts.shape[0])
+    node = np.zeros(pts.shape[0], dtype=np.int64)
+    for k in range(grid.t):
+        cand = lo[point, k, None] + np.arange(3)
+        keep = cand <= hi[point, k, None]
+        point = np.broadcast_to(point[:, None], keep.shape)[keep]
+        node = (node[:, None] * (grid.N + 1) + cand)[keep]
+    return point, node
 
 
 def contains(simplex: SimplexId, y, grid: ScaledGrid, tol: float = 0.0) -> bool:

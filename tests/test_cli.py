@@ -56,6 +56,22 @@ def test_build_interp_incomplete_csv(tmp_path):
               "--values", str(values)])
 
 
+@pytest.mark.parametrize("bad_row,problem", [
+    ("-1,1.0", "node index -1 outside"),
+    ("9,1.0", "node index 9 outside"),
+    ("two,1.0", "expected 'node_index,value'"),
+    ("2,high", "expected 'node_index,value'"),
+    ("2", "expected 'node_index,value'"),
+    ("2,nan", "value nan is not finite"),
+])
+def test_build_interp_bad_csv_row_names_line(tmp_path, bad_row, problem):
+    values = tmp_path / "values.csv"
+    values.write_text("# index,value\n0,1.0\n" + bad_row + "\n")
+    with pytest.raises(SystemExit, match=f"line 3: {problem}"):
+        main(["build-interp", "--t", "2", "--N", "2", "--R", "1.0",
+              "--values", str(values)])
+
+
 def test_discretize_builtin(capsys):
     main(["discretize", "--s", "1", "--m", "1", "--input", "coordinate-sum"])
     doc = json.loads(capsys.readouterr().out)

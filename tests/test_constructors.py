@@ -216,6 +216,15 @@ class TestInterpolationNet:
         b = nonzero_breakdown(net)
         assert b["total"] == actual
 
+    def test_non_finite_and_far_points(self):
+        grid = ScaledGrid(2, 1.0, 2)
+        spec = InterpolationSpec(grid, np.ones(grid.node_count))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                interpolant_values(spec, np.array([bad, 0.0]))
+        assert interpolant_values(spec, np.array([1e300, 0.0])) == 0.0
+        assert interpolant_values(spec, np.array([0.0, -1e300])) == 0.0
+
     def test_wrong_value_count_rejected(self):
         grid = ScaledGrid(2, 1.0, 2)
         with pytest.raises(ValueError):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcrelu.constructors import build_min_net, build_spike_net
+from funcrelu import relu_net
+from funcrelu.constructors import (
+    InterpolationSpec,
+    build_interpolation_net,
+    build_min_net,
+    build_spike_net,
+)
 from funcrelu.relu_net import (
     Layer,
     NetworkFormatError,
@@ -23,7 +29,7 @@ from funcrelu.relu_net import (
     pad_to_depth,
     serialize,
 )
-from funcrelu.simplicial import spike
+from funcrelu.simplicial import ScaledGrid, spike
 
 
 def random_net(rng, input_dim, widths, out_rows=1, density=1.0):
@@ -295,3 +301,124 @@ def test_forward_deterministic_and_pure(seed, dim, layers):
     x = rng.uniform(-5, 5, dim)
     first = evaluate(net, x)
     assert evaluate(net, x) == first
+
+
+# Every interpolation-net shape (t, N) the suite builds at N <= 8, each with
+# a radius the suite uses for it; the criterion-6 nets (t = 1, 3, 5) come
+# from the rate experiment's measured radii.
+INTERP_SHAPES = [
+    (1, 2, 0.6729), (1, 4, 1.0), (1, 6, 1.0), (1, 8, 0.7548),
+    (2, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0), (2, 5, 0.8), (2, 6, 1.0), (2, 8, 1.0),
+    (3, 1, 0.9639), (3, 2, 1.3), (3, 3, 0.9935), (3, 4, 1.1969), (3, 6, 0.7956),
+    (3, 7, 0.9639), (3, 8, 0.9265), (4, 1, 1.0),
+    (5, 2, 0.9978), (5, 3, 1.0152), (5, 4, 0.7548), (5, 7, 1.0535), (5, 8, 1.0535),
+    (9, 1, 0.7106),
+]
+
+
+def equivalence_points(rng, grid, k):
+    """k points each: inside the cube, on lattice nodes, on cell faces, on
+    the cube boundary and outside it (one of them far out)."""
+    t, R, h = grid.t, grid.R, grid.h
+    inside = rng.uniform(-R, R, (k, t))
+    nodes = grid.node_array()[rng.choice(grid.node_count, min(k, grid.node_count),
+                                         replace=False)]
+    faces = rng.uniform(-R, R, (k, t))
+    axis = rng.integers(0, t, k)
+    faces[np.arange(k), axis] = -R + h * rng.integers(0, grid.N + 1, k)
+    boundary = rng.uniform(-R, R, (k, t))
+    boundary[np.arange(k), axis] = rng.choice((-R, R), k)
+    outside = rng.uniform(-R, R, (k, t))
+    outside[np.arange(k), axis] = rng.choice((-1.0, 1.0), k) * rng.uniform(R, 3 * R, k)
+    outside[0] = 1e3 * R
+    return np.vstack([inside, nodes, faces, boundary, outside])
+
+
+class TestPrunedForward:
+    """The pruned pass of interpolation nets against the full layer loop."""
+
+    @pytest.mark.parametrize("t,N,R", INTERP_SHAPES)
+    def test_matches_full_pass(self, t, N, R):
+        rng = np.random.default_rng(1000 * t + N)
+        grid = ScaledGrid(t, R, N)
+        spec = InterpolationSpec(grid, rng.uniform(-3.0, 3.0, grid.node_count))
+        net = build_interpolation_net(spec)
+        assert net.grid == grid
+        # the full pass of the largest nets costs seconds per chunk
+        k = 4 if grid.node_count * t**4 > 1e6 else 40
+        X = equivalence_points(rng, grid, k)
+        pruned = forward(net, X)
+        full = relu_net._full_forward(net, X)
+        # same chunks, same block weights, exact zeros elsewhere: bit-equal,
+        # which is within 1e-15 * max(1, max |node value|)
+        assert np.array_equal(pruned, full), np.abs(pruned - full).max()
+        for x in X[:: max(1, len(X) // 3)]:
+            assert np.array_equal(forward(net, x), relu_net._full_forward(net, x[None])[0])
+        assert evaluate_batch(net, X[-k:])[0] == 0.0  # the far-out point
+
+    def test_lattice_nodes_of_a_non_dyadic_grid(self):
+        # at a node, a neighbour's first-layer form rounds to about +-1e-16;
+        # a candidate window with no slack misses that neighbour here and
+        # the sum differs from the full pass in the last bit
+        grid = ScaledGrid(2, 1.295091801838947, 6)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        X = grid.node_array()
+        assert np.array_equal(forward(net, X), relu_net._full_forward(net, X))
+
+    def test_multi_chunk_batch_and_activation_budget(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        grid = ScaledGrid(3, 1.0, 4)
+        net = build_interpolation_net(
+            InterpolationSpec(grid, rng.standard_normal(grid.node_count)))
+        n = grid.node_count
+        widest_block = max(l.rows // n for l in net.layers)
+        budget = 1 << 17
+        runs = []
+        real = relu_net.support_pairs
+
+        def recording(pts, g):
+            point, node = real(pts, g)
+            runs.append((pts.shape[0], point.shape[0]))
+            return point, node
+
+        monkeypatch.setattr(relu_net, "support_pairs", recording)
+        X = rng.uniform(-1.2, 1.2, (3000, 3))
+        pruned = forward(net, X, max_batch_bytes=budget)
+        assert len(runs) > 1
+        for points, pairs in runs:
+            assert 8 * n * points <= budget
+            assert 8 * min(pairs, relu_net._PAIR_RUN) * widest_block <= budget
+        assert np.array_equal(pruned, relu_net._full_forward(net, X, budget))
+
+    def test_derived_nets_take_the_full_pass(self):
+        grid = ScaledGrid(2, 1.0, 2)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        assert deserialize(serialize(net)).grid is None
+        assert pad_to_depth(net, depth(net) + 1).grid is None
+        assert compose_parallel([net], [1.0]).grid is None
+
+    def test_grid_must_match_the_blocks(self):
+        net = build_spike_net(2)
+        with pytest.raises(ValueError, match="copies"):
+            ReluNetwork(2, net.layers, net.output, grid=ScaledGrid(2, 1.0, 2))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_on_both_paths(self, bad):
+        grid = ScaledGrid(2, 1.0, 2)
+        nets = [build_spike_net(2),
+                build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))]
+        for net in nets:
+            x = np.array([0.1, bad])
+            for call in (forward, evaluate):
+                with pytest.raises(ValueError, match="non-finite"):
+                    call(net, x)
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluate_batch(net, np.vstack([np.zeros(2), x]))
+
+    def test_far_finite_point_has_value_zero(self):
+        grid = ScaledGrid(2, 1.0, 2)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        assert evaluate(net, np.array([1e300, 0.0])) == 0.0
+        assert evaluate(net, np.array([0.0, -1e300])) == 0.0

@@ -16,6 +16,7 @@ from funcrelu.simplicial import (
     simplex_vertices,
     simplices_containing_origin,
     spike,
+    support_pairs,
     vertex_interpolant,
 )
 
@@ -59,6 +60,21 @@ class TestLocate:
         sid = locate(np.array([0.3, 0.3]), UNIT2)
         assert sid.rho == (0, 1)
 
+    @pytest.mark.parametrize("bad,match", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                           (-np.inf, "non-finite"), (1e300, "int64"),
+                                           (-1e300, "int64")])
+    def test_unlocatable_points_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            locate_batch(np.array([[0.5, 0.5], [0.2, bad]]), UNIT2)
+        with pytest.raises(ValueError, match=match):
+            locate(np.array([bad, 0.2]), UNIT2)
+
+    def test_largest_locatable_shift(self):
+        big = np.nextafter(2.0**63, 0.0)
+        n, _ = locate_batch(np.array([[big, -big]]), UNIT2)
+        assert n[0, 0] == int(big) - 1 and n[0, 1] == -int(big) - 1
+
+
     def test_uniqueness_off_faces(self):
         # perturbed off all faces, exactly one cell in a neighborhood
         # enumeration contains the point
@@ -81,6 +97,33 @@ class TestLocate:
     def test_rho_must_be_permutation(self):
         with pytest.raises(ValueError):
             SimplexId((0, 0), (0, 0))
+
+
+class TestSupportPairs:
+    @pytest.mark.parametrize("t,N,R", [(1, 5, 1.0), (2, 4, 0.8), (3, 3, 1.3)])
+    def test_covers_every_nonzero_spike(self, t, N, R):
+        grid = ScaledGrid(t, R, N)
+        rng = np.random.default_rng(t)
+        Y = np.vstack([rng.uniform(-1.5 * R, 1.5 * R, (300, t)), grid.node_array()])
+        point, node = support_pairs(Y, grid)
+        nodes = grid.node_array()
+        psi = spike((Y[:, None, :] - nodes[None, :, :]) / grid.h)
+        assert set(zip(*np.nonzero(psi > 0))) <= set(zip(point, node))
+        counts = np.bincount(point, minlength=len(Y))
+        assert counts.max() <= 3**t
+        # point by point, nodes ascending
+        assert np.all(np.diff(point) >= 0)
+        assert np.all(np.diff(node)[np.diff(point) == 0] > 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            support_pairs(np.array([[0.0, bad]]), UNIT2)
+
+    def test_far_points_have_no_candidates(self):
+        point, _ = support_pairs(np.array([[1e300, 0.0], [0.0, -1e300],
+                                           [2.5, 0.0], [0.0, 0.0]]), ScaledGrid(2, 1.0, 2))
+        assert set(point) == {3}
 
 
 class TestSpike:
