@@ -141,38 +141,17 @@ class InterpolationSpec:
         object.__setattr__(self, "node_values", vals)
 
 
-def _tile_rows(n: int, block: sp.csr_matrix) -> sp.csr_matrix:
-    """vstack of n copies of a CSR block (shared column space)."""
-    data = np.tile(block.data, n)
-    indices = np.tile(block.indices, n)
-    indptr = np.concatenate(([0], np.tile(np.diff(block.indptr), n).cumsum()))
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(n * block.shape[0], block.shape[1]))
-
-
-def _kron_identity(n: int, block: sp.csr_matrix) -> sp.csr_matrix:
-    """kron(I_n, block) assembled directly in CSR."""
-    r, c = block.shape
-    nnz = block.nnz
-    data = np.tile(block.data, n)
-    shifts = (np.arange(n, dtype=np.int64) * c).repeat(nnz)
-    indices = np.tile(block.indices.astype(np.int64), n) + shifts
-    if n * c < np.iinfo(np.int32).max:
-        indices = indices.astype(np.int32)
-    indptr = np.concatenate(([0], np.tile(np.diff(block.indptr), n).cumsum()))
-    return sp.csr_matrix((data, indices, indptr), shape=(n * r, n * c))
-
-
 def build_interpolation_net(spec: InterpolationSpec,
                             node_cap: int = DEFAULT_NODE_CAP) -> ReluNetwork:
     """Network summing node_value(xi) * spike((y - xi) / cell) over all
     grid nodes xi; interpolates the node values and is linear on each
     cell of the scaled triangulation.
 
-    Equivalent to compose_parallel over per-node shifted spike networks
-    (layer blocks are identical across nodes except first-layer shifts
-    and output coefficients), assembled here in block form directly.
-    Depth is t^2 + t + 1 and the nonzero count is at most
+    Equivalent to compose_parallel over per-node shifted spike networks:
+    the layer blocks are identical across nodes except first-layer shifts
+    and output coefficients, so each layer stores its block once with a
+    copy count, and the first layer one shift vector per node.  Depth is
+    t^2 + t + 1 and the nonzero count is at most
     node_count * spike_nominal_nonzeros(t).
     """
     grid = spec.grid
@@ -202,12 +181,13 @@ def build_interpolation_net(spec: InterpolationSpec,
         b1[:, col] = 1.0 + cXi[:, k]
         col += 1
     mn = build_min_net(D)
-    layers = [Layer(_tile_rows(n, sp.csr_matrix(W1_block)), b1.ravel())]
+    layers = [Layer(sp.csr_matrix(W1_block), b1.ravel(), copies=n,
+                    shared_input=True)]
     for lay in mn.layers:
-        layers.append(Layer(_kron_identity(n, sp.csr_matrix(lay.weights)),
-                            np.zeros(n * lay.rows)))
-    layers.append(Layer(_kron_identity(n, sp.csr_matrix(np.asarray(mn.output))),
-                        np.zeros(n)))
+        layers.append(Layer(sp.csr_matrix(lay.weights), np.zeros(lay.rows),
+                            copies=n))
+    layers.append(Layer(sp.csr_matrix(np.asarray(mn.output)), np.zeros(1),
+                        copies=n))
     return ReluNetwork(t, layers, spec.node_values.reshape(1, n), grid=grid)
 
 

@@ -9,7 +9,10 @@ where each hidden layer applies its weight matrix, adds the shift vector
 and passes the result through relu componentwise.  The output stage is a
 plain matrix A with no shift; the scalar case is a 1-row A.  Weight
 matrices may be dense ndarrays or scipy CSR matrices; sparsity is an
-internal storage choice, never part of the contract.
+internal storage choice, never part of the contract.  A layer may also be
+stored as one block and a copy count (see :class:`Layer`); sizes, counts
+and values are those of the expanded layer, which :func:`expand_blocks`
+writes out.
 """
 
 from __future__ import annotations
@@ -48,15 +51,28 @@ def _check_finite(w, what):
 
 @dataclass
 class Layer:
-    weights: object  # (d_j, d_{j-1}) ndarray or CSR matrix
-    shifts: np.ndarray  # (d_j,)
+    """One hidden layer, relu(W @ h + b).
+
+    With ``copies`` = n > 1 the layer is n copies of the block ``weights``,
+    stored once.  With ``shared_input`` every copy reads the whole input,
+    so W stacks the blocks; otherwise copy i reads the i-th slice of the
+    input, so W is block diagonal.  ``shifts`` holds one entry per row of
+    the expanded layer, or one per block row, shared by every copy.
+    """
+
+    weights: object  # (r, c) ndarray or CSR matrix, the block
+    shifts: np.ndarray  # (copies * r,) or, shared by the copies, (r,)
+    copies: int = 1
+    shared_input: bool = False
 
     def __post_init__(self):
         self.weights = _as_matrix(self.weights)
         self.shifts = np.asarray(self.shifts, dtype=float).ravel()
-        if self.weights.shape[0] != self.shifts.shape[0]:
+        if self.copies < 1:
+            raise ValueError("a layer needs at least one copy of its block")
+        if self.shifts.shape[0] not in (self.weights.shape[0], self.rows):
             raise ValueError(
-                f"layer has {self.weights.shape[0]} rows but "
+                f"layer has {self.rows} rows but "
                 f"{self.shifts.shape[0]} shifts"
             )
         _check_finite(self.weights, "layer weights")
@@ -64,11 +80,17 @@ class Layer:
 
     @property
     def rows(self) -> int:
-        return self.weights.shape[0]
+        return self.copies * self.weights.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.weights.shape[1]
+        c = self.weights.shape[1]
+        return c if self.shared_input else self.copies * c
+
+    @property
+    def shared_shifts(self) -> bool:
+        """Whether every copy uses the one shift vector stored."""
+        return self.shifts.shape[0] != self.rows
 
 
 @dataclass
@@ -80,12 +102,11 @@ class ReluNetwork:
 
     ``grid`` is set only by
     :func:`funcrelu.constructors.build_interpolation_net`.  It states that
-    every layer is ``grid.node_count`` copies of block 0 (the first layer
-    stacked on the shared input, the others block diagonal, one unit per
-    copy in the last), that the copies differ only in first-layer shifts
-    and output coefficients, and that copy i is the spike of grid node i.
-    :func:`forward` then evaluates only the copies whose spike can be
-    nonzero at each point.
+    every layer is ``grid.node_count`` copies of one block (the first layer
+    stacked on the shared input with one shift vector per copy, the others
+    block diagonal with shared shifts, one unit per copy in the last), and
+    that copy i is the spike of grid node i.  :func:`forward` then
+    evaluates only the copies whose spike can be nonzero at each point.
     """
 
     input_dim: int
@@ -116,8 +137,11 @@ class ReluNetwork:
             n = self.grid.node_count
             if not (self.grid.t == self.input_dim and self.layers
                     and self.layers[-1].rows == n
-                    and all(l.rows % n == 0 for l in self.layers)
-                    and all(l.cols % n == 0 for l in self.layers[1:])):
+                    and all(l.copies == n for l in self.layers)
+                    and self.layers[0].shared_input
+                    and not self.layers[0].shared_shifts
+                    and all(l.shared_shifts and not l.shared_input
+                            for l in self.layers[1:])):
                 raise ValueError(
                     f"layers are not {n} copies of one spike block on a "
                     f"t = {self.grid.t} grid"
@@ -139,22 +163,24 @@ def _nnz(w) -> int:
     return int(np.count_nonzero(w))
 
 
+def _layer_nnz(layer: Layer) -> tuple:
+    """Nonzero (weights, shifts) of the expanded layer."""
+    shift_copies = layer.copies if layer.shared_shifts else 1
+    return (layer.copies * _nnz(layer.weights),
+            shift_copies * _nnz(layer.shifts))
+
+
 def count_nonzero(net: ReluNetwork) -> int:
     """Total count of strictly nonzero entries over all weight matrices,
     shift vectors and the output matrix.  Entries that happen to come out
     exactly zero during construction are not counted."""
-    total = _nnz(net.output)
-    for layer in net.layers:
-        total += _nnz(layer.weights) + _nnz(layer.shifts)
-    return total
+    return _nnz(net.output) + sum(sum(_layer_nnz(l)) for l in net.layers)
 
 
 def nonzero_breakdown(net: ReluNetwork) -> dict:
     """Per-component nonzero counts alongside the headline total."""
-    per_layer = [
-        {"weights": _nnz(l.weights), "shifts": _nnz(l.shifts)}
-        for l in net.layers
-    ]
+    per_layer = [dict(zip(("weights", "shifts"), _layer_nnz(l)))
+                 for l in net.layers]
     return {
         "total": count_nonzero(net),
         "weights": sum(p["weights"] for p in per_layer),
@@ -162,6 +188,38 @@ def nonzero_breakdown(net: ReluNetwork) -> dict:
         "output": _nnz(net.output),
         "per_layer": per_layer,
     }
+
+
+def _expand_layer(layer: Layer) -> Layer:
+    n = layer.copies
+    if n == 1:
+        return layer
+    block = sp.csr_matrix(layer.weights)
+    c = block.shape[1]
+    indices = np.tile(block.indices.astype(np.int64), n)
+    if not layer.shared_input:
+        indices += (np.arange(n, dtype=np.int64) * c).repeat(block.nnz)
+    if layer.cols < np.iinfo(np.int32).max:
+        indices = indices.astype(np.int32)
+    indptr = np.concatenate(([0], np.tile(np.diff(block.indptr), n).cumsum()))
+    weights = sp.csr_matrix((np.tile(block.data, n), indices, indptr),
+                            shape=(layer.rows, layer.cols))
+    shifts = np.tile(layer.shifts, n) if layer.shared_shifts else layer.shifts
+    return Layer(weights, shifts)
+
+
+def expand_blocks(net: ReluNetwork) -> ReluNetwork:
+    """The same network with every block layer written out as one CSR
+    layer, and no grid; a net without block layers comes back as is.
+
+    Composition, padding and serialization work on this form, and so does
+    :func:`_full_forward`.  It holds every copy, so on a large
+    interpolation net it costs what the block form saves.
+    """
+    if net.grid is None and all(l.copies == 1 for l in net.layers):
+        return net
+    return ReluNetwork(net.input_dim, [_expand_layer(l) for l in net.layers],
+                       net.output)
 
 
 def _matmul(w, h):
@@ -185,7 +243,8 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
                   max_batch_bytes: int = 1 << 29) -> np.ndarray:
     """Every unit of every layer for a batch (n, input_dim) -> (n, output_dim).
 
-    The reference evaluation: :func:`forward` takes it for every net without
+    The reference evaluation of a net without block layers (see
+    :func:`expand_blocks`): :func:`forward` takes it for every net without
     a grid, and the tests compare the pruned path against it.
     """
     chunk = _chunk_points(net, max_batch_bytes)
@@ -205,22 +264,18 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
     """:func:`_full_forward` of an interpolation net, over the candidate
     spike copies of each point only.
 
-    Runs the block-0 slice of each stored layer over the (point, candidate)
-    pairs from :func:`funcrelu.simplicial.support_pairs`, adding each
-    candidate's own first-layer shifts, then scatters the last hidden layer
-    into a zero (copies x points) array and applies the output stage as the
-    full pass does.  A copy left out has a negative first-layer form at the
-    point, so in the full pass the minimum recursion gives it an exact 0:
-    the output stage sees the same numbers.  Point chunks match the full
-    pass, and no chunk holds more activations than the full pass would.
+    Runs the stored block of each layer over the (point, candidate) pairs
+    from :func:`funcrelu.simplicial.support_pairs`, adding each candidate's
+    own first-layer shifts, then scatters the last hidden layer into a zero
+    (copies x points) array and applies the output stage as the full pass
+    does.  A copy left out has a negative first-layer form at the point, so
+    in the full pass the minimum recursion gives it an exact 0: the output
+    stage sees the same numbers.  Point chunks match the full pass, and no
+    chunk holds more activations than the full pass would.
     """
     n = net.grid.node_count
-    first = net.layers[0]
-    D = first.rows // n
-    w1, b1 = first.weights[:D], first.shifts.reshape(n, D)
-    # deeper copies share block 0's weights and shifts
-    blocks = [(l.weights[: l.rows // n, : l.cols // n], l.shifts[: l.rows // n, None])
-              for l in net.layers[1:]]
+    first, deeper = net.layers[0], net.layers[1:]
+    b1 = first.shifts.reshape(n, -1)
     chunk = _chunk_points(net, max_batch_bytes)
     outs = []
     for lo in range(0, pts.shape[0], chunk):
@@ -231,12 +286,12 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
         # layer's activations in cache
         for a in range(0, point.shape[0], _PAIR_RUN):
             p, c = point[a : a + _PAIR_RUN], node[a : a + _PAIR_RUN]
-            h = _matmul(w1, part[p].T)
+            h = _matmul(first.weights, part[p].T)
             h += b1[c].T
             np.maximum(h, 0.0, out=h)
-            for weights, shifts in blocks:
-                h = _matmul(weights, h)
-                h += shifts
+            for layer in deeper:
+                h = _matmul(layer.weights, h)
+                h += layer.shifts[:, None]
                 np.maximum(h, 0.0, out=h)
             last[c, p] = h[0]
         outs.append(_matmul(net.output, last).T)
@@ -251,7 +306,8 @@ def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> 
     in chunks so the activation buffer stays below ``max_batch_bytes``.
     An interpolation net (``net.grid`` set) runs only the spike copies
     whose support holds each point, with the same result as running all
-    of them.  Non-finite inputs raise ValueError.
+    of them.  Non-finite inputs, and finite ones whose value overflows
+    float64, raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -261,8 +317,15 @@ def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> 
             f"input has dimension {pts.shape[1]}, network expects {net.input_dim}"
         )
     _check_finite(pts, "input points")
-    run = _full_forward if net.grid is None else _pruned_forward
-    res = run(net, pts, max_batch_bytes)
+    # an overflow shows as inf or nan in the result, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if net.grid is None:
+            res = _full_forward(expand_blocks(net), pts, max_batch_bytes)
+        else:
+            res = _pruned_forward(net, pts, max_batch_bytes)
+    if not np.all(np.isfinite(res)):
+        raise ValueError(
+            "network value overflows float64 at a finite input point")
     return res[0] if single else res
 
 
@@ -310,6 +373,7 @@ def compose_serial(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:
         )
     if not outer.layers:
         raise ValueError("outer network must have at least one hidden layer")
+    outer, inner = expand_blocks(outer), expand_blocks(inner)
     first = outer.layers[0]
     merged = Layer(first.weights @ inner.output, first.shifts.copy())
     layers = list(inner.layers) + [merged] + list(outer.layers[1:])
@@ -331,6 +395,7 @@ def compose_parallel(nets: list, coefficients) -> ReluNetwork:
         raise ValueError("one coefficient per network required")
     if not nets:
         raise ValueError("need at least one network")
+    nets = [expand_blocks(n) for n in nets]
     d0 = nets[0].input_dim
     J = depth(nets[0])
     for n in nets:
@@ -370,6 +435,7 @@ def pad_to_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:
     """
     if target_depth < depth(net):
         raise ValueError("target depth below current depth")
+    net = expand_blocks(net)
     layers = list(net.layers)
     out = np.asarray(net.output.todense() if sp.issparse(net.output) else net.output)
     r = out.shape[0]
@@ -380,14 +446,9 @@ def pad_to_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:
     return ReluNetwork(net.input_dim, layers, out)
 
 
-def _dense_list(w, what):
+def _dense_list(w):
     if sp.issparse(w):
-        if w.shape[0] * w.shape[1] > SERIALIZE_ENTRY_LIMIT:
-            raise ValueError(
-                f"{what} with shape {w.shape} is too large for the dense "
-                "JSON format"
-            )
-        w = np.asarray(w.todense())
+        w = w.toarray()
     return [float(v) for v in np.asarray(w, dtype=float).ravel()]
 
 
@@ -395,8 +456,20 @@ def serialize(net: ReluNetwork) -> bytes:
     """JSON encoding with full round-trip precision.
 
     Floats are written with Python repr, which is exact for binary64, so
-    deserialize(serialize(net)) reproduces every weight bit for bit.
+    deserialize(serialize(net)) reproduces every weight bit for bit.  The
+    format stores every matrix dense and row-major, block layers written
+    out; a matrix above ``SERIALIZE_ENTRY_LIMIT`` entries is refused with
+    ValueError before anything is expanded.
     """
+    shapes = [(f"layer {j}", l.rows, l.cols) for j, l in enumerate(net.layers)]
+    shapes.append(("output", *net.output.shape))
+    for what, rows, cols in shapes:
+        if rows * cols > SERIALIZE_ENTRY_LIMIT:
+            raise ValueError(
+                f"{what} with shape ({rows}, {cols}) is too large for the "
+                "dense JSON format"
+            )
+    net = expand_blocks(net)
     doc = {
         "version": FORMAT_VERSION,
         "input_dim": net.input_dim,
@@ -404,62 +477,85 @@ def serialize(net: ReluNetwork) -> bytes:
             {
                 "rows": l.rows,
                 "cols": l.cols,
-                "weights": _dense_list(l.weights, f"layer {j}"),
+                "weights": _dense_list(l.weights),
                 "shifts": [float(v) for v in l.shifts],
             }
-            for j, l in enumerate(net.layers)
+            for l in net.layers
         ],
         "output": {
             "rows": net.output.shape[0],
             "cols": net.output.shape[1],
-            "weights": _dense_list(net.output, "output"),
+            "weights": _dense_list(net.output),
         },
     }
     return json.dumps(doc).encode("utf-8")
 
 
 def _require(doc, key, where):
+    if not isinstance(doc, dict):
+        raise NetworkFormatError(f"{where} must be a JSON object")
     if key not in doc:
         raise NetworkFormatError(f"missing '{key}' in {where}")
     return doc[key]
 
 
+def _size(doc, key, where) -> int:
+    value = _require(doc, key, where)
+    if type(value) is not int or value < 0:
+        raise NetworkFormatError(
+            f"'{key}' in {where} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _numbers(doc, key, where, count) -> np.ndarray:
+    values = _require(doc, key, where)
+    if not (isinstance(values, list)
+            and all(type(v) is float or type(v) is int for v in values)):
+        raise NetworkFormatError(f"{where} {key} must be a list of numbers")
+    if len(values) != count:
+        raise NetworkFormatError(
+            f"{where} {key} has {len(values)} entries, expected {count}")
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise NetworkFormatError(f"{where} {key}: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise NetworkFormatError(f"non-finite entries in {where} {key}")
+    return arr
+
+
+def _matrix(doc, where) -> np.ndarray:
+    rows = _size(doc, "rows", where)
+    cols = _size(doc, "cols", where)
+    values = _numbers(doc, "weights", where, rows * cols)
+    try:
+        return values.reshape(rows, cols)
+    except ValueError as exc:  # a dimension beyond what numpy can index
+        raise NetworkFormatError(f"{where} shape ({rows}, {cols}): {exc}") from exc
+
+
 def deserialize(raw: bytes) -> ReluNetwork:
+    """Network from :func:`serialize` output; any malformed document
+    raises :class:`NetworkFormatError`."""
     try:
         doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise NetworkFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level JSON object expected")
     version = _require(doc, "version", "network")
-    if version != FORMAT_VERSION:
-        raise NetworkFormatError(f"unsupported format version {version}")
-    input_dim = _require(doc, "input_dim", "network")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise NetworkFormatError(f"unsupported format version {version!r}")
+    input_dim = _size(doc, "input_dim", "network")
+    ldocs = _require(doc, "layers", "network")
+    if not isinstance(ldocs, list):
+        raise NetworkFormatError("'layers' must be a list")
     layers = []
-    for j, ldoc in enumerate(_require(doc, "layers", "network")):
-        rows = _require(ldoc, "rows", f"layer {j}")
-        cols = _require(ldoc, "cols", f"layer {j}")
-        weights = _require(ldoc, "weights", f"layer {j}")
-        shifts = _require(ldoc, "shifts", f"layer {j}")
-        if len(weights) != rows * cols:
-            raise NetworkFormatError(
-                f"layer {j} weights has {len(weights)} entries, expected {rows * cols}"
-            )
-        if len(shifts) != rows:
-            raise NetworkFormatError(
-                f"layer {j} shifts has {len(shifts)} entries, expected {rows}"
-            )
-        layers.append(Layer(np.array(weights, dtype=float).reshape(rows, cols),
-                            np.array(shifts, dtype=float)))
-    odoc = _require(doc, "output", "network")
-    rows = _require(odoc, "rows", "output")
-    cols = _require(odoc, "cols", "output")
-    weights = _require(odoc, "weights", "output")
-    if len(weights) != rows * cols:
-        raise NetworkFormatError(
-            f"output weights has {len(weights)} entries, expected {rows * cols}"
-        )
-    out = np.array(weights, dtype=float).reshape(rows, cols)
+    for j, ldoc in enumerate(ldocs):
+        weights = _matrix(ldoc, f"layer {j}")
+        layers.append(Layer(weights, _numbers(ldoc, "shifts", f"layer {j}",
+                                              weights.shape[0])))
+    out = _matrix(_require(doc, "output", "network"), "output")
     try:
         return ReluNetwork(input_dim, layers, out)
     except ValueError as exc:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from funcrelu.constructors import (
     InterpolationSpec,
@@ -22,6 +23,7 @@ from funcrelu.relu_net import (
     evaluate,
     evaluate_batch,
     nonzero_breakdown,
+    serialize,
 )
 from funcrelu.simplicial import ScaledGrid, locate, simplex_vertices, spike
 
@@ -179,6 +181,43 @@ class TestInterpolationNet:
         Y = rng.uniform(-1.2, 1.2, (500, 2))
         assert np.abs(evaluate_batch(fast, Y) - evaluate_batch(par, Y)).max() <= 1e-12
         assert count_nonzero(fast) == count_nonzero(par)
+
+    @pytest.mark.parametrize("t,N,R", [(1, 4, 0.6729), (2, 2, 1.0), (2, 5, 0.8),
+                                       (3, 2, 1.3), (2, 3, 1.0)])
+    def test_serializes_as_the_parallel_composition(self, t, N, R):
+        # the block layers write out to exactly the composed per-node nets
+        rng = np.random.default_rng(10 * t + N)
+        grid = ScaledGrid(t, R, N)
+        values = rng.standard_normal(grid.node_count)
+        values[rng.integers(grid.node_count)] = 0.0
+        nets = [ReluNetwork(t, [Layer(*_spike_form_rows(t, 1.0 / grid.h, xi))]
+                            + build_spike_net(t).layers[1:], np.array([[1.0]]))
+                for xi in grid.node_array()]
+        block = build_interpolation_net(InterpolationSpec(grid, values))
+        assert serialize(block) == serialize(compose_parallel(nets, values))
+
+    @pytest.mark.parametrize("t,N,M", [(5, 8, 64_535_454), (3, 32, 7_821_396),
+                                       (7, 2, 7_645_752)])
+    def test_counts_of_large_nets(self, t, N, M):
+        # the counts the CSR layout gave, every copy written out
+        grid = ScaledGrid(t, 1.0, N)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        assert count_nonzero(net) == M
+        assert nonzero_breakdown(net)["total"] == M
+
+    def test_blocks_stored_once(self):
+        grid = ScaledGrid(5, 1.0, 8)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+
+        def nbytes(w):
+            if sp.issparse(w):
+                return w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
+            return w.nbytes
+
+        stored = nbytes(net.output) + sum(nbytes(l.weights) + l.shifts.nbytes
+                                          for l in net.layers)
+        assert stored < 32 * 2**20
+        assert all(l.copies == grid.node_count for l in net.layers)
 
     def test_direct_evaluator_matches_network(self):
         rng = np.random.default_rng(4)

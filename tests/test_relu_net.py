@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from funcrelu.relu_net import (
     deserialize,
     evaluate,
     evaluate_batch,
+    expand_blocks,
     forward,
     identity_net,
     nonzero_breakdown,
@@ -292,6 +294,105 @@ class TestSerialization:
         with pytest.raises(ValueError, match="too large"):
             serialize(net)
 
+    def test_large_block_net_refused_before_expansion(self):
+        grid = ScaledGrid(5, 1.0, 8)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large"):
+                serialize(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("path,value", [
+        (("input_dim",), "2"),
+        (("input_dim",), 2.0),
+        (("layers",), 7),
+        (("layers", 0), 7),
+        (("layers", 0), [1, 2]),
+        (("layers", 0, "weights", 0), "x"),
+        (("layers", 0, "weights", 0), None),
+        (("layers", 0, "weights", 0), True),
+        (("layers", 0, "shifts"), "abc"),
+        (("layers", 0, "rows"), -3),
+        (("output",), []),
+        (("output", "rows"), -1),
+        (("output", "weights"), [[1.0, 1.0, 1.0]]),
+        (("output", "weights", 0), 10**400),
+        (("version",), "1"),
+    ], ids=["str-dim", "float-dim", "int-layers", "int-layer", "list-layer",
+            "str-weight", "null-weight", "bool-weight", "str-shifts",
+            "negative-rows", "list-output", "negative-output-rows",
+            "nested-weights", "huge-int-weight", "str-version"])
+    def test_malformed_fields_named(self, path, value):
+        doc = _mutated(json.loads(serialize(build_min_net(2))), path, value)
+        with pytest.raises(NetworkFormatError):
+            deserialize(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("text", ["1e999", "NaN", "-Infinity"])
+    def test_non_finite_weight_named(self, text):
+        raw = serialize(build_min_net(2)).replace(
+            b'"weights": [0.0', b'"weights": [' + text.encode(), 1)
+        with pytest.raises(NetworkFormatError, match="non-finite"):
+            deserialize(raw)
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value, delete=False):
+    """Copy of a JSON document with the entry at ``path`` replaced by
+    ``value``, or deleted."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if delete:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+VALID_DOC = json.loads(serialize(build_min_net(3)))
+
+
+def _deserializes_or_names_error(raw):
+    try:
+        net = deserialize(raw)
+    except NetworkFormatError:
+        return
+    assert isinstance(net, ReluNetwork)
+    assert serialize(deserialize(serialize(net))) == serialize(net)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_fuzz_any_bytes(raw):
+    _deserializes_or_names_error(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_json_paths(VALID_DOC))), st.booleans(), JSON_VALUES)
+def test_fuzz_mutated_document(path, delete, value):
+    doc = _mutated(VALID_DOC, path, value, delete)
+    _deserializes_or_names_error(json.dumps(doc).encode())
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3))
@@ -348,12 +449,14 @@ class TestPrunedForward:
         k = 4 if grid.node_count * t**4 > 1e6 else 40
         X = equivalence_points(rng, grid, k)
         pruned = forward(net, X)
-        full = relu_net._full_forward(net, X)
+        reference = expand_blocks(net)
+        full = relu_net._full_forward(reference, X)
         # same chunks, same block weights, exact zeros elsewhere: bit-equal,
         # which is within 1e-15 * max(1, max |node value|)
         assert np.array_equal(pruned, full), np.abs(pruned - full).max()
         for x in X[:: max(1, len(X) // 3)]:
-            assert np.array_equal(forward(net, x), relu_net._full_forward(net, x[None])[0])
+            assert np.array_equal(forward(net, x),
+                                  relu_net._full_forward(reference, x[None])[0])
         assert evaluate_batch(net, X[-k:])[0] == 0.0  # the far-out point
 
     def test_lattice_nodes_of_a_non_dyadic_grid(self):
@@ -363,7 +466,8 @@ class TestPrunedForward:
         grid = ScaledGrid(2, 1.295091801838947, 6)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
         X = grid.node_array()
-        assert np.array_equal(forward(net, X), relu_net._full_forward(net, X))
+        assert np.array_equal(forward(net, X),
+                              relu_net._full_forward(expand_blocks(net), X))
 
     def test_multi_chunk_batch_and_activation_budget(self, monkeypatch):
         rng = np.random.default_rng(30)
@@ -388,7 +492,8 @@ class TestPrunedForward:
         for points, pairs in runs:
             assert 8 * n * points <= budget
             assert 8 * min(pairs, relu_net._PAIR_RUN) * widest_block <= budget
-        assert np.array_equal(pruned, relu_net._full_forward(net, X, budget))
+        assert np.array_equal(pruned,
+                              relu_net._full_forward(expand_blocks(net), X, budget))
 
     def test_derived_nets_take_the_full_pass(self):
         grid = ScaledGrid(2, 1.0, 2)
@@ -416,6 +521,21 @@ class TestNonFiniteInput:
                     call(net, x)
             with pytest.raises(ValueError, match="non-finite"):
                 evaluate_batch(net, np.vstack([np.zeros(2), x]))
+
+    def test_overflow_named_on_the_full_pass(self):
+        # first-layer forms overflow to +-inf and inf - inf enters the
+        # minimum recursion: a named error, not nan
+        grid = ScaledGrid(2, 1.0, 4)
+        interp = build_interpolation_net(
+            InterpolationSpec(grid, np.random.default_rng(5).standard_normal(grid.node_count)))
+        for net, x in ((build_spike_net(2), [1.7e308, -1.7e308]),
+                       (deserialize(serialize(interp)), [1e308, 0.0])):
+            for call in (forward, evaluate):
+                with pytest.raises(ValueError, match="overflow"):
+                    call(net, np.array(x))
+            with pytest.raises(ValueError, match="overflow"):
+                evaluate_batch(net, np.vstack([np.zeros(2), x]))
+        assert evaluate(interp, np.array([1e308, 0.0])) == 0.0
 
     def test_far_finite_point_has_value_zero(self):
         grid = ScaledGrid(2, 1.0, 2)
