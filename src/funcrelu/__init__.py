@@ -32,7 +32,6 @@ from .legendre import (
     eval_legendre_1d,
     eval_tensor,
     gauss_legendre_rule,
-    phi,
     phi_inverse,
 )
 from .pipeline import (

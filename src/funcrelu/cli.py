@@ -116,7 +116,7 @@ def _cmd_discretize(args):
     f = _input_function(args.input, args.s)
     nu = discretize(op, f, self_check=args.self_check)
     json.dump(
-        {"s": args.s, "m": args.m, "p": args.p, "filter": args.filter,
+        {"s": args.s, "m": args.m, "filter": args.filter,
          "input": f.tag, "t": op.t, "nu": [float(v) for v in nu]},
         sys.stdout, indent=2,
     )
@@ -247,7 +247,6 @@ def main(argv=None):
                             help="discretize an input function to a vector")
     p_disc.add_argument("--s", type=int, required=True)
     p_disc.add_argument("--m", type=int, required=True)
-    p_disc.add_argument("--p", type=float, default=2.0)
     p_disc.add_argument("--filter", choices=("dlvp", "truncate"), default="dlvp")
     p_disc.add_argument("--input", required=True,
                         help=f"built-in name ({', '.join(sorted(CUBE_FUNCTIONS))}) "

@@ -26,7 +26,7 @@ approximation discards.  For p != 2 the constant is measured, not assumed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,9 +37,7 @@ from .legendre import (
     PolyCoeffs,
     default_rule_size,
     gauss_legendre_rule,
-    lp_norm,
-    tensor_eval,
-    tensor_multi_indices,
+    sampled_lp_norm,
 )
 
 FILTER_KINDS = ("dlvp", "truncate")
@@ -63,23 +61,36 @@ def filter_vector(basis: LegendreBasis, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscretizationOperator:
-    """Filtered Legendre expansion into the degree window 2m."""
+    """Filtered Legendre expansion into the degree window 2m.
+
+    The basis is evaluated at the rule's nodes once: ``basis_at_nodes`` is
+    (nodes, t), ``low_basis_at_nodes`` its coordinatewise <= m columns.
+    """
 
     basis: LegendreBasis
     filter: np.ndarray
     rule: GaussRule
     kind: str = "dlvp"
+    basis_at_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    low_basis_at_nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.filter, dtype=float).ravel()
         if h.shape[0] != self.basis.t:
             raise ValueError("filter length must equal basis size")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("filter values must be finite")
         if np.any(h < 0) or np.any(h > 1):
             raise ValueError("filter values must lie in [0, 1]")
         low = (self.basis.multi_indices <= self.basis.m).all(axis=1)
         if not np.allclose(h[low], 1.0):
             raise ValueError("filter must be 1 on the coordinatewise <= m block")
         object.__setattr__(self, "filter", h)
+        B = self.basis.eval_all(self.rule.points)
+        object.__setattr__(self, "basis_at_nodes", B)
+        # a contiguous copy: BLAS on a strided column view can round the
+        # products differently
+        object.__setattr__(self, "low_basis_at_nodes", np.ascontiguousarray(B[:, low]))
 
     @property
     def t(self) -> int:
@@ -121,22 +132,40 @@ class RadiusSpec:
     C_K: float
     c1_surrogate: float = 1.0
 
+    def __post_init__(self):
+        if not self.p >= 1:
+            raise ValueError(f"need p >= 1, got {self.p}")
+
     @property
     def R(self) -> float:
         expo = 2.0 * self.s * max(1.0 / self.p - 0.5, 0.0)
         return self.c1_surrogate * self.C_K * float(max(self.m, 1)) ** expo
 
+    def check(self, vectors) -> None:
+        """Raise unless the vector (or every row of a stack) lies in the
+        cube [-R, R]^t."""
+        top = float(np.max(np.abs(vectors), initial=0.0))
+        if top > self.R:
+            raise ValueError(
+                f"discretized vector leaves the cube: |.|_inf = {top:.6g} > "
+                f"R = {self.R:.6g}; C_K or c1_surrogate is misconfigured"
+            )
 
-def apply_Vm(op: DiscretizationOperator, f: InputFunction) -> PolyCoeffs:
-    """Filtered quadrature projection of f onto the degree window."""
+
+def _project(op: DiscretizationOperator, f: InputFunction, B: np.ndarray):
+    """Values of f at op's quadrature nodes and their quadrature
+    projection onto the basis functions whose node values are B's columns."""
     vals = np.asarray(f(op.rule.points), dtype=float).ravel()
     bad = ~np.isfinite(vals)
     if bad.any():
         node = op.rule.points[int(np.argmax(bad))]
         raise ValueError(f"input function returned a non-finite value at node {node}")
-    B = op.basis.eval_all(op.rule.points)
-    coeffs = op.filter * (B.T @ (op.rule.weights * vals))
-    return PolyCoeffs(op.basis, coeffs)
+    return vals, B.T @ (op.rule.weights * vals)
+
+
+def apply_Vm(op: DiscretizationOperator, f: InputFunction) -> PolyCoeffs:
+    """Filtered quadrature projection of f onto the degree window."""
+    return PolyCoeffs(op.basis, op.filter * _project(op, f, op.basis_at_nodes)[1])
 
 
 def discretize(op: DiscretizationOperator, f: InputFunction,
@@ -164,12 +193,7 @@ def discretize(op: DiscretizationOperator, f: InputFunction,
                 stacklevel=2,
             )
     if radius_spec is not None:
-        top = float(np.max(np.abs(coeffs), initial=0.0))
-        if top > radius_spec.R:
-            raise ValueError(
-                f"discretized vector leaves the cube: |.|_inf = {top:.6g} > "
-                f"R = {radius_spec.R:.6g}; C_K or c1_surrogate is misconfigured"
-            )
+        radius_spec.check(coeffs)
     return coeffs
 
 
@@ -177,30 +201,26 @@ def transfer_modulus(omega_F, m: int, s: int, p: float,
                      c1_surrogate: float = 1.0):
     """Modulus bound for the discretized target as a function on R^t:
     r -> omega_F(c1 * max(m, 1)^(2 s max(1/2 - 1/p, 0)) * r)."""
+    if not p >= 1:
+        raise ValueError(f"need p >= 1, got {p}")
     expo = 2.0 * s * max(0.5 - 1.0 / p, 0.0)
     factor = c1_surrogate * float(max(m, 1)) ** expo
     return lambda r: omega_F(factor * r)
 
 
-def projection_error(f: InputFunction, m: int, s: int, p: float = 2.0,
-                     q: Optional[int] = None) -> float:
+def projection_error(op: DiscretizationOperator, f: InputFunction,
+                     p: float = 2.0) -> float:
     """Distance from f to the polynomials of coordinatewise degree <= m.
 
-    For p = 2 this is the best approximation error at quadrature
-    resolution (orthonormal projection).  For p != 2 the same projector is
+    For p = 2 this is the best approximation error at the resolution of
+    op's rule (orthonormal projection).  For p != 2 the same projector is
     measured in the quadrature p-norm, an upper bound on the true minimum.
     """
-    q = default_rule_size(m) if q is None else q
-    rule = gauss_legendre_rule(q, s)
-    vals = np.asarray(f(rule.points), dtype=float).ravel()
-    idx = tensor_multi_indices(s, m)
-    B = tensor_eval(idx, rule.points)
-    coeffs = B.T @ (rule.weights * vals)
-    resid = vals - B @ coeffs
-    return float((rule.weights @ np.abs(resid) ** p) ** (1.0 / p))
+    vals, coeffs = _project(op, f, op.low_basis_at_nodes)
+    return sampled_lp_norm(vals - op.low_basis_at_nodes @ coeffs, p, op.rule)
 
 
 def vm_error(op: DiscretizationOperator, f: InputFunction, p: float = 2.0) -> float:
     """Quadrature p-norm of f - V f (the operator's own error on f)."""
-    approx = apply_Vm(op, f)
-    return lp_norm(lambda x: f(x) - approx(x), p, op.rule)
+    vals, coeffs = _project(op, f, op.basis_at_nodes)
+    return sampled_lp_norm(vals - op.basis_at_nodes @ (op.filter * coeffs), p, op.rule)

@@ -213,26 +213,15 @@ def default_rule_size(m: int) -> int:
     return max(RULE_FLOOR, 4 * (2 * m + 1))
 
 
-def project(basis: LegendreBasis, func, rule: GaussRule) -> PolyCoeffs:
-    """Quadrature projection: coefficients <func, L_k> for all k."""
-    vals = np.asarray(func(rule.points), dtype=float).ravel()
-    B = basis.eval_all(rule.points)
-    return PolyCoeffs(basis, B.T @ (rule.weights * vals))
-
-
-def phi(poly, rule: GaussRule, basis: LegendreBasis = None) -> np.ndarray:
-    """Coefficient vector of a polynomial (or callable) by quadrature."""
-    if isinstance(poly, PolyCoeffs) and basis is None:
-        basis = poly.basis
-    if basis is None:
-        raise ValueError("basis required for a bare callable")
-    return project(basis, poly, rule).coeffs
-
-
 def lp_norm(func, p: float, rule: GaussRule) -> float:
     """Quadrature L^p norm on the cube; approximate for p != 2 since
     |f|^p is not polynomial."""
+    return sampled_lp_norm(func(rule.points), p, rule)
+
+
+def sampled_lp_norm(values, p: float, rule: GaussRule) -> float:
+    """Quadrature L^p norm from the values at the rule's nodes."""
     if not p >= 1:
-        raise ValueError("need p >= 1")
-    vals = np.abs(np.asarray(func(rule.points), dtype=float).ravel())
+        raise ValueError(f"need p >= 1, got {p}")
+    vals = np.abs(np.asarray(values, dtype=float).ravel())
     return float((rule.weights @ vals**p) ** (1.0 / p))

@@ -38,13 +38,13 @@ from .discretize import (
     DiscretizationOperator,
     InputFunction,
     RadiusSpec,
-    apply_Vm,
     discretize,
     make_operator,
     projection_error,
     transfer_modulus,
 )
-from .legendre import GaussRule, lp_norm, tensor_eval, tensor_multi_indices
+from .legendre import (GaussRule, lp_norm, sampled_lp_norm, tensor_eval,
+                       tensor_multi_indices)
 from .relu_net import (
     ReluNetwork,
     count_nonzero,
@@ -243,8 +243,7 @@ def mu_values(functional: TargetFunctional, op: DiscretizationOperator,
     """Discretized target mu at coefficient vectors: the functional applied
     to the polynomials the vectors represent, by quadrature on op's rule."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    B = op.basis.eval_all(op.rule.points)
-    return np.asarray(functional.apply_sampled(vectors @ B.T, op.rule),
+    return np.asarray(functional.apply_sampled(vectors @ op.basis_at_nodes.T, op.rule),
                       dtype=float).ravel()
 
 
@@ -339,16 +338,12 @@ class ExperimentConfig:
     ladder_weight_cap: int = 40_000_000
 
 
-def _class_radius(op, inputs, p, C_K, c1_surrogate):
-    """Radius spec with C_K measured over the sample unless configured."""
+def _class_radius(op, nus, p, C_K, c1_surrogate):
+    """Radius spec with C_K measured over the sample's vectors unless configured."""
     if C_K is None:
-        worst = 0.0
-        for f in inputs:
-            approx = apply_Vm(op, f)
-            if p == 2:
-                worst = max(worst, float(np.linalg.norm(approx.coeffs)))
-            else:
-                worst = max(worst, lp_norm(approx, p, op.rule))
+        worst = max((float(np.linalg.norm(nu)) if p == 2
+                     else sampled_lp_norm(op.basis_at_nodes @ nu, p, op.rule)
+                     for nu in nus), default=0.0)
         C_K = worst if worst > 0 else 1.0
     return RadiusSpec(op.basis.m, op.basis.s, p, C_K, c1_surrogate)
 
@@ -507,14 +502,11 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     def per_m_state(m):
         if m not in state_cache:
             op = make_operator(cfg.s, m, cfg.filter_kind)
-            radius = _class_radius(op, inputs, cfg.p, cfg.C_K, cfg.c1_surrogate)
-            nus = np.vstack([
-                discretize(op, f, radius_spec=radius) for f in inputs
-            ])
+            nus = np.vstack([discretize(op, f) for f in inputs])
+            radius = _class_radius(op, nus, cfg.p, cfg.C_K, cfg.c1_surrogate)
+            radius.check(nus)
             F_vals = np.array([functional(f, op.rule) for f in inputs])
-            eps_hat = max(
-                projection_error(f, m, cfg.s, cfg.p) for f in inputs
-            )
+            eps_hat = max(projection_error(op, f, cfg.p) for f in inputs)
             state_cache[m] = (op, nus, F_vals, eps_hat, radius)
         return state_cache[m]
 

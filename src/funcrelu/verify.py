@@ -17,7 +17,7 @@ import numpy as np
 from . import constructors, pipeline, relu_net, simplicial
 from .discretize import discretize, make_operator, projection_error
 from .functions import get_function
-from .legendre import gauss_legendre_rule
+from .legendre import LegendreBasis, PolyCoeffs, gauss_legendre_rule, lp_norm
 
 
 @dataclass
@@ -338,17 +338,15 @@ def check_core_invariants() -> CheckResult:
     if abs(float(rule.weights.sum()) - 4.0) > 1e-12:
         failures.append("tensor rule weights do not sum to 2^s")
     op = make_operator(1, 2)
-    from .legendre import LegendreBasis
     basis = LegendreBasis(2, 1)
-    B = basis.eval_all(gauss_legendre_rule(8, 2).points)
-    gram = B.T @ (gauss_legendre_rule(8, 2).weights[:, None] * B)
+    B = basis.eval_all(rule.points)
+    gram = B.T @ (rule.weights[:, None] * B)
     dev = float(np.abs(gram - np.eye(basis.t)).max())
     if dev > 1e-10:
         failures.append(f"orthonormality deviation {dev:.2e} > 1e-10")
     rng = np.random.default_rng(606)
     for _ in range(20):
         c = rng.standard_normal(op.t)
-        from .legendre import PolyCoeffs, lp_norm
         poly = PolyCoeffs(op.basis, c)
         if abs(lp_norm(poly, 2, op.rule) - float(np.linalg.norm(c))) > 1e-10:
             failures.append("coefficient map is not an isometry")
@@ -356,7 +354,7 @@ def check_core_invariants() -> CheckResult:
     f = get_function("runge")
     # monotonicity is an exact nested-space statement only at a fixed
     # quadrature measure, so pin the rule size across m
-    errs = [projection_error(f, m, 1, q=40) for m in (1, 2, 3, 4)]
+    errs = [projection_error(make_operator(1, m, q=40), f) for m in (1, 2, 3, 4)]
     if not all(b <= a + 1e-12 for a, b in zip(errs, errs[1:])):
         failures.append("projection error not monotone in m")
     details.append(f"gram dev {dev:.1e}; projection errors {np.round(errs, 5)}")

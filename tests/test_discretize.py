@@ -15,8 +15,21 @@ from funcrelu.discretize import (
     transfer_modulus,
     vm_error,
 )
-from funcrelu.legendre import LegendreBasis, PolyCoeffs, gauss_legendre_rule, lp_norm
-from funcrelu.pipeline import InputClass, generate_inputs, inner_product_functional
+from funcrelu.legendre import (
+    LegendreBasis,
+    PolyCoeffs,
+    default_rule_size,
+    gauss_legendre_rule,
+    lp_norm,
+    tensor_eval,
+    tensor_multi_indices,
+)
+from funcrelu.pipeline import (
+    InputClass,
+    generate_inputs,
+    inner_product_functional,
+    mu_values,
+)
 
 
 def poly_input(basis, coeffs, tag="poly"):
@@ -57,6 +70,13 @@ class TestFilters:
         with pytest.raises(ValueError):
             DiscretizationOperator(basis, np.full(basis.t, 1.5), rule)
 
+    def test_operator_rejects_non_finite_filter(self):
+        basis = LegendreBasis(1, 1)
+        rule = gauss_legendre_rule(8, 1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DiscretizationOperator(basis, [1.0, 1.0, bad], rule)
+
 
 class TestApplyVm:
     def test_reproduces_low_degree_basis_function(self):
@@ -78,7 +98,7 @@ class TestApplyVm:
         # drops, so the operator error never exceeds the projection error
         op = make_operator(1, 2)
         f = InputFunction(lambda x: np.atleast_2d(x)[:, 0] ** 5, tag="x^5")
-        best = projection_error(f, 2, 1)
+        best = projection_error(op, f)
         assert vm_error(op, f) <= best * (1 + 1e-10)
 
     def test_nan_reported_with_node(self):
@@ -200,28 +220,30 @@ class TestProjectionError:
     def test_zero_for_contained_polynomials(self):
         basis = LegendreBasis(1, 1)  # degrees 0..2
         f = poly_input(basis, np.array([0.5, -1.0, 2.0]))
-        assert projection_error(f, 2, 1) <= 1e-10
+        assert projection_error(make_operator(1, 2), f) <= 1e-10
 
     def test_abs_regression_baseline(self):
         # analytic oracle: |x| onto degree <= 2 has error
         # sqrt(2/3 - 1/2 - 5/32); the kink costs the default rule a few 1e-3
         exact = math.sqrt(2.0 / 3.0 - 0.5 - 5.0 / 32.0)
         f = InputFunction(lambda x: np.abs(np.atleast_2d(x)[:, 0]))
-        assert projection_error(f, 2, 1) == pytest.approx(exact, abs=5e-3)
-        assert projection_error(f, 2, 1, q=400) == pytest.approx(exact, abs=1e-4)
+        assert projection_error(make_operator(1, 2), f) == pytest.approx(exact, abs=5e-3)
+        assert projection_error(make_operator(1, 2, q=400), f) == pytest.approx(
+            exact, abs=1e-4)
 
     def test_monotone_in_m(self):
         # fixed rule: nested discrete least-squares errors are monotone
         f = InputFunction(lambda x: np.exp(np.atleast_2d(x)[:, 0]))
-        errs = [projection_error(f, m, 1, q=40) for m in range(0, 6)]
+        errs = [projection_error(make_operator(1, m, q=40), f) for m in range(0, 6)]
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-12
 
     def test_p_not_two_upper_bounds_p2_scaled(self):
         f = InputFunction(lambda x: np.abs(np.atleast_2d(x)[:, 0]))
         # p = 1 norm of the residual is below its p = 2 norm times |cube|^(1/2)
-        e1 = projection_error(f, 2, 1, p=1.0)
-        e2 = projection_error(f, 2, 1, p=2.0)
+        op = make_operator(1, 2)
+        e1 = projection_error(op, f, p=1.0)
+        e2 = projection_error(op, f, p=2.0)
         assert e1 <= e2 * math.sqrt(2.0) + 1e-12
 
 
@@ -236,3 +258,64 @@ def test_functional_chain_inequality():
         lhs = abs(F(f, op.rule) - float(F.apply_sampled(approx(op.rule.points), op.rule)))
         rhs = F.omega(vm_error(op, f))
         assert lhs <= rhs + 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+def test_p_below_one_is_rejected(p):
+    op = make_operator(1, 1)
+    f = InputFunction(lambda x: np.cos(np.atleast_2d(x)[:, 0]))
+    with pytest.raises(ValueError, match="p >= 1"):
+        projection_error(op, f, p)
+    with pytest.raises(ValueError, match="p >= 1"):
+        vm_error(op, f, p)
+    with pytest.raises(ValueError, match="p >= 1"):
+        RadiusSpec(m=1, s=1, p=p, C_K=1.0)
+    with pytest.raises(ValueError, match="p >= 1"):
+        transfer_modulus(lambda r: r, m=1, s=1, p=p)
+
+
+def _inputs_for(s):
+    kink = InputFunction(lambda x: np.abs(np.atleast_2d(x)).sum(axis=1), tag="l1")
+    return [kink, *generate_inputs(InputClass("hoelder_ball", 2.0, 3, seed=9), s)]
+
+
+@pytest.mark.parametrize("s, m", [(1, 0), (1, 1), (1, 2), (1, 3),
+                                  (2, 0), (2, 1), (2, 2)])
+@pytest.mark.parametrize("q", [None, 40])
+def test_operator_projections_equal_fresh_formulas(s, m, q):
+    # the operator's stored basis values reproduce, bit for bit, the
+    # projections computed from a freshly built rule and basis evaluation
+    op = make_operator(s, m, q=q)
+    rule = gauss_legendre_rule(default_rule_size(m) if q is None else q, s)
+    low_B = tensor_eval(tensor_multi_indices(s, m), rule.points)
+    B = op.basis.eval_all(rule.points)
+    for f in _inputs_for(s):
+        vals = np.asarray(f(rule.points), dtype=float).ravel()
+        coeffs = op.filter * (B.T @ (rule.weights * vals))
+        assert np.array_equal(apply_Vm(op, f).coeffs, coeffs)
+        resid = vals - low_B @ (low_B.T @ (rule.weights * vals))
+        approx = PolyCoeffs(op.basis, coeffs)
+        for p in (1.0, 2.0, 3.0):
+            ref = float((rule.weights @ np.abs(resid) ** p) ** (1.0 / p))
+            assert projection_error(op, f, p) == ref
+            assert vm_error(op, f, p) == lp_norm(lambda x: f(x) - approx(x), p, rule)
+
+
+def test_operator_evaluates_basis_once(monkeypatch):
+    calls = []
+    eval_all = LegendreBasis.eval_all
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return eval_all(self, x)
+
+    monkeypatch.setattr(LegendreBasis, "eval_all", counted)
+    op = make_operator(2, 1)
+    f = InputFunction(lambda x: np.exp(np.atleast_2d(x).sum(axis=1)))
+    g = InputFunction(lambda x: np.cos(np.atleast_2d(x)[:, 0]), tag="cos")
+    nu = discretize(op, f)
+    apply_Vm(op, f)
+    projection_error(op, f, 3.0)
+    vm_error(op, f)
+    mu_values(inner_product_functional(g, op.rule), op, nu)
+    assert calls == [op.rule.points.shape]

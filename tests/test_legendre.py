@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from funcrelu.discretize import DiscretizationOperator, apply_Vm
 from funcrelu.legendre import (
     LegendreBasis,
     PolyCoeffs,
@@ -12,9 +13,7 @@ from funcrelu.legendre import (
     gauss_legendre_rule,
     legendre_values,
     lp_norm,
-    phi,
     phi_inverse,
-    project,
     tensor_multi_indices,
 )
 
@@ -161,14 +160,15 @@ class TestPhi:
         b = LegendreBasis(2, 1)
         rule = gauss_legendre_rule(8, 2)
         c = rng.standard_normal(b.t)
-        back = phi(phi_inverse(b, c), rule)
+        op = DiscretizationOperator(b, np.ones(b.t), rule)
+        back = apply_Vm(op, phi_inverse(b, c)).coeffs
         assert np.abs(back - c).max() <= 1e-10
 
     def test_project_recovers_polynomial(self):
         b = LegendreBasis(1, 2)
         rule = gauss_legendre_rule(12, 1)
         target = PolyCoeffs(b, np.array([0.3, -1.0, 0.0, 2.0, 0.5]))
-        got = project(b, target, rule)
+        got = apply_Vm(DiscretizationOperator(b, np.ones(b.t), rule), target)
         assert np.allclose(got.coeffs, target.coeffs, atol=1e-12)
 
 

@@ -55,15 +55,17 @@ class TestGenerateInputs:
     def test_polynomial_ball_inside_window(self):
         from funcrelu.discretize import projection_error
         cls = InputClass("polynomial_ball", beta=2, sample_count=6, seed=1)
+        op = make_operator(1, 2)
         for f in generate_inputs(cls, 1):
-            assert projection_error(f, 2, 1) <= 1e-10
+            assert projection_error(op, f) <= 1e-10
 
     def test_hoelder_decay_regression(self):
         from funcrelu.discretize import projection_error
         cls = InputClass("hoelder_ball", beta=2.0, sample_count=64, seed=7)
         fs = generate_inputs(cls, 1)
         ms = np.arange(1, 7)
-        eps = np.array([max(projection_error(f, int(m), 1) for f in fs) for m in ms])
+        ops = [make_operator(1, int(m)) for m in ms]
+        eps = np.array([max(projection_error(op, f) for f in fs) for op in ops])
         beta_hat = -np.polyfit(np.log(ms), np.log(eps), 1)[0]
         assert abs(beta_hat - 2.0) <= 0.6
 
