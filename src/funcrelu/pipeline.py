@@ -95,6 +95,8 @@ class TargetFunctional:
 def inner_product_functional(g: InputFunction, rule: GaussRule,
                              p: float = 2.0, name: str = None) -> TargetFunctional:
     """F(f) = integral of f * g; Lipschitz with constant ||g||_q."""
+    if not p >= 1:
+        raise ValueError(f"need p >= 1, got {p}")
     q = p / (p - 1.0) if p > 1 else math.inf
     if math.isinf(q):
         c = float(np.max(np.abs(g(rule.points))))

@@ -18,7 +18,9 @@ writes out.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -120,6 +122,11 @@ class ReluNetwork:
         ]
         self.output = _as_matrix(self.output)
         _check_finite(self.output, "output weights")
+        if (isinstance(self.input_dim, bool)
+                or not isinstance(self.input_dim, (int, np.integer))):
+            raise ValueError(
+                f"input_dim must be an integer, got {self.input_dim!r}")
+        self.input_dim = int(self.input_dim)
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
         prev = self.input_dim
@@ -446,10 +453,28 @@ def pad_to_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:
     return ReluNetwork(net.input_dim, layers, out)
 
 
-def _dense_list(w):
+def _float_list(w) -> list:
+    """Pieces of the JSON list of the entries of ``w`` in row-major order:
+    joined, the text ``json.dumps([float(v) for v in w.ravel()])`` writes.
+
+    Only the entries whose bits are not those of +0.0 go through repr (so
+    -0.0 stays ``-0.0``), and each run of +0.0 is one string repetition:
+    the cost follows the nonzeros, not the entries.
+    """
     if sp.issparse(w):
         w = w.toarray()
-    return [float(v) for v in np.asarray(w, dtype=float).ravel()]
+    a = np.asarray(w, dtype=float).ravel()
+    nz = np.flatnonzero(a.view(np.int64))
+    # zeros before each nonzero, then after the last one
+    *before, after = (np.diff(nz, prepend=-1, append=a.size) - 1).tolist()
+    runs = map(operator.mul, repeat(", 0.0"), before)
+    values = map(", ".__add__, map(float.__repr__, a[nz].tolist()))
+    # every piece opens with its separator; the first one must not
+    pieces = list(map(operator.add, runs, values))
+    pieces.append(", 0.0" * after)
+    pieces[0] = "[" + pieces[0][2:]
+    pieces.append("]")
+    return pieces
 
 
 def serialize(net: ReluNetwork) -> bytes:
@@ -459,7 +484,8 @@ def serialize(net: ReluNetwork) -> bytes:
     deserialize(serialize(net)) reproduces every weight bit for bit.  The
     format stores every matrix dense and row-major, block layers written
     out; a matrix above ``SERIALIZE_ENTRY_LIMIT`` entries is refused with
-    ValueError before anything is expanded.
+    ValueError before anything is expanded.  The bytes are those
+    ``json.dumps`` writes for the document, keys in the order below.
     """
     shapes = [(f"layer {j}", l.rows, l.cols) for j, l in enumerate(net.layers)]
     shapes.append(("output", *net.output.shape))
@@ -470,25 +496,20 @@ def serialize(net: ReluNetwork) -> bytes:
                 "dense JSON format"
             )
     net = expand_blocks(net)
-    doc = {
-        "version": FORMAT_VERSION,
-        "input_dim": net.input_dim,
-        "layers": [
-            {
-                "rows": l.rows,
-                "cols": l.cols,
-                "weights": _dense_list(l.weights),
-                "shifts": [float(v) for v in l.shifts],
-            }
-            for l in net.layers
-        ],
-        "output": {
-            "rows": net.output.shape[0],
-            "cols": net.output.shape[1],
-            "weights": _dense_list(net.output),
-        },
-    }
-    return json.dumps(doc).encode("utf-8")
+    parts = [f'{{"version": {FORMAT_VERSION}, "input_dim": {net.input_dim}, '
+             '"layers": [']
+    for j, l in enumerate(net.layers):
+        parts.append(f'{", " if j else ""}{{"rows": {l.rows}, "cols": {l.cols}, '
+                     '"weights": ')
+        parts += _float_list(l.weights)
+        parts.append(', "shifts": ')
+        parts += _float_list(l.shifts)
+        parts.append("}")
+    rows, cols = net.output.shape
+    parts.append(f'], "output": {{"rows": {rows}, "cols": {cols}, "weights": ')
+    parts += _float_list(net.output)
+    parts.append("}}")
+    return "".join(parts).encode("utf-8")
 
 
 def _require(doc, key, where):
@@ -510,7 +531,7 @@ def _size(doc, key, where) -> int:
 def _numbers(doc, key, where, count) -> np.ndarray:
     values = _require(doc, key, where)
     if not (isinstance(values, list)
-            and all(type(v) is float or type(v) is int for v in values)):
+            and set(map(type, values)) <= {float, int}):
         raise NetworkFormatError(f"{where} {key} must be a list of numbers")
     if len(values) != count:
         raise NetworkFormatError(

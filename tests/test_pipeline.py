@@ -80,6 +80,15 @@ class TestGenerateInputs:
             generate_inputs(InputClass("fractal", 1.0, 1, 0), 1)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, math.nan])
+@pytest.mark.parametrize("make", [inner_product_functional,
+                                  sin_inner_product_functional])
+def test_inner_product_functionals_reject_p_below_one(make, p):
+    rule = make_operator(1, 1).rule
+    with pytest.raises(ValueError, match="p >= 1"):
+        make(get_function("gaussian"), rule, p)
+
+
 class TestBuildFunctionalNet:
     def test_identity_target_at_m0(self):
         # F = <f, L_1> with t = 1: the discretized target is the identity,

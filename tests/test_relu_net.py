@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from funcrelu import relu_net
 from funcrelu.constructors import (
@@ -331,12 +333,122 @@ class TestSerialization:
         with pytest.raises(NetworkFormatError):
             deserialize(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("value", [True, "x", None], ids=["bool", "str", "null"])
+    def test_bad_value_deep_in_a_long_list_named(self, value):
+        grid = ScaledGrid(2, 1.0, 4)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        doc = json.loads(serialize(net))
+        assert len(doc["layers"][1]["weights"]) > 10_000
+        doc = _mutated(doc, ("layers", 1, "weights", -1), value)
+        with pytest.raises(NetworkFormatError, match="layer 1 weights"):
+            deserialize(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("dim", [2.0, True, np.float64(2.0), "2"])
+    def test_input_dim_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match="input_dim"):
+            ReluNetwork(dim, [(np.ones((3, 2)), np.zeros(3))], np.ones((1, 3)))
+
+    def test_numpy_integer_input_dim_is_stored_as_int(self):
+        layers = [(np.array([[1.0, -2.0], [0.5, 0.0]]), np.zeros(2))]
+        net = ReluNetwork(np.int64(2), layers, np.ones((1, 2)))
+        assert type(net.input_dim) is int
+        assert serialize(net) == serialize(ReluNetwork(2, layers, np.ones((1, 2))))
+        assert deserialize(serialize(net)).input_dim == 2
+
     @pytest.mark.parametrize("text", ["1e999", "NaN", "-Infinity"])
     def test_non_finite_weight_named(self, text):
         raw = serialize(build_min_net(2)).replace(
             b'"weights": [0.0', b'"weights": [' + text.encode(), 1)
         with pytest.raises(NetworkFormatError, match="non-finite"):
             deserialize(raw)
+
+
+def _reference_serialize(net):
+    """Reference for serialize: the document built as Python objects, every
+    entry a float, and written by json.dumps."""
+    def dense(w):
+        if sp.issparse(w):
+            w = w.toarray()
+        return [float(v) for v in np.asarray(w, dtype=float).ravel()]
+
+    net = expand_blocks(net)
+    doc = {
+        "version": relu_net.FORMAT_VERSION,
+        "input_dim": net.input_dim,
+        "layers": [
+            {"rows": l.rows, "cols": l.cols, "weights": dense(l.weights),
+             "shifts": [float(v) for v in l.shifts]}
+            for l in net.layers
+        ],
+        "output": {"rows": net.output.shape[0], "cols": net.output.shape[1],
+                   "weights": dense(net.output)},
+    }
+    return json.dumps(doc).encode("utf-8")
+
+
+FLOATS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                               max_side=12), elements=FLOATS))
+@example(np.zeros(0))
+@example(np.zeros((0, 3)))
+@example(np.zeros((4, 5)))
+@example(np.full(3, -0.0))
+def test_float_list_writes_what_json_dumps_writes(a):
+    assert "".join(relu_net._float_list(a)) == json.dumps([float(v) for v in a.ravel()])
+    if a.ndim == 2:
+        csr = sp.csr_matrix(a)
+        assert "".join(relu_net._float_list(csr)) == json.dumps(
+            [float(v) for v in csr.toarray().ravel()])
+
+
+def _interp(t, N):
+    grid = ScaledGrid(t, 1.0, N)
+    values = np.random.default_rng(t * N).uniform(-1.0, 1.0, grid.node_count)
+    values[0] = 0.0
+    return build_interpolation_net(InterpolationSpec(grid, values))
+
+
+def _signed_zero_net():
+    net = random_net(np.random.default_rng(21), 3, [6, 5], out_rows=2)
+    for l in net.layers:
+        l.weights[l.weights < 0.2] = -0.0
+    net.output[0, :2] = -0.0
+    return net
+
+
+SERIALIZED_NETS = {
+    "min": lambda: build_min_net(3),
+    "spike": lambda: build_spike_net(2),
+    "identity": lambda: identity_net(3, 2),
+    "zero": zero_net,
+    "random": lambda: random_net(np.random.default_rng(18), 3, [5, 4], out_rows=2),
+    "sparse-dense": lambda: random_net(np.random.default_rng(19), 4, [7, 6], density=0.3),
+    "signed-zeros": _signed_zero_net,
+    "parallel": lambda: compose_parallel(
+        [random_net(np.random.default_rng(s), 2, [3, 4]) for s in (22, 23)],
+        [1.5, -0.5]),
+    "padded": lambda: pad_to_depth(random_net(np.random.default_rng(24), 2, [3]), 3),
+    "interp-t2-N4": lambda: _interp(2, 4),
+    "interp-t2-N8": lambda: _interp(2, 8),
+    "interp-t3-N2": lambda: _interp(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SERIALIZED_NETS))
+def test_serialize_writes_the_json_dumps_document(name):
+    net = SERIALIZED_NETS[name]()
+    raw = serialize(net)
+    assert raw == _reference_serialize(net)
+    back = deserialize(raw)
+    assert serialize(back) == _reference_serialize(back) == raw
 
 
 def _json_paths(doc, prefix=()):
