@@ -56,31 +56,40 @@ def _cmd_build_spike(args):
     _emit_network(net, seconds, args.out)
 
 
+def _csv_pairs(path, key, header):
+    """(where, key(first field), float(second field)) of each data row of
+    a CSV file, ``where`` naming its line; blank lines and '#' comments
+    are skipped.  A row that does not parse, or a non-finite float in it,
+    exits naming the file and line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            where = f"{path}: line {reader.line_num}"
+            try:
+                pair = key(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                raise SystemExit(
+                    f"{where}: expected '{header}', got {row}") from None
+            for v in pair:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise SystemExit(f"{where}: value {v} is not finite")
+            yield (where, *pair)
+
+
 def _node_values(args, grid):
     path = Path(args.values)
     if path.exists():
         values = np.zeros(grid.node_count)
         seen = np.zeros(grid.node_count, dtype=bool)
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                where = f"{path}: line {reader.line_num}"
-                try:
-                    i, v = int(row[0]), float(row[1])
-                except (ValueError, IndexError):
-                    raise SystemExit(
-                        f"{where}: expected 'node_index,value', got {row}"
-                    ) from None
-                if not 0 <= i < grid.node_count:
-                    raise SystemExit(
-                        f"{where}: node index {i} outside [0, {grid.node_count})"
-                    )
-                if not math.isfinite(v):
-                    raise SystemExit(f"{where}: value {v} is not finite")
-                values[i] = v
-                seen[i] = True
+        for where, i, v in _csv_pairs(path, int, "node_index,value"):
+            if not 0 <= i < grid.node_count:
+                raise SystemExit(
+                    f"{where}: node index {i} outside [0, {grid.node_count})"
+                )
+            values[i] = v
+            seen[i] = True
         if not seen.all():
             raise SystemExit(
                 f"values file covers {int(seen.sum())} of {grid.node_count} nodes"
@@ -102,8 +111,10 @@ def _input_function(spec: str, s: int) -> InputFunction:
     if path.exists():
         if s != 1:
             raise SystemExit("CSV sample input is supported for s = 1 only")
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-        xs, vs = rows[:, 0], rows[:, 1]
+        rows = [(x, v) for _, x, v in _csv_pairs(path, float, "x,value")]
+        if not rows:
+            raise SystemExit(f"{path}: no 'x,value' samples")
+        xs, vs = np.array(rows).T
         order = np.argsort(xs)
         xs, vs = xs[order], vs[order]
         return InputFunction(lambda x: np.interp(np.atleast_2d(x)[:, 0], xs, vs),

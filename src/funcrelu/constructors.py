@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .relu_net import Layer, ReluNetwork
-from .simplicial import ScaledGrid, spike, support_pairs
+from .simplicial import ScaledGrid, spike, spike_forms, support_pairs
 
 DEFAULT_NODE_CAP = 200_000
 
@@ -65,39 +65,6 @@ def min_net_nonzeros(d: int) -> int:
     return d * d + 4 * d - 5
 
 
-def _spike_form_rows(t: int, scale: float = 1.0, center=None):
-    """First-layer weights and shifts producing the t^2 + t affine forms
-    of the spike evaluated at scale * (y - center).
-
-    Row order: ordered pairs (k, j), k != j, lexicographic; then the
-    1 + (.) singles; then the 1 - (.) singles.  For center 0 the layer has
-    exactly 3t(t-1) + 4t nonzero entries; shift terms can cancel some
-    biases for lattice centers, which is reported, never forced.
-    """
-    c = np.zeros(t) if center is None else np.asarray(center, dtype=float)
-    D = t * t + t
-    W = np.zeros((D, t))
-    b = np.empty(D)
-    row = 0
-    for k in range(t):
-        for j in range(t):
-            if j == k:
-                continue
-            W[row, k] = scale
-            W[row, j] = -scale
-            b[row] = 1.0 - scale * c[k] + scale * c[j]
-            row += 1
-    for k in range(t):
-        W[row, k] = scale
-        b[row] = 1.0 - scale * c[k]
-        row += 1
-    for k in range(t):
-        W[row, k] = -scale
-        b[row] = 1.0 + scale * c[k]
-        row += 1
-    return W, b
-
-
 def build_spike_net(t: int) -> ReluNetwork:
     """Network computing the spike function on R^t.
 
@@ -107,7 +74,7 @@ def build_spike_net(t: int) -> ReluNetwork:
     """
     if t < 1:
         raise ValueError("spike network needs t >= 1")
-    W1, b1 = _spike_form_rows(t)
+    W1, b1 = spike_forms(t)
     mn = build_min_net(t * t + t)
     layers = [Layer(W1, b1)]
     layers.extend(mn.layers)
@@ -150,9 +117,9 @@ def build_interpolation_net(spec: InterpolationSpec,
     Equivalent to compose_parallel over per-node shifted spike networks:
     the layer blocks are identical across nodes except first-layer shifts
     and output coefficients, so each layer stores its block once with a
-    copy count, and the first layer one shift vector per node.  Depth is
-    t^2 + t + 1 and the nonzero count is at most
-    node_count * spike_nominal_nonzeros(t).
+    copy count, and the grid gives each copy's first-layer shifts (see
+    :class:`funcrelu.relu_net.ReluNetwork`).  Depth is t^2 + t + 1 and the
+    nonzero count is at most node_count * spike_nominal_nonzeros(t).
     """
     grid = spec.grid
     n = grid.node_count
@@ -162,27 +129,9 @@ def build_interpolation_net(spec: InterpolationSpec,
             "raise node_cap explicitly for larger builds"
         )
     t = grid.t
-    scale = 1.0 / grid.h
-    D = t * t + t
-    W1_block, _ = _spike_form_rows(t, scale=scale)
-    cXi = scale * grid.node_array()
-    b1 = np.empty((n, D))
-    col = 0
-    for k in range(t):
-        for j in range(t):
-            if j == k:
-                continue
-            b1[:, col] = 1.0 - cXi[:, k] + cXi[:, j]
-            col += 1
-    for k in range(t):
-        b1[:, col] = 1.0 - cXi[:, k]
-        col += 1
-    for k in range(t):
-        b1[:, col] = 1.0 + cXi[:, k]
-        col += 1
-    mn = build_min_net(D)
-    layers = [Layer(sp.csr_matrix(W1_block), b1.ravel(), copies=n,
-                    shared_input=True)]
+    W1, b1 = spike_forms(t, scale=1.0 / grid.h)
+    mn = build_min_net(t * t + t)
+    layers = [Layer(sp.csr_matrix(W1), b1, copies=n, shared_input=True)]
     for lay in mn.layers:
         layers.append(Layer(sp.csr_matrix(lay.weights), np.zeros(lay.rows),
                             copies=n))
@@ -200,9 +149,7 @@ def interpolant_values(spec: InterpolationSpec, y: np.ndarray) -> np.ndarray:
     single = y.ndim == 1
     pts = y[None, :] if single else y
     point, node = support_pairs(pts, grid)
-    iv = np.stack(np.unravel_index(node, (grid.N + 1,) * grid.t), axis=-1)
-    xi = -grid.R + grid.h * iv
-    psi = spike((pts[point] - xi) / grid.h)
+    psi = spike((pts[point] - grid.nodes(node)) / grid.h)
     # bincount adds each point's terms in pair order, starting from 0.0
     total = np.bincount(point, weights=spec.node_values[node] * psi,
                         minlength=pts.shape[0])
@@ -214,15 +161,13 @@ def node_values_from_function(grid: ScaledGrid, mu) -> np.ndarray:
     return np.asarray(mu(grid.node_array()), dtype=float).ravel()
 
 
-def interpolation_error_bound(t: int, N: int, R: float, omega,
-                              m: int = None, s: int = None) -> float:
+def interpolation_error_bound(t: int, N: int, R: float, omega) -> float:
     """Sup-error bound 2 t * omega(2R/N) for interpolating a function with
     modulus of continuity omega on [-R, R]^t.
 
     ``omega`` must already be the modulus of the interpolated map (apply
     :func:`funcrelu.discretize.transfer_modulus` first when starting from
-    a functional modulus).  ``m`` and ``s`` are accepted for report
-    bookkeeping only.
+    a functional modulus).
     """
     return 2.0 * t * float(omega(2.0 * R / N))
 

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .simplicial import ScaledGrid, support_pairs
+from .simplicial import ScaledGrid, spike_forms, support_pairs
 
 FORMAT_VERSION = 1
 
@@ -58,12 +58,13 @@ class Layer:
     With ``copies`` = n > 1 the layer is n copies of the block ``weights``,
     stored once.  With ``shared_input`` every copy reads the whole input,
     so W stacks the blocks; otherwise copy i reads the i-th slice of the
-    input, so W is block diagonal.  ``shifts`` holds one entry per row of
-    the expanded layer, or one per block row, shared by every copy.
+    input, so W is block diagonal.  ``shifts`` holds one entry per block
+    row, shared by every copy; only a grid net's first layer gives its
+    copies other shifts (see :class:`ReluNetwork`).
     """
 
     weights: object  # (r, c) ndarray or CSR matrix, the block
-    shifts: np.ndarray  # (copies * r,) or, shared by the copies, (r,)
+    shifts: np.ndarray  # (r,), shared by the copies
     copies: int = 1
     shared_input: bool = False
 
@@ -72,9 +73,9 @@ class Layer:
         self.shifts = np.asarray(self.shifts, dtype=float).ravel()
         if self.copies < 1:
             raise ValueError("a layer needs at least one copy of its block")
-        if self.shifts.shape[0] not in (self.weights.shape[0], self.rows):
+        if self.shifts.shape[0] != self.weights.shape[0]:
             raise ValueError(
-                f"layer has {self.rows} rows but "
+                f"layer block has {self.weights.shape[0]} rows but "
                 f"{self.shifts.shape[0]} shifts"
             )
         _check_finite(self.weights, "layer weights")
@@ -89,11 +90,6 @@ class Layer:
         c = self.weights.shape[1]
         return c if self.shared_input else self.copies * c
 
-    @property
-    def shared_shifts(self) -> bool:
-        """Whether every copy uses the one shift vector stored."""
-        return self.shifts.shape[0] != self.rows
-
 
 @dataclass
 class ReluNetwork:
@@ -104,11 +100,13 @@ class ReluNetwork:
 
     ``grid`` is set only by
     :func:`funcrelu.constructors.build_interpolation_net`.  It states that
-    every layer is ``grid.node_count`` copies of one block (the first layer
-    stacked on the shared input with one shift vector per copy, the others
-    block diagonal with shared shifts, one unit per copy in the last), and
-    that copy i is the spike of grid node i.  :func:`forward` then
-    evaluates only the copies whose spike can be nonzero at each point.
+    every layer is ``grid.node_count`` copies of one block of the spike at
+    the origin (the first layer stacked on the shared input, the others
+    block diagonal, one unit per copy in the last), and that copy i is
+    that spike moved to grid node i: its first-layer shifts are those of
+    :func:`funcrelu.simplicial.spike_forms` centred at node i, computed
+    where they are read.  :func:`forward` then evaluates only the copies
+    whose spike can be nonzero at each point.
     """
 
     input_dim: int
@@ -142,13 +140,13 @@ class ReluNetwork:
             )
         if self.grid is not None:
             n = self.grid.node_count
-            if not (self.grid.t == self.input_dim and self.layers
+            t = self.grid.t
+            if not (t == self.input_dim and self.layers
+                    and self.layers[0].weights.shape[0] == t * t + t
                     and self.layers[-1].rows == n
                     and all(l.copies == n for l in self.layers)
                     and self.layers[0].shared_input
-                    and not self.layers[0].shared_shifts
-                    and all(l.shared_shifts and not l.shared_input
-                            for l in self.layers[1:])):
+                    and not any(l.shared_input for l in self.layers[1:])):
                 raise ValueError(
                     f"layers are not {n} copies of one spike block on a "
                     f"t = {self.grid.t} grid"
@@ -170,31 +168,44 @@ def _nnz(w) -> int:
     return int(np.count_nonzero(w))
 
 
-def _layer_nnz(layer: Layer) -> tuple:
-    """Nonzero (weights, shifts) of the expanded layer."""
-    shift_copies = layer.copies if layer.shared_shifts else 1
-    return (layer.copies * _nnz(layer.weights),
-            shift_copies * _nnz(layer.shifts))
+# grid nodes whose first-layer shifts are computed at once
+_NODE_RUN = 1 << 14
+
+
+def _grid_shifts(grid: ScaledGrid, node) -> np.ndarray:
+    """First-layer shifts (len(node), t^2 + t) of the spike copies of the
+    grid nodes with flat indices ``node``."""
+    return spike_forms(grid.t, 1.0 / grid.h, grid.nodes(node))[1]
+
+
+def _layer_nnz(net: ReluNetwork) -> list:
+    """Nonzero (weights, shifts) of each expanded layer; a grid net's
+    first-layer shifts are counted over node runs."""
+    counts = [(l.copies * _nnz(l.weights), l.copies * _nnz(l.shifts))
+              for l in net.layers]
+    if net.grid is not None:
+        n = net.grid.node_count
+        runs = (np.arange(lo, min(lo + _NODE_RUN, n))
+                for lo in range(0, n, _NODE_RUN))
+        counts[0] = (counts[0][0],
+                     sum(_nnz(_grid_shifts(net.grid, r)) for r in runs))
+    return counts
 
 
 def count_nonzero(net: ReluNetwork) -> int:
     """Total count of strictly nonzero entries over all weight matrices,
     shift vectors and the output matrix.  Entries that happen to come out
     exactly zero during construction are not counted."""
-    return _nnz(net.output) + sum(sum(_layer_nnz(l)) for l in net.layers)
+    return _nnz(net.output) + sum(map(sum, _layer_nnz(net)))
 
 
 def nonzero_breakdown(net: ReluNetwork) -> dict:
     """Per-component nonzero counts alongside the headline total."""
-    per_layer = [dict(zip(("weights", "shifts"), _layer_nnz(l)))
-                 for l in net.layers]
-    return {
-        "total": count_nonzero(net),
-        "weights": sum(p["weights"] for p in per_layer),
-        "shifts": sum(p["shifts"] for p in per_layer),
-        "output": _nnz(net.output),
-        "per_layer": per_layer,
-    }
+    per_layer = [dict(zip(("weights", "shifts"), c)) for c in _layer_nnz(net)]
+    parts = {"weights": sum(p["weights"] for p in per_layer),
+             "shifts": sum(p["shifts"] for p in per_layer),
+             "output": _nnz(net.output)}
+    return {"total": sum(parts.values()), **parts, "per_layer": per_layer}
 
 
 def _expand_layer(layer: Layer) -> Layer:
@@ -211,8 +222,7 @@ def _expand_layer(layer: Layer) -> Layer:
     indptr = np.concatenate(([0], np.tile(np.diff(block.indptr), n).cumsum()))
     weights = sp.csr_matrix((np.tile(block.data, n), indices, indptr),
                             shape=(layer.rows, layer.cols))
-    shifts = np.tile(layer.shifts, n) if layer.shared_shifts else layer.shifts
-    return Layer(weights, shifts)
+    return Layer(weights, np.tile(layer.shifts, n))
 
 
 def expand_blocks(net: ReluNetwork) -> ReluNetwork:
@@ -225,8 +235,11 @@ def expand_blocks(net: ReluNetwork) -> ReluNetwork:
     """
     if net.grid is None and all(l.copies == 1 for l in net.layers):
         return net
-    return ReluNetwork(net.input_dim, [_expand_layer(l) for l in net.layers],
-                       net.output)
+    layers = [_expand_layer(l) for l in net.layers]
+    if net.grid is not None:
+        shifts = _grid_shifts(net.grid, np.arange(net.grid.node_count))
+        layers[0] = Layer(layers[0].weights, shifts.ravel())
+    return ReluNetwork(net.input_dim, layers, net.output)
 
 
 def _matmul(w, h):
@@ -282,7 +295,6 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
     """
     n = net.grid.node_count
     first, deeper = net.layers[0], net.layers[1:]
-    b1 = first.shifts.reshape(n, -1)
     chunk = _chunk_points(net, max_batch_bytes)
     outs = []
     for lo in range(0, pts.shape[0], chunk):
@@ -294,7 +306,7 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
         for a in range(0, point.shape[0], _PAIR_RUN):
             p, c = point[a : a + _PAIR_RUN], node[a : a + _PAIR_RUN]
             h = _matmul(first.weights, part[p].T)
-            h += b1[c].T
+            h += _grid_shifts(net.grid, c).T
             np.maximum(h, 0.0, out=h)
             for layer in deeper:
                 h = _matmul(layer.weights, h)

@@ -69,12 +69,15 @@ class ScaledGrid:
     def node_count(self) -> int:
         return (self.N + 1) ** self.t
 
+    def nodes(self, index) -> np.ndarray:
+        """Coordinates of the nodes with flat (C order) indices ``index``,
+        shape (len(index), t)."""
+        idx = np.stack(np.unravel_index(index, (self.N + 1,) * self.t), axis=-1)
+        return -self.R + self.h * idx
+
     def node_array(self) -> np.ndarray:
         """All grid nodes, shape (node_count, t), C-order over axis indices."""
-        axes = np.arange(self.N + 1)
-        mesh = np.meshgrid(*([axes] * self.t), indexing="ij")
-        idx = np.stack([m.ravel() for m in mesh], axis=1)
-        return -self.R + self.h * idx
+        return self.nodes(np.arange(self.node_count))
 
     def node_index(self, i) -> int:
         """Flat node index of the axis-index tuple i (C order)."""
@@ -193,6 +196,32 @@ def spike(y: np.ndarray) -> np.ndarray:
                    np.minimum((1.0 + pts).min(axis=-1), (1.0 - pts).min(axis=-1)))
     val = np.maximum(m, 0.0)
     return float(val[0]) if single else val
+
+
+def spike_forms(t: int, scale: float = 1.0, center=None):
+    """First-layer weights W (t^2 + t, t) and shifts b whose rows
+    W @ y + b are the spike's affine forms at scale * (y - center).
+
+    ``center`` is one point (t,), giving shifts (t^2 + t,), or a batch
+    (n, t), giving one shift row per centre, (n, t^2 + t); the default is
+    the origin.  Row order: ordered pairs (k, j), k != j, lexicographic;
+    then the 1 + (.) singles; then the 1 - (.) singles.  For the origin
+    the layer has exactly 3t(t-1) + 4t nonzero entries; shift terms can
+    cancel some biases for lattice centres, which is reported, never
+    forced.
+    """
+    c = scale * (np.zeros(t) if center is None
+                 else np.asarray(center, dtype=float))
+    k, j = np.nonzero(~np.eye(t, dtype=bool))
+    pairs, singles = np.arange(k.size), np.arange(t)
+    W = np.zeros((t * t + t, t))
+    W[pairs, k] = scale
+    W[pairs, j] = -scale
+    W[k.size + singles, singles] = scale
+    W[k.size + t + singles, singles] = -scale
+    b = np.concatenate([1.0 - c[..., k] + c[..., j], 1.0 - c, 1.0 + c],
+                       axis=-1)
+    return W, b
 
 
 def in_Sprime(y: np.ndarray) -> np.ndarray:

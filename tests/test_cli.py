@@ -91,6 +91,19 @@ def test_discretize_csv_input(tmp_path, capsys):
     assert len(doc["nu"]) == 5
 
 
+@pytest.mark.parametrize("text,problem", [
+    ("0.0,1.0\n0.5\n", "line 2: expected 'x,value'"),
+    ("", "no 'x,value' samples"),
+    ("# x,value\n0.0,1.0\n0.5,high\n", "line 3: expected 'x,value'"),
+    ("0.0,1.0\n0.5,inf\n", "line 2: value inf is not finite"),
+], ids=["one-column", "empty", "non-numeric", "non-finite"])
+def test_discretize_bad_csv_names_file_and_line(tmp_path, text, problem):
+    samples = tmp_path / "f.csv"
+    samples.write_text(text)
+    with pytest.raises(SystemExit, match=f"f.csv: {problem}"):
+        main(["discretize", "--s", "1", "--m", "1", "--input", str(samples)])
+
+
 def test_spike_grid_csv(tmp_path):
     out = tmp_path / "spike.csv"
     main(["spike-grid", "--t", "2", "--extent", "1.0", "--step", "0.5",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,6 @@ from funcrelu.constructors import (
     min_net_nonzeros,
     node_values_from_function,
     spike_nominal_nonzeros,
-    _spike_form_rows,
 )
 from funcrelu.relu_net import (
     Layer,
@@ -25,7 +26,13 @@ from funcrelu.relu_net import (
     nonzero_breakdown,
     serialize,
 )
-from funcrelu.simplicial import ScaledGrid, locate, simplex_vertices, spike
+from funcrelu.simplicial import (
+    ScaledGrid,
+    locate,
+    simplex_vertices,
+    spike,
+    spike_forms,
+)
 
 
 class TestMinNet:
@@ -171,7 +178,7 @@ class TestInterpolationNet:
         scale = 1.0 / grid.h
         nets = []
         for xi in grid.node_array():
-            W1, b1 = _spike_form_rows(2, scale=scale, center=xi)
+            W1, b1 = spike_forms(2, scale=scale, center=xi)
             mn = build_min_net(6)
             layers = [Layer(W1, b1)] + list(mn.layers) + [
                 Layer(np.asarray(mn.output), np.zeros(1))
@@ -190,7 +197,7 @@ class TestInterpolationNet:
         grid = ScaledGrid(t, R, N)
         values = rng.standard_normal(grid.node_count)
         values[rng.integers(grid.node_count)] = 0.0
-        nets = [ReluNetwork(t, [Layer(*_spike_form_rows(t, 1.0 / grid.h, xi))]
+        nets = [ReluNetwork(t, [Layer(*spike_forms(t, 1.0 / grid.h, xi))]
                             + build_spike_net(t).layers[1:], np.array([[1.0]]))
                 for xi in grid.node_array()]
         block = build_interpolation_net(InterpolationSpec(grid, values))
@@ -218,6 +225,28 @@ class TestInterpolationNet:
                                           for l in net.layers)
         assert stored < 32 * 2**20
         assert all(l.copies == grid.node_count for l in net.layers)
+
+    def test_shift_storage_does_not_grow_with_node_count(self):
+        stored = set()
+        for N in (1, 2, 4, 8):
+            grid = ScaledGrid(2, 1.0, N)
+            net = build_interpolation_net(
+                InterpolationSpec(grid, np.ones(grid.node_count)))
+            stored.add(sum(l.shifts.size for l in net.layers))
+        assert len(stored) == 1
+
+    def test_large_build_and_count_stay_small(self):
+        # 1.42 M nodes: a stored per-node shift array alone takes 341 MB
+        grid = ScaledGrid(5, 1.0, 16)
+        spec = InterpolationSpec(grid, np.ones(grid.node_count))
+        tracemalloc.start()
+        try:
+            net = build_interpolation_net(spec, node_cap=grid.node_count)
+            count_nonzero(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_direct_evaluator_matches_network(self):
         rng = np.random.default_rng(4)

@@ -620,6 +620,34 @@ class TestPrunedForward:
             ReluNetwork(2, net.layers, net.output, grid=ScaledGrid(2, 1.0, 2))
 
 
+class TestGridShifts:
+    """First-layer shifts of interpolation nets, computed from the grid."""
+
+    def test_breakdown_runs_the_shift_formula_once(self, monkeypatch):
+        grid = ScaledGrid(3, 1.0, 32)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        calls = []
+        real = relu_net.spike_forms
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(relu_net, "spike_forms", recording)
+        breakdown = nonzero_breakdown(net)
+        runs = -(-grid.node_count // relu_net._NODE_RUN)
+        assert runs > 1 and len(calls) == runs
+        assert breakdown["total"] == count_nonzero(net) == 7_821_396
+
+    def test_first_block_must_hold_the_spike_forms(self):
+        grid = ScaledGrid(2, 1.0, 2)
+        n = grid.node_count
+        first = Layer(np.ones((1, 2)), np.zeros(1), copies=n, shared_input=True)
+        ReluNetwork(2, [first], np.ones((1, n)))
+        with pytest.raises(ValueError, match="copies"):
+            ReluNetwork(2, [first], np.ones((1, n)), grid=grid)
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejected_on_both_paths(self, bad):

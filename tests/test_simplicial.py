@@ -16,6 +16,7 @@ from funcrelu.simplicial import (
     simplex_vertices,
     simplices_containing_origin,
     spike,
+    spike_forms,
     support_pairs,
     vertex_interpolant,
 )
@@ -284,3 +285,50 @@ def test_grid_nodes():
     assert np.allclose(nodes[0], [-1, -1])
     assert np.allclose(nodes[-1], [1, 1])
     assert grid.node_index((1, 2)) == 5
+
+
+def test_node_coordinates_match_the_lattice():
+    # the meshgrid formula node_array used before ScaledGrid.nodes
+    for grid in (ScaledGrid(1, 0.6729, 5), ScaledGrid(2, 1.295091801838947, 6),
+                 ScaledGrid(3, 0.7324, 4)):
+        axes = np.arange(grid.N + 1)
+        mesh = np.meshgrid(*([axes] * grid.t), indexing="ij")
+        lattice = -grid.R + grid.h * np.stack([m.ravel() for m in mesh], axis=1)
+        nodes = grid.node_array()
+        assert nodes.tobytes() == lattice.tobytes()
+        index = np.random.default_rng(grid.N).permutation(grid.node_count)[:7]
+        assert grid.nodes(index).tobytes() == nodes[index].tobytes()
+
+
+def _spike_form_loop(t, scale, center):
+    """The spike's first-layer forms built row by row for one centre."""
+    W = np.zeros((t * t + t, t))
+    b = np.empty(t * t + t)
+    row = 0
+    for k in range(t):
+        for j in range(t):
+            if j != k:
+                W[row, k], W[row, j] = scale, -scale
+                b[row] = 1.0 - scale * center[k] + scale * center[j]
+                row += 1
+    for k in range(t):
+        W[row, k], b[row] = scale, 1.0 - scale * center[k]
+        W[row + t, k], b[row + t] = -scale, 1.0 + scale * center[k]
+        row += 1
+    return W, b
+
+
+@pytest.mark.parametrize("t,N,R", [(1, 5, 0.6729), (2, 6, 1.295091801838947),
+                                   (3, 4, 0.7324), (5, 2, 1.0)])
+def test_batched_spike_forms_equal_the_per_centre_rows(t, N, R):
+    grid = ScaledGrid(t, R, N)
+    scale = 1.0 / grid.h
+    centres = grid.node_array()
+    W, b = spike_forms(t, scale, centres)
+    assert b.shape == (grid.node_count, t * t + t)
+    for centre, row in zip(centres, b):
+        W_loop, b_loop = _spike_form_loop(t, scale, centre)
+        assert W.tobytes() == W_loop.tobytes()
+        assert row.tobytes() == b_loop.tobytes()
+        assert spike_forms(t, scale, centre)[1].tobytes() == row.tobytes()
+
