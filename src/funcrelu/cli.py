@@ -182,10 +182,10 @@ def _cmd_run(args):
     cls_doc = doc.get("input_class", {})
     cls = pipeline.InputClass(
         kind=cls_doc.get("kind", "hoelder_ball"),
-        beta=float(cls_doc.get("beta", 2.0)),
-        sample_count=int(cls_doc.get("sample_count", 64)),
-        seed=int(cls_doc.get("seed", 0)),
-        degree_cap=int(cls_doc.get("degree_cap", 32)),
+        beta=cls_doc.get("beta", 2.0),
+        sample_count=cls_doc.get("sample_count", 64),
+        seed=cls_doc.get("seed", 0),
+        degree_cap=cls_doc.get("degree_cap", 32),
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

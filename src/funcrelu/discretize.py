@@ -152,32 +152,44 @@ class RadiusSpec:
             )
 
 
-def _project(op: DiscretizationOperator, f: InputFunction, B: np.ndarray):
+def _project(op: DiscretizationOperator, f, B: np.ndarray):
     """Values of f at op's quadrature nodes and their quadrature
-    projection onto the basis functions whose node values are B's columns."""
-    vals = np.asarray(f(op.rule.points), dtype=float).ravel()
+    projection onto the basis functions whose node values are B's columns.
+
+    ``f`` is an input function, called at the nodes, or already its values
+    there, one per node.
+    """
+    points = op.rule.points
+    vals = np.asarray(f(points) if callable(f) else f, dtype=float).ravel()
+    if vals.shape[0] != points.shape[0]:
+        raise ValueError(f"expected {points.shape[0]} values at the quadrature "
+                         f"nodes, got {vals.shape[0]}")
     bad = ~np.isfinite(vals)
     if bad.any():
-        node = op.rule.points[int(np.argmax(bad))]
+        node = points[int(np.argmax(bad))]
         raise ValueError(f"input function returned a non-finite value at node {node}")
     return vals, B.T @ (op.rule.weights * vals)
 
 
-def apply_Vm(op: DiscretizationOperator, f: InputFunction) -> PolyCoeffs:
-    """Filtered quadrature projection of f onto the degree window."""
+def apply_Vm(op: DiscretizationOperator, f) -> PolyCoeffs:
+    """Filtered quadrature projection of f (an input function or its
+    values at op's nodes) onto the degree window."""
     return PolyCoeffs(op.basis, op.filter * _project(op, f, op.basis_at_nodes)[1])
 
 
-def discretize(op: DiscretizationOperator, f: InputFunction,
+def discretize(op: DiscretizationOperator, f,
                radius_spec: Optional[RadiusSpec] = None,
                self_check: bool = False) -> np.ndarray:
     """Coefficient vector of the discretized function, length t.
 
-    With a radius spec, vectors outside [-R, R]^t raise (the configured
-    C_K or c1 surrogate is then wrong for this input class).  With
-    ``self_check`` the quadrature is repeated at doubled resolution and a
-    relative drift above 1e-8 warns.
+    ``f`` is an input function or its values at op's nodes.  With a radius
+    spec, vectors outside [-R, R]^t raise (the configured C_K or c1
+    surrogate is then wrong for this input class).  With ``self_check``
+    the quadrature is repeated at doubled resolution and a relative drift
+    above 1e-8 warns; that needs f itself, not its node values.
     """
+    if self_check and not callable(f):
+        raise ValueError("self_check needs the input function, not its node values")
     coeffs = apply_Vm(op, f).coeffs
     if self_check:
         dense = DiscretizationOperator(
@@ -208,9 +220,9 @@ def transfer_modulus(omega_F, m: int, s: int, p: float,
     return lambda r: omega_F(factor * r)
 
 
-def projection_error(op: DiscretizationOperator, f: InputFunction,
-                     p: float = 2.0) -> float:
-    """Distance from f to the polynomials of coordinatewise degree <= m.
+def projection_error(op: DiscretizationOperator, f, p: float = 2.0) -> float:
+    """Distance from f (an input function or its values at op's nodes) to
+    the polynomials of coordinatewise degree <= m.
 
     For p = 2 this is the best approximation error at the resolution of
     op's rule (orthonormal projection).  For p != 2 the same projector is
@@ -220,7 +232,8 @@ def projection_error(op: DiscretizationOperator, f: InputFunction,
     return sampled_lp_norm(vals - op.low_basis_at_nodes @ coeffs, p, op.rule)
 
 
-def vm_error(op: DiscretizationOperator, f: InputFunction, p: float = 2.0) -> float:
-    """Quadrature p-norm of f - V f (the operator's own error on f)."""
+def vm_error(op: DiscretizationOperator, f, p: float = 2.0) -> float:
+    """Quadrature p-norm of f - V f (the operator's own error on f); f is
+    an input function or its values at op's nodes."""
     vals, coeffs = _project(op, f, op.basis_at_nodes)
     return sampled_lp_norm(vals - op.basis_at_nodes @ (op.filter * coeffs), p, op.rule)

@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -79,14 +79,27 @@ class PowerModulus:
 class TargetFunctional:
     """Functional evaluated from samples of the input at quadrature nodes.
 
-    ``apply_sampled`` maps an array of function values with shape
-    (..., n_nodes) to functional values of shape (...); ``omega`` is a
-    known upper bound on the modulus of continuity.
+    ``form(rule)`` returns the functional on that rule's node values: a map
+    from an array of shape (..., n_nodes) to values of shape (...).  It
+    computes what depends on the rule alone (the weighted g of an inner
+    product) before it returns.  ``bind(rule)`` does that once and keeps
+    the result; ``omega`` is a known upper bound on the modulus of
+    continuity.
     """
 
     name: str
-    apply_sampled: Callable
+    form: Callable
     omega: PowerModulus
+    bound_rule: Optional[GaussRule] = field(default=None, repr=False, compare=False)
+    bound_form: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+    def bind(self, rule: GaussRule) -> "TargetFunctional":
+        """The same functional with its form for ``rule`` computed once."""
+        return replace(self, bound_rule=rule, bound_form=self.form(rule))
+
+    def apply_sampled(self, values, rule: GaussRule):
+        form = self.bound_form if rule is self.bound_rule else self.form(rule)
+        return form(values)
 
     def __call__(self, f: InputFunction, rule: GaussRule) -> float:
         return float(self.apply_sampled(f(rule.points), rule))
@@ -97,18 +110,20 @@ def inner_product_functional(g: InputFunction, rule: GaussRule,
     """F(f) = integral of f * g; Lipschitz with constant ||g||_q."""
     if not p >= 1:
         raise ValueError(f"need p >= 1, got {p}")
+    if math.isinf(p):
+        raise ValueError(f"p={p} is outside the paper's range 1 <= p < inf")
     q = p / (p - 1.0) if p > 1 else math.inf
     if math.isinf(q):
         c = float(np.max(np.abs(g(rule.points))))
     else:
         c = lp_norm(g, q, rule)
 
-    def apply_sampled(values, rl):
+    def form(rl):
         gw = rl.weights * np.asarray(g(rl.points), dtype=float).ravel()
-        return np.asarray(values, dtype=float) @ gw
+        return lambda values: np.asarray(values, dtype=float) @ gw
 
     return TargetFunctional(name or f"inner-product[{g.tag}]",
-                            apply_sampled, PowerModulus(c, 1.0))
+                            form, PowerModulus(c, 1.0))
 
 
 def sin_inner_product_functional(g: InputFunction, rule: GaussRule,
@@ -116,17 +131,17 @@ def sin_inner_product_functional(g: InputFunction, rule: GaussRule,
     """F(f) = sin(integral of f * g); shares the inner product's modulus."""
     base = inner_product_functional(g, rule, p)
 
-    def apply_sampled(values, rl):
-        return np.sin(base.apply_sampled(values, rl))
+    def form(rl):
+        inner = base.form(rl)
+        return lambda values: np.sin(inner(values))
 
-    return TargetFunctional(f"sin-inner-product[{g.tag}]",
-                            apply_sampled, base.omega)
+    return TargetFunctional(f"sin-inner-product[{g.tag}]", form, base.omega)
 
 
 def constant_functional(value: float) -> TargetFunctional:
     return TargetFunctional(
         f"constant[{value}]",
-        lambda values, rl: np.full(np.asarray(values).shape[:-1], float(value)),
+        lambda rl: lambda values: np.full(np.asarray(values).shape[:-1], float(value)),
         PowerModulus(0.0, 1.0),
     )
 
@@ -135,13 +150,20 @@ def squared_coeff_norm_functional(op: DiscretizationOperator,
                                   bound: float) -> TargetFunctional:
     """F(f) = squared Euclidean norm of the discretized vector; on inputs
     with discretized norm <= bound the modulus is 2 * bound * r (p = 2)."""
-    def apply_sampled(values, rl):
+    def form(rl):
         B = op.basis.eval_all(rl.points)
-        coeffs = (np.asarray(values, dtype=float) * rl.weights) @ B * op.filter
-        return (coeffs**2).sum(axis=-1)
 
-    return TargetFunctional("squared-coeff-norm", apply_sampled,
+        def apply(values):
+            coeffs = (np.asarray(values, dtype=float) * rl.weights) @ B * op.filter
+            return (coeffs**2).sum(axis=-1)
+
+        return apply
+
+    return TargetFunctional("squared-coeff-norm", form,
                             PowerModulus(2.0 * bound, 1.0))
+
+
+INPUT_KINDS = ("hoelder_ball", "sobolev_like", "polynomial_ball")
 
 
 @dataclass(frozen=True)
@@ -162,17 +184,64 @@ class InputClass:
     degree_cap: int = 32
 
 
-def _series_input(idx, coeffs, tag) -> InputFunction:
-    def evaluator(x):
-        return tensor_eval(idx, np.asarray(x, dtype=float)) @ coeffs
+@dataclass(frozen=True)
+class SeriesInput:
+    """Input function given by its tensor Legendre series: ``coeffs[k]``
+    times the basis function of row k of ``multi_indices``.  The inputs of
+    one draw share one ``multi_indices`` array, so ``sample_inputs``
+    evaluates their basis once per rule."""
 
-    return InputFunction(evaluator, tag=tag)
+    multi_indices: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
+    tag: str = ""
+
+    def __call__(self, x):
+        return np.asarray(tensor_eval(self.multi_indices, np.asarray(x, dtype=float))
+                          @ self.coeffs, dtype=float)
+
+
+def sample_inputs(inputs, rule: GaussRule) -> np.ndarray:
+    """Values of the inputs at the rule's nodes, one row per input.
+
+    Series inputs that share multi-indices share one basis evaluation; each
+    row is its own matrix-vector product, equal bit for bit to calling the
+    input at the nodes (one product for all rows would round differently).
+    """
+    bases = {}
+    rows = []
+    for f in inputs:
+        if isinstance(f, SeriesInput):
+            key = id(f.multi_indices)
+            if key not in bases:
+                bases[key] = tensor_eval(f.multi_indices, rule.points)
+            rows.append(bases[key] @ f.coeffs)
+        else:
+            rows.append(np.asarray(f(rule.points), dtype=float).ravel())
+    return np.array(rows, dtype=float)
+
+
+def _check_input_class(cls: InputClass, s) -> None:
+    """Raise ValueError naming the first field that no sampler can use."""
+    if cls.kind not in INPUT_KINDS:
+        raise ValueError(f"unknown input class kind {cls.kind!r}; choose from {INPUT_KINDS}")
+    for name, value, low in (("sample_count", cls.sample_count, 1), ("s", s, 1),
+                             ("degree_cap", cls.degree_cap, 0), ("seed", cls.seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    beta = cls.beta
+    if isinstance(beta, bool) or not isinstance(beta, (int, float, np.integer, np.floating)):
+        raise ValueError(f"beta must be a number, got {beta!r}")
+    if cls.kind == "polynomial_ball":
+        if not (math.isfinite(beta) and beta >= 0 and beta == int(beta)):
+            raise ValueError(f"beta is the polynomial_ball degree and must be a "
+                             f"whole number >= 0, got {beta!r}")
+    elif not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be a finite smoothness exponent > 0, got {beta!r}")
 
 
 def generate_inputs(cls: InputClass, s: int) -> list:
     """Deterministic sample of the input class (fixed seed, fixed order)."""
-    if cls.sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    _check_input_class(cls, s)
     rng = np.random.default_rng(cls.seed)
     out = []
     if cls.kind == "polynomial_ball":
@@ -180,7 +249,7 @@ def generate_inputs(cls: InputClass, s: int) -> list:
         for i in range(cls.sample_count):
             c = rng.standard_normal(idx.shape[0])
             c /= np.linalg.norm(c)
-            out.append(_series_input(idx, c, f"{cls.kind}[deg={int(cls.beta)},seed={cls.seed},i={i}]"))
+            out.append(SeriesInput(idx, c, f"{cls.kind}[deg={int(cls.beta)},seed={cls.seed},i={i}]"))
         return out
     idx = tensor_multi_indices(s, cls.degree_cap)
     total = idx.sum(axis=1)
@@ -215,17 +284,15 @@ def generate_inputs(cls: InputClass, s: int) -> list:
                 jitter = rng.uniform(0.8, 1.0)
                 c[members] = raw / np.linalg.norm(raw) * np.sqrt(masses[g]) * jitter
             c /= max(float(np.max(np.abs(probe_B @ c))), 1e-30)
-            out.append(_series_input(idx, c, f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
-        return out
-    if cls.kind == "sobolev_like":
+            out.append(SeriesInput(idx, c, f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
+    else:  # sobolev_like
         decay = (1.0 + total) ** (-(cls.beta + 0.5))
         weight = (1.0 + total) ** cls.beta
         for i in range(cls.sample_count):
             c = rng.uniform(-1.0, 1.0, idx.shape[0]) * decay
             c /= max(float(np.linalg.norm(weight * c)), 1e-30)
-            out.append(_series_input(idx, c, f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
-        return out
-    raise ValueError(f"unknown input class kind {cls.kind!r}")
+            out.append(SeriesInput(idx, c, f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
+    return out
 
 
 @dataclass
@@ -293,6 +360,9 @@ class ExperimentRow:
     oracle_gap: float = math.nan
     decomposition_ok: bool = False
     wall_seconds: float = 0.0
+    build_seconds: float = 0.0
+    eval_seconds: float = 0.0
+    oracle_seconds: float = 0.0
     status: str = "ok"
     reason: str = ""
     network_file: str = ""
@@ -350,6 +420,22 @@ def _class_radius(op, nus, p, C_K, c1_surrogate):
     return RadiusSpec(op.basis.m, op.basis.s, p, C_K, c1_surrogate)
 
 
+def _rule_state(cfg, inputs, m):
+    """The degree-m operator and what a sweep needs of the inputs on its
+    rule: (functional bound to the rule, op, vectors, functional values,
+    eps_hat, radius).  Each input is sampled at the nodes once, and every
+    projection and functional value reads those samples."""
+    op = make_operator(cfg.s, m, cfg.filter_kind)
+    samples = sample_inputs(inputs, op.rule)
+    nus = np.vstack([discretize(op, v) for v in samples])
+    radius = _class_radius(op, nus, cfg.p, cfg.C_K, cfg.c1_surrogate)
+    radius.check(nus)
+    functional = cfg.functional.bind(op.rule)
+    F_vals = np.array([float(functional.apply_sampled(v, op.rule)) for v in samples])
+    eps_hat = max(projection_error(op, v, cfg.p) for v in samples)
+    return functional, op, nus, F_vals, eps_hat, radius
+
+
 def _measure_point(cfg, functional, op, nus, F_vals, eps_hat, radius,
                    N, dump_dir=None):
     """Build the net at (m, N) and measure every error piece."""
@@ -366,9 +452,13 @@ def _measure_point(cfg, functional, op, nus, F_vals, eps_hat, radius,
     t0 = time.perf_counter()
     grid = ScaledGrid(t, radius.R, N)
     fnet = build_functional_net(functional, op, grid, node_cap=cfg.node_cap)
+    t1 = time.perf_counter()
     theta = evaluate_batch(fnet.net, nus)
+    t2 = time.perf_counter()
     mu_at_nu = mu_values(functional, op, nus)
     direct = interpolant_values(fnet.spec, nus)
+    t3 = time.perf_counter()
+    row.build_seconds, row.eval_seconds, row.oracle_seconds = t1 - t0, t2 - t1, t3 - t2
     errors = np.abs(F_vals - theta)
     poly_pieces = np.abs(F_vals - mu_at_nu)
     grid_pieces = np.abs(mu_at_nu - theta)
@@ -416,7 +506,7 @@ def _fit_c_hat(rows, omega: PowerModulus) -> float:
     return c_hat
 
 
-def _budget_ladder_rows(cfg, functional, per_m_state):
+def _budget_ladder_rows(cfg, per_m_state):
     """Budget-ladder realization of the degree-for-budget pairing.
 
     The pairing rule picks, for a weight budget B, the largest m with
@@ -473,9 +563,7 @@ def _budget_ladder_rows(cfg, functional, per_m_state):
         if N < 1 or (m, N) in seen:
             continue
         seen.add((m, N))
-        op, nus, F_vals, eps_hat, radius = per_m_state(m)
-        rows.append(_measure_point(cfg, functional, op, nus, F_vals,
-                                   eps_hat, radius, N))
+        rows.append(_measure_point(cfg, *per_m_state(m), N))
     done = [r for r in rows if r.status == "ok" and r.M > math.e**math.e]
     info = {"c9_eff": c9_eff, "points": len(done)}
     if len(done) >= 2:
@@ -494,8 +582,9 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     the two-term bound, and fit the budget-ladder decay exponent."""
     if cfg.functional is None or cfg.input_class is None:
         raise ValueError("config needs a functional and an input class")
-    functional = cfg.functional
+    t0 = time.perf_counter()
     inputs = generate_inputs(cfg.input_class, cfg.s)
+    stage_seconds = {"inputs": time.perf_counter() - t0, "sample": 0.0}
     if cfg.dump_dir is not None:
         Path(cfg.dump_dir).mkdir(parents=True, exist_ok=True)
 
@@ -503,18 +592,14 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     def per_m_state(m):
         if m not in state_cache:
-            op = make_operator(cfg.s, m, cfg.filter_kind)
-            nus = np.vstack([discretize(op, f) for f in inputs])
-            radius = _class_radius(op, nus, cfg.p, cfg.C_K, cfg.c1_surrogate)
-            radius.check(nus)
-            F_vals = np.array([functional(f, op.rule) for f in inputs])
-            eps_hat = max(projection_error(op, f, cfg.p) for f in inputs)
-            state_cache[m] = (op, nus, F_vals, eps_hat, radius)
+            t0 = time.perf_counter()
+            state_cache[m] = _rule_state(cfg, inputs, m)
+            stage_seconds["sample"] += time.perf_counter() - t0
         return state_cache[m]
 
-    report = ExperimentReport(functional=functional.name)
+    report = ExperimentReport(functional=cfg.functional.name)
     for m in cfg.m_values:
-        op, nus, F_vals, eps_hat, radius = per_m_state(m)
+        functional, op, nus, F_vals, eps_hat, radius = per_m_state(m)
         for N in cfg.N_values:
             row = _measure_point(cfg, functional, op, nus, F_vals,
                                  eps_hat, radius, N, dump_dir=cfg.dump_dir)
@@ -522,7 +607,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     done = report.completed()
     report.summary = {
-        "functional": functional.name,
+        "functional": cfg.functional.name,
         "input_class": vars(cfg.input_class),
         "s": cfg.s,
         "p": cfg.p,
@@ -531,15 +616,19 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "completed_points": len(done),
         "skipped_points": [(r.m, r.N, r.reason) for r in report.rows
                            if r.status != "ok"],
-        "c_hat": _fit_c_hat(done, functional.omega),
+        "c_hat": _fit_c_hat(done, cfg.functional.omega),
         "max_oracle_gap": max((r.oracle_gap for r in done), default=0.0),
         "decomposition_ok": all(r.decomposition_ok for r in done),
     }
+    measured = list(report.rows)
     if cfg.ladder:
-        ladder_rows, ladder_info = _budget_ladder_rows(cfg, functional,
-                                                       per_m_state)
+        ladder_rows, ladder_info = _budget_ladder_rows(cfg, per_m_state)
         report.summary["budget_ladder"] = ladder_info
         report.summary["budget_ladder_rows"] = [
             (r.m, r.N, r.M, r.sup_error, r.status) for r in ladder_rows
         ]
+        measured += ladder_rows
+    for stage in ("build", "eval", "oracle"):
+        stage_seconds[stage] = sum(getattr(r, f"{stage}_seconds") for r in measured)
+    report.summary["stage_seconds"] = stage_seconds
     return report

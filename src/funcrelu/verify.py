@@ -297,7 +297,8 @@ def check_oracle_paths_and_serialization() -> CheckResult:
         inputs = pipeline.generate_inputs(
             pipeline.InputClass("hoelder_ball", beta=2.0, sample_count=100,
                                 seed=11, degree_cap=16), s)
-        nus = np.vstack([discretize(op, f) for f in inputs])
+        nus = np.vstack([discretize(op, v)
+                         for v in pipeline.sample_inputs(inputs, op.rule)])
         R = float(np.abs(nus).max()) * 1.05 + 1e-9
         grid = simplicial.ScaledGrid(op.t, R, N)
         fnet = pipeline.build_functional_net(functional, op, grid)

@@ -145,3 +145,19 @@ def test_run_experiment(tmp_path, capsys):
     assert summary["completed_points"] == 4
     assert summary["decomposition_ok"] is True
     assert "sup_error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [("sample_count", 2.5), ("sample_count", True),
+                                          ("degree_cap", -1), ("beta", "2")])
+def test_run_bad_input_class_field_is_named(tmp_path, field, value):
+    config = {
+        "functional": {"name": "inner-product", "g": "gaussian"},
+        "input_class": {"kind": "hoelder_ball", "sample_count": 4, field: value},
+        "m_values": [0],
+        "N_values": [2],
+        "budget_ladder": False,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])

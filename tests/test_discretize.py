@@ -319,3 +319,41 @@ def test_operator_evaluates_basis_once(monkeypatch):
     vm_error(op, f)
     mu_values(inner_product_functional(g, op.rule), op, nu)
     assert calls == [op.rule.points.shape]
+
+
+def test_node_values_project_like_the_function():
+    op = make_operator(2, 1)
+    f = InputFunction(lambda x: np.exp(np.atleast_2d(x).sum(axis=1)))
+    vals = f(op.rule.points)
+    assert np.array_equal(discretize(op, vals), discretize(op, f))
+    assert np.array_equal(apply_Vm(op, vals).coeffs, apply_Vm(op, f).coeffs)
+    for p in (1.0, 2.0, 3.0):
+        assert projection_error(op, vals, p) == projection_error(op, f, p)
+        assert vm_error(op, vals, p) == vm_error(op, f, p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_node_value_names_the_node(bad):
+    op = make_operator(1, 1)
+    vals = np.ones(op.rule.points.shape[0])
+    vals[5] = bad
+    for project in (discretize, apply_Vm, projection_error, vm_error):
+        with pytest.raises(ValueError, match="non-finite value at node") as err:
+            project(op, vals)
+        assert str(op.rule.points[5]) in str(err.value)
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 17, 32])
+def test_node_values_of_wrong_length_are_rejected(count):
+    op = make_operator(1, 1)
+    assert op.rule.points.shape[0] == 16
+    for project in (discretize, apply_Vm, projection_error, vm_error):
+        with pytest.raises(ValueError, match=f"expected 16 values .* got {count}"):
+            project(op, np.ones(count))
+
+
+def test_self_check_needs_the_function():
+    op = make_operator(1, 1)
+    vals = np.cos(op.rule.points[:, 0])
+    with pytest.raises(ValueError, match="self_check needs the input function"):
+        discretize(op, vals, self_check=True)

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from funcrelu import pipeline as pipeline_module
+from funcrelu import verify
 from funcrelu.constructors import interpolant_values
-from funcrelu.discretize import discretize, make_operator
+from funcrelu.discretize import InputFunction, discretize, make_operator
 from funcrelu.functions import get_function
-from funcrelu.legendre import gauss_legendre_rule
+from funcrelu.legendre import gauss_legendre_rule, tensor_eval
 from funcrelu.pipeline import (
     ExperimentConfig,
     InputClass,
     PowerModulus,
+    TargetFunctional,
+    _rule_state,
     build_functional_net,
     constant_functional,
     evaluate_functional_net,
@@ -18,6 +22,7 @@ from funcrelu.pipeline import (
     inner_product_functional,
     mu_values,
     run_rate_experiment,
+    sample_inputs,
     sin_inner_product_functional,
     squared_coeff_norm_functional,
 )
@@ -285,3 +290,165 @@ class TestRunRateExperiment:
         assert info["slope"] < 0
         ms = [m for m, *_ in info["pairs"]]
         assert ms == sorted(ms)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("cls", [
+    InputClass("hoelder_ball", 2.0, 5, seed=3, degree_cap=8),
+    InputClass("sobolev_like", 1.5, 5, seed=4, degree_cap=8),
+    InputClass("polynomial_ball", 3, 5, seed=5),
+])
+def test_sampled_inputs_equal_calls_at_the_nodes(cls, s):
+    inputs = generate_inputs(cls, s)
+    for m in (0, 1):
+        rule = make_operator(s, m).rule
+        samples = sample_inputs(inputs, rule)
+        assert samples.shape == (len(inputs), rule.points.shape[0])
+        for f, row in zip(inputs, samples):
+            assert np.array_equal(row, f(rule.points))
+
+
+def _reference_rule_state(cfg, inputs, m, g):
+    # the per-input formulas of the sweep before inputs were sampled once
+    # per rule: every quantity calls the input at the nodes again, and the
+    # functional evaluates g there on every call
+    op = make_operator(cfg.s, m, cfg.filter_kind)
+    w, pts = op.rule.weights, op.rule.points
+    low = op.low_basis_at_nodes
+    nus, F_vals, eps = [], [], []
+    for f in inputs:
+        vals = np.asarray(f(pts), dtype=float).ravel()
+        nus.append(op.filter * (op.basis_at_nodes.T @ (w * vals)))
+        inner = np.asarray(f(pts), dtype=float).ravel() @ (w * g(pts))
+        F_vals.append(float(np.sin(inner) if cfg.functional.name.startswith("sin") else inner))
+        vals = np.asarray(f(pts), dtype=float).ravel()
+        resid = vals - low @ (low.T @ (w * vals))
+        eps.append(float((w @ np.abs(resid) ** cfg.p) ** (1.0 / cfg.p)))
+    return np.vstack(nus), np.array(F_vals), max(eps)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("make", [inner_product_functional,
+                                  sin_inner_product_functional])
+def test_rule_state_equals_per_input_formulas(make, p):
+    g = get_function("slow-series")
+    cfg = ExperimentConfig(
+        s=1, p=p, functional=make(g, make_operator(1, 2).rule, p),
+        input_class=InputClass("hoelder_ball", 2.0, 16, seed=7),
+        c1_surrogate=4.0,
+    )
+    inputs = generate_inputs(cfg.input_class, cfg.s)
+    for m in (0, 1, 2):
+        _, _, nus, F_vals, eps_hat, _ = _rule_state(cfg, inputs, m)
+        ref_nus, ref_F, ref_eps = _reference_rule_state(cfg, inputs, m, g)
+        assert np.array_equal(nus, ref_nus)
+        assert np.array_equal(F_vals, ref_F)
+        assert eps_hat == ref_eps
+
+
+def test_sweep_samples_each_rule_once(monkeypatch):
+    tensor_calls, g_calls = [], []
+    monkeypatch.setattr(pipeline_module, "tensor_eval",
+                        lambda idx, x: tensor_calls.append(len(x)) or tensor_eval(idx, x))
+    gauss = get_function("gaussian")
+
+    def counted(x):
+        g_calls.append(len(x))
+        return gauss(x)
+
+    g = InputFunction(counted, tag="gaussian")
+    cfg = ExperimentConfig(
+        s=1, p=2.0, functional=sin_inner_product_functional(g, make_operator(1, 1).rule),
+        input_class=InputClass("hoelder_ball", 2.0, 8, seed=6),
+        m_values=(0, 1), N_values=(2, 4), ladder=False,
+    )
+    g_calls.clear()
+    run_rate_experiment(cfg)
+    # one probe evaluation in generate_inputs, then one per rule; the
+    # weighted g once per rule
+    assert len(tensor_calls) == 1 + len(cfg.m_values)
+    assert len(g_calls) == len(cfg.m_values)
+
+
+def _report_reprs(report):
+    timing = {"wall_seconds", "build_seconds", "eval_seconds", "oracle_seconds"}
+    rows = [{k: repr(v) for k, v in vars(r).items() if k not in timing}
+            for r in report.rows]
+    summary = {k: repr(v) for k, v in report.summary.items() if k != "stage_seconds"}
+    return rows, summary
+
+
+@pytest.mark.parametrize("kind", ["inner", "sin"])
+def test_seed7_report_equals_per_input_path(kind, monkeypatch):
+    fast = _report_reprs(verify.rate_report(kind))
+    # the per-input path: inputs behind plain callables are called at the
+    # nodes one by one, and an unbound functional evaluates g on every call
+    draw = generate_inputs
+    monkeypatch.setattr(pipeline_module, "generate_inputs",
+                        lambda cls, s: [InputFunction(f, f.tag) for f in draw(cls, s)])
+    monkeypatch.setattr(TargetFunctional, "bind", lambda self, rule: self)
+    cfg = verify._rate_config(functional_kind=kind)
+    cfg.ladder = kind == "inner"
+    assert _report_reprs(run_rate_experiment(cfg)) == fast
+
+
+def test_bound_functional_matches_unbound():
+    g = get_function("slow-series")
+    rule, other = make_operator(1, 1).rule, make_operator(1, 2).rule
+    F = sin_inner_product_functional(g, rule)
+    bound = F.bind(rule)
+    for rl in (rule, other):
+        values = np.cos(np.arange(3 * rl.points.shape[0])).reshape(3, -1)
+        assert np.array_equal(bound.apply_sampled(values, rl), F.apply_sampled(values, rl))
+    assert (bound.name, bound.omega) == (F.name, F.omega)
+
+
+@pytest.mark.parametrize("make", [inner_product_functional,
+                                  sin_inner_product_functional])
+def test_inner_product_functionals_reject_p_inf(make):
+    rule = make_operator(1, 1).rule
+    with pytest.raises(ValueError, match="p=inf"):
+        make(get_function("gaussian"), rule, math.inf)
+
+
+@pytest.mark.parametrize("kwargs, s, field", [
+    ({"sample_count": 2.5}, 1, "sample_count"),
+    ({"sample_count": True}, 1, "sample_count"),
+    ({"sample_count": 0}, 1, "sample_count"),
+    ({}, 0, "s"),
+    ({"degree_cap": -1}, 1, "degree_cap"),
+    ({"degree_cap": 2.5}, 1, "degree_cap"),
+    ({"beta": math.nan}, 1, "beta"),
+    ({"beta": -1.0}, 1, "beta"),
+    ({"kind": "sobolev_like", "beta": math.inf}, 2, "beta"),
+    ({"kind": "polynomial_ball", "beta": 2.5}, 1, "beta"),
+    ({"kind": "polynomial_ball", "beta": -1}, 1, "beta"),
+    ({"seed": 1.5}, 1, "seed"),
+])
+def test_generate_inputs_names_bad_field(kwargs, s, field):
+    cls = InputClass(**{"kind": "hoelder_ball", **kwargs})
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        generate_inputs(cls, s)
+
+
+def test_report_has_stage_times(tmp_path):
+    cfg = ExperimentConfig(
+        s=1, p=2.0,
+        functional=inner_product_functional(get_function("gaussian"),
+                                            make_operator(1, 1).rule),
+        input_class=InputClass("hoelder_ball", 2.0, 4, seed=11),
+        m_values=(0, 1), N_values=(2,), ladder=True,
+        ladder_weight_cap=100_000, ladder_budget_count=2,
+    )
+    report = run_rate_experiment(cfg)
+    for row in report.rows:
+        for name in ("build_seconds", "eval_seconds", "oracle_seconds"):
+            assert getattr(row, name) >= 0.0
+    report.to_csv(tmp_path / "report.csv")
+    report.summary_to_json(tmp_path / "summary.json")
+    header = (tmp_path / "report.csv").read_text().splitlines()[0].split(",")
+    assert {"build_seconds", "eval_seconds", "oracle_seconds"} <= set(header)
+    import json
+    stages = json.loads((tmp_path / "summary.json").read_text())["stage_seconds"]
+    assert set(stages) == {"inputs", "sample", "build", "eval", "oracle"}
+    assert all(v >= 0.0 for v in stages.values())
