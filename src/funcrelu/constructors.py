@@ -116,8 +116,9 @@ def build_interpolation_net(spec: InterpolationSpec,
 
     Equivalent to compose_parallel over per-node shifted spike networks:
     the layer blocks are identical across nodes except first-layer shifts
-    and output coefficients, so each layer stores its block once with a
-    copy count, and the grid gives each copy's first-layer shifts (see
+    and output coefficients, so the net stores the layers of
+    :func:`build_spike_net` once, at cell scale, and the grid gives the
+    copies and each copy's first-layer shifts (see
     :class:`funcrelu.relu_net.ReluNetwork`).  Depth is t^2 + t + 1 and the
     nonzero count is at most node_count * spike_nominal_nonzeros(t).
     """
@@ -128,16 +129,14 @@ def build_interpolation_net(spec: InterpolationSpec,
             f"grid has {n} nodes, above the cap of {node_cap}; "
             "raise node_cap explicitly for larger builds"
         )
-    t = grid.t
-    W1, b1 = spike_forms(t, scale=1.0 / grid.h)
-    mn = build_min_net(t * t + t)
-    layers = [Layer(sp.csr_matrix(W1), b1, copies=n, shared_input=True)]
-    for lay in mn.layers:
-        layers.append(Layer(sp.csr_matrix(lay.weights), np.zeros(lay.rows),
-                            copies=n))
-    layers.append(Layer(sp.csr_matrix(np.asarray(mn.output)), np.zeros(1),
-                        copies=n))
-    return ReluNetwork(t, layers, spec.node_values.reshape(1, n), grid=grid)
+    first, *deeper = build_spike_net(grid.t).layers
+    # the spike's forms at (y - xi) / cell; its shifts at the origin are
+    # the same at every scale
+    layers = [Layer(sp.csr_matrix(first.weights * (1.0 / grid.h)),
+                    first.shifts)]
+    layers += [Layer(sp.csr_matrix(l.weights), l.shifts) for l in deeper]
+    return ReluNetwork(grid.t, layers, spec.node_values.reshape(1, n),
+                       grid=grid)
 
 
 def interpolant_values(spec: InterpolationSpec, y: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .legendre import (
     GaussRule,
     LegendreBasis,
     PolyCoeffs,
+    check_p,
     default_rule_size,
     gauss_legendre_rule,
     sampled_lp_norm,
@@ -133,8 +134,7 @@ class RadiusSpec:
     c1_surrogate: float = 1.0
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise ValueError(f"need p >= 1, got {self.p}")
+        check_p(self.p)
 
     @property
     def R(self) -> float:
@@ -213,8 +213,7 @@ def transfer_modulus(omega_F, m: int, s: int, p: float,
                      c1_surrogate: float = 1.0):
     """Modulus bound for the discretized target as a function on R^t:
     r -> omega_F(c1 * max(m, 1)^(2 s max(1/2 - 1/p, 0)) * r)."""
-    if not p >= 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    check_p(p)
     expo = 2.0 * s * max(0.5 - 1.0 / p, 0.0)
     factor = c1_surrogate * float(max(m, 1)) ** expo
     return lambda r: omega_F(factor * r)

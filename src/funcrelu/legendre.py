@@ -213,6 +213,13 @@ def default_rule_size(m: int) -> int:
     return max(RULE_FLOOR, 4 * (2 * m + 1))
 
 
+def check_p(p: float) -> None:
+    """Refuse an exponent outside the paper's range 1 <= p < inf (NaN
+    included)."""
+    if not 1 <= p < np.inf:
+        raise ValueError(f"need p >= 1 and p < inf, got p={p}")
+
+
 def lp_norm(func, p: float, rule: GaussRule) -> float:
     """Quadrature L^p norm on the cube; approximate for p != 2 since
     |f|^p is not polynomial."""
@@ -221,7 +228,6 @@ def lp_norm(func, p: float, rule: GaussRule) -> float:
 
 def sampled_lp_norm(values, p: float, rule: GaussRule) -> float:
     """Quadrature L^p norm from the values at the rule's nodes."""
-    if not p >= 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    check_p(p)
     vals = np.abs(np.asarray(values, dtype=float).ravel())
     return float((rule.weights @ vals**p) ** (1.0 / p))

@@ -43,8 +43,8 @@ from .discretize import (
     projection_error,
     transfer_modulus,
 )
-from .legendre import (GaussRule, lp_norm, sampled_lp_norm, tensor_eval,
-                       tensor_multi_indices)
+from .legendre import (GaussRule, check_p, lp_norm, sampled_lp_norm,
+                       tensor_eval, tensor_multi_indices)
 from .relu_net import (
     ReluNetwork,
     count_nonzero,
@@ -108,10 +108,7 @@ class TargetFunctional:
 def inner_product_functional(g: InputFunction, rule: GaussRule,
                              p: float = 2.0, name: str = None) -> TargetFunctional:
     """F(f) = integral of f * g; Lipschitz with constant ||g||_q."""
-    if not p >= 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    if math.isinf(p):
-        raise ValueError(f"p={p} is outside the paper's range 1 <= p < inf")
+    check_p(p)
     q = p / (p - 1.0) if p > 1 else math.inf
     if math.isinf(q):
         c = float(np.max(np.abs(g(rule.points))))
@@ -301,7 +298,6 @@ class FunctionalNet:
 
     op: DiscretizationOperator
     net: ReluNetwork
-    grid: ScaledGrid
     spec: InterpolationSpec
     functional: TargetFunctional
     metadata: dict = field(default_factory=dict)
@@ -335,7 +331,7 @@ def build_functional_net(functional: TargetFunctional,
         "J": depth(net),
         "M": count_nonzero(net),
     }
-    return FunctionalNet(op, net, grid, spec, functional, meta)
+    return FunctionalNet(op, net, spec, functional, meta)
 
 
 def evaluate_functional_net(fnet: FunctionalNet, f: InputFunction,

@@ -9,10 +9,10 @@ where each hidden layer applies its weight matrix, adds the shift vector
 and passes the result through relu componentwise.  The output stage is a
 plain matrix A with no shift; the scalar case is a 1-row A.  Weight
 matrices may be dense ndarrays or scipy CSR matrices; sparsity is an
-internal storage choice, never part of the contract.  A layer may also be
-stored as one block and a copy count (see :class:`Layer`); sizes, counts
-and values are those of the expanded layer, which :func:`expand_blocks`
-writes out.
+internal storage choice, never part of the contract.  An interpolation
+net stores the layers of one spike block and a grid that repeats it once
+per node (see :class:`ReluNetwork`); counts and values are those of the
+expanded net, which :func:`expand_blocks` writes out.
 """
 
 from __future__ import annotations
@@ -55,27 +55,19 @@ def _check_finite(w, what):
 class Layer:
     """One hidden layer, relu(W @ h + b).
 
-    With ``copies`` = n > 1 the layer is n copies of the block ``weights``,
-    stored once.  With ``shared_input`` every copy reads the whole input,
-    so W stacks the blocks; otherwise copy i reads the i-th slice of the
-    input, so W is block diagonal.  ``shifts`` holds one entry per block
-    row, shared by every copy; only a grid net's first layer gives its
-    copies other shifts (see :class:`ReluNetwork`).
+    In a grid net (see :class:`ReluNetwork`) the layer is the block that
+    every grid node repeats, and ``rows`` and ``cols`` are the block's own.
     """
 
-    weights: object  # (r, c) ndarray or CSR matrix, the block
-    shifts: np.ndarray  # (r,), shared by the copies
-    copies: int = 1
-    shared_input: bool = False
+    weights: object  # (r, c) ndarray or CSR matrix
+    shifts: np.ndarray  # (r,)
 
     def __post_init__(self):
         self.weights = _as_matrix(self.weights)
         self.shifts = np.asarray(self.shifts, dtype=float).ravel()
-        if self.copies < 1:
-            raise ValueError("a layer needs at least one copy of its block")
         if self.shifts.shape[0] != self.weights.shape[0]:
             raise ValueError(
-                f"layer block has {self.weights.shape[0]} rows but "
+                f"layer has {self.weights.shape[0]} rows but "
                 f"{self.shifts.shape[0]} shifts"
             )
         _check_finite(self.weights, "layer weights")
@@ -83,12 +75,11 @@ class Layer:
 
     @property
     def rows(self) -> int:
-        return self.copies * self.weights.shape[0]
+        return self.weights.shape[0]
 
     @property
     def cols(self) -> int:
-        c = self.weights.shape[1]
-        return c if self.shared_input else self.copies * c
+        return self.weights.shape[1]
 
 
 @dataclass
@@ -100,13 +91,13 @@ class ReluNetwork:
 
     ``grid`` is set only by
     :func:`funcrelu.constructors.build_interpolation_net`.  It states that
-    every layer is ``grid.node_count`` copies of one block of the spike at
-    the origin (the first layer stacked on the shared input, the others
-    block diagonal, one unit per copy in the last), and that copy i is
-    that spike moved to grid node i: its first-layer shifts are those of
-    :func:`funcrelu.simplicial.spike_forms` centred at node i, computed
-    where they are read.  :func:`forward` then evaluates only the copies
-    whose spike can be nonzero at each point.
+    the layers are one block of the spike at the origin and that the net
+    holds ``grid.node_count`` copies of it, one output column each: the
+    first layer's copies stack on the shared input, the others go block
+    diagonal.  Copy i is that spike moved to grid node i: its first-layer
+    shifts are those of :func:`funcrelu.simplicial.spike_forms` centred at
+    node i, computed where they are read.  :func:`forward` then evaluates
+    only the copies whose spike can be nonzero at each point.
     """
 
     input_dim: int
@@ -134,27 +125,28 @@ class ReluNetwork:
                     f"layer {j} expects {layer.cols} inputs, got {prev}"
                 )
             prev = layer.rows
-        if self.output.shape[1] != prev:
-            raise ValueError(
-                f"output expects {self.output.shape[1]} inputs, got {prev}"
-            )
         if self.grid is not None:
-            n = self.grid.node_count
             t = self.grid.t
             if not (t == self.input_dim and self.layers
-                    and self.layers[0].weights.shape[0] == t * t + t
-                    and self.layers[-1].rows == n
-                    and all(l.copies == n for l in self.layers)
-                    and self.layers[0].shared_input
-                    and not any(l.shared_input for l in self.layers[1:])):
+                    and self.layers[0].rows == t * t + t and prev == 1):
                 raise ValueError(
-                    f"layers are not {n} copies of one spike block on a "
-                    f"t = {self.grid.t} grid"
-                )
+                    f"layers are not one spike block on R^{t}, with "
+                    f"{t * t + t} first-layer rows and one output unit")
+        if self.output.shape[1] != _copies(self) * prev:
+            got = prev if self.grid is None else (
+                f"{prev} x {self.grid.node_count} grid nodes")
+            raise ValueError(
+                f"output expects {self.output.shape[1]} inputs, got {got}")
 
     @property
     def output_dim(self) -> int:
         return self.output.shape[0]
+
+
+def _copies(net: ReluNetwork) -> int:
+    """How many times the net repeats its stored layers: once per grid
+    node, or once without a grid."""
+    return 1 if net.grid is None else net.grid.node_count
 
 
 def depth(net: ReluNetwork) -> int:
@@ -181,10 +173,9 @@ def _grid_shifts(grid: ScaledGrid, node) -> np.ndarray:
 def _layer_nnz(net: ReluNetwork) -> list:
     """Nonzero (weights, shifts) of each expanded layer; a grid net's
     first-layer shifts are counted over node runs."""
-    counts = [(l.copies * _nnz(l.weights), l.copies * _nnz(l.shifts))
-              for l in net.layers]
+    n = _copies(net)
+    counts = [(n * _nnz(l.weights), n * _nnz(l.shifts)) for l in net.layers]
     if net.grid is not None:
-        n = net.grid.node_count
         runs = (np.arange(lo, min(lo + _NODE_RUN, n))
                 for lo in range(0, n, _NODE_RUN))
         counts[0] = (counts[0][0],
@@ -208,44 +199,38 @@ def nonzero_breakdown(net: ReluNetwork) -> dict:
     return {"total": sum(parts.values()), **parts, "per_layer": per_layer}
 
 
-def _expand_layer(layer: Layer) -> Layer:
-    n = layer.copies
-    if n == 1:
-        return layer
-    block = sp.csr_matrix(layer.weights)
-    c = block.shape[1]
+def _repeat_block(w, n: int, stacked: bool):
+    """CSR matrix of n copies of the block ``w``: stacked on one input, or
+    else block diagonal."""
+    block = sp.csr_matrix(w)
+    rows, c = block.shape
+    cols = c if stacked else n * c
     indices = np.tile(block.indices.astype(np.int64), n)
-    if not layer.shared_input:
+    if not stacked:
         indices += (np.arange(n, dtype=np.int64) * c).repeat(block.nnz)
-    if layer.cols < np.iinfo(np.int32).max:
+    if cols < np.iinfo(np.int32).max:
         indices = indices.astype(np.int32)
     indptr = np.concatenate(([0], np.tile(np.diff(block.indptr), n).cumsum()))
-    weights = sp.csr_matrix((np.tile(block.data, n), indices, indptr),
-                            shape=(layer.rows, layer.cols))
-    return Layer(weights, np.tile(layer.shifts, n))
+    return sp.csr_matrix((np.tile(block.data, n), indices, indptr),
+                         shape=(n * rows, cols))
 
 
 def expand_blocks(net: ReluNetwork) -> ReluNetwork:
-    """The same network with every block layer written out as one CSR
-    layer, and no grid; a net without block layers comes back as is.
+    """The same network with its grid copies written out as CSR layers,
+    and no grid; a net without a grid comes back as is.
 
     Composition, padding and serialization work on this form, and so does
     :func:`_full_forward`.  It holds every copy, so on a large
     interpolation net it costs what the block form saves.
     """
-    if net.grid is None and all(l.copies == 1 for l in net.layers):
+    if net.grid is None:
         return net
-    layers = [_expand_layer(l) for l in net.layers]
-    if net.grid is not None:
-        shifts = _grid_shifts(net.grid, np.arange(net.grid.node_count))
-        layers[0] = Layer(layers[0].weights, shifts.ravel())
+    n = _copies(net)
+    shifts = _grid_shifts(net.grid, np.arange(n))
+    layers = [Layer(_repeat_block(l.weights, n, j == 0),
+                    shifts.ravel() if j == 0 else np.tile(l.shifts, n))
+              for j, l in enumerate(net.layers)]
     return ReluNetwork(net.input_dim, layers, net.output)
-
-
-def _matmul(w, h):
-    # h has shape (d_{j-1}, n); both dense and CSR weights support @.
-    out = w @ h
-    return np.asarray(out)
 
 
 # (point, copy) pairs per run of the pruned pass
@@ -255,7 +240,8 @@ _PAIR_RUN = 4096
 def _chunk_points(net: ReluNetwork, max_batch_bytes: int) -> int:
     """Points per chunk so that the widest full layer stays below
     ``max_batch_bytes`` of float64 activations."""
-    width = max((l.rows for l in net.layers), default=net.input_dim)
+    width = max((_copies(net) * l.rows for l in net.layers),
+                default=net.input_dim)
     return max(1, int(max_batch_bytes // (8 * width)))
 
 
@@ -263,19 +249,19 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
                   max_batch_bytes: int = 1 << 29) -> np.ndarray:
     """Every unit of every layer for a batch (n, input_dim) -> (n, output_dim).
 
-    The reference evaluation of a net without block layers (see
-    :func:`expand_blocks`): :func:`forward` takes it for every net without
-    a grid, and the tests compare the pruned path against it.
+    The reference evaluation: :func:`forward` takes it for every net
+    without a grid, and the tests compare the pruned path against it on
+    the net :func:`expand_blocks` writes out.
     """
     chunk = _chunk_points(net, max_batch_bytes)
     outs = []
     for lo in range(0, pts.shape[0], chunk):
         h = pts[lo : lo + chunk].T
         for layer in net.layers:
-            h = _matmul(layer.weights, h)
+            h = layer.weights @ h
             h += layer.shifts[:, None]
             np.maximum(h, 0.0, out=h)
-        outs.append(_matmul(net.output, h).T)
+        outs.append((net.output @ h).T)
     return np.vstack(outs)
 
 
@@ -305,15 +291,15 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
         # layer's activations in cache
         for a in range(0, point.shape[0], _PAIR_RUN):
             p, c = point[a : a + _PAIR_RUN], node[a : a + _PAIR_RUN]
-            h = _matmul(first.weights, part[p].T)
+            h = first.weights @ part[p].T
             h += _grid_shifts(net.grid, c).T
             np.maximum(h, 0.0, out=h)
             for layer in deeper:
-                h = _matmul(layer.weights, h)
+                h = layer.weights @ h
                 h += layer.shifts[:, None]
                 np.maximum(h, 0.0, out=h)
             last[c, p] = h[0]
-        outs.append(_matmul(net.output, last).T)
+        outs.append((net.output @ last).T)
     return np.vstack(outs)
 
 
@@ -339,7 +325,7 @@ def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> 
     # an overflow shows as inf or nan in the result, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         if net.grid is None:
-            res = _full_forward(expand_blocks(net), pts, max_batch_bytes)
+            res = _full_forward(net, pts, max_batch_bytes)
         else:
             res = _pruned_forward(net, pts, max_batch_bytes)
     if not np.all(np.isfinite(res)):
@@ -494,12 +480,14 @@ def serialize(net: ReluNetwork) -> bytes:
 
     Floats are written with Python repr, which is exact for binary64, so
     deserialize(serialize(net)) reproduces every weight bit for bit.  The
-    format stores every matrix dense and row-major, block layers written
+    format stores every matrix dense and row-major, grid copies written
     out; a matrix above ``SERIALIZE_ENTRY_LIMIT`` entries is refused with
     ValueError before anything is expanded.  The bytes are those
     ``json.dumps`` writes for the document, keys in the order below.
     """
-    shapes = [(f"layer {j}", l.rows, l.cols) for j, l in enumerate(net.layers)]
+    n = _copies(net)
+    shapes = [(f"layer {j}", n * l.rows, l.cols if j == 0 else n * l.cols)
+              for j, l in enumerate(net.layers)]
     shapes.append(("output", *net.output.shape))
     for what, rows, cols in shapes:
         if rows * cols > SERIALIZE_ENTRY_LIMIT:

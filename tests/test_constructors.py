@@ -224,7 +224,17 @@ class TestInterpolationNet:
         stored = nbytes(net.output) + sum(nbytes(l.weights) + l.shifts.nbytes
                                           for l in net.layers)
         assert stored < 32 * 2**20
-        assert all(l.copies == grid.node_count for l in net.layers)
+        # the stored layers are the spike net's, the first at cell scale
+        for t in (1, 2, 3, 5):
+            grid = ScaledGrid(t, 1.295091801838947, 3)
+            net = build_interpolation_net(
+                InterpolationSpec(grid, np.ones(grid.node_count)))
+            spike = build_spike_net(t).layers
+            assert len(net.layers) == len(spike)
+            for j, (got, want) in enumerate(zip(net.layers, spike)):
+                w = want.weights * (1.0 / grid.h) if j == 0 else want.weights
+                assert got.weights.toarray().tobytes() == w.tobytes()
+                assert got.shifts.tobytes() == want.shifts.tobytes()
 
     def test_shift_storage_does_not_grow_with_node_count(self):
         stored = set()

@@ -260,8 +260,9 @@ def test_functional_chain_inequality():
         assert lhs <= rhs + 1e-12
 
 
-@pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+@pytest.mark.parametrize("p", [0.0, 0.5, math.nan, math.inf])
 def test_p_below_one_is_rejected(p):
+    # and p = inf: the paper's range is 1 <= p < inf
     op = make_operator(1, 1)
     f = InputFunction(lambda x: np.cos(np.atleast_2d(x)[:, 0]))
     with pytest.raises(ValueError, match="p >= 1"):

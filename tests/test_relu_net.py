@@ -587,7 +587,7 @@ class TestPrunedForward:
         net = build_interpolation_net(
             InterpolationSpec(grid, rng.standard_normal(grid.node_count)))
         n = grid.node_count
-        widest_block = max(l.rows // n for l in net.layers)
+        widest_block = max(l.rows for l in net.layers)
         budget = 1 << 17
         runs = []
         real = relu_net.support_pairs
@@ -615,8 +615,9 @@ class TestPrunedForward:
         assert compose_parallel([net], [1.0]).grid is None
 
     def test_grid_must_match_the_blocks(self):
+        # a spike net reads one output unit; a 9-node grid makes 9 of them
         net = build_spike_net(2)
-        with pytest.raises(ValueError, match="copies"):
+        with pytest.raises(ValueError, match="expects 1 inputs, got 1 x 9 grid nodes"):
             ReluNetwork(2, net.layers, net.output, grid=ScaledGrid(2, 1.0, 2))
 
 
@@ -642,9 +643,9 @@ class TestGridShifts:
     def test_first_block_must_hold_the_spike_forms(self):
         grid = ScaledGrid(2, 1.0, 2)
         n = grid.node_count
-        first = Layer(np.ones((1, 2)), np.zeros(1), copies=n, shared_input=True)
-        ReluNetwork(2, [first], np.ones((1, n)))
-        with pytest.raises(ValueError, match="copies"):
+        first = Layer(np.ones((1, 2)), np.zeros(1))
+        ReluNetwork(2, [first], np.ones((1, 1)))
+        with pytest.raises(ValueError, match=r"not one spike block on R\^2, with 6 first"):
             ReluNetwork(2, [first], np.ones((1, n)), grid=grid)
 
 
