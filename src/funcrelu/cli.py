@@ -8,18 +8,19 @@ verification suite and exits nonzero on any failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import pipeline, verify
 from .constructors import (
-    DEFAULT_NODE_CAP,
     InterpolationSpec,
     build_interpolation_net,
     build_min_net,
@@ -102,7 +103,7 @@ def _cmd_build_interp(args):
     grid = ScaledGrid(args.t, args.R, args.N)
     values = _node_values(args, grid)
     spec = InterpolationSpec(grid, values)
-    net, seconds = timed(build_interpolation_net, spec, node_cap=args.node_cap)
+    net, seconds = timed(build_interpolation_net, spec)
     _emit_network(net, seconds, args.out)
 
 
@@ -134,77 +135,106 @@ def _cmd_discretize(args):
     print()
 
 
+def _csv_out(path):
+    """The --out file to write a CSV to, or stdout without one."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _cmd_spike_grid(args):
     axis = np.arange(-args.extent, args.extent + args.step / 2, args.step)
     mesh = np.meshgrid(*([axis] * args.t), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     vals = spike(pts)
-    out = sys.stdout if not args.out else open(args.out, "w", newline="")
-    writer = csv.writer(out)
-    writer.writerow([f"y{d + 1}" for d in range(args.t)] + ["psi"])
-    for p, v in zip(pts, vals):
-        writer.writerow([*(f"{c:.12g}" for c in p), f"{v:.17g}"])
+    with _csv_out(args.out) as out:
+        writer = csv.writer(out)
+        writer.writerow([f"y{d + 1}" for d in range(args.t)] + ["psi"])
+        for p, v in zip(pts, vals):
+            writer.writerow([*(f"{c:.12g}" for c in p), f"{v:.17g}"])
     if args.out:
-        out.close()
         print(f"wrote {pts.shape[0]} rows to {args.out}", file=sys.stderr)
 
 
 def _cmd_quad_rule(args):
     rule = gauss_legendre_rule(args.q, args.s)
-    out = sys.stdout if not args.out else open(args.out, "w", newline="")
-    writer = csv.writer(out)
-    writer.writerow([f"x{d + 1}" for d in range(args.s)] + ["weight"])
-    for p, w in zip(rule.points, rule.weights):
-        writer.writerow([*(f"{c:.17g}" for c in p), f"{w:.17g}"])
+    with _csv_out(args.out) as out:
+        writer = csv.writer(out)
+        writer.writerow([f"x{d + 1}" for d in range(args.s)] + ["weight"])
+        for p, w in zip(rule.points, rule.weights):
+            writer.writerow([*(f"{c:.17g}" for c in p), f"{w:.17g}"])
     if args.out:
-        out.close()
         print(f"wrote {rule.points.shape[0]} nodes to {args.out}", file=sys.stderr)
 
 
-def _functional_from_doc(doc, s, p, m_values):
-    rule = gauss_legendre_rule(default_rule_size(max(m_values)), s)
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# (what a config value must be, test of its JSON value)
+_ANY = ("", lambda v: True)  # checked where it is used
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_STR = ("a string", lambda v: isinstance(v, str))
+
+# config key -> (ExperimentConfig field, kind of value); every default is
+# the dataclasses'
+_RUN_KEYS = {
+    "s": ("s", _INT), "p": ("p", _NUMBER),
+    "functional": ("functional", _ANY), "input_class": ("input_class", _ANY),
+    "m_values": ("m_values", _INTS), "N_values": ("N_values", _INTS),
+    "filter": ("filter_kind", _STR), "c1_surrogate": ("c1_surrogate", _NUMBER),
+    "C_K": ("C_K", ("a number or null", lambda v: v is None or _NUMBER[1](v))),
+    "node_cap": ("node_cap", _INT), "weight_cap": ("weight_cap", _INT),
+    "dump_networks": ("dump_networks", _BOOL), "budget_ladder": ("ladder", _BOOL),
+    "ladder_m_values": ("ladder_m_values", _INTS),
+}
+# the sampler names a bad input-class value
+_CLASS_KEYS = {f.name: (f.name, _ANY) for f in fields(pipeline.InputClass)}
+_FUNCTIONAL_KEYS = {"name": ("name", _STR), "g": ("g", _STR), "value": ("value", _NUMBER)}
+
+
+def _config_fields(doc, table, where):
+    """The entries of a config object by field name; an unknown key or a
+    value of the wrong JSON type raises ValueError naming the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    out = {}
+    for key, value in doc.items():
+        if key not in table:
+            raise ValueError(f"{key} is not a {where} key; choose from {sorted(table)}")
+        name, (what, ok) = table[key]
+        if not ok(value):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        out[name] = value
+    return out
+
+
+def _functional_from_doc(doc, cfg):
+    doc = _config_fields(doc, _FUNCTIONAL_KEYS, "functional")
+    rule = gauss_legendre_rule(default_rule_size(max(cfg.m_values)), cfg.s)
     name = doc.get("name", "inner-product")
     if name == "constant":
         return pipeline.constant_functional(float(doc.get("value", 0.0)))
     g = get_function(doc.get("g", "gaussian"))
     if name == "inner-product":
-        return pipeline.inner_product_functional(g, rule, p)
+        return pipeline.inner_product_functional(g, rule, cfg.p)
     if name == "sin-inner-product":
-        return pipeline.sin_inner_product_functional(g, rule, p)
+        return pipeline.sin_inner_product_functional(g, rule, cfg.p)
     raise SystemExit(f"unknown functional {name!r}")
 
 
 def _cmd_run(args):
-    doc = json.loads(Path(args.config).read_text())
-    s = int(doc.get("s", 1))
-    p = float(doc.get("p", 2.0))
-    m_values = tuple(doc.get("m_values", (0, 1, 2)))
-    cls_doc = doc.get("input_class", {})
-    cls = pipeline.InputClass(
-        kind=cls_doc.get("kind", "hoelder_ball"),
-        beta=cls_doc.get("beta", 2.0),
-        sample_count=cls_doc.get("sample_count", 64),
-        seed=cls_doc.get("seed", 0),
-        degree_cap=cls_doc.get("degree_cap", 32),
-    )
+    doc = _config_fields(json.loads(Path(args.config).read_text()), _RUN_KEYS, "config")
+    functional = doc.pop("functional", {})
+    cls = pipeline.InputClass(**_config_fields(doc.pop("input_class", {}),
+                                               _CLASS_KEYS, "input_class"))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = pipeline.ExperimentConfig(
-        s=s,
-        p=p,
-        functional=_functional_from_doc(doc.get("functional", {}), s, p, m_values),
-        input_class=cls,
-        m_values=m_values,
-        N_values=tuple(doc.get("N_values", (4, 8, 16, 32))),
-        filter_kind=doc.get("filter", "dlvp"),
-        c1_surrogate=float(doc.get("c1_surrogate", 1.0)),
-        C_K=doc.get("C_K"),
-        node_cap=int(doc.get("node_cap", DEFAULT_NODE_CAP)),
-        weight_cap=int(doc.get("weight_cap", 120_000_000)),
-        dump_dir=str(out_dir / "networks") if doc.get("dump_networks") else None,
-        ladder=bool(doc.get("budget_ladder", True)),
-        ladder_m_values=tuple(doc.get("ladder_m_values", (1, 2))),
-    )
+    if doc.pop("dump_networks", False):
+        doc["dump_dir"] = str(out_dir / "networks")
+    cfg = pipeline.ExperimentConfig(input_class=cls, **doc)
+    cfg.functional = _functional_from_doc(functional, cfg)
     t0 = time.perf_counter()
     report = pipeline.run_rate_experiment(cfg)
     report.summary["wall_seconds"] = time.perf_counter() - t0
@@ -250,7 +280,6 @@ def main(argv=None):
     p_interp.add_argument("--R", type=float, required=True)
     p_interp.add_argument("--values", required=True,
                           help="CSV of node index,value or a built-in name")
-    p_interp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p_interp.add_argument("--out")
     p_interp.set_defaults(func=_cmd_build_interp)
 

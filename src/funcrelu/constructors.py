@@ -18,8 +18,6 @@ import scipy.sparse as sp
 from .relu_net import Layer, ReluNetwork
 from .simplicial import ScaledGrid, spike, spike_forms, support_pairs
 
-DEFAULT_NODE_CAP = 200_000
-
 
 def build_min_net(d: int) -> ReluNetwork:
     """Network computing min(x_1, ..., x_d) exactly.
@@ -108,8 +106,7 @@ class InterpolationSpec:
         object.__setattr__(self, "node_values", vals)
 
 
-def build_interpolation_net(spec: InterpolationSpec,
-                            node_cap: int = DEFAULT_NODE_CAP) -> ReluNetwork:
+def build_interpolation_net(spec: InterpolationSpec) -> ReluNetwork:
     """Network summing node_value(xi) * spike((y - xi) / cell) over all
     grid nodes xi; interpolates the node values and is linear on each
     cell of the scaled triangulation.
@@ -123,19 +120,13 @@ def build_interpolation_net(spec: InterpolationSpec,
     nonzero count is at most node_count * spike_nominal_nonzeros(t).
     """
     grid = spec.grid
-    n = grid.node_count
-    if n > node_cap:
-        raise ValueError(
-            f"grid has {n} nodes, above the cap of {node_cap}; "
-            "raise node_cap explicitly for larger builds"
-        )
     first, *deeper = build_spike_net(grid.t).layers
     # the spike's forms at (y - xi) / cell; its shifts at the origin are
     # the same at every scale
     layers = [Layer(sp.csr_matrix(first.weights * (1.0 / grid.h)),
                     first.shifts)]
     layers += [Layer(sp.csr_matrix(l.weights), l.shifts) for l in deeper]
-    return ReluNetwork(grid.t, layers, spec.node_values.reshape(1, n),
+    return ReluNetwork(grid.t, layers, spec.node_values.reshape(1, -1),
                        grid=grid)
 
 

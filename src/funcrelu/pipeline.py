@@ -27,7 +27,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constructors import (
-    DEFAULT_NODE_CAP,
     InterpolationSpec,
     build_interpolation_net,
     interpolant_values,
@@ -174,7 +173,7 @@ class InputClass:
     projection-error regression, not assumed.
     """
 
-    kind: str  # hoelder_ball | sobolev_like | polynomial_ball
+    kind: str = "hoelder_ball"  # or sobolev_like | polynomial_ball
     beta: float = 2.0
     sample_count: int = 64
     seed: int = 0
@@ -314,14 +313,13 @@ def mu_values(functional: TargetFunctional, op: DiscretizationOperator,
 
 def build_functional_net(functional: TargetFunctional,
                          op: DiscretizationOperator,
-                         grid: ScaledGrid,
-                         node_cap: int = DEFAULT_NODE_CAP) -> FunctionalNet:
+                         grid: ScaledGrid) -> FunctionalNet:
     """Interpolation network for the discretized target over the grid."""
     if grid.t != op.t:
         raise ValueError(f"grid dimension {grid.t} != operator size {op.t}")
     values = mu_values(functional, op, grid.node_array())
     spec = InterpolationSpec(grid, values)
-    net = build_interpolation_net(spec, node_cap=node_cap)
+    net = build_interpolation_net(spec)
     meta = {
         "m": op.basis.m,
         "s": op.basis.s,
@@ -397,7 +395,7 @@ class ExperimentConfig:
     filter_kind: str = "dlvp"
     c1_surrogate: float = 1.0
     C_K: Optional[float] = None
-    node_cap: int = DEFAULT_NODE_CAP
+    node_cap: int = 200_000
     weight_cap: int = 120_000_000
     dump_dir: Optional[str] = None
     ladder: bool = True
@@ -432,22 +430,37 @@ def _rule_state(cfg, inputs, m):
     return functional, op, nus, F_vals, eps_hat, radius
 
 
+def _nominal_nonzeros(t, N):
+    """The paper's size of a grid net: (N+1)^t copies of one spike block."""
+    return (N + 1) ** t * spike_nominal_nonzeros(t)
+
+
+def _over_cap(cfg, t, N, weight_cap) -> str:
+    """Why the (t, N) grid net does not fit a sweep's budget, or "" if it
+    does: ``node_cap:<nodes>`` when its grid has more than cfg.node_cap
+    nodes, else ``weight_cap:<nominal>`` when its nominal nonzero count is
+    above ``weight_cap``."""
+    nodes = (N + 1) ** t
+    if nodes > cfg.node_cap:
+        return f"node_cap:{nodes}"
+    nominal = _nominal_nonzeros(t, N)
+    if nominal > weight_cap:
+        return f"weight_cap:{nominal}"
+    return ""
+
+
 def _measure_point(cfg, functional, op, nus, F_vals, eps_hat, radius,
                    N, dump_dir=None):
     """Build the net at (m, N) and measure every error piece."""
     t = op.t
     row = ExperimentRow(m=op.basis.m, t=t, N=N, R=radius.R, eps_hat=eps_hat)
-    nodes = (N + 1) ** t
-    if nodes > cfg.node_cap:
-        row.status, row.reason = "skipped", f"node_cap:{nodes}"
-        return row
-    nominal = nodes * spike_nominal_nonzeros(t)
-    if nominal > cfg.weight_cap:
-        row.status, row.reason = "skipped", f"weight_cap:{nominal}"
+    row.reason = _over_cap(cfg, t, N, cfg.weight_cap)
+    if row.reason:
+        row.status = "skipped"
         return row
     t0 = time.perf_counter()
     grid = ScaledGrid(t, radius.R, N)
-    fnet = build_functional_net(functional, op, grid, node_cap=cfg.node_cap)
+    fnet = build_functional_net(functional, op, grid)
     t1 = time.perf_counter()
     theta = evaluate_batch(fnet.net, nus)
     t2 = time.perf_counter()
@@ -510,7 +523,8 @@ def _budget_ladder_rows(cfg, per_m_state):
     existence-level and would put every admissible budget far beyond desk
     scale, so c9 is calibrated from the largest feasible build: the top
     budget is the largest nominal size buildable at the largest m under
-    the caps.
+    node_cap and ladder_weight_cap.  Each budget B then builds the largest
+    N at its m that fits node_cap and B.
     """
     s = cfg.s
     m_cands = sorted(cfg.ladder_m_values)
@@ -520,29 +534,24 @@ def _budget_ladder_rows(cfg, per_m_state):
     def t_of(m):
         return (2 * m + 1) ** s
 
-    def nominal(m, N):
-        return (N + 1) ** t_of(m) * spike_nominal_nonzeros(t_of(m))
-
     def max_feasible_N(m, budget):
-        t = t_of(m)
-        kappa = spike_nominal_nonzeros(t)
-        N = int(math.floor((budget / kappa) ** (1.0 / t) - 1.0))
-        while N >= 1 and ((N + 1) ** t > cfg.node_cap or nominal(m, N) > cfg.ladder_weight_cap):
-            N -= 1
+        N = 0
+        while not _over_cap(cfg, t_of(m), N + 1, budget):
+            N += 1
         return N
 
-    m_top = None
-    for m in reversed(m_cands):
-        if max_feasible_N(m, cfg.ladder_weight_cap) >= 1:
-            m_top = m
-            break
-    if m_top is None:
+    fits = [m for m in m_cands if not _over_cap(cfg, t_of(m), 1, cfg.ladder_weight_cap)]
+    if not fits:
         return [], {"status": "infeasible"}
-    top_budget = nominal(m_top, max_feasible_N(m_top, cfg.ladder_weight_cap))
+    m_top = fits[-1]
+    top_budget = _nominal_nonzeros(t_of(m_top),
+                                   max_feasible_N(m_top, cfg.ladder_weight_cap))
     c9_eff = math.log(top_budget) / (m_top**s * math.log(3.0 * m_top))
-    low_budget = min(nominal(m_cands[0], 1), top_budget)
+    low_budget = min(_nominal_nonzeros(t_of(m_cands[0]), 1), top_budget)
     count = max(2, cfg.ladder_budget_count)
-    budgets = np.geomspace(low_budget, top_budget, count)
+    # whole weight counts: a budget the geometric grid puts on a build's
+    # nominal count must not miss it by rounding
+    budgets = np.rint(np.geomspace(low_budget, top_budget, count))
 
     def m_of_budget(B):
         picked = m_cands[0]

@@ -21,6 +21,8 @@ Permutations are stored 0-based: rho[i] is the coordinate in chain slot i.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -53,8 +55,17 @@ class ScaledGrid:
     N: int
 
     def __post_init__(self):
-        if self.t < 1 or self.N < 1 or not self.R > 0:
-            raise ValueError("need t >= 1, N >= 1, R > 0")
+        for name in ("t", "N"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            # a NumPy integer would wrap in node_count
+            object.__setattr__(self, name, int(v))
+        R = self.R
+        if (isinstance(R, bool) or not isinstance(R, numbers.Real)
+                or not (R > 0 and math.isfinite(2.0 * float(R) / self.N))):
+            raise ValueError(f"R must be a finite number > 0 with a finite cell "
+                             f"2R/N, got R={R!r}, N={self.N}")
 
     @classmethod
     def unit(cls, t: int) -> "ScaledGrid":

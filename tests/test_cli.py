@@ -56,6 +56,15 @@ def test_build_interp_incomplete_csv(tmp_path):
               "--values", str(values)])
 
 
+def test_build_interp_is_limited_by_the_file_format(tmp_path):
+    # 17^5 nodes build in block form; only the dense JSON writer refuses them
+    out = tmp_path / "big.json"
+    with pytest.raises(ValueError, match="too large for the dense JSON format"):
+        main(["build-interp", "--t", "5", "--N", "16", "--R", "1", "--values", "ones",
+              "--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_row,problem", [
     ("-1,1.0", "node index -1 outside"),
     ("9,1.0", "node index 9 outside"),
@@ -160,4 +169,34 @@ def test_run_bad_input_class_field_is_named(tmp_path, field, value):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     with pytest.raises(ValueError, match=rf"^{field}\b"):
+        main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"colour": "red"}, "colour"),
+    ({"input_class": {"kind": "hoelder_ball", "colour": "red"}}, "colour"),
+    ({"functional": {"name": "inner-product", "colour": "red"}}, "colour"),
+    ({"input_class": [4]}, "input_class"),
+    ({"p": None}, "p"),
+    ({"m_values": 3}, "m_values"),
+    ({"node_cap": None}, "node_cap"),
+    ({"N_values": [2.5]}, "N_values"),
+    ({"budget_ladder": "false"}, "budget_ladder"),
+    ({"s": True}, "s"),
+    ({"dump_networks": 1}, "dump_networks"),
+    ([], "config"),
+    (None, "config"),
+])
+def test_run_bad_config_key_is_named(tmp_path, change, key):
+    config = {
+        "functional": {"name": "inner-product", "g": "gaussian"},
+        "input_class": {"kind": "hoelder_ball", "sample_count": 4},
+        "m_values": [0],
+        "N_values": [2],
+        "budget_ladder": False,
+    }
+    config = {**config, **change} if isinstance(change, dict) else change
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
         main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])

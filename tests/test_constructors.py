@@ -162,12 +162,6 @@ class TestInterpolationNet:
                 InterpolationSpec(grid, np.ones(grid.node_count)))
             assert depth(net) == t * t + t + 1
 
-    def test_node_cap_rejected_with_count(self):
-        grid = ScaledGrid(3, 1.0, 30)
-        spec = InterpolationSpec(grid, np.zeros(grid.node_count))
-        with pytest.raises(ValueError, match=str(grid.node_count)):
-            build_interpolation_net(spec, node_cap=10_000)
-
     def test_matches_compose_parallel_construction(self):
         # the block assembly is exactly the parallel composition of
         # per-node shifted scaled spikes
@@ -251,7 +245,7 @@ class TestInterpolationNet:
         spec = InterpolationSpec(grid, np.ones(grid.node_count))
         tracemalloc.start()
         try:
-            net = build_interpolation_net(spec, node_cap=grid.node_count)
+            net = build_interpolation_net(spec)
             count_nonzero(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

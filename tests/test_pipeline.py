@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +244,41 @@ class TestRunRateExperiment:
         assert by_N[64].reason.startswith("node_cap")
         assert (2, 64) in [(m, N) for m, N, _ in report.summary["skipped_points"]]
 
+    def test_one_fit_rule_for_sweep_and_ladder(self):
+        # m=1 (t=3) nominal sizes: N=1 1744, N=2 5886, N=3 13952, N=4 27250
+        cfg = ExperimentConfig(
+            s=1, p=2.0,
+            functional=constant_functional(0.0),
+            input_class=InputClass("hoelder_ball", 2.0, 4, seed=9),
+            m_values=(1,), N_values=(1, 4), node_cap=100, weight_cap=2_000,
+            ladder=False, ladder_m_values=(1,), ladder_weight_cap=6_000,
+            ladder_budget_count=2,
+        )
+        report = run_rate_experiment(cfg)
+        # N=4 is over both caps (125 nodes, 27250 nominal): node_cap names it
+        assert [(r.N, r.status, r.reason) for r in report.rows] == [
+            (1, "ok", ""), (4, "skipped", "node_cap:125")]
+        # the ladder's cap admits N=2, the sweep's weight_cap does not
+        inputs = generate_inputs(cfg.input_class, cfg.s)
+        rows, _ = pipeline_module._budget_ladder_rows(
+            cfg, lambda m: _rule_state(cfg, inputs, m))
+        assert [(r.N, r.status, r.reason) for r in rows] == [
+            (1, "ok", ""), (2, "skipped", "weight_cap:5886")]
+
+    def test_ladder_tops_out_at_the_build_that_sets_its_budget(self):
+        # the top budget is the N=3 build's nominal count; a float estimate
+        # of its N falls one short, as 64 ** (1/3) is 3.9999999999999996
+        cfg = ExperimentConfig(
+            s=1, p=2.0,
+            functional=constant_functional(0.0),
+            input_class=InputClass("hoelder_ball", 2.0, 4, seed=9),
+            m_values=(), N_values=(), node_cap=100,
+            ladder=True, ladder_m_values=(1,), ladder_budget_count=2,
+        )
+        rows = run_rate_experiment(cfg).summary["budget_ladder_rows"]
+        assert [(m, N, status) for m, N, _, _, status in rows] == [
+            (1, 1, "ok"), (1, 3, "ok")]
+
     def test_report_integrity_under_dump(self, tmp_path):
         cfg = ExperimentConfig(
             s=1, p=2.0,
@@ -254,7 +290,7 @@ class TestRunRateExperiment:
         )
         report = run_rate_experiment(cfg)
         row = report.completed()[0]
-        net = deserialize(open(row.network_file, "rb").read())
+        net = deserialize(Path(row.network_file).read_bytes())
         assert count_nonzero(net) == row.M
 
     def test_csv_and_summary_outputs(self, tmp_path):

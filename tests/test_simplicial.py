@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,23 @@ def test_grid_nodes():
     assert np.allclose(nodes[0], [-1, -1])
     assert np.allclose(nodes[-1], [1, 1])
     assert grid.node_index((1, 2)) == 5
+
+
+@pytest.mark.parametrize("t,R,N,field", [
+    (2, 1.0, 2.5, "N"), (2.0, 1.0, 2, "t"), (True, 1.0, 2, "t"), (2, 1.0, True, "N"),
+    (0, 1.0, 2, "t"), (2, 1.0, 0, "N"), (2, 0.0, 2, "R"), (2, -1.0, 2, "R"),
+    (1, math.inf, 2, "R"), (1, math.nan, 2, "R"), (1, 1e308, 1, "R"),
+    (1, True, 2, "R"), (1, "1", 2, "R"),
+])
+def test_malformed_grid_is_refused(t, R, N, field):
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        ScaledGrid(t, R, N)
+
+
+def test_numpy_integer_sizes_are_stored_as_int():
+    grid = ScaledGrid(np.int64(9), 1.0, np.int64(1000))
+    assert type(grid.t) is int and type(grid.N) is int
+    assert grid.node_count == 1001**9
 
 
 def test_node_coordinates_match_the_lattice():
