@@ -42,7 +42,7 @@ def _emit_network(net, seconds, out):
         sys.stdout.buffer.write(raw + b"\n")
     print(
         f"depth={depth(net)} nonzeros={count_nonzero(net)} "
-        f"build_seconds={seconds:.4f}",
+        f"build_seconds={seconds:.4f} bytes={len(raw)}",
         file=sys.stderr,
     )
 
@@ -212,7 +212,11 @@ def _config_fields(doc, table, where):
 
 def _functional_from_doc(doc, cfg):
     doc = _config_fields(doc, _FUNCTIONAL_KEYS, "functional")
-    rule = gauss_legendre_rule(default_rule_size(max(cfg.m_values)), cfg.s)
+    # a ladder-only run sizes the rule by the ladder's degrees
+    m_values = cfg.m_values or (cfg.ladder_m_values if cfg.ladder else ())
+    if not m_values:
+        raise ValueError("m_values is empty and no budget ladder runs: nothing to measure")
+    rule = gauss_legendre_rule(default_rule_size(max(m_values)), cfg.s)
     name = doc.get("name", "inner-product")
     if name == "constant":
         return pipeline.constant_functional(float(doc.get("value", 0.0)))

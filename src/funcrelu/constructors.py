@@ -80,6 +80,15 @@ def build_spike_net(t: int) -> ReluNetwork:
     return ReluNetwork(t, layers, np.array([[1.0]]))
 
 
+def spike_layer_shapes(t: int) -> list:
+    """(rows, cols) of each layer of :func:`build_spike_net`, without
+    building it: the D = t^2 + t forms on R^t, the minimum network's
+    layers of 2D - 1, 2D - 3, ..., 3 units, and the final relu unit."""
+    D = t * t + t
+    rows = [D, *range(2 * D - 1, 2, -2), 1]
+    return list(zip(rows, [t, *rows[:-1]]))
+
+
 def spike_nominal_nonzeros(t: int) -> int:
     """Nonzero count of one unshifted spike block including a unit output
     coefficient: first layer 3t(t-1) + 4t, plus the minimum network over

@@ -488,8 +488,8 @@ def _measure_point(cfg, functional, op, nus, F_vals, eps_hat, radius,
         try:
             raw = serialize(fnet.net)
         except ValueError as exc:
-            # the dense JSON format is desk-scale only; keep the row, note
-            # why the network file is absent
+            # the JSON format refuses a matrix above its entry limit; keep
+            # the row, note why the network file is absent
             row.network_file = f"not dumped ({exc})"
         else:
             path.write_bytes(raw)
@@ -628,6 +628,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     measured = list(report.rows)
     if cfg.ladder:
         ladder_rows, ladder_info = _budget_ladder_rows(cfg, per_m_state)
+        ladder_info["skipped_points"] = [(r.m, r.N, r.reason) for r in ladder_rows
+                                         if r.status != "ok"]
         report.summary["budget_ladder"] = ladder_info
         report.summary["budget_ladder_rows"] = [
             (r.m, r.N, r.M, r.sup_error, r.status) for r in ladder_rows

@@ -29,8 +29,10 @@ import scipy.sparse as sp
 from .simplicial import ScaledGrid, spike_forms, support_pairs
 
 FORMAT_VERSION = 1
+# a grid net: its stored block, its output row and its grid
+GRID_FORMAT_VERSION = 2
 
-# Refuse to densify absurdly large layers when writing the JSON format,
+# Refuse to densify absurdly large matrices when writing the JSON format,
 # which stores row-major dense weights.
 SERIALIZE_ENTRY_LIMIT = 50_000_000
 
@@ -219,7 +221,7 @@ def expand_blocks(net: ReluNetwork) -> ReluNetwork:
     """The same network with its grid copies written out as CSR layers,
     and no grid; a net without a grid comes back as is.
 
-    Composition, padding and serialization work on this form, and so does
+    Composition and padding work on this form, and so does
     :func:`_full_forward`.  It holds every copy, so on a large
     interpolation net it costs what the block form saves.
     """
@@ -480,14 +482,15 @@ def serialize(net: ReluNetwork) -> bytes:
 
     Floats are written with Python repr, which is exact for binary64, so
     deserialize(serialize(net)) reproduces every weight bit for bit.  The
-    format stores every matrix dense and row-major, grid copies written
-    out; a matrix above ``SERIALIZE_ENTRY_LIMIT`` entries is refused with
-    ValueError before anything is expanded.  The bytes are those
-    ``json.dumps`` writes for the document, keys in the order below.
+    format stores every matrix dense and row-major; a matrix above
+    ``SERIALIZE_ENTRY_LIMIT`` entries is refused with ValueError.  A net
+    without a grid is written as version 1.  A grid net is written as
+    version 2: its stored layers (one spike block), its output row of
+    node values and ``"grid": {"t", "R", "N"}``, no copy written out.
+    The bytes are those ``json.dumps`` writes for the document, keys in
+    the order below.
     """
-    n = _copies(net)
-    shapes = [(f"layer {j}", n * l.rows, l.cols if j == 0 else n * l.cols)
-              for j, l in enumerate(net.layers)]
+    shapes = [(f"layer {j}", *l.weights.shape) for j, l in enumerate(net.layers)]
     shapes.append(("output", *net.output.shape))
     for what, rows, cols in shapes:
         if rows * cols > SERIALIZE_ENTRY_LIMIT:
@@ -495,8 +498,8 @@ def serialize(net: ReluNetwork) -> bytes:
                 f"{what} with shape ({rows}, {cols}) is too large for the "
                 "dense JSON format"
             )
-    net = expand_blocks(net)
-    parts = [f'{{"version": {FORMAT_VERSION}, "input_dim": {net.input_dim}, '
+    version = FORMAT_VERSION if net.grid is None else GRID_FORMAT_VERSION
+    parts = [f'{{"version": {version}, "input_dim": {net.input_dim}, '
              '"layers": [']
     for j, l in enumerate(net.layers):
         parts.append(f'{", " if j else ""}{{"rows": {l.rows}, "cols": {l.cols}, '
@@ -508,7 +511,11 @@ def serialize(net: ReluNetwork) -> bytes:
     rows, cols = net.output.shape
     parts.append(f'], "output": {{"rows": {rows}, "cols": {cols}, "weights": ')
     parts += _float_list(net.output)
-    parts.append("}}")
+    parts.append("}")
+    if net.grid is not None:
+        g = net.grid
+        parts.append(f', "grid": {{"t": {g.t}, "R": {g.R!r}, "N": {g.N}}}')
+    parts.append("}")
     return "".join(parts).encode("utf-8")
 
 
@@ -555,8 +562,46 @@ def _matrix(doc, where) -> np.ndarray:
         raise NetworkFormatError(f"{where} shape ({rows}, {cols}): {exc}") from exc
 
 
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def _grid_net(gdoc, input_dim, layers, out) -> ReluNetwork:
+    """The interpolation net of a version-2 document: the grid's
+    :func:`funcrelu.constructors.build_interpolation_net` with the output
+    row as node values.  The document's layers must be that net's block
+    bit for bit, since the pruned pass is exact only for a spike block."""
+    # constructors imports this module
+    from .constructors import (InterpolationSpec, build_interpolation_net,
+                               spike_layer_shapes)
+
+    t, R, N = (_require(gdoc, key, "grid") for key in ("t", "R", "N"))
+    try:
+        grid = ScaledGrid(t, R, N)
+    except (ValueError, OverflowError) as exc:
+        raise NetworkFormatError(f"grid: {exc}") from exc
+    t = grid.t
+    # the layer count bounds t by the document's size before any list of
+    # t^2 + t entries is made
+    if (input_dim != t or len(layers) != t * t + t + 1
+            or [l.weights.shape for l in layers] != spike_layer_shapes(t)):
+        raise NetworkFormatError(f"layers are not the spike block on R^{t}")
+    if out.shape != (1, grid.node_count):
+        raise NetworkFormatError(
+            f"output has shape {out.shape}; the grid's {grid.node_count} "
+            f"nodes need (1, {grid.node_count})")
+    net = build_interpolation_net(InterpolationSpec(grid, out.ravel()))
+    for j, (mine, theirs) in enumerate(zip(net.layers, layers)):
+        if not (_same_bits(mine.weights.toarray(), theirs.weights)
+                and _same_bits(mine.shifts, theirs.shifts)):
+            raise NetworkFormatError(
+                f"layer {j} is not the spike block of the grid {grid}")
+    return net
+
+
 def deserialize(raw: bytes) -> ReluNetwork:
-    """Network from :func:`serialize` output; any malformed document
+    """Network from :func:`serialize` output, of either version; a
+    version-2 document gives a net with its grid.  Any malformed document
     raises :class:`NetworkFormatError`."""
     try:
         doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
@@ -565,7 +610,8 @@ def deserialize(raw: bytes) -> ReluNetwork:
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level JSON object expected")
     version = _require(doc, "version", "network")
-    if type(version) is not int or version != FORMAT_VERSION:
+    if type(version) is not int or version not in (FORMAT_VERSION,
+                                                   GRID_FORMAT_VERSION):
         raise NetworkFormatError(f"unsupported format version {version!r}")
     input_dim = _size(doc, "input_dim", "network")
     ldocs = _require(doc, "layers", "network")
@@ -577,6 +623,8 @@ def deserialize(raw: bytes) -> ReluNetwork:
         layers.append(Layer(weights, _numbers(ldoc, "shifts", f"layer {j}",
                                               weights.shape[0])))
     out = _matrix(_require(doc, "output", "network"), "output")
+    if version == GRID_FORMAT_VERSION:
+        return _grid_net(_require(doc, "grid", "network"), input_dim, layers, out)
     try:
         return ReluNetwork(input_dim, layers, out)
     except ValueError as exc:

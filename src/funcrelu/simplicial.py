@@ -66,6 +66,8 @@ class ScaledGrid:
                 or not (R > 0 and math.isfinite(2.0 * float(R) / self.N))):
             raise ValueError(f"R must be a finite number > 0 with a finite cell "
                              f"2R/N, got R={R!r}, N={self.N}")
+        # the cell, and the network format's repr of R, are float64's
+        object.__setattr__(self, "R", float(R))
 
     @classmethod
     def unit(cls, t: int) -> "ScaledGrid":

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from funcrelu import cli, pipeline, relu_net
 from funcrelu.cli import main
+from funcrelu.legendre import default_rule_size
 from funcrelu.relu_net import count_nonzero, depth, deserialize, evaluate
 from funcrelu.simplicial import spike
 
@@ -56,13 +58,24 @@ def test_build_interp_incomplete_csv(tmp_path):
               "--values", str(values)])
 
 
-def test_build_interp_is_limited_by_the_file_format(tmp_path):
-    # 17^5 nodes build in block form; only the dense JSON writer refuses them
+def test_build_interp_is_limited_by_the_file_format(tmp_path, monkeypatch):
+    # the writer's limit bounds each stored matrix: here the 25 node values
+    monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 24)
     out = tmp_path / "big.json"
-    with pytest.raises(ValueError, match="too large for the dense JSON format"):
-        main(["build-interp", "--t", "5", "--N", "16", "--R", "1", "--values", "ones",
+    with pytest.raises(ValueError, match="output with shape .1, 25. is too large "
+                                         "for the dense JSON format"):
+        main(["build-interp", "--t", "1", "--N", "24", "--R", "1", "--values", "ones",
               "--out", str(out)])
     assert not out.exists()
+
+
+def test_build_stats_line_counts_bytes(tmp_path, capsys):
+    out = tmp_path / "interp.json"
+    main(["build-interp", "--t", "2", "--N", "4", "--R", "1.0", "--values", "ones",
+          "--out", str(out)])
+    err = capsys.readouterr().err
+    assert f" bytes={len(out.read_bytes())}" in err
+    assert err.startswith("depth=7 nonzeros=")
 
 
 @pytest.mark.parametrize("bad_row,problem", [
@@ -199,4 +212,46 @@ def test_run_bad_config_key_is_named(tmp_path, change, key):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     with pytest.raises(ValueError, match=rf"^{key}\b"):
+        main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("m_values, ladder_m_values, sized_by", [
+    ([0, 2], [1, 3], 2),   # the sweep's degrees, as before
+    ([], [1, 3], 3),       # a ladder-only run: the ladder's degrees
+], ids=["sweep", "ladder-only"])
+def test_run_sizes_the_functional_rule(monkeypatch, m_values, ladder_m_values, sized_by):
+    sizes = []
+    real = cli.gauss_legendre_rule
+    monkeypatch.setattr(cli, "gauss_legendre_rule",
+                        lambda q, s: sizes.append(q) or real(q, s))
+    cfg = pipeline.ExperimentConfig(m_values=m_values, ladder_m_values=ladder_m_values)
+    cli._functional_from_doc({}, cfg)
+    assert sizes == [default_rule_size(sized_by)]
+
+
+def test_run_ladder_only_config(tmp_path):
+    config = {
+        "input_class": {"sample_count": 4, "seed": 9},
+        "m_values": [],
+        "ladder_m_values": [1],
+        "node_cap": 100,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["completed_points"] == 0
+    assert summary["budget_ladder"]["points"] >= 1
+
+
+@pytest.mark.parametrize("change", [
+    {"m_values": [], "budget_ladder": False},
+    {"m_values": [], "ladder_m_values": []},
+], ids=["no-ladder", "no-ladder-degrees"])
+def test_run_with_nothing_to_measure_is_named(tmp_path, change):
+    config = {"input_class": {"sample_count": 4}, **change}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=r"^m_values\b"):
         main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])

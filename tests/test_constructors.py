@@ -13,6 +13,7 @@ from funcrelu.constructors import (
     interpolation_error_bound,
     min_net_nonzeros,
     node_values_from_function,
+    spike_layer_shapes,
     spike_nominal_nonzeros,
 )
 from funcrelu.relu_net import (
@@ -23,6 +24,7 @@ from funcrelu.relu_net import (
     depth,
     evaluate,
     evaluate_batch,
+    expand_blocks,
     nonzero_breakdown,
     serialize,
 )
@@ -88,7 +90,9 @@ class TestSpikeNet:
 
     @pytest.mark.parametrize("t,J", [(1, 3), (2, 7), (3, 13), (4, 21)])
     def test_depth(self, t, J):
-        assert depth(build_spike_net(t)) == J
+        net = build_spike_net(t)
+        assert depth(net) == J
+        assert [l.weights.shape for l in net.layers] == spike_layer_shapes(t)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_first_layer_count(self, t):
@@ -186,7 +190,7 @@ class TestInterpolationNet:
     @pytest.mark.parametrize("t,N,R", [(1, 4, 0.6729), (2, 2, 1.0), (2, 5, 0.8),
                                        (3, 2, 1.3), (2, 3, 1.0)])
     def test_serializes_as_the_parallel_composition(self, t, N, R):
-        # the block layers write out to exactly the composed per-node nets
+        # the block layers expand to exactly the composed per-node nets
         rng = np.random.default_rng(10 * t + N)
         grid = ScaledGrid(t, R, N)
         values = rng.standard_normal(grid.node_count)
@@ -195,7 +199,7 @@ class TestInterpolationNet:
                             + build_spike_net(t).layers[1:], np.array([[1.0]]))
                 for xi in grid.node_array()]
         block = build_interpolation_net(InterpolationSpec(grid, values))
-        assert serialize(block) == serialize(compose_parallel(nets, values))
+        assert serialize(expand_blocks(block)) == serialize(compose_parallel(nets, values))
 
     @pytest.mark.parametrize("t,N,M", [(5, 8, 64_535_454), (3, 32, 7_821_396),
                                        (7, 2, 7_645_752)])

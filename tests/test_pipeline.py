@@ -279,6 +279,24 @@ class TestRunRateExperiment:
         assert [(m, N, status) for m, N, _, _, status in rows] == [
             (1, 1, "ok"), (1, 3, "ok")]
 
+    def test_skipped_ladder_builds_keep_their_reason(self):
+        # the cap-binding sweep: the ladder's m=3, N=2 build is over weight_cap
+        cfg = ExperimentConfig(
+            s=1, p=2.0,
+            functional=sin_inner_product_functional(get_function("gaussian"),
+                                                    gauss_legendre_rule(16, 1)),
+            input_class=InputClass("hoelder_ball", 2.0, 16, seed=5),
+            m_values=(0, 1, 2, 3), N_values=(2, 4, 8), node_cap=20_000,
+            weight_cap=5_000_000, ladder=True, ladder_m_values=(1, 2, 3),
+            ladder_weight_cap=30_000_000,
+        )
+        summary = run_rate_experiment(cfg).summary
+        assert summary["budget_ladder"]["skipped_points"] == [(3, 2, "weight_cap:7676370")]
+        assert [row[:2] for row in summary["budget_ladder_rows"] if row[4] != "ok"] == [(3, 2)]
+        assert summary["skipped_points"] == [
+            (2, 8, "node_cap:59049"), (3, 2, "weight_cap:7676370"),
+            (3, 4, "node_cap:78125"), (3, 8, "node_cap:4782969")]
+
     def test_report_integrity_under_dump(self, tmp_path):
         cfg = ExperimentConfig(
             s=1, p=2.0,

@@ -296,17 +296,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="too large"):
             serialize(net)
 
-    def test_large_block_net_refused_before_expansion(self):
+    def test_large_block_net_written_without_expansion(self):
+        # expanded, its layers are above the entry limit; version 2 writes
+        # its block and 59 049 node values
         grid = ScaledGrid(5, 1.0, 8)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="too large"):
-                serialize(net)
+            raw = serialize(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert json.loads(raw)["version"] == relu_net.GRID_FORMAT_VERSION
+        # the pieces of the output row: about 110 B per node value
+        assert peak < 160 * grid.node_count
 
     @pytest.mark.parametrize("path,value", [
         (("input_dim",), "2"),
@@ -337,7 +340,7 @@ class TestSerialization:
     def test_bad_value_deep_in_a_long_list_named(self, value):
         grid = ScaledGrid(2, 1.0, 4)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-        doc = json.loads(serialize(net))
+        doc = json.loads(serialize(expand_blocks(net)))
         assert len(doc["layers"][1]["weights"]) > 10_000
         doc = _mutated(doc, ("layers", 1, "weights", -1), value)
         with pytest.raises(NetworkFormatError, match="layer 1 weights"):
@@ -365,15 +368,16 @@ class TestSerialization:
 
 def _reference_serialize(net):
     """Reference for serialize: the document built as Python objects, every
-    entry a float, and written by json.dumps."""
+    entry a float, and written by json.dumps.  A grid net's document holds
+    its stored layers, its output row and its grid."""
     def dense(w):
         if sp.issparse(w):
             w = w.toarray()
         return [float(v) for v in np.asarray(w, dtype=float).ravel()]
 
-    net = expand_blocks(net)
     doc = {
-        "version": relu_net.FORMAT_VERSION,
+        "version": relu_net.FORMAT_VERSION if net.grid is None
+        else relu_net.GRID_FORMAT_VERSION,
         "input_dim": net.input_dim,
         "layers": [
             {"rows": l.rows, "cols": l.cols, "weights": dense(l.weights),
@@ -383,6 +387,8 @@ def _reference_serialize(net):
         "output": {"rows": net.output.shape[0], "cols": net.output.shape[1],
                    "weights": dense(net.output)},
     }
+    if net.grid is not None:
+        doc["grid"] = {"t": net.grid.t, "R": net.grid.R, "N": net.grid.N}
     return json.dumps(doc).encode("utf-8")
 
 
@@ -436,6 +442,8 @@ SERIALIZED_NETS = {
         [random_net(np.random.default_rng(s), 2, [3, 4]) for s in (22, 23)],
         [1.5, -0.5]),
     "padded": lambda: pad_to_depth(random_net(np.random.default_rng(24), 2, [3]), 3),
+    "interp-t1-N4": lambda: _interp(1, 4),
+    "interp-t1-N8": lambda: _interp(1, 8),
     "interp-t2-N4": lambda: _interp(2, 4),
     "interp-t2-N8": lambda: _interp(2, 8),
     "interp-t3-N2": lambda: _interp(3, 2),
@@ -449,6 +457,18 @@ def test_serialize_writes_the_json_dumps_document(name):
     assert raw == _reference_serialize(net)
     back = deserialize(raw)
     assert serialize(back) == _reference_serialize(back) == raw
+
+
+@pytest.mark.parametrize("name", [n for n in SERIALIZED_NETS if n.startswith("interp")])
+def test_reloaded_grid_net_expands_to_its_v1_document(name):
+    # the version-1 bytes of the expanded net are those the format wrote
+    # for every interpolation net before version 2
+    net = SERIALIZED_NETS[name]()
+    back = deserialize(serialize(net))
+    assert back.grid == net.grid
+    v1 = serialize(expand_blocks(back))
+    assert json.loads(v1)["version"] == relu_net.FORMAT_VERSION
+    assert v1 == _reference_serialize(expand_blocks(net))
 
 
 def _json_paths(doc, prefix=()):
@@ -482,15 +502,27 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 VALID_DOC = json.loads(serialize(build_min_net(3)))
+VALID_V2_DOC = json.loads(serialize(_interp(2, 2)))
 
 
 def _deserializes_or_names_error(raw):
+    """A malformed document names its error; any other reads back as a net
+    that round-trips byte for byte and whose forward pass is the full pass
+    of its expanded form."""
     try:
         net = deserialize(raw)
     except NetworkFormatError:
         return
     assert isinstance(net, ReluNetwork)
     assert serialize(deserialize(serialize(net))) == serialize(net)
+    X = np.random.default_rng(0).uniform(-1.5, 1.5, (16, net.input_dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = relu_net._full_forward(expand_blocks(net), X)
+    if np.all(np.isfinite(full)):
+        assert np.array_equal(forward(net, X), full)
+    else:
+        with pytest.raises(ValueError, match="overflow"):
+            forward(net, X)
 
 
 @settings(max_examples=300, deadline=None)
@@ -504,6 +536,60 @@ def test_fuzz_any_bytes(raw):
 def test_fuzz_mutated_document(path, delete, value):
     doc = _mutated(VALID_DOC, path, value, delete)
     _deserializes_or_names_error(json.dumps(doc).encode())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_json_paths(VALID_V2_DOC))), st.booleans(), JSON_VALUES)
+def test_fuzz_mutated_v2_document(path, delete, value):
+    doc = _mutated(VALID_V2_DOC, path, value, delete)
+    _deserializes_or_names_error(json.dumps(doc).encode())
+
+
+V2_RAW = json.dumps(VALID_V2_DOC).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(V2_RAW)), st.integers(0, 8), st.binary(max_size=8))
+def test_fuzz_v2_bytes(at, cut, raw):
+    # any bytes in place of any short stretch of a v2 document
+    _deserializes_or_names_error(V2_RAW[:at] + raw + V2_RAW[at + cut:])
+
+
+def _short_output(doc):
+    doc = _mutated(doc, ("output", "cols"), doc["output"]["cols"] - 1)
+    return _mutated(doc, ("output", "weights", -1), None, delete=True)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: _mutated(d, ("layers", 1, "weights", 0), d["layers"][1]["weights"][0] + 1.0),
+    lambda d: _mutated(d, ("layers", 0, "weights", 0), d["layers"][0]["weights"][0] * 2),
+    lambda d: _mutated(d, ("layers", 0, "shifts", 0), 0.5),
+    lambda d: _mutated(d, ("grid",), [2, 1.0, 2]),
+    lambda d: _mutated(d, ("grid",), None, delete=True),
+    lambda d: _mutated(d, ("grid", "R"), None, delete=True),
+    lambda d: _mutated(d, ("grid", "t"), 0),
+    lambda d: _mutated(d, ("grid", "t"), 2.5),
+    lambda d: _mutated(d, ("grid", "t"), True),
+    lambda d: _mutated(d, ("grid", "t"), 3),
+    lambda d: _mutated(d, ("grid", "N"), 0),
+    lambda d: _mutated(d, ("grid", "N"), 2.5),
+    lambda d: _mutated(d, ("grid", "N"), True),
+    lambda d: _mutated(d, ("grid", "N"), 10**400),
+    lambda d: _mutated(d, ("grid", "R"), float("inf")),
+    lambda d: _mutated(d, ("grid", "R"), float("nan")),
+    lambda d: _mutated(d, ("grid", "R"), -1.0),
+    lambda d: _mutated(d, ("grid", "R"), 10**400),
+    lambda d: _mutated(d, ("grid", "R"), 2.0),
+    _short_output,
+    lambda d: _mutated(d, ("version",), relu_net.FORMAT_VERSION),
+], ids=["block-weight", "first-layer-weight", "first-layer-shift", "grid-list",
+        "no-grid", "no-R", "t-0", "t-2.5", "t-true", "t-3", "N-0", "N-2.5",
+        "N-true", "N-huge", "R-inf", "R-nan", "R-negative", "R-huge", "R-other",
+        "short-output", "version-1"])
+def test_malformed_v2_document_named(edit):
+    raw = json.dumps(edit(VALID_V2_DOC)).encode()
+    with pytest.raises(NetworkFormatError):
+        deserialize(raw)
 
 
 @settings(max_examples=25, deadline=None)
@@ -561,6 +647,11 @@ class TestPrunedForward:
         k = 4 if grid.node_count * t**4 > 1e6 else 40
         X = equivalence_points(rng, grid, k)
         pruned = forward(net, X)
+        back = deserialize(serialize(net))
+        assert back.grid == grid
+        assert np.array_equal(forward(back, X), pruned)
+        assert count_nonzero(back) == count_nonzero(net)
+        assert nonzero_breakdown(back) == nonzero_breakdown(net)
         reference = expand_blocks(net)
         full = relu_net._full_forward(reference, X)
         # same chunks, same block weights, exact zeros elsewhere: bit-equal,
@@ -607,10 +698,12 @@ class TestPrunedForward:
         assert np.array_equal(pruned,
                               relu_net._full_forward(expand_blocks(net), X, budget))
 
-    def test_derived_nets_take_the_full_pass(self):
+    def test_only_a_reloaded_net_keeps_the_grid(self):
         grid = ScaledGrid(2, 1.0, 2)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-        assert deserialize(serialize(net)).grid is None
+        assert deserialize(serialize(net)).grid == grid
+        assert expand_blocks(net).grid is None
+        assert deserialize(serialize(expand_blocks(net))).grid is None
         assert pad_to_depth(net, depth(net) + 1).grid is None
         assert compose_parallel([net], [1.0]).grid is None
 
@@ -670,7 +763,7 @@ class TestNonFiniteInput:
         interp = build_interpolation_net(
             InterpolationSpec(grid, np.random.default_rng(5).standard_normal(grid.node_count)))
         for net, x in ((build_spike_net(2), [1.7e308, -1.7e308]),
-                       (deserialize(serialize(interp)), [1e308, 0.0])):
+                       (expand_blocks(interp), [1e308, 0.0])):
             for call in (forward, evaluate):
                 with pytest.raises(ValueError, match="overflow"):
                     call(net, np.array(x))

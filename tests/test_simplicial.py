@@ -306,6 +306,13 @@ def test_numpy_integer_sizes_are_stored_as_int():
     assert grid.node_count == 1001**9
 
 
+@pytest.mark.parametrize("R", [1, np.float64(0.75), np.float32(0.75), np.int64(3)])
+def test_radius_is_stored_as_float(R):
+    grid = ScaledGrid(2, R, 4)
+    assert type(grid.R) is float and grid.R == R
+    assert grid.h == 2.0 * float(R) / 4
+
+
 def test_node_coordinates_match_the_lattice():
     # the meshgrid formula node_array used before ScaledGrid.nodes
     for grid in (ScaledGrid(1, 0.6729, 5), ScaledGrid(2, 1.295091801838947, 6),
