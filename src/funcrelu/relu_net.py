@@ -172,16 +172,39 @@ def _grid_shifts(grid: ScaledGrid, node) -> np.ndarray:
     return spike_forms(grid.t, 1.0 / grid.h, grid.nodes(node))[1]
 
 
+def _shift_nnz(grid: ScaledGrid) -> int:
+    """Nonzero first-layer shifts over every spike copy of the grid,
+    counted from per-axis tables.
+
+    A single row's shift, 1 - c_k or 1 + c_k, depends on the node's k-th
+    axis index alone, and a pair row's, 1 - c_k + c_j, on its k-th and j-th;
+    the other indices only repeat it.  The copies of the 1-axis grid of the
+    same R and N hold every single-row value, and pair row (0, 1) of the
+    2-axis grid's copies every pair-row value.  :func:`_grid_shifts`
+    computes them entry by entry with the copies' own float operations, so
+    the count is exact.  Both tables are read in node runs, so a long axis
+    costs no more memory than one run.
+    """
+    def nnz(sub: ScaledGrid, column) -> int:
+        n = sub.node_count
+        return sum(_nnz(_grid_shifts(sub, np.arange(lo, min(lo + _NODE_RUN, n)))[:, column])
+                   for lo in range(0, n, _NODE_RUN))
+
+    t, n1 = grid.t, grid.N + 1
+    count = t * nnz(ScaledGrid(1, grid.R, grid.N), slice(None)) * n1 ** (t - 1)
+    if t > 1:
+        pairs = nnz(ScaledGrid(2, grid.R, grid.N), 0)
+        count += t * (t - 1) * pairs * n1 ** (t - 2)
+    return count
+
+
 def _layer_nnz(net: ReluNetwork) -> list:
     """Nonzero (weights, shifts) of each expanded layer; a grid net's
-    first-layer shifts are counted over node runs."""
+    first-layer shifts are counted by :func:`_shift_nnz`."""
     n = _copies(net)
     counts = [(n * _nnz(l.weights), n * _nnz(l.shifts)) for l in net.layers]
     if net.grid is not None:
-        runs = (np.arange(lo, min(lo + _NODE_RUN, n))
-                for lo in range(0, n, _NODE_RUN))
-        counts[0] = (counts[0][0],
-                     sum(_nnz(_grid_shifts(net.grid, r)) for r in runs))
+        counts[0] = (counts[0][0], _shift_nnz(net.grid))
     return counts
 
 
@@ -578,7 +601,7 @@ def _grid_net(gdoc, input_dim, layers, out) -> ReluNetwork:
     t, R, N = (_require(gdoc, key, "grid") for key in ("t", "R", "N"))
     try:
         grid = ScaledGrid(t, R, N)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise NetworkFormatError(f"grid: {exc}") from exc
     t = grid.t
     # the layer count bounds t by the document's size before any list of

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -61,9 +62,17 @@ class ScaledGrid:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
             # a NumPy integer would wrap in node_count
             object.__setattr__(self, name, int(v))
+        # the cell 2R/N is a float64
+        if self.N > sys.float_info.max:
+            raise ValueError(f"N must be at most the float64 maximum, got an "
+                             f"integer of {self.N.bit_length()} bits")
         R = self.R
-        if (isinstance(R, bool) or not isinstance(R, numbers.Real)
-                or not (R > 0 and math.isfinite(2.0 * float(R) / self.N))):
+        real = isinstance(R, numbers.Real) and not isinstance(R, bool)
+        try:
+            finite_cell = real and math.isfinite(2.0 * float(R) / self.N)
+        except OverflowError:  # an integer R beyond float range
+            finite_cell = False
+        if not (finite_cell and R > 0):
             raise ValueError(f"R must be a finite number > 0 with a finite cell "
                              f"2R/N, got R={R!r}, N={self.N}")
         # the cell, and the network format's repr of R, are float64's

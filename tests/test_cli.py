@@ -69,6 +69,12 @@ def test_build_interp_is_limited_by_the_file_format(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_build_interp_names_an_n_beyond_float_range():
+    with pytest.raises(ValueError, match=r"^N must be at most the float64 maximum"):
+        main(["build-interp", "--t", "2", "--N", "1" + "0" * 400, "--R", "1",
+              "--values", "ones"])
+
+
 def test_build_stats_line_counts_bytes(tmp_path, capsys):
     out = tmp_path / "interp.json"
     main(["build-interp", "--t", "2", "--N", "4", "--R", "1.0", "--values", "ones",

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -425,7 +429,8 @@ def test_sweep_samples_each_rule_once(monkeypatch):
 
 
 def _report_reprs(report):
-    timing = {"wall_seconds", "build_seconds", "eval_seconds", "oracle_seconds"}
+    timing = {"wall_seconds", "mu_seconds", "build_seconds", "eval_seconds",
+              "oracle_seconds"}
     rows = [{k: repr(v) for k, v in vars(r).items() if k not in timing}
             for r in report.rows]
     summary = {k: repr(v) for k, v in report.summary.items() if k != "stage_seconds"}
@@ -495,14 +500,59 @@ def test_report_has_stage_times(tmp_path):
         ladder_weight_cap=100_000, ladder_budget_count=2,
     )
     report = run_rate_experiment(cfg)
+    timing = ("mu_seconds", "build_seconds", "eval_seconds", "oracle_seconds")
     for row in report.rows:
-        for name in ("build_seconds", "eval_seconds", "oracle_seconds"):
+        for name in timing:
             assert getattr(row, name) >= 0.0
     report.to_csv(tmp_path / "report.csv")
     report.summary_to_json(tmp_path / "summary.json")
     header = (tmp_path / "report.csv").read_text().splitlines()[0].split(",")
-    assert {"build_seconds", "eval_seconds", "oracle_seconds"} <= set(header)
-    import json
+    assert set(timing) <= set(header)
     stages = json.loads((tmp_path / "summary.json").read_text())["stage_seconds"]
-    assert set(stages) == {"inputs", "sample", "build", "eval", "oracle"}
+    assert set(stages) == {"inputs", "sample", "mu", "build", "eval", "oracle"}
     assert all(v >= 0.0 for v in stages.values())
+
+
+# mu over grids of the criterion-6 sweep at m in {1, 2}, in node runs and in
+# one piece; m=1, N=32 and m=2, N >= 8 span several runs.  Prints the bytes'
+# digest of both per shape.
+_NODE_RUN_SCRIPT = """
+import hashlib, json
+from funcrelu import pipeline, verify
+from funcrelu.discretize import make_operator
+from funcrelu.simplicial import ScaledGrid
+
+digests = {}
+for kind in ("inner", "sin"):
+    functional = verify._rate_config(functional_kind=kind).functional
+    for m, R, N_values in ((1, 0.9639, (4, 8, 16, 32)), (2, 1.0535, (4, 8, 16))):
+        op = make_operator(1, m)
+        F = functional.bind(op.rule)
+        for N in N_values:
+            grid = ScaledGrid(op.t, R, N)
+            runs = pipeline.build_functional_net(F, op, grid).spec.node_values
+            whole = pipeline.mu_values(F, op, grid.node_array())
+            digests[f"{kind} m={m} N={N}"] = [hashlib.sha256(v.tobytes()).hexdigest()
+                                              for v in (runs, whole)]
+print(json.dumps(digests))
+"""
+
+
+def test_node_runs_give_the_one_thread_one_piece_mu_values():
+    # the run size checked here, under one and two BLAS threads
+    assert pipeline_module._NODE_RUN == 16_384
+    src = Path(pipeline_module.__file__).resolve().parents[1]
+    digests = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-W", "error", "-c", _NODE_RUN_SCRIPT],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests[threads] = json.loads(done.stdout)
+    assert len(digests["1"]) == 14
+    for shape, (runs, whole) in digests["1"].items():
+        assert runs == whole, shape
+        # under two threads one piece may round its last rows otherwise
+        # (OpenBLAS 0.3.31 does at m=1, N=32); the runs keep the one-thread
+        # values
+        assert digests["2"][shape][0] == runs, shape

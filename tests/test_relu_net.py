@@ -714,24 +714,71 @@ class TestPrunedForward:
             ReluNetwork(2, net.layers, net.output, grid=ScaledGrid(2, 1.0, 2))
 
 
+def _node_run_shift_nnz(grid, run=1 << 14):
+    """The reference count of a grid net's nonzero first-layer shifts:
+    every copy's shifts, computed over runs of grid nodes."""
+    n = grid.node_count
+    runs = (np.arange(lo, min(lo + run, n)) for lo in range(0, n, run))
+    return sum(int(np.count_nonzero(relu_net._grid_shifts(grid, r))) for r in runs)
+
+
+def _record_centres(monkeypatch) -> list:
+    """The number of centres of each spike_forms call relu_net makes."""
+    centres = []
+    real = relu_net.spike_forms
+
+    def recording(t, scale, center):
+        centres.append(len(center))
+        return real(t, scale, center)
+
+    monkeypatch.setattr(relu_net, "spike_forms", recording)
+    return centres
+
+
+# Shapes whose shift terms cancel to exact zeros at some nodes, and shapes
+# where none do; the radii other than 1.0 are measured sweep radii.
+SHIFT_COUNT_SHAPES = (
+    [(1, N, R) for N in (1, 2, 5, 8, 13, 20) for R in (1.0, 0.6729)]
+    + [(2, N, R) for N in (2, 3, 4, 7, 12, 20) for R in (1.0, 1.295091801838947)]
+    + [(3, N, R) for N in (1, 2, 6, 9, 20) for R in (1.0, 0.9639)]
+    + [(5, N, R) for N in (2, 3, 4, 8) for R in (1.0, 1.0535)]
+    + [(9, N, R) for N in (1, 2) for R in (1.0, 0.7106)]
+)
+
+
 class TestGridShifts:
     """First-layer shifts of interpolation nets, computed from the grid."""
 
-    def test_breakdown_runs_the_shift_formula_once(self, monkeypatch):
+    def test_count_makes_no_per_node_shift_call(self, monkeypatch):
         grid = ScaledGrid(3, 1.0, 32)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-        calls = []
-        real = relu_net.spike_forms
-
-        def recording(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(relu_net, "spike_forms", recording)
+        centres = _record_centres(monkeypatch)
         breakdown = nonzero_breakdown(net)
-        runs = -(-grid.node_count // relu_net._NODE_RUN)
-        assert runs > 1 and len(calls) == runs
         assert breakdown["total"] == count_nonzero(net) == 7_821_396
+        # one axis and one plane of nodes per count, never the grid's
+        assert centres == [33, 33 * 33] * 2
+
+    def test_a_long_axis_is_read_in_node_runs(self, monkeypatch):
+        grid = ScaledGrid(2, 1.0, 150)
+        centres = _record_centres(monkeypatch)
+        count = relu_net._shift_nnz(grid)
+        # the 151-node axis, then the 22 801-node plane in two runs
+        assert centres == [151, relu_net._NODE_RUN, 151 * 151 - relu_net._NODE_RUN]
+        monkeypatch.undo()
+        assert count == _node_run_shift_nnz(grid)
+
+    @pytest.mark.parametrize("t,N,R", SHIFT_COUNT_SHAPES)
+    def test_count_equals_the_node_run_count(self, t, N, R, monkeypatch):
+        grid = ScaledGrid(t, R, N)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        count, breakdown = count_nonzero(net), nonzero_breakdown(net)
+        monkeypatch.setattr(relu_net, "_shift_nnz", _node_run_shift_nnz)
+        assert count == count_nonzero(net)
+        assert breakdown == nonzero_breakdown(net)
+        # a dyadic cell puts exact lattice centres on the nodes, whose shift
+        # terms cancel: those zeros are not counted
+        if R == 1.0 and N in (2, 4, 8):
+            assert breakdown["per_layer"][0]["shifts"] < grid.node_count * (t * t + t)
 
     def test_first_block_must_hold_the_spike_forms(self):
         grid = ScaledGrid(2, 1.0, 2)

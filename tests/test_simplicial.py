@@ -293,7 +293,7 @@ def test_grid_nodes():
     (2, 1.0, 2.5, "N"), (2.0, 1.0, 2, "t"), (True, 1.0, 2, "t"), (2, 1.0, True, "N"),
     (0, 1.0, 2, "t"), (2, 1.0, 0, "N"), (2, 0.0, 2, "R"), (2, -1.0, 2, "R"),
     (1, math.inf, 2, "R"), (1, math.nan, 2, "R"), (1, 1e308, 1, "R"),
-    (1, True, 2, "R"), (1, "1", 2, "R"),
+    (1, True, 2, "R"), (1, "1", 2, "R"), (2, 10**400, 2, "R"), (2, 1.0, 10**400, "N"),
 ])
 def test_malformed_grid_is_refused(t, R, N, field):
     with pytest.raises(ValueError, match=rf"^{field}\b"):
