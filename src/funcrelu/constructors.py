@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .relu_net import Layer, ReluNetwork
 from .simplicial import ScaledGrid, spike, spike_forms, support_pairs
@@ -125,16 +124,15 @@ def build_interpolation_net(spec: InterpolationSpec) -> ReluNetwork:
     and output coefficients, so the net stores the layers of
     :func:`build_spike_net` once, at cell scale, and the grid gives the
     copies and each copy's first-layer shifts (see
-    :class:`funcrelu.relu_net.ReluNetwork`).  Depth is t^2 + t + 1 and the
+    :class:`funcrelu.relu_net.ReluNetwork`).  The block is kept dense, as
+    :func:`build_spike_net` makes it.  Depth is t^2 + t + 1 and the
     nonzero count is at most node_count * spike_nominal_nonzeros(t).
     """
     grid = spec.grid
     first, *deeper = build_spike_net(grid.t).layers
     # the spike's forms at (y - xi) / cell; its shifts at the origin are
     # the same at every scale
-    layers = [Layer(sp.csr_matrix(first.weights * (1.0 / grid.h)),
-                    first.shifts)]
-    layers += [Layer(sp.csr_matrix(l.weights), l.shifts) for l in deeper]
+    layers = [Layer(first.weights * (1.0 / grid.h), first.shifts), *deeper]
     return ReluNetwork(grid.t, layers, spec.node_values.reshape(1, -1),
                        grid=grid)
 

@@ -235,6 +235,9 @@ def _check_input_class(cls: InputClass, s) -> None:
         raise ValueError(f"beta must be a finite smoothness exponent > 0, got {beta!r}")
 
 
+_SIGNS = np.array((-1.0, 1.0))
+
+
 def generate_inputs(cls: InputClass, s: int) -> list:
     """Deterministic sample of the input class (fixed seed, fixed order)."""
     _check_input_class(cls, s)
@@ -271,14 +274,16 @@ def generate_inputs(cls: InputClass, s: int) -> list:
         mesh = np.meshgrid(*([axes] * s), indexing="ij")
         probe = np.stack([m.ravel() for m in mesh], axis=1)
         probe_B = tensor_eval(idx, probe)
+        blocks = [(np.flatnonzero(gmax == g), np.sqrt(masses[g]))
+                  for g in range(cls.degree_cap + 1)]
         for i in range(cls.sample_count):
             c = np.zeros(idx.shape[0])
-            for g in range(cls.degree_cap + 1):
-                members = gmax == g
-                raw = rng.uniform(0.5, 1.0, int(members.sum()))
-                raw *= rng.choice((-1.0, 1.0), raw.shape[0])
+            for members, root in blocks:
+                raw = rng.uniform(0.5, 1.0, members.shape[0])
+                # the values and stream of rng.choice((-1.0, 1.0), n)
+                raw *= _SIGNS[rng.integers(0, 2, raw.shape[0])]
                 jitter = rng.uniform(0.8, 1.0)
-                c[members] = raw / np.linalg.norm(raw) * np.sqrt(masses[g]) * jitter
+                c[members] = raw / np.linalg.norm(raw) * root * jitter
             c /= max(float(np.max(np.abs(probe_B @ c))), 1e-30)
             out.append(SeriesInput(idx, c, f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
     else:  # sobolev_like

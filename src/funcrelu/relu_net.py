@@ -10,21 +10,25 @@ and passes the result through relu componentwise.  The output stage is a
 plain matrix A with no shift; the scalar case is a 1-row A.  Weight
 matrices may be dense ndarrays or scipy CSR matrices; sparsity is an
 internal storage choice, never part of the contract.  An interpolation
-net stores the layers of one spike block and a grid that repeats it once
-per node (see :class:`ReluNetwork`); counts and values are those of the
-expanded net, which :func:`expand_blocks` writes out.
+net stores the layers of one spike block, dense and read-only, and a grid
+that repeats it once per node (see :class:`ReluNetwork`); counts and
+values are those of the expanded net, which :func:`expand_blocks` writes
+out as CSR.  The pruned pass multiplies by a CSR form of each block layer,
+made on first use.  scipy is imported only where a sparse matrix is made
+or combined, so building an interpolation net, counting its nonzeros and
+serializing it never load it.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .simplicial import ScaledGrid, spike_forms, support_pairs
 
@@ -41,14 +45,21 @@ class NetworkFormatError(ValueError):
     """Raised when a serialized network cannot be parsed."""
 
 
+def _issparse(w) -> bool:
+    """Whether ``w`` is a scipy sparse matrix, without importing scipy: no
+    sparse matrix exists before scipy.sparse is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(w)
+
+
 def _as_matrix(w):
-    if sp.issparse(w):
+    if _issparse(w):
         return w.tocsr()
     return np.atleast_2d(np.asarray(w, dtype=float))
 
 
 def _check_finite(w, what):
-    data = w.data if sp.issparse(w) else w
+    data = w.data if _issparse(w) else w
     if data.size and not np.all(np.isfinite(data)):
         raise ValueError(f"non-finite entries in {what}")
 
@@ -61,8 +72,12 @@ class Layer:
     every grid node repeats, and ``rows`` and ``cols`` are the block's own.
     """
 
-    weights: object  # (r, c) ndarray or CSR matrix
+    # (r, c) ndarray or CSR matrix; a grid net's block is a read-only
+    # ndarray, and _csr keeps the CSR form the pruned pass multiplies by
+    weights: object
     shifts: np.ndarray  # (r,)
+    _csr: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         self.weights = _as_matrix(self.weights)
@@ -99,7 +114,8 @@ class ReluNetwork:
     diagonal.  Copy i is that spike moved to grid node i: its first-layer
     shifts are those of :func:`funcrelu.simplicial.spike_forms` centred at
     node i, computed where they are read.  :func:`forward` then evaluates
-    only the copies whose spike can be nonzero at each point.
+    only the copies whose spike can be nonzero at each point.  A grid net
+    makes its dense block weights read-only.
     """
 
     input_dim: int
@@ -139,6 +155,11 @@ class ReluNetwork:
                 f"{prev} x {self.grid.node_count} grid nodes")
             raise ValueError(
                 f"output expects {self.output.shape[1]} inputs, got {got}")
+        if self.grid is not None:
+            # the pruned pass keeps a CSR form of each block layer
+            for layer in self.layers:
+                if not _issparse(layer.weights):
+                    layer.weights.flags.writeable = False
 
     @property
     def output_dim(self) -> int:
@@ -157,7 +178,7 @@ def depth(net: ReluNetwork) -> int:
 
 
 def _nnz(w) -> int:
-    if sp.issparse(w):
+    if _issparse(w):
         return int(np.count_nonzero(w.data))
     return int(np.count_nonzero(w))
 
@@ -227,6 +248,8 @@ def nonzero_breakdown(net: ReluNetwork) -> dict:
 def _repeat_block(w, n: int, stacked: bool):
     """CSR matrix of n copies of the block ``w``: stacked on one input, or
     else block diagonal."""
+    import scipy.sparse as sp
+
     block = sp.csr_matrix(w)
     rows, c = block.shape
     cols = c if stacked else n * c
@@ -290,6 +313,19 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
     return np.vstack(outs)
 
 
+def _csr_form(layer: Layer):
+    """The CSR matrix the pruned pass multiplies a block layer by:
+    ``sp.csr_matrix(layer.weights)``, made on first use and kept on the
+    layer while its weights are the same object (a grid net's block is
+    read-only, so the form cannot go stale)."""
+    w = layer.weights
+    if layer._csr is None or layer._csr[0] is not w:
+        import scipy.sparse as sp
+
+        layer._csr = (w, sp.csr_matrix(w))
+    return layer._csr[1]
+
+
 def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
                     max_batch_bytes: int) -> np.ndarray:
     """:func:`_full_forward` of an interpolation net, over the candidate
@@ -305,7 +341,8 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
     chunk holds more activations than the full pass would.
     """
     n = net.grid.node_count
-    first, deeper = net.layers[0], net.layers[1:]
+    first = _csr_form(net.layers[0])
+    deeper = [(_csr_form(l), l.shifts[:, None]) for l in net.layers[1:]]
     chunk = _chunk_points(net, max_batch_bytes)
     outs = []
     for lo in range(0, pts.shape[0], chunk):
@@ -316,12 +353,12 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
         # layer's activations in cache
         for a in range(0, point.shape[0], _PAIR_RUN):
             p, c = point[a : a + _PAIR_RUN], node[a : a + _PAIR_RUN]
-            h = first.weights @ part[p].T
+            h = first @ part[p].T
             h += _grid_shifts(net.grid, c).T
             np.maximum(h, 0.0, out=h)
-            for layer in deeper:
-                h = layer.weights @ h
-                h += layer.shifts[:, None]
+            for w, b in deeper:
+                h = w @ h
+                h += b
                 np.maximum(h, 0.0, out=h)
             last[c, p] = h[0]
         outs.append((net.output @ last).T)
@@ -374,13 +411,17 @@ def evaluate_batch(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
 
 
 def _vstack(mats):
-    if any(sp.issparse(m) for m in mats):
+    if any(map(_issparse, mats)):
+        import scipy.sparse as sp
+
         return sp.vstack([sp.csr_matrix(m) for m in mats], format="csr")
     return np.vstack(mats)
 
 
 def _block_diag(mats):
-    if any(sp.issparse(m) for m in mats) or len(mats) >= 8:
+    if any(map(_issparse, mats)) or len(mats) >= 8:
+        import scipy.sparse as sp
+
         return sp.block_diag([sp.csr_matrix(m) for m in mats], format="csr")
     out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
     r = c = 0
@@ -440,7 +481,7 @@ def compose_parallel(nets: list, coefficients) -> ReluNetwork:
     for j in range(1, J):
         layers.append(Layer(_block_diag([n.layers[j].weights for n in nets]),
                             np.concatenate([n.layers[j].shifts for n in nets])))
-    out = np.hstack([c * np.asarray(n.output.todense() if sp.issparse(n.output) else n.output)
+    out = np.hstack([c * np.asarray(n.output.todense() if _issparse(n.output) else n.output)
                      for c, n in zip(coefficients, nets)])
     return ReluNetwork(d0, layers, out)
 
@@ -467,7 +508,7 @@ def pad_to_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:
         raise ValueError("target depth below current depth")
     net = expand_blocks(net)
     layers = list(net.layers)
-    out = np.asarray(net.output.todense() if sp.issparse(net.output) else net.output)
+    out = np.asarray(net.output.todense() if _issparse(net.output) else net.output)
     r = out.shape[0]
     eye = np.eye(r)
     for _ in range(target_depth - depth(net)):
@@ -484,7 +525,7 @@ def _float_list(w) -> list:
     -0.0 stays ``-0.0``), and each run of +0.0 is one string repetition:
     the cost follows the nonzeros, not the entries.
     """
-    if sp.issparse(w):
+    if _issparse(w):
         w = w.toarray()
     a = np.asarray(w, dtype=float).ravel()
     nz = np.flatnonzero(a.view(np.int64))
@@ -615,7 +656,7 @@ def _grid_net(gdoc, input_dim, layers, out) -> ReluNetwork:
             f"nodes need (1, {grid.node_count})")
     net = build_interpolation_net(InterpolationSpec(grid, out.ravel()))
     for j, (mine, theirs) in enumerate(zip(net.layers, layers)):
-        if not (_same_bits(mine.weights.toarray(), theirs.weights)
+        if not (_same_bits(mine.weights, theirs.weights)
                 and _same_bits(mine.shifts, theirs.shifts)):
             raise NetworkFormatError(
                 f"layer {j} is not the spike block of the grid {grid}")

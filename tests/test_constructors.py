@@ -231,7 +231,7 @@ class TestInterpolationNet:
             assert len(net.layers) == len(spike)
             for j, (got, want) in enumerate(zip(net.layers, spike)):
                 w = want.weights * (1.0 / grid.h) if j == 0 else want.weights
-                assert got.weights.toarray().tobytes() == w.tobytes()
+                assert np.asarray(got.weights).tobytes() == w.tobytes()
                 assert got.shifts.tobytes() == want.shifts.tobytes()
 
     def test_shift_storage_does_not_grow_with_node_count(self):

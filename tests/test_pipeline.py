@@ -53,7 +53,81 @@ class TestPowerModulus:
                 assert om(r1 + r2) <= om(r1) + om(r2) + 1e-12
 
 
+def _reference_coefficients(cls, s):
+    """Coefficient rows and generator of the per-input sampler, one
+    boolean mask and one ``rng.choice`` of the signs per degree block per
+    input: the stream ``generate_inputs`` must keep."""
+    from funcrelu.legendre import tensor_multi_indices
+
+    rng = np.random.default_rng(cls.seed)
+    if cls.kind == "polynomial_ball":
+        idx = tensor_multi_indices(s, int(cls.beta))
+        rows = []
+        for _ in range(cls.sample_count):
+            c = rng.standard_normal(idx.shape[0])
+            c /= np.linalg.norm(c)
+            rows.append(c)
+        return rows, rng
+    idx = tensor_multi_indices(s, cls.degree_cap)
+    total = idx.sum(axis=1)
+    rows = []
+    if cls.kind == "hoelder_ball":
+        gmax = idx.max(axis=1)
+        masses = np.zeros(cls.degree_cap + 1)
+        masses[0] = 3.0
+        if cls.degree_cap >= 1:
+            masses[1] = 3.0
+        for g in range(2, cls.degree_cap + 1):
+            masses[g] = (g - 1.0) ** (-2 * cls.beta) - g ** (-2 * cls.beta)
+        per_axis = max(4, int(round(4096 ** (1.0 / s))))
+        axes = np.linspace(-1.0, 1.0, per_axis)
+        mesh = np.meshgrid(*([axes] * s), indexing="ij")
+        probe_B = tensor_eval(idx, np.stack([m.ravel() for m in mesh], axis=1))
+        for _ in range(cls.sample_count):
+            c = np.zeros(idx.shape[0])
+            for g in range(cls.degree_cap + 1):
+                members = gmax == g
+                raw = rng.uniform(0.5, 1.0, int(members.sum()))
+                raw *= rng.choice((-1.0, 1.0), raw.shape[0])
+                jitter = rng.uniform(0.8, 1.0)
+                c[members] = raw / np.linalg.norm(raw) * np.sqrt(masses[g]) * jitter
+            c /= max(float(np.max(np.abs(probe_B @ c))), 1e-30)
+            rows.append(c)
+    else:
+        decay = (1.0 + total) ** (-(cls.beta + 0.5))
+        weight = (1.0 + total) ** cls.beta
+        for _ in range(cls.sample_count):
+            c = rng.uniform(-1.0, 1.0, idx.shape[0]) * decay
+            c /= max(float(np.linalg.norm(weight * c)), 1e-30)
+            rows.append(c)
+    return rows, rng
+
+
 class TestGenerateInputs:
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2024])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("kind,beta,cap", [("hoelder_ball", 2.0, 32),
+                                               ("hoelder_ball", 1.5, 5),
+                                               ("sobolev_like", 1.5, 12),
+                                               ("polynomial_ball", 3, 32)])
+    def test_same_stream_as_the_per_input_sampler(self, kind, beta, cap, s, seed,
+                                                  monkeypatch):
+        cls = InputClass(kind, beta, 9, seed=seed, degree_cap=cap)
+        made = []
+        real = np.random.default_rng
+
+        def recording(seed):
+            made.append(real(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        inputs = generate_inputs(cls, s)
+        monkeypatch.undo()
+        want, rng = _reference_coefficients(cls, s)
+        assert [f.coeffs.tobytes() for f in inputs] == [c.tobytes() for c in want]
+        assert len(made) == 1
+        assert made[0].bit_generator.state == rng.bit_generator.state
+
     def test_deterministic_under_seed(self):
         op = make_operator(1, 1)
         cls = InputClass("hoelder_ball", 2.0, 5, seed=42)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -712,6 +716,83 @@ class TestPrunedForward:
         net = build_spike_net(2)
         with pytest.raises(ValueError, match="expects 1 inputs, got 1 x 9 grid nodes"):
             ReluNetwork(2, net.layers, net.output, grid=ScaledGrid(2, 1.0, 2))
+
+
+class TestBlockCsrForm:
+    """The CSR form of a grid net's dense block that the pruned pass
+    multiplies by."""
+
+    @pytest.mark.parametrize("t,N", [(1, 4), (2, 3), (3, 2), (5, 2)])
+    def test_is_the_csr_matrix_of_each_block_layer(self, t, N):
+        grid = ScaledGrid(t, 1.295091801838947, N)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        for got in (net, deserialize(serialize(net))):
+            forward(got, np.zeros((2, t)))
+            for layer in got.layers:
+                assert isinstance(layer.weights, np.ndarray)
+                form, want = relu_net._csr_form(layer), sp.csr_matrix(layer.weights)
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(form, part), getattr(want, part)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+    def test_repeated_evaluate_builds_it_once(self, monkeypatch):
+        grid = ScaledGrid(2, 1.0, 4)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        made = []
+        real = sp.csr_matrix
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "csr_matrix", counting)
+        values = [evaluate(net, x) for x in np.linspace(-1.0, 1.0, 12).reshape(6, 2)]
+        assert len(made) == len(net.layers)
+        assert values == [evaluate(net, x) for x in np.linspace(-1.0, 1.0, 12).reshape(6, 2)]
+        assert len(made) == len(net.layers)
+
+    def test_cannot_go_stale(self):
+        grid = ScaledGrid(2, 1.0, 2)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        x = np.array([0.1, -0.2])
+        before = evaluate(net, x)
+        layer = net.layers[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            layer.weights[0, 0] = 2.0
+        # a new weights array gets its own form
+        layer.weights = 2.0 * layer.weights
+        assert np.array_equal(relu_net._csr_form(layer).toarray(), layer.weights)
+        assert evaluate(net, x) == 2.0 * before
+
+
+# Builds, counts and round-trips a grid net, then runs it; prints nothing
+# but fails on the first assert that does not hold.
+_IMPORT_SCRIPT = """
+import sys
+import numpy as np
+import funcrelu
+from funcrelu import relu_net
+from funcrelu.constructors import InterpolationSpec, build_interpolation_net
+from funcrelu.simplicial import ScaledGrid
+
+grid = ScaledGrid(3, 1.0, 4)
+net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+assert relu_net.count_nonzero(net) == relu_net.nonzero_breakdown(net)["total"]
+back = relu_net.deserialize(relu_net.serialize(net))
+assert back.grid == grid
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+relu_net.forward(back, np.zeros(3))
+# the pruned pass multiplies by the block's CSR form
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_only_the_forward_pass_loads_scipy():
+    src = Path(relu_net.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _node_run_shift_nnz(grid, run=1 << 14):
