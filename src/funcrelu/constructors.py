@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -114,7 +115,8 @@ class InterpolationSpec:
         object.__setattr__(self, "node_values", vals)
 
 
-def build_interpolation_net(spec: InterpolationSpec) -> ReluNetwork:
+def build_interpolation_net(spec: InterpolationSpec,
+                            block: Optional[ReluNetwork] = None) -> ReluNetwork:
     """Network summing node_value(xi) * spike((y - xi) / cell) over all
     grid nodes xi; interpolates the node values and is linear on each
     cell of the scaled triangulation.
@@ -127,9 +129,19 @@ def build_interpolation_net(spec: InterpolationSpec) -> ReluNetwork:
     :class:`funcrelu.relu_net.ReluNetwork`).  The block is kept dense, as
     :func:`build_spike_net` makes it.  Depth is t^2 + t + 1 and the
     nonzero count is at most node_count * spike_nominal_nonzeros(t).
+
+    ``block`` is a spike net of the grid's t to build from instead of a
+    new one; the net then holds its deeper ``Layer`` objects, and with them
+    their CSR forms, and only the scaled first layer is its own.  A block
+    of other shapes, or with a grid, raises ValueError.
     """
     grid = spec.grid
-    first, *deeper = build_spike_net(grid.t).layers
+    if block is None:
+        block = build_spike_net(grid.t)
+    elif (block.grid is not None or block.input_dim != grid.t
+          or [l.weights.shape for l in block.layers] != spike_layer_shapes(grid.t)):
+        raise ValueError(f"block is not the spike net on R^{grid.t}")
+    first, *deeper = block.layers
     # the spike's forms at (y - xi) / cell; its shifts at the origin are
     # the same at every scale
     layers = [Layer(first.weights * (1.0 / grid.h), first.shifts), *deeper]
@@ -151,11 +163,6 @@ def interpolant_values(spec: InterpolationSpec, y: np.ndarray) -> np.ndarray:
     total = np.bincount(point, weights=spec.node_values[node] * psi,
                         minlength=pts.shape[0])
     return float(total[0]) if single else total
-
-
-def node_values_from_function(grid: ScaledGrid, mu) -> np.ndarray:
-    """Sample a callable on all grid nodes (batch call on (n, t) points)."""
-    return np.asarray(mu(grid.node_array()), dtype=float).ravel()
 
 
 def interpolation_error_bound(t: int, N: int, R: float, omega) -> float:

@@ -29,6 +29,7 @@ import numpy as np
 from .constructors import (
     InterpolationSpec,
     build_interpolation_net,
+    build_spike_net,
     interpolant_values,
     interpolation_error_bound,
     spike_nominal_nonzeros,
@@ -235,9 +236,6 @@ def _check_input_class(cls: InputClass, s) -> None:
         raise ValueError(f"beta must be a finite smoothness exponent > 0, got {beta!r}")
 
 
-_SIGNS = np.array((-1.0, 1.0))
-
-
 def generate_inputs(cls: InputClass, s: int) -> list:
     """Deterministic sample of the input class (fixed seed, fixed order)."""
     _check_input_class(cls, s)
@@ -276,14 +274,24 @@ def generate_inputs(cls: InputClass, s: int) -> list:
         probe_B = tensor_eval(idx, probe)
         blocks = [(np.flatnonzero(gmax == g), np.sqrt(masses[g]))
                   for g in range(cls.degree_cap + 1)]
+        # each draw below gives the values and generator state of the
+        # rng.uniform or rng.choice call named beside it
+        order = np.concatenate([members for members, _ in blocks])
         for i in range(cls.sample_count):
-            c = np.zeros(idx.shape[0])
+            parts = []
             for members, root in blocks:
-                raw = rng.uniform(0.5, 1.0, members.shape[0])
-                # the values and stream of rng.choice((-1.0, 1.0), n)
-                raw *= _SIGNS[rng.integers(0, 2, raw.shape[0])]
-                jitter = rng.uniform(0.8, 1.0)
-                c[members] = raw / np.linalg.norm(raw) * root * jitter
+                # rng.uniform(a, b, n) is (b - a) * rng.random(n) + a
+                raw = (1.0 - 0.5) * rng.random(members.shape[0]) + 0.5
+                # rng.choice((-1.0, 1.0), n) draws rng.integers(0, 2, n):
+                # the top bit of one buffered 32-bit draw per value, which
+                # a float32 draw also reads, as being >= 0.5
+                np.negative(raw, out=raw,
+                            where=rng.random(raw.shape[0], dtype=np.float32) < 0.5)
+                jitter = (1.0 - 0.8) * rng.random() + 0.8
+                # np.linalg.norm of a 1-D float array is sqrt(x.dot(x))
+                parts.append(raw / math.sqrt(raw.dot(raw)) * root * jitter)
+            c = np.zeros(idx.shape[0])
+            c[order] = np.concatenate(parts)
             c /= max(float(np.max(np.abs(probe_B @ c))), 1e-30)
             out.append(SeriesInput(idx, c, f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
     else:  # sobolev_like
@@ -325,11 +333,13 @@ _NODE_RUN = 1 << 14
 
 def build_functional_net(functional: TargetFunctional,
                          op: DiscretizationOperator,
-                         grid: ScaledGrid) -> FunctionalNet:
+                         grid: ScaledGrid,
+                         block: Optional[ReluNetwork] = None) -> FunctionalNet:
     """Interpolation network for the discretized target over the grid.
 
     mu is computed over runs of ``_NODE_RUN`` grid nodes, so no array of
-    all nodes is made; its time is ``metadata["mu_seconds"]``."""
+    all nodes is made; its time is ``metadata["mu_seconds"]``.  ``block``
+    is passed on to :func:`build_interpolation_net`."""
     if grid.t != op.t:
         raise ValueError(f"grid dimension {grid.t} != operator size {op.t}")
     t0 = time.perf_counter()
@@ -339,7 +349,7 @@ def build_functional_net(functional: TargetFunctional,
         for lo in range(0, n, _NODE_RUN)])
     mu_seconds = time.perf_counter() - t0
     spec = InterpolationSpec(grid, values)
-    net = build_interpolation_net(spec)
+    net = build_interpolation_net(spec, block)
     meta = {
         "m": op.basis.m,
         "s": op.basis.s,
@@ -472,17 +482,19 @@ def _over_cap(cfg, t, N, weight_cap) -> str:
 
 
 def _measure_point(cfg, functional, op, nus, F_vals, eps_hat, radius,
-                   N, dump_dir=None):
-    """Build the net at (m, N) and measure every error piece."""
+                   N, spike_block, dump_dir=None):
+    """Build the net at (m, N) from ``spike_block(t)`` and measure every
+    error piece; a point over the caps calls nothing."""
     t = op.t
     row = ExperimentRow(m=op.basis.m, t=t, N=N, R=radius.R, eps_hat=eps_hat)
     row.reason = _over_cap(cfg, t, N, cfg.weight_cap)
     if row.reason:
         row.status = "skipped"
         return row
+    block = spike_block(t)
     t0 = time.perf_counter()
     grid = ScaledGrid(t, radius.R, N)
-    fnet = build_functional_net(functional, op, grid)
+    fnet = build_functional_net(functional, op, grid, block)
     t1 = time.perf_counter()
     theta = evaluate_batch(fnet.net, nus)
     t2 = time.perf_counter()
@@ -539,7 +551,7 @@ def _fit_c_hat(rows, omega: PowerModulus) -> float:
     return c_hat
 
 
-def _budget_ladder_rows(cfg, per_m_state):
+def _budget_ladder_rows(cfg, per_m_state, spike_block=build_spike_net):
     """Budget-ladder realization of the degree-for-budget pairing.
 
     The pairing rule picks, for a weight budget B, the largest m with
@@ -548,7 +560,7 @@ def _budget_ladder_rows(cfg, per_m_state):
     scale, so c9 is calibrated from the largest feasible build: the top
     budget is the largest nominal size buildable at the largest m under
     node_cap and ladder_weight_cap.  Each budget B then builds the largest
-    N at its m that fits node_cap and B.
+    N at its m that fits node_cap and B, from ``spike_block(t)``.
     """
     s = cfg.s
     m_cands = sorted(cfg.ladder_m_values)
@@ -592,7 +604,7 @@ def _budget_ladder_rows(cfg, per_m_state):
         if N < 1 or (m, N) in seen:
             continue
         seen.add((m, N))
-        rows.append(_measure_point(cfg, *per_m_state(m), N))
+        rows.append(_measure_point(cfg, *per_m_state(m), N, spike_block))
     done = [r for r in rows if r.status == "ok" and r.M > math.e**math.e]
     info = {"c9_eff": c9_eff, "points": len(done)}
     if len(done) >= 2:
@@ -613,7 +625,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("config needs a functional and an input class")
     t0 = time.perf_counter()
     inputs = generate_inputs(cfg.input_class, cfg.s)
-    stage_seconds = {"inputs": time.perf_counter() - t0, "sample": 0.0}
+    stage_seconds = {"inputs": time.perf_counter() - t0, "sample": 0.0,
+                     "block": 0.0}
     if cfg.dump_dir is not None:
         Path(cfg.dump_dir).mkdir(parents=True, exist_ok=True)
 
@@ -626,12 +639,24 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             stage_seconds["sample"] += time.perf_counter() - t0
         return state_cache[m]
 
+    # one spike block per t, built at the first point that needs it; its
+    # nets share the block's deeper layers and their CSR forms, and the
+    # blocks go when the experiment ends
+    blocks = {}
+
+    def spike_block(t):
+        if t not in blocks:
+            t0 = time.perf_counter()
+            blocks[t] = build_spike_net(t)
+            stage_seconds["block"] += time.perf_counter() - t0
+        return blocks[t]
+
     report = ExperimentReport(functional=cfg.functional.name)
     for m in cfg.m_values:
         functional, op, nus, F_vals, eps_hat, radius = per_m_state(m)
         for N in cfg.N_values:
-            row = _measure_point(cfg, functional, op, nus, F_vals,
-                                 eps_hat, radius, N, dump_dir=cfg.dump_dir)
+            row = _measure_point(cfg, functional, op, nus, F_vals, eps_hat,
+                                 radius, N, spike_block, dump_dir=cfg.dump_dir)
             report.rows.append(row)
 
     done = report.completed()
@@ -651,7 +676,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     }
     measured = list(report.rows)
     if cfg.ladder:
-        ladder_rows, ladder_info = _budget_ladder_rows(cfg, per_m_state)
+        ladder_rows, ladder_info = _budget_ladder_rows(cfg, per_m_state,
+                                                       spike_block)
         ladder_info["skipped_points"] = [(r.m, r.N, r.reason) for r in ladder_rows
                                          if r.status != "ok"]
         report.summary["budget_ladder"] = ladder_info

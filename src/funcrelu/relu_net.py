@@ -14,7 +14,9 @@ net stores the layers of one spike block, dense and read-only, and a grid
 that repeats it once per node (see :class:`ReluNetwork`); counts and
 values are those of the expanded net, which :func:`expand_blocks` writes
 out as CSR.  The pruned pass multiplies by a CSR form of each block layer,
-made on first use.  scipy is imported only where a sparse matrix is made
+made on first use and kept on the layer; nets built from one block share
+its deeper layers, and so their forms (a rate experiment makes each form
+once).  scipy is imported only where a sparse matrix is made
 or combined, so building an interpolation net, counting its nonzeros and
 serializing it never load it.
 """
@@ -517,25 +519,34 @@ def pad_to_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:
     return ReluNetwork(net.input_dim, layers, out)
 
 
+# written values joined into one string at a time
+_VALUE_RUN = 1 << 14
+
+
 def _float_list(w) -> list:
     """Pieces of the JSON list of the entries of ``w`` in row-major order:
     joined, the text ``json.dumps([float(v) for v in w.ravel()])`` writes.
 
     Only the entries whose bits are not those of +0.0 go through repr (so
     -0.0 stays ``-0.0``), and each run of +0.0 is one string repetition:
-    the cost follows the nonzeros, not the entries.
+    the cost follows the nonzeros, not the entries.  Each piece joins the
+    strings of ``_VALUE_RUN`` nonzeros, so only one run's strings exist at
+    a time.
     """
     if _issparse(w):
         w = w.toarray()
     a = np.asarray(w, dtype=float).ravel()
     nz = np.flatnonzero(a.view(np.int64))
     # zeros before each nonzero, then after the last one
-    *before, after = (np.diff(nz, prepend=-1, append=a.size) - 1).tolist()
-    runs = map(operator.mul, repeat(", 0.0"), before)
-    values = map(", ".__add__, map(float.__repr__, a[nz].tolist()))
+    gaps = np.diff(nz, prepend=-1, append=a.size) - 1
+    pieces = []
+    for lo in range(0, nz.size, _VALUE_RUN):
+        runs = map(operator.mul, repeat(", 0.0"), gaps[lo : lo + _VALUE_RUN].tolist())
+        values = map(", ".__add__,
+                     map(float.__repr__, a[nz[lo : lo + _VALUE_RUN]].tolist()))
+        pieces.append("".join(map(operator.add, runs, values)))
+    pieces.append(", 0.0" * int(gaps[-1]))
     # every piece opens with its separator; the first one must not
-    pieces = list(map(operator.add, runs, values))
-    pieces.append(", 0.0" * after)
     pieces[0] = "[" + pieces[0][2:]
     pieces.append("]")
     return pieces

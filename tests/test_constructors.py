@@ -12,7 +12,6 @@ from funcrelu.constructors import (
     interpolant_values,
     interpolation_error_bound,
     min_net_nonzeros,
-    node_values_from_function,
     spike_layer_shapes,
     spike_nominal_nonzeros,
 )
@@ -146,7 +145,7 @@ class TestInterpolationNet:
     def test_affine_exactness(self):
         grid = ScaledGrid(2, 1.0, 4)
         mu = lambda y: y[:, 0] + 2.0 * y[:, 1]
-        spec = InterpolationSpec(grid, node_values_from_function(grid, mu))
+        spec = InterpolationSpec(grid, mu(grid.node_array()))
         net = build_interpolation_net(spec)
         Y = np.random.default_rng(1).uniform(-1, 1, (1000, 2))
         assert np.abs(evaluate_batch(net, Y) - mu(Y)).max() <= 1e-10
@@ -301,6 +300,33 @@ class TestInterpolationNet:
         assert interpolant_values(spec, np.array([1e300, 0.0])) == 0.0
         assert interpolant_values(spec, np.array([0.0, -1e300])) == 0.0
 
+    def test_shared_block_gives_the_fresh_build_bits(self):
+        # two nets of one t, built from one block; A runs first and makes
+        # the CSR forms that B then reuses
+        rng = np.random.default_rng(5)
+        block = build_spike_net(3)
+        specs = [InterpolationSpec(ScaledGrid(3, R, N), rng.uniform(-1, 1, (N + 1) ** 3))
+                 for R, N in ((1.0, 4), (1.3, 8))]
+        a, b = (build_interpolation_net(spec, block) for spec in specs)
+        assert all(x is y is z for x, y, z in zip(a.layers[1:], b.layers[1:],
+                                                   block.layers[1:], strict=True))
+        assert a.layers[0] is not b.layers[0]
+        Y = rng.uniform(-1.4, 1.4, (500, 3))
+        evaluate_batch(a, Y)
+        fresh = build_interpolation_net(specs[1])
+        assert evaluate_batch(b, Y).tobytes() == evaluate_batch(fresh, Y).tobytes()
+        assert serialize(b) == serialize(fresh)
+        assert count_nonzero(b) == count_nonzero(fresh)
+
+    def test_refuses_a_block_not_of_its_t(self):
+        grid = ScaledGrid(2, 1.0, 2)
+        spec = InterpolationSpec(grid, np.ones(grid.node_count))
+        grid_net = build_interpolation_net(spec)
+        short = ReluNetwork(2, build_spike_net(2).layers[:-1], np.ones((1, 3)))
+        for block in (build_spike_net(3), build_spike_net(1), grid_net, short):
+            with pytest.raises(ValueError, match=r"not the spike net on R\^2"):
+                build_interpolation_net(spec, block)
+
     def test_wrong_value_count_rejected(self):
         grid = ScaledGrid(2, 1.0, 2)
         with pytest.raises(ValueError):
@@ -320,7 +346,7 @@ class TestErrorBound:
     def test_dominates_measured_euclidean_norm_error(self, N):
         grid = ScaledGrid(2, 1.0, N)
         mu = lambda y: np.linalg.norm(np.atleast_2d(y), axis=1)
-        spec = InterpolationSpec(grid, node_values_from_function(grid, mu))
+        spec = InterpolationSpec(grid, mu(grid.node_array()))
         axis = np.linspace(-1, 1, 120)
         mg = np.meshgrid(axis, axis, indexing="ij")
         lattice = np.stack([m.ravel() for m in mg], axis=1)

@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from funcrelu import constructors
 from funcrelu import pipeline as pipeline_module
 from funcrelu import verify
 from funcrelu.constructors import interpolant_values
@@ -525,6 +528,85 @@ def test_seed7_report_equals_per_input_path(kind, monkeypatch):
     assert _report_reprs(run_rate_experiment(cfg)) == fast
 
 
+def _seed7_config(kind, seed=7):
+    cfg = verify._rate_config(functional_kind=kind)
+    cfg.input_class = replace(cfg.input_class, seed=seed)
+    cfg.ladder = kind == "inner"
+    return cfg
+
+
+def _recording_spike_net(monkeypatch):
+    """The t of every build_spike_net call, by the pipeline or the
+    interpolation-net builder."""
+    calls = []
+    real = constructors.build_spike_net
+
+    def recording(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(pipeline_module, "build_spike_net", recording)
+    monkeypatch.setattr(constructors, "build_spike_net", recording)
+    return calls
+
+
+class TestOneSpikeBlockPerT:
+    def test_seed7_builds_each_t_once(self, monkeypatch):
+        calls = _recording_spike_net(monkeypatch)
+        run_rate_experiment(_seed7_config("inner"))
+        assert calls == [1, 3, 5]
+
+    def test_skipped_degree_builds_no_block(self, monkeypatch):
+        # t=3 grids have 27 and 125 nodes, t=5 grids 243 and 3125
+        calls = _recording_spike_net(monkeypatch)
+        cfg = replace(_seed7_config("inner"), N_values=(2, 4), node_cap=200,
+                      ladder=False)
+        report = run_rate_experiment(cfg)
+        assert [r.reason for r in report.rows if r.m == 2] == [
+            "node_cap:243", "node_cap:3125"]
+        assert calls == [1, 3]
+        assert report.summary["stage_seconds"]["block"] > 0.0
+
+    @pytest.mark.parametrize("seed", [7, 1501])
+    @pytest.mark.parametrize("kind", ["inner", "sin"])
+    def test_report_equals_one_block_per_net(self, kind, seed, monkeypatch):
+        shared = _report_reprs(run_rate_experiment(_seed7_config(kind, seed)))
+        real = build_functional_net
+
+        def own_block(functional, op, grid, block=None):
+            return real(functional, op, grid)
+
+        monkeypatch.setattr(pipeline_module, "build_functional_net", own_block)
+        assert _report_reprs(run_rate_experiment(_seed7_config(kind, seed))) == shared
+
+    def test_nets_of_one_t_share_the_deeper_layers(self, monkeypatch):
+        nets = []
+        real = build_functional_net
+
+        def keeping(*args):
+            fnet = real(*args)
+            nets.append(fnet.net)
+            return fnet
+
+        monkeypatch.setattr(pipeline_module, "build_functional_net", keeping)
+        made = []
+        csr = sp.csr_matrix
+        monkeypatch.setattr(sp, "csr_matrix", lambda *a, **k: made.append(1) or csr(*a, **k))
+        run_rate_experiment(_seed7_config("inner"))
+        assert len(nets) == 15
+        assert len({id(net.layers[0]) for net in nets}) == 15
+        by_t = {}
+        for net in nets:
+            by_t.setdefault(net.input_dim, []).append(net.layers[1:])
+        assert sorted(by_t) == [1, 3, 5]
+        for t, deeper in by_t.items():
+            assert len(deeper[0]) == t * t + t
+            for layers in deeper[1:]:
+                assert all(a is b for a, b in zip(layers, deeper[0], strict=True))
+        # one CSR form per first layer, and one per shared layer
+        assert len(made) == 15 + sum(t * t + t for t in by_t) == 59
+
+
 def test_bound_functional_matches_unbound():
     g = get_function("slow-series")
     rule, other = make_operator(1, 1).rule, make_operator(1, 2).rule
@@ -583,7 +665,8 @@ def test_report_has_stage_times(tmp_path):
     header = (tmp_path / "report.csv").read_text().splitlines()[0].split(",")
     assert set(timing) <= set(header)
     stages = json.loads((tmp_path / "summary.json").read_text())["stage_seconds"]
-    assert set(stages) == {"inputs", "sample", "mu", "build", "eval", "oracle"}
+    assert set(stages) == {"inputs", "sample", "block", "mu", "build", "eval",
+                           "oracle"}
     assert all(v >= 0.0 for v in stages.values())
 
 

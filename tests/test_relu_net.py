@@ -463,6 +463,20 @@ def test_serialize_writes_the_json_dumps_document(name):
     assert serialize(back) == _reference_serialize(back) == raw
 
 
+def test_serialize_peak_memory_follows_the_document():
+    # 68 921 node values, several runs of written values
+    net = _interp(3, 40)
+    assert net.output.size > 3 * relu_net._VALUE_RUN
+    tracemalloc.start()
+    try:
+        raw = serialize(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(raw)
+    assert raw == _reference_serialize(net)
+
+
 @pytest.mark.parametrize("name", [n for n in SERIALIZED_NETS if n.startswith("interp")])
 def test_reloaded_grid_net_expands_to_its_v1_document(name):
     # the version-1 bytes of the expanded net are those the format wrote
