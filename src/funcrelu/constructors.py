@@ -16,46 +16,42 @@ from typing import Optional
 import numpy as np
 
 from .relu_net import Layer, ReluNetwork
-from .simplicial import ScaledGrid, spike, spike_forms, support_pairs
+from .simplicial import ScaledGrid, integer_size, spike, spike_forms, support_pairs
 
 
 def build_min_net(d: int) -> ReluNetwork:
     """Network computing min(x_1, ..., x_d) exactly.
 
-    Uses the recursion min(x_1..x_d) = x_d - relu(x_d - min(x_1..x_{d-1}))
+    Carries out the recursion min(x_1..x_d) = x_d - relu(x_d - min(x_1..x_{d-1}))
     with x_d carried through earlier layers as the pair
     (relu(x_d), relu(-x_d)).  The result has d - 1 hidden layers and
     exactly d^2 + 4d - 5 nonzero weights (7 at d = 2, 16 at d = 3), with
-    all shifts zero.
+    all shifts zero.  Each layer is written in closed form (x 1-based):
+
+    - layer 0, shape (2d - 1, d): rows x_2, -x_2 and x_2 - x_1, then x_k
+      and -x_k for each k = 3..d;
+    - layer j = 1..d-2, shape (2d - 1 - 2j, 2d + 1 - 2j): row 0 reads
+      unit 3, row 1 reads unit 4, row 2 is (-1, 1, 1, 1, -1) on units
+      0..4 (the next x, units 3 - 4, minus the running minimum, units
+      0 - 1 - 2), and each row r >= 3 reads unit r + 2;
+    - output (1, -1, -1).
     """
-    if d < 2:
-        raise ValueError("min network needs d >= 2")
-    layers = [(np.array([[0.0, 1.0], [0.0, -1.0], [-1.0, 1.0]]), np.zeros(3))]
-    a = np.array([[1.0, -1.0, -1.0]])
-    for k in range(3, d + 1):
-        new_layers = []
-        w0, _ = layers[0]
-        W = np.zeros((w0.shape[0] + 2, k))
-        W[: w0.shape[0], : k - 1] = w0
-        W[w0.shape[0], k - 1] = 1.0
-        W[w0.shape[0] + 1, k - 1] = -1.0
-        new_layers.append((W, np.zeros(W.shape[0])))
-        for wj, _ in layers[1:]:
-            W = np.zeros((wj.shape[0] + 2, wj.shape[1] + 2))
-            W[: wj.shape[0], : wj.shape[1]] = wj
-            W[wj.shape[0], wj.shape[1]] = 1.0
-            W[wj.shape[0] + 1, wj.shape[1] + 1] = 1.0
-            new_layers.append((W, np.zeros(W.shape[0])))
-        w_prev = new_layers[-1][0].shape[0]
-        W = np.zeros((3, w_prev))
-        W[0, w_prev - 2] = 1.0
-        W[1, w_prev - 1] = 1.0
-        W[2, : w_prev - 2] = -a[0]
-        W[2, w_prev - 2] = 1.0
-        W[2, w_prev - 1] = -1.0
-        new_layers.append((W, np.zeros(3)))
-        layers = new_layers
-    return ReluNetwork(d, layers, a)
+    d = integer_size(d, "d", 2)
+    k = np.arange(2, d)
+    W = np.zeros((2 * d - 1, d))
+    W[[0, 1, 2, 2], [1, 1, 0, 1]] = (1.0, -1.0, -1.0, 1.0)
+    W[2 * k - 1, k] = 1.0
+    W[2 * k, k] = -1.0
+    layers = [(W, np.zeros(2 * d - 1))]
+    for j in range(1, d - 1):
+        cols = 2 * d + 1 - 2 * j
+        r = np.arange(3, cols - 2)
+        W = np.zeros((cols - 2, cols))
+        W[[0, 1], [3, 4]] = 1.0
+        W[2, :5] = (-1.0, 1.0, 1.0, 1.0, -1.0)
+        W[r, r + 2] = 1.0
+        layers.append((W, np.zeros(cols - 2)))
+    return ReluNetwork(d, layers, np.array([[1.0, -1.0, -1.0]]))
 
 
 def min_net_nonzeros(d: int) -> int:
@@ -70,8 +66,7 @@ def build_spike_net(t: int) -> ReluNetwork:
     the minimum network over those values, and a final relu unit.  Relying
     on relu(min(a_i)) = relu(min(relu(a_i))), the depth is t^2 + t + 1.
     """
-    if t < 1:
-        raise ValueError("spike network needs t >= 1")
+    t = integer_size(t, "t")
     W1, b1 = spike_forms(t)
     mn = build_min_net(t * t + t)
     layers = [Layer(W1, b1)]

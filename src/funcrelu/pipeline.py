@@ -272,28 +272,54 @@ def generate_inputs(cls: InputClass, s: int) -> list:
         mesh = np.meshgrid(*([axes] * s), indexing="ij")
         probe = np.stack([m.ravel() for m in mesh], axis=1)
         probe_B = tensor_eval(idx, probe)
-        blocks = [(np.flatnonzero(gmax == g), np.sqrt(masses[g]))
-                  for g in range(cls.degree_cap + 1)]
-        # each draw below gives the values and generator state of the
-        # rng.uniform or rng.choice call named beside it
-        order = np.concatenate([members for members, _ in blocks])
-        for i in range(cls.sample_count):
-            parts = []
-            for members, root in blocks:
-                # rng.uniform(a, b, n) is (b - a) * rng.random(n) + a
-                raw = (1.0 - 0.5) * rng.random(members.shape[0]) + 0.5
-                # rng.choice((-1.0, 1.0), n) draws rng.integers(0, 2, n):
-                # the top bit of one buffered 32-bit draw per value, which
-                # a float32 draw also reads, as being >= 0.5
-                np.negative(raw, out=raw,
-                            where=rng.random(raw.shape[0], dtype=np.float32) < 0.5)
-                jitter = (1.0 - 0.8) * rng.random() + 0.8
-                # np.linalg.norm of a 1-D float array is sqrt(x.dot(x))
-                parts.append(raw / math.sqrt(raw.dot(raw)) * root * jitter)
-            c = np.zeros(idx.shape[0])
-            c[order] = np.concatenate(parts)
-            c /= max(float(np.max(np.abs(probe_B @ c))), 1e-30)
-            out.append(SeriesInput(idx, c, f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
+        count, n = cls.sample_count, idx.shape[0]
+        sizes = np.bincount(gmax, minlength=cls.degree_cap + 1)
+        order = np.argsort(gmax, kind="stable")  # block 0's members, then 1's, ...
+        # The stream of the per-input sampler, drawn in one call: for each
+        # input and degree block of n_g members it made the calls
+        # rng.uniform(0.5, 1.0, n_g) (kind 0), rng.choice((-1.0, 1.0), n_g)
+        # as n_g float32 draws (kind 1) and rng.uniform(0.8, 1.0) (kind 2).
+        per_input = np.repeat(np.tile([0, 1, 2], sizes.shape[0]),
+                              np.column_stack([sizes, sizes, np.ones_like(sizes)]).ravel())
+        kinds = np.tile(per_input, count)
+        signs = kinds == 1
+        # A float64 draw reads the next 64-bit word.  The first of two
+        # float32 draws reads a fresh word's low half and buffers its high
+        # half, which the second reads; the buffer persists across float64
+        # draws and starts empty in a new generator.
+        fresh = ~signs
+        fresh[signs] = np.arange(count * n) % 2 == 0
+        word = np.cumsum(fresh) - 1
+        raw = rng.bit_generator.random_raw(int(word[-1]) + 1)
+        # rng.random() is (w >> 11) * 2^-53 and rng.uniform(a, b) is
+        # (b - a) * rng.random() + a.  The rows stay C-contiguous: each
+        # block's norm below must be a unit-stride dot, as a strided one
+        # rounds differently.
+        unit = (raw >> 11) * 2.0 ** -53
+        mags = ((1.0 - 0.5) * unit[word[kinds == 0]] + 0.5).reshape(count, n)
+        jitter = ((1.0 - 0.8) * unit[word[kinds == 2]] + 0.8).reshape(count, -1)
+        # rng.choice((-1.0, 1.0), n) draws rng.integers(0, 2, n), the top bit
+        # of a 32-bit draw u: -1.0 where u < 2^31
+        halves = raw[word[signs & fresh]]
+        halves = np.column_stack([halves & 0xFFFFFFFF, halves >> 32]).ravel()
+        np.negative(mags, out=mags, where=halves[:count * n].reshape(count, n) < 2 ** 31)
+        state = rng.bit_generator.state
+        state["has_uint32"] = (count * n) % 2
+        state["uinteger"] = int(halves[-1])  # kept once read, as numpy does
+        rng.bit_generator.state = state
+        # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)), and a stacked
+        # (1, n) @ (n, 1) matmul makes the same dot call for each row
+        ends = np.cumsum(sizes)
+        norms = np.empty((count, sizes.shape[0]))
+        for g, (lo, hi) in enumerate(zip(ends - sizes, ends)):
+            block = mags[:, lo:hi]
+            norms[:, g] = np.sqrt(np.matmul(block[:, None, :], block[:, :, None]))[:, 0, 0]
+        c = np.zeros((count, n))
+        c[:, order] = (mags / np.repeat(norms, sizes, axis=1) * np.repeat(np.sqrt(masses), sizes)
+                       * np.repeat(jitter, sizes, axis=1))
+        for i in range(count):
+            c[i] /= max(float(np.max(np.abs(probe_B @ c[i]))), 1e-30)
+            out.append(SeriesInput(idx, c[i], f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
     else:  # sobolev_like
         decay = (1.0 + total) ** (-(cls.beta + 0.5))
         weight = (1.0 + total) ** cls.beta

@@ -30,6 +30,15 @@ from itertools import permutations
 import numpy as np
 
 
+def integer_size(v, name: str, least: int = 1) -> int:
+    """``v`` as a Python int, or a ValueError naming ``name``: a bool, a
+    non-integer or a value below ``least`` is refused.  NumPy integers are
+    accepted and converted, so sizes computed from them cannot wrap."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class SimplexId:
     """Cell of the triangulation: integer shift ``n`` and permutation ``rho``."""
@@ -57,11 +66,8 @@ class ScaledGrid:
 
     def __post_init__(self):
         for name in ("t", "N"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
             # a NumPy integer would wrap in node_count
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, integer_size(getattr(self, name), name))
         # the cell 2R/N is a float64
         if self.N > sys.float_info.max:
             raise ValueError(f"N must be at most the float64 maximum, got an "

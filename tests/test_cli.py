@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,17 @@ def test_build_min(tmp_path, capsys):
     assert depth(net) == 2
     err = capsys.readouterr().err
     assert "nonzeros=16" in err
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "min110.json"
+    done = subprocess.run([sys.executable, "-m", "funcrelu", "build-min", "--d", "110",
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "depth=109 nonzeros=12535" in done.stderr
+    assert count_nonzero(deserialize(out.read_bytes())) == 12535
 
 
 def test_build_spike_stdout(capsys):

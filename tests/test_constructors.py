@@ -36,10 +36,74 @@ from funcrelu.simplicial import (
 )
 
 
+def _reference_min_nets(d: int):
+    """The minimum networks on 2, 3, ..., d inputs by the recursion, which
+    rebuilds every earlier layer at each step: the reference for the
+    closed-form layers."""
+    layers = [(np.array([[0.0, 1.0], [0.0, -1.0], [-1.0, 1.0]]), np.zeros(3))]
+    a = np.array([[1.0, -1.0, -1.0]])
+    yield ReluNetwork(2, layers, a)
+    for k in range(3, d + 1):
+        new_layers = []
+        w0, _ = layers[0]
+        W = np.zeros((w0.shape[0] + 2, k))
+        W[: w0.shape[0], : k - 1] = w0
+        W[w0.shape[0], k - 1] = 1.0
+        W[w0.shape[0] + 1, k - 1] = -1.0
+        new_layers.append((W, np.zeros(W.shape[0])))
+        for wj, _ in layers[1:]:
+            W = np.zeros((wj.shape[0] + 2, wj.shape[1] + 2))
+            W[: wj.shape[0], : wj.shape[1]] = wj
+            W[wj.shape[0], wj.shape[1]] = 1.0
+            W[wj.shape[0] + 1, wj.shape[1] + 1] = 1.0
+            new_layers.append((W, np.zeros(W.shape[0])))
+        w_prev = new_layers[-1][0].shape[0]
+        W = np.zeros((3, w_prev))
+        W[0, w_prev - 2] = 1.0
+        W[1, w_prev - 1] = 1.0
+        W[2, : w_prev - 2] = -a[0]
+        W[2, w_prev - 2] = 1.0
+        W[2, w_prev - 1] = -1.0
+        new_layers.append((W, np.zeros(3)))
+        layers = new_layers
+        yield ReluNetwork(k, layers, a)
+
+
+def _reference_min_net(d: int) -> ReluNetwork:
+    *_, net = _reference_min_nets(d)
+    return net
+
+
+def _net_bits(net) -> list:
+    """Shape, dtype and bytes of every weight, shift and output array."""
+    arrays = [a for l in net.layers for a in (l.weights, l.shifts)] + [net.output]
+    return [net.input_dim] + [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
+
+
 class TestMinNet:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             build_min_net(1)
+
+    @pytest.mark.parametrize("build,name,bad", [
+        (build_min_net, "d", 3.0), (build_min_net, "d", True),
+        (build_min_net, "d", "3"), (build_min_net, "d", np.int64(1)),
+        (build_spike_net, "t", 2.0), (build_spike_net, "t", True),
+        (build_spike_net, "t", None), (build_spike_net, "t", np.int32(0))])
+    def test_non_integer_sizes_named(self, build, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build(bad)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert _net_bits(build_min_net(np.int64(5))) == _net_bits(build_min_net(5))
+        assert _net_bits(build_spike_net(np.int32(2))) == _net_bits(build_spike_net(2))
+
+    def test_closed_form_is_the_recursion(self):
+        for d, want in enumerate(_reference_min_nets(120), start=2):
+            net = build_min_net(d)
+            assert _net_bits(net) == _net_bits(want), d
+            assert depth(net) == d - 1
+            assert count_nonzero(net) == min_net_nonzeros(d) == d * d + 4 * d - 5
 
     def test_base_case(self):
         net = build_min_net(2)
@@ -74,6 +138,15 @@ class TestMinNet:
 
 
 class TestSpikeNet:
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_is_the_forms_over_the_reference_min_net(self, t):
+        mn = _reference_min_net(t * t + t)
+        want = ReluNetwork(t, [Layer(*spike_forms(t)), *mn.layers,
+                               Layer(mn.output, np.zeros(1))], np.array([[1.0]]))
+        net = build_spike_net(t)
+        assert _net_bits(net) == _net_bits(want)
+        assert [l.weights.shape for l in net.layers] == spike_layer_shapes(t)
+
     def test_one_dimensional_hat(self):
         net = build_spike_net(1)
         assert evaluate(net, np.array([0.0])) == 1.0

@@ -107,15 +107,20 @@ def _reference_coefficients(cls, s):
 
 
 class TestGenerateInputs:
+    # sample counts 1 and 2 at degree caps 0 and 32 end the hoelder_ball
+    # draw with numpy's buffered 32-bit half both set and clear
+    @pytest.mark.parametrize("count", [1, 2, 9])
     @pytest.mark.parametrize("seed", [0, 7, 11, 2024])
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("kind,beta,cap", [("hoelder_ball", 2.0, 32),
                                                ("hoelder_ball", 1.5, 5),
+                                               ("hoelder_ball", 2.0, 0),
+                                               ("hoelder_ball", 2.0, 1),
                                                ("sobolev_like", 1.5, 12),
                                                ("polynomial_ball", 3, 32)])
     def test_same_stream_as_the_per_input_sampler(self, kind, beta, cap, s, seed,
-                                                  monkeypatch):
-        cls = InputClass(kind, beta, 9, seed=seed, degree_cap=cap)
+                                                  count, monkeypatch):
+        cls = InputClass(kind, beta, count, seed=seed, degree_cap=cap)
         made = []
         real = np.random.default_rng
 
