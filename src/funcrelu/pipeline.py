@@ -363,16 +363,18 @@ def build_functional_net(functional: TargetFunctional,
                          block: Optional[ReluNetwork] = None) -> FunctionalNet:
     """Interpolation network for the discretized target over the grid.
 
-    mu is computed over runs of ``_NODE_RUN`` grid nodes, so no array of
-    all nodes is made; its time is ``metadata["mu_seconds"]``.  ``block``
-    is passed on to :func:`build_interpolation_net`."""
+    mu is computed over runs of ``_NODE_RUN`` grid nodes and written in
+    place into the one array of node values, so no other array of all
+    nodes is made; its time is ``metadata["mu_seconds"]``.  ``block`` is
+    passed on to :func:`build_interpolation_net`."""
     if grid.t != op.t:
         raise ValueError(f"grid dimension {grid.t} != operator size {op.t}")
     t0 = time.perf_counter()
     n = grid.node_count
-    values = np.concatenate([
-        mu_values(functional, op, grid.nodes(np.arange(lo, min(lo + _NODE_RUN, n))))
-        for lo in range(0, n, _NODE_RUN)])
+    values = np.empty(n)
+    for lo in range(0, n, _NODE_RUN):
+        hi = min(lo + _NODE_RUN, n)
+        values[lo:hi] = mu_values(functional, op, grid.nodes(np.arange(lo, hi)))
     mu_seconds = time.perf_counter() - t0
     spec = InterpolationSpec(grid, values)
     net = build_interpolation_net(spec, block)

@@ -7,18 +7,22 @@ A network with J hidden layers computes
 
 where each hidden layer applies its weight matrix, adds the shift vector
 and passes the result through relu componentwise.  The output stage is a
-plain matrix A with no shift; the scalar case is a 1-row A.  Weight
-matrices may be dense ndarrays or scipy CSR matrices; sparsity is an
-internal storage choice, never part of the contract.  An interpolation
-net stores the layers of one spike block, dense and read-only, and a grid
-that repeats it once per node (see :class:`ReluNetwork`); counts and
-values are those of the expanded net, which :func:`expand_blocks` writes
-out as CSR.  The pruned pass multiplies by a CSR form of each block layer,
-made on first use and kept on the layer; nets built from one block share
-its deeper layers, and so their forms (a rate experiment makes each form
-once).  scipy is imported only where a sparse matrix is made
-or combined, so building an interpolation net, counting its nonzeros and
-serializing it never load it.
+plain matrix A with no shift; the scalar case is a 1-row A.  It adds each
+output at each point over the last hidden units in ascending unit order,
+starting from 0.0, so its rounding follows neither the point chunks nor
+the BLAS thread count.  Weight matrices may be dense ndarrays or scipy
+CSR matrices; sparsity is an internal storage choice, never part of the
+contract.  An interpolation net stores the layers of one spike block,
+dense and read-only, and a grid that repeats it once per node (see
+:class:`ReluNetwork`); counts and values are those of the expanded net,
+which :func:`expand_blocks` writes out as CSR.  The pruned pass multiplies
+by a CSR form of each block layer, made on first use and kept on the
+layer; nets built from one block share its deeper layers, and so their
+forms (a rate experiment makes each form once).  It keeps one last-layer
+value per (point, candidate copy) pair, never an array over every copy.
+scipy is imported only where a sparse matrix is made or combined, so
+building an interpolation net, counting its nonzeros and serializing it
+never load it.
 """
 
 from __future__ import annotations
@@ -288,11 +292,33 @@ _PAIR_RUN = 4096
 
 
 def _chunk_points(net: ReluNetwork, max_batch_bytes: int) -> int:
-    """Points per chunk so that the widest full layer stays below
-    ``max_batch_bytes`` of float64 activations."""
-    width = max((_copies(net) * l.rows for l in net.layers),
-                default=net.input_dim)
+    """Points per chunk so that a chunk's working set stays below
+    ``max_batch_bytes`` of 8-byte entries.  Per point, the full pass holds
+    every unit of its widest layer, and then six entries per last-layer
+    unit: the unit, its point and unit indices, a copy of its value, its
+    output coefficient and the term (:func:`_output_stage`).  The pruned
+    pass holds the same per (point, copy) pair, at most 3^t pairs per
+    point, so its chunks follow its pairs, not the grid's copies."""
+    rows = [l.rows for l in net.layers] or [net.input_dim]
+    width = max(max(rows), 6 * rows[-1])
+    if net.grid is not None:
+        width *= 3 ** net.grid.t
     return max(1, int(max_batch_bytes // (8 * width)))
+
+
+def _output_stage(output, point, unit, value, points: int) -> np.ndarray:
+    """The output stage over (point, unit, value) triples of the last
+    hidden layer: (points, output_dim), where row r at each point adds
+    the terms ``output[r, unit] * value`` of that point's triples in their
+    order, starting from 0.0 (``np.bincount``).  Both passes give their
+    triples in ascending unit order, so each point's sum has one fixed
+    order, whatever the chunks and the BLAS thread count."""
+    res = np.empty((points, output.shape[0]))
+    for r in range(output.shape[0]):
+        row = output[r].toarray()[0] if _issparse(output) else output[r]
+        res[:, r] = np.bincount(point, weights=row[unit] * value,
+                                minlength=points)
+    return res
 
 
 def _full_forward(net: ReluNetwork, pts: np.ndarray,
@@ -301,7 +327,8 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
 
     The reference evaluation: :func:`forward` takes it for every net
     without a grid, and the tests compare the pruned path against it on
-    the net :func:`expand_blocks` writes out.
+    the net :func:`expand_blocks` writes out.  Its output stage adds each
+    point's terms over every last-layer unit in ascending unit order.
     """
     chunk = _chunk_points(net, max_batch_bytes)
     outs = []
@@ -311,7 +338,10 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
             h = layer.weights @ h
             h += layer.shifts[:, None]
             np.maximum(h, 0.0, out=h)
-        outs.append((net.output @ h).T)
+        units, points = h.shape
+        outs.append(_output_stage(net.output, np.arange(points).repeat(units),
+                                  np.tile(np.arange(units), points),
+                                  h.T.ravel(), points))
     return np.vstack(outs)
 
 
@@ -335,14 +365,15 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
 
     Runs the stored block of each layer over the (point, candidate) pairs
     from :func:`funcrelu.simplicial.support_pairs`, adding each candidate's
-    own first-layer shifts, then scatters the last hidden layer into a zero
-    (copies x points) array and applies the output stage as the full pass
-    does.  A copy left out has a negative first-layer form at the point, so
-    in the full pass the minimum recursion gives it an exact 0: the output
-    stage sees the same numbers.  Point chunks match the full pass, and no
-    chunk holds more activations than the full pass would.
+    own first-layer shifts, keeps one last-layer value per pair and hands
+    the pairs, in ascending node order per point, to the output stage the
+    full pass ends in.  No array spans the grid's copies.  A copy left out
+    has a negative first-layer form at the point, so in the full pass the
+    minimum recursion gives it an exact 0, and its term an exact +-0; a
+    sum that starts from 0.0 never becomes -0.0, so adding such a term
+    leaves it as it is, and the candidates' sum is the full pass's bit for
+    bit.  Chunks hold a bounded number of pairs (:func:`_chunk_points`).
     """
-    n = net.grid.node_count
     first = _csr_form(net.layers[0])
     deeper = [(_csr_form(l), l.shifts[:, None]) for l in net.layers[1:]]
     chunk = _chunk_points(net, max_batch_bytes)
@@ -350,7 +381,7 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
     for lo in range(0, pts.shape[0], chunk):
         part = pts[lo : lo + chunk]
         point, node = support_pairs(part, net.grid)
-        last = np.zeros((n, part.shape[0]))
+        value = np.empty(point.shape[0])
         # pairs are independent columns; short runs of them keep each
         # layer's activations in cache
         for a in range(0, point.shape[0], _PAIR_RUN):
@@ -362,8 +393,8 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
                 h = w @ h
                 h += b
                 np.maximum(h, 0.0, out=h)
-            last[c, p] = h[0]
-        outs.append((net.output @ last).T)
+            value[a : a + _PAIR_RUN] = h[0]
+        outs.append(_output_stage(net.output, point, node, value, part.shape[0]))
     return np.vstack(outs)
 
 
@@ -372,11 +403,12 @@ def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> 
 
     ``x`` is one point of shape (input_dim,) or a batch (n, input_dim);
     returns (output_dim,) or (n, output_dim).  Wide networks are evaluated
-    in chunks so the activation buffer stays below ``max_batch_bytes``.
-    An interpolation net (``net.grid`` set) runs only the spike copies
-    whose support holds each point, with the same result as running all
-    of them.  Non-finite inputs, and finite ones whose value overflows
-    float64, raise ValueError.
+    in chunks of points so a chunk's working set stays below
+    ``max_batch_bytes`` (see :func:`_chunk_points`).  An interpolation net
+    (``net.grid`` set) runs only the spike copies whose support holds each
+    point, with the same result as running all of them.  Non-finite
+    inputs, and finite ones whose value overflows float64, raise
+    ValueError.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1

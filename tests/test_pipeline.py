@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -718,3 +719,53 @@ def test_node_runs_give_the_one_thread_one_piece_mu_values():
         # (OpenBLAS 0.3.31 does at m=1, N=32); the runs keep the one-thread
         # values
         assert digests["2"][shape][0] == runs, shape
+
+
+def test_node_values_written_in_place():
+    # 10^6 nodes at t=1: the node values (8 MB) outweigh one run's working
+    # set, so a second array of all nodes would show in the peak
+    op = make_operator(1, 0)
+    F = verify._rate_config(functional_kind="inner").functional.bind(op.rule)
+    grid = ScaledGrid(op.t, 1.0, 999_999)
+    run = pipeline_module._NODE_RUN
+    tracemalloc.start()
+    try:
+        mu_values(F, op, grid.nodes(np.arange(run)))
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        values = build_functional_net(F, op, grid).spec.node_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * values.nbytes + run_peak
+    assert np.array_equal(values[:run], mu_values(F, op, grid.nodes(np.arange(run))))
+
+
+# The seed-7 'inner' report at m=2, N=8, as the reprs of its rows without
+# their timings.
+_THREADS_SCRIPT = """
+import json
+from dataclasses import replace
+from funcrelu import pipeline, verify
+
+cfg = replace(verify._rate_config(functional_kind="inner"), m_values=(2,),
+              N_values=(8,))
+timing = {"wall_seconds", "mu_seconds", "build_seconds", "eval_seconds",
+          "oracle_seconds"}
+rows = [{k: repr(v) for k, v in vars(r).items() if k not in timing}
+        for r in pipeline.run_rate_experiment(cfg).rows]
+print(json.dumps(rows))
+"""
+
+
+def test_seed7_report_does_not_follow_the_blas_thread_count():
+    src = Path(pipeline_module.__file__).resolve().parents[1]
+    rows = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-W", "error", "-c", _THREADS_SCRIPT],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        rows[threads] = json.loads(done.stdout)
+    assert [(r["m"], r["N"], r["status"]) for r in rows["1"]] == [("2", "8", "'ok'")]
+    assert rows["1"] == rows["2"]

@@ -37,7 +37,7 @@ from funcrelu.relu_net import (
     pad_to_depth,
     serialize,
 )
-from funcrelu.simplicial import ScaledGrid, spike
+from funcrelu.simplicial import ScaledGrid, spike, support_pairs
 
 
 def random_net(rng, input_dim, widths, out_rows=1, density=1.0):
@@ -610,6 +610,25 @@ def test_malformed_v2_document_named(edit):
         deserialize(raw)
 
 
+def test_full_pass_output_stage_within_the_budget():
+    # the last layer is the widest: its output stage's index and term
+    # arrays must fit the budget beside it
+    rng = np.random.default_rng(33)
+    net = ReluNetwork(4, [Layer(rng.standard_normal((4000, 4)), np.zeros(4000))],
+                      rng.standard_normal((1, 4000)))
+    X = rng.uniform(-1.0, 1.0, (2000, 4))
+    budget = 16 << 20
+    tracemalloc.start()
+    try:
+        chunked = forward(net, X, max_batch_bytes=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * budget
+    # dense layers go through BLAS, whose rounding may follow the chunk
+    np.testing.assert_allclose(chunked, forward(net, X), rtol=1e-12, atol=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3))
 def test_forward_deterministic_and_pure(seed, dim, layers):
@@ -672,8 +691,8 @@ class TestPrunedForward:
         assert nonzero_breakdown(back) == nonzero_breakdown(net)
         reference = expand_blocks(net)
         full = relu_net._full_forward(reference, X)
-        # same chunks, same block weights, exact zeros elsewhere: bit-equal,
-        # which is within 1e-15 * max(1, max |node value|)
+        # one summation order, same block weights, exact zeros elsewhere:
+        # bit-equal, which is within 1e-15 * max(1, max |node value|)
         assert np.array_equal(pruned, full), np.abs(pruned - full).max()
         for x in X[:: max(1, len(X) // 3)]:
             assert np.array_equal(forward(net, x),
@@ -695,7 +714,6 @@ class TestPrunedForward:
         grid = ScaledGrid(3, 1.0, 4)
         net = build_interpolation_net(
             InterpolationSpec(grid, rng.standard_normal(grid.node_count)))
-        n = grid.node_count
         widest_block = max(l.rows for l in net.layers)
         budget = 1 << 17
         runs = []
@@ -711,10 +729,76 @@ class TestPrunedForward:
         pruned = forward(net, X, max_batch_bytes=budget)
         assert len(runs) > 1
         for points, pairs in runs:
-            assert 8 * n * points <= budget
+            # a chunk's pairs, run at once, would hold their activations
+            assert 8 * pairs * widest_block <= budget
             assert 8 * min(pairs, relu_net._PAIR_RUN) * widest_block <= budget
         assert np.array_equal(pruned,
                               relu_net._full_forward(expand_blocks(net), X, budget))
+
+    def test_chunks_follow_pairs_not_copies(self, monkeypatch):
+        # 35 937 copies; a (copies x points) chunk under this budget would
+        # hold less than one point
+        rng = np.random.default_rng(31)
+        grid = ScaledGrid(3, 1.0, 32)
+        net = build_interpolation_net(
+            InterpolationSpec(grid, rng.standard_normal(grid.node_count)))
+        widest_block = max(l.rows for l in net.layers)
+        budget = 1 << 20
+        chunk = budget // (8 * 3**3 * widest_block)
+        sizes = []
+        real = relu_net.support_pairs
+
+        def recording(pts, g):
+            sizes.append(pts.shape[0])
+            return real(pts, g)
+
+        monkeypatch.setattr(relu_net, "support_pairs", recording)
+        X = rng.uniform(-1.0, 1.0, (2 * chunk + 5, 3))
+        chunked = forward(net, X, max_batch_bytes=budget)
+        assert sizes == [chunk, chunk, 5]
+        sizes.clear()
+        assert np.array_equal(chunked, forward(net, X))
+        assert sizes == [X.shape[0]]
+
+    def test_peak_memory_does_not_follow_the_copies(self):
+        rng = np.random.default_rng(32)
+        X = rng.uniform(-1.0, 1.0, (64, 3))
+        peaks = {}
+        for N in (4, 32):
+            grid = ScaledGrid(3, 1.0, N)
+            net = build_interpolation_net(
+                InterpolationSpec(grid, rng.standard_normal(grid.node_count)))
+            forward(net, X[:1])  # makes the block's CSR forms
+            tracemalloc.start()
+            try:
+                forward(net, X)
+                peaks[N] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 35 937 copies x 64 points of float64 would be 18.4 MB
+        assert peaks[32] <= peaks[4] + (16 << 10), peaks
+        assert peaks[32] < 1 << 20, peaks
+
+    @pytest.mark.parametrize("t,N,R", [(2, 3, 1.0), (2, 5, 0.8), (3, 2, 1.3),
+                                       (3, 4, 1.1969)])
+    def test_sums_each_point_in_ascending_node_order(self, t, N, R):
+        rng = np.random.default_rng(100 * t + N)
+        grid = ScaledGrid(t, R, N)
+        values = rng.uniform(-3.0, 3.0, grid.node_count)
+        net = build_interpolation_net(InterpolationSpec(grid, values))
+        X = equivalence_points(rng, grid, 2)
+        # every copy's last hidden unit: each identity row has one term
+        expanded = expand_blocks(net)
+        psi = relu_net._full_forward(
+            ReluNetwork(t, expanded.layers, np.eye(grid.node_count)), X)
+        point, node = support_pairs(X, grid)
+        want = []
+        for p in range(X.shape[0]):
+            total = 0.0
+            for i in np.sort(node[point == p]):
+                total += float(values[i]) * float(psi[p, i])
+            want.append(total)
+        assert np.array_equal(forward(net, X)[:, 0], want)
 
     def test_only_a_reloaded_net_keeps_the_grid(self):
         grid = ScaledGrid(2, 1.0, 2)
