@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .relu_net import Layer, ReluNetwork
-from .simplicial import ScaledGrid, integer_size, spike, spike_forms, support_pairs
+from .simplicial import (ScaledGrid, integer_size, point_batch, spike, spike_forms,
+                         support_pairs)
 
 
 def build_min_net(d: int) -> ReluNetwork:
@@ -146,12 +147,12 @@ def build_interpolation_net(spec: InterpolationSpec,
 
 def interpolant_values(spec: InterpolationSpec, y: np.ndarray) -> np.ndarray:
     """Direct evaluation of the interpolant formula (no network): sums
-    node_value(xi) * spike((y - xi) / cell) over the <= 3^t nodes whose
-    spike can be nonzero at y, in ascending node order."""
+    node_value(xi) * spike((y - xi) / cell) over the nodes whose spike can
+    be nonzero at y, in ascending node order: t + 1 nodes at a generic
+    point, at most 2^(t+1) - 1 anywhere.  ``y`` is one point (t,) or a
+    batch (n, t); any other shape raises ValueError."""
     grid = spec.grid
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = y[None, :] if single else y
+    pts, single = point_batch(y, grid.t)
     point, node = support_pairs(pts, grid)
     psi = spike((pts[point] - grid.nodes(node)) / grid.h)
     # bincount adds each point's terms in pair order, starting from 0.0

@@ -18,8 +18,10 @@ dense and read-only, and a grid that repeats it once per node (see
 which :func:`expand_blocks` writes out as CSR.  The pruned pass multiplies
 by a CSR form of each block layer, made on first use and kept on the
 layer; nets built from one block share its deeper layers, and so their
-forms (a rate experiment makes each form once).  It keeps one last-layer
-value per (point, candidate copy) pair, never an array over every copy.
+forms (a rate experiment makes each form once).  Its candidate copies at
+a point are the vertices of the point's simplex: t + 1 at a generic
+point, at most 2^(t+1) - 1 anywhere.  It keeps one last-layer value per
+(point, candidate copy) pair, never an array over every copy.
 scipy is imported only where a sparse matrix is made or combined, so
 building an interpolation net, counting its nonzeros and serializing it
 never load it.
@@ -36,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .simplicial import ScaledGrid, spike_forms, support_pairs
+from .simplicial import ScaledGrid, point_batch, spike_forms, support_pairs
 
 FORMAT_VERSION = 1
 # a grid net: its stored block, its output row and its grid
@@ -297,12 +299,13 @@ def _chunk_points(net: ReluNetwork, max_batch_bytes: int) -> int:
     every unit of its widest layer, and then six entries per last-layer
     unit: the unit, its point and unit indices, a copy of its value, its
     output coefficient and the term (:func:`_output_stage`).  The pruned
-    pass holds the same per (point, copy) pair, at most 3^t pairs per
-    point, so its chunks follow its pairs, not the grid's copies."""
+    pass holds the same per (point, copy) pair, at most 2^(t+1) - 1 pairs
+    per point (:func:`funcrelu.simplicial.support_pairs`), so its chunks
+    follow its pairs, not the grid's copies."""
     rows = [l.rows for l in net.layers] or [net.input_dim]
     width = max(max(rows), 6 * rows[-1])
     if net.grid is not None:
-        width *= 3 ** net.grid.t
+        width *= 2 ** (net.grid.t + 1) - 1
     return max(1, int(max_batch_bytes // (8 * width)))
 
 
@@ -319,6 +322,12 @@ def _output_stage(output, point, unit, value, points: int) -> np.ndarray:
         res[:, r] = np.bincount(point, weights=row[unit] * value,
                                 minlength=points)
     return res
+
+
+def _stack(outs, net: ReluNetwork) -> np.ndarray:
+    """The chunks' (points, output_dim) results as one array; no chunk
+    (an empty batch) gives (0, output_dim)."""
+    return np.vstack(outs) if outs else np.empty((0, net.output_dim))
 
 
 def _full_forward(net: ReluNetwork, pts: np.ndarray,
@@ -342,19 +351,26 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
         outs.append(_output_stage(net.output, np.arange(points).repeat(units),
                                   np.tile(np.arange(units), points),
                                   h.T.ravel(), points))
-    return np.vstack(outs)
+    return _stack(outs, net)
 
 
 def _csr_form(layer: Layer):
-    """The CSR matrix the pruned pass multiplies a block layer by:
-    ``sp.csr_matrix(layer.weights)``, made on first use and kept on the
-    layer while its weights are the same object (a grid net's block is
-    read-only, so the form cannot go stale)."""
+    """The CSR matrix the pruned pass multiplies a block layer by, the
+    arrays of ``sp.csr_matrix(layer.weights)`` written straight from the
+    nonzeros in row-major order, with no COO step; made on first use and
+    kept on the layer while its weights are the same object (a grid net's
+    block is read-only, so the form cannot go stale)."""
     w = layer.weights
     if layer._csr is None or layer._csr[0] is not w:
         import scipy.sparse as sp
 
-        layer._csr = (w, sp.csr_matrix(w))
+        row, col = np.nonzero(w)
+        # a block is at most a few thousand units wide: int32 indices,
+        # the type csr_matrix picks for it
+        indptr = np.zeros(w.shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row, minlength=w.shape[0]), out=indptr[1:])
+        layer._csr = (w, sp.csr_matrix((w[row, col], col.astype(np.int32), indptr),
+                                       shape=w.shape))
     return layer._csr[1]
 
 
@@ -395,7 +411,7 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
                 np.maximum(h, 0.0, out=h)
             value[a : a + _PAIR_RUN] = h[0]
         outs.append(_output_stage(net.output, point, node, value, part.shape[0]))
-    return np.vstack(outs)
+    return _stack(outs, net)
 
 
 def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> np.ndarray:
@@ -406,17 +422,11 @@ def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> 
     in chunks of points so a chunk's working set stays below
     ``max_batch_bytes`` (see :func:`_chunk_points`).  An interpolation net
     (``net.grid`` set) runs only the spike copies whose support holds each
-    point, with the same result as running all of them.  Non-finite
-    inputs, and finite ones whose value overflows float64, raise
-    ValueError.
+    point, with the same result as running all of them.  An empty batch
+    gives (0, output_dim).  Any other shape of ``x``, non-finite inputs,
+    and finite ones whose value overflows float64, raise ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != net.input_dim:
-        raise ValueError(
-            f"input has dimension {pts.shape[1]}, network expects {net.input_dim}"
-        )
+    pts, single = point_batch(x, net.input_dim)
     _check_finite(pts, "input points")
     # an overflow shows as inf or nan in the result, checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -431,17 +441,20 @@ def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> 
 
 
 def evaluate(net: ReluNetwork, x: np.ndarray) -> float:
-    """Scalar network value at one point; requires a single output row."""
+    """Scalar network value at one point (input_dim,); requires a single
+    output row."""
     if net.output_dim != 1:
         raise ValueError("evaluate is for scalar networks; use forward")
-    return float(forward(net, np.asarray(x, dtype=float))[0])
+    pts, _ = point_batch(x, net.input_dim, (1,))
+    return float(forward(net, pts)[0, 0])
 
 
 def evaluate_batch(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
     """Scalar values for a batch (n, input_dim) -> (n,)."""
     if net.output_dim != 1:
         raise ValueError("evaluate_batch is for scalar networks; use forward")
-    return forward(net, x)[:, 0]
+    pts, _ = point_batch(x, net.input_dim, (2,))
+    return forward(net, pts)[:, 0]
 
 
 def _vstack(mats):

@@ -113,12 +113,24 @@ class ScaledGrid:
                                         (self.N + 1,) * self.t))
 
 
+def point_batch(x, dim: int, ndims=(1, 2)):
+    """``x`` as a float batch (n, dim), and whether it was one point.
+
+    ``ndims`` holds the accepted array ranks: 1 for one point (dim,), 2
+    for a batch (n, dim).  Any other shape raises a ValueError naming the
+    accepted ones.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in ndims or x.shape[-1] != dim:
+        want = " or ".join(("", f"({dim},)", f"(n, {dim})")[k] for k in ndims)
+        raise ValueError(f"points must have shape {want}, got {x.shape}")
+    return (x[None, :] if x.ndim == 1 else x), x.ndim == 1
+
+
 def _finite_points(y, grid: ScaledGrid) -> np.ndarray:
-    """y as an (n, t) float batch; rejects a wrong dimension or a
-    non-finite coordinate."""
-    pts = np.atleast_2d(np.asarray(y, dtype=float))
-    if pts.shape[1] != grid.t:
-        raise ValueError(f"points have dimension {pts.shape[1]}, grid is {grid.t}")
+    """y, one point (t,) or a batch (n, t), as an (n, t) float batch;
+    rejects any other shape or a non-finite coordinate."""
+    pts, _ = point_batch(y, grid.t)
     bad = ~np.isfinite(pts).all(axis=1)
     if bad.any():
         raise ValueError(f"point {int(np.argmax(bad))} has a non-finite coordinate")
@@ -165,17 +177,24 @@ def locate(y, grid: ScaledGrid) -> SimplexId:
     return sid
 
 
-# Slack, in cells, added to each side of a spike's support when choosing
-# candidate nodes.  It is far above the rounding of an interpolation net's
-# first layer (a few ulp of N + 2), so every node it leaves out has a
-# first-layer form below zero there, and its spike block outputs exact 0.
+# Slack, in cells, added to each inequality of a spike's support when
+# choosing candidate nodes.  It is far above the rounding of an
+# interpolation net's first layer (a few ulp of N + 2), so every node it
+# leaves out has a first-layer form below zero there, and its spike block
+# outputs exact 0.
 SUPPORT_SLACK = 1e-6
 
 
 def support_pairs(y, grid: ScaledGrid):
     """(point, node) index pairs of every grid node whose spike can be
-    nonzero at a point: on each axis |y - xi| <= (1 + SUPPORT_SLACK) * h,
-    which holds for at most 3 nodes per axis, so at most 3^t per point.
+    nonzero at a point.
+
+    With u = (y + R)/h and d = u - i the offset of node i in cells, the
+    spike of node i is nonzero only where |d_k| <= 1 on each axis and
+    max_k d_k - min_k d_k <= 1; a pair is kept while both hold within
+    SUPPORT_SLACK.  Those are the vertices of the point's simplex: t + 1
+    pairs at a generic point, and at most 2^(t+1) - 1 anywhere (the
+    nodes i with u - i in {0, 1}^t or {-1, 0}^t at a lattice node).
 
     Pairs come point by point, nodes in ascending flat (C order) index.
     Rejects non-finite points; a finite point more than one cell outside
@@ -189,11 +208,19 @@ def support_pairs(y, grid: ScaledGrid):
     hi = np.minimum(np.floor(u + 1.0 + SUPPORT_SLACK), grid.N).astype(np.int64)
     point = np.arange(pts.shape[0])
     node = np.zeros(pts.shape[0], dtype=np.int64)
+    # each pair's largest and smallest offset over the axes so far
+    top = np.full(pts.shape[0], -np.inf)
+    bottom = np.full(pts.shape[0], np.inf)
     for k in range(grid.t):
         cand = lo[point, k, None] + np.arange(3)
-        keep = cand <= hi[point, k, None]
+        d = u[point, k, None] - cand
+        d_top = np.maximum(top[:, None], d)
+        d_bottom = np.minimum(bottom[:, None], d)
+        keep = ((cand <= hi[point, k, None])
+                & (d_top - d_bottom <= 1.0 + SUPPORT_SLACK))
         point = np.broadcast_to(point[:, None], keep.shape)[keep]
         node = (node[:, None] * (grid.N + 1) + cand)[keep]
+        top, bottom = d_top[keep], d_bottom[keep]
     return point, node
 
 

@@ -37,7 +37,8 @@ from funcrelu.relu_net import (
     pad_to_depth,
     serialize,
 )
-from funcrelu.simplicial import ScaledGrid, spike, support_pairs
+from funcrelu.constructors import interpolant_values
+from funcrelu.simplicial import SUPPORT_SLACK, ScaledGrid, spike, support_pairs
 
 
 def random_net(rng, input_dim, widths, out_rows=1, density=1.0):
@@ -670,6 +671,18 @@ def equivalence_points(rng, grid, k):
     return np.vstack([inside, nodes, faces, boundary, outside])
 
 
+def _box_pairs(X, grid):
+    """(point, node) pairs of the per-axis window alone: every node within
+    (1 + SUPPORT_SLACK) cells of the point on each axis, the 2^t to 3^t
+    nodes support_pairs chose before it checked the spike's pair forms."""
+    u = np.clip((X + grid.R) / grid.h, -2.0, grid.N + 2.0)
+    lo = np.maximum(np.ceil(u - 1.0 - SUPPORT_SLACK), 0)
+    hi = np.minimum(np.floor(u + 1.0 + SUPPORT_SLACK), grid.N)
+    idx = np.stack(np.unravel_index(np.arange(grid.node_count),
+                                    (grid.N + 1,) * grid.t), axis=-1)
+    return np.nonzero(((idx >= lo[:, None]) & (idx <= hi[:, None])).all(axis=2))
+
+
 class TestPrunedForward:
     """The pruned pass of interpolation nets against the full layer loop."""
 
@@ -709,6 +722,44 @@ class TestPrunedForward:
         assert np.array_equal(forward(net, X),
                               relu_net._full_forward(expand_blocks(net), X))
 
+    @pytest.mark.parametrize("t,N", [(2, 6), (3, 4), (4, 2), (5, 2), (7, 2)])
+    def test_every_dropped_pair_is_an_exact_zero(self, t, N):
+        # the grid of test_lattice_nodes_of_a_non_dyadic_grid, at more t
+        grid = ScaledGrid(t, 1.295091801838947, N)
+        rng = np.random.default_rng(40 + t)
+        X = equivalence_points(rng, grid, 6)
+        # on a diagonal face of the triangulation: two offsets one cell apart
+        diagonal = rng.uniform(-grid.R, grid.R - grid.h, (6, t))
+        diagonal[:, 1] = diagonal[:, 0] + grid.h
+        X = np.vstack([X, diagonal])
+        box_point, box_node = _box_pairs(X, grid)
+        point, node = support_pairs(X, grid)
+        kept = set(zip(point.tolist(), node.tolist()))
+        box = list(zip(box_point.tolist(), box_node.tolist()))
+        assert kept <= set(box)
+        p, i = np.array([pair for pair in box if pair not in kept]).T
+        # a generic point inside keeps t + 1 of its 2^t box nodes
+        assert np.all(np.bincount(p, minlength=len(X))[:6] == 2**t - t - 1)
+        assert np.all(spike((X[p] - grid.nodes(i)) / grid.h) == 0.0)
+        # every copy's last hidden unit: each identity row has one term
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        copies = relu_net._full_forward(
+            ReluNetwork(t, expand_blocks(net).layers, np.eye(grid.node_count)), X)
+        assert np.all(copies[p, i] == 0.0)
+
+    def test_empty_batch_on_both_passes_and_the_oracle(self):
+        grid = ScaledGrid(2, 1.0, 4)
+        spec = InterpolationSpec(grid, np.arange(grid.node_count, dtype=float))
+        net = build_interpolation_net(spec)
+        X = np.empty((0, 2))
+        for got in (forward(net, X), forward(expand_blocks(net), X),
+                    relu_net._full_forward(expand_blocks(net), X)):
+            assert got.shape == (0, 1)
+        assert evaluate_batch(net, X).shape == (0,)
+        assert interpolant_values(spec, X).shape == (0,)
+        plain = random_net(np.random.default_rng(3), 2, [4], out_rows=3)
+        assert forward(plain, X).shape == (0, 3)
+
     def test_multi_chunk_batch_and_activation_budget(self, monkeypatch):
         rng = np.random.default_rng(30)
         grid = ScaledGrid(3, 1.0, 4)
@@ -744,7 +795,8 @@ class TestPrunedForward:
             InterpolationSpec(grid, rng.standard_normal(grid.node_count)))
         widest_block = max(l.rows for l in net.layers)
         budget = 1 << 20
-        chunk = budget // (8 * 3**3 * widest_block)
+        # at most 2^(t+1) - 1 = 15 candidate pairs per point
+        chunk = budget // (8 * (2**4 - 1) * widest_block)
         sizes = []
         real = relu_net.support_pairs
 
@@ -820,7 +872,7 @@ class TestBlockCsrForm:
     """The CSR form of a grid net's dense block that the pruned pass
     multiplies by."""
 
-    @pytest.mark.parametrize("t,N", [(1, 4), (2, 3), (3, 2), (5, 2)])
+    @pytest.mark.parametrize("t,N", [(1, 4), (2, 3), (3, 2), (5, 2), (7, 2)])
     def test_is_the_csr_matrix_of_each_block_layer(self, t, N):
         grid = ScaledGrid(t, 1.295091801838947, N)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
@@ -829,6 +881,7 @@ class TestBlockCsrForm:
             for layer in got.layers:
                 assert isinstance(layer.weights, np.ndarray)
                 form, want = relu_net._csr_form(layer), sp.csr_matrix(layer.weights)
+                assert form.shape == want.shape and form.has_canonical_format
                 for part in ("data", "indices", "indptr"):
                     a, b = getattr(form, part), getattr(want, part)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
@@ -966,6 +1019,34 @@ class TestGridShifts:
         ReluNetwork(2, [first], np.ones((1, 1)))
         with pytest.raises(ValueError, match=r"not one spike block on R\^2, with 6 first"):
             ReluNetwork(2, [first], np.ones((1, n)), grid=grid)
+
+
+class TestPointShapes:
+    """A point array of the wrong rank names the shapes it should have."""
+
+    def test_forward_of_a_scalar(self):
+        with pytest.raises(ValueError, match=r"shape \(2,\) or \(n, 2\), got \(\)"):
+            forward(zero_net(2), 0.3)
+
+    def test_forward_of_a_rank_3_array(self):
+        with pytest.raises(ValueError, match=r"shape \(2,\) or \(n, 2\), got \(2, 2, 2\)"):
+            forward(zero_net(2), np.zeros((2, 2, 2)))
+
+    def test_evaluate_of_a_batch(self):
+        grid = ScaledGrid(2, 1.0, 2)
+        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        with pytest.raises(ValueError, match=r"shape \(2,\), got \(3, 2\)"):
+            evaluate(net, np.zeros((3, 2)))
+
+    def test_evaluate_batch_of_one_point(self):
+        with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(2,\)"):
+            evaluate_batch(zero_net(2), np.zeros(2))
+
+    def test_interpolant_values_of_a_scalar(self):
+        grid = ScaledGrid(1, 1.0, 2)
+        spec = InterpolationSpec(grid, np.ones(grid.node_count))
+        with pytest.raises(ValueError, match=r"shape \(1,\) or \(n, 1\), got \(\)"):
+            interpolant_values(spec, 0.3)
 
 
 class TestNonFiniteInput:

@@ -113,7 +113,13 @@ class TestSupportPairs:
         psi = spike((Y[:, None, :] - nodes[None, :, :]) / grid.h)
         assert set(zip(*np.nonzero(psi > 0))) <= set(zip(point, node))
         counts = np.bincount(point, minlength=len(Y))
-        assert counts.max() <= 3**t
+        # the vertices of each point's simplex: 2^(t+1) - 1 at a lattice
+        # node, t + 1 at a generic point inside the cube
+        assert counts.max() <= 2 ** (t + 1) - 1
+        assert counts[300 + grid.node_index((1,) * t)] == 2 ** (t + 1) - 1
+        interior = np.all(np.abs(Y[:300]) < R, axis=1)
+        assert interior.sum() > 50
+        assert np.all(counts[:300][interior] == t + 1)
         # point by point, nodes ascending
         assert np.all(np.diff(point) >= 0)
         assert np.all(np.diff(node)[np.diff(point) == 0] > 0)
