@@ -39,12 +39,14 @@ from .pipeline import (
     ExperimentReport,
     FunctionalNet,
     InputClass,
+    LinearForm,
     PowerModulus,
     TargetFunctional,
     build_functional_net,
     evaluate_functional_net,
     generate_inputs,
     inner_product_functional,
+    linear_functional,
     run_rate_experiment,
     sin_inner_product_functional,
 )

@@ -53,7 +53,7 @@ from .relu_net import (
     evaluate_batch,
     serialize,
 )
-from .simplicial import ScaledGrid
+from .simplicial import ScaledGrid, point_batch
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,27 @@ class PowerModulus:
 
 
 @dataclass(frozen=True)
+class LinearForm:
+    """F(f) = psi(integral of f * g).
+
+    ``g`` is the weight, a function on [-1, 1]^s, and ``psi`` the outer
+    map, applied elementwise to a float array.  On a rule the integral is
+    the node samples dotted with ``weights(rule)``, the rule's weights
+    times g at its nodes.
+    """
+
+    g: Callable
+    psi: Callable
+
+    def weights(self, rule: GaussRule) -> np.ndarray:
+        return rule.weights * np.asarray(self.g(rule.points), dtype=float).ravel()
+
+    def sampled(self, gw: np.ndarray) -> Callable:
+        """The functional on node samples of the rule whose weights are ``gw``."""
+        return lambda values: self.psi(np.asarray(values, dtype=float) @ gw)
+
+
+@dataclass(frozen=True)
 class TargetFunctional:
     """Functional evaluated from samples of the input at quadrature nodes.
 
@@ -85,17 +106,33 @@ class TargetFunctional:
     product) before it returns.  ``bind(rule)`` does that once and keeps
     the result; ``omega`` is a known upper bound on the modulus of
     continuity.
+
+    ``linear``, when set, declares F(f) = psi(integral of f * g) and
+    ``form`` is derived from it (see :func:`linear_functional`); mu is then
+    psi of a dot product of the coefficient vector (:func:`mu_values`).
+    A functional declared only by ``form`` gets mu by quadrature.
     """
 
     name: str
     form: Callable
     omega: PowerModulus
+    linear: Optional[LinearForm] = None
     bound_rule: Optional[GaussRule] = field(default=None, repr=False, compare=False)
     bound_form: Optional[Callable] = field(default=None, repr=False, compare=False)
+    bound_weights: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def bind(self, rule: GaussRule) -> "TargetFunctional":
-        """The same functional with its form for ``rule`` computed once."""
-        return replace(self, bound_rule=rule, bound_form=self.form(rule))
+        """The same functional with its form for ``rule`` computed once,
+        and for a linear form its weights on the rule."""
+        if self.linear is None:
+            return replace(self, bound_rule=rule, bound_form=self.form(rule))
+        gw = self.linear.weights(rule)
+        return replace(self, bound_rule=rule, bound_form=self.linear.sampled(gw),
+                       bound_weights=gw)
+
+    def weighted_g(self, rule: GaussRule) -> np.ndarray:
+        """The linear form's weights on ``rule``, kept by ``bind``."""
+        return self.bound_weights if rule is self.bound_rule else self.linear.weights(rule)
 
     def apply_sampled(self, values, rule: GaussRule):
         form = self.bound_form if rule is self.bound_rule else self.form(rule)
@@ -103,6 +140,23 @@ class TargetFunctional:
 
     def __call__(self, f: InputFunction, rule: GaussRule) -> float:
         return float(self.apply_sampled(f(rule.points), rule))
+
+
+def linear_functional(name: str, g: Callable, psi: Callable,
+                      omega: PowerModulus) -> TargetFunctional:
+    """F(f) = psi(integral of f * g), its ``form`` and its ``linear``
+    field both made from (g, psi)."""
+    linear = LinearForm(g, psi)
+    return TargetFunctional(name, lambda rl: linear.sampled(linear.weights(rl)),
+                            omega, linear)
+
+
+def _identity(x):
+    return x
+
+
+def _zero_weight(x):
+    return np.zeros(np.shape(x)[0])
 
 
 def inner_product_functional(g: InputFunction, rule: GaussRule,
@@ -114,33 +168,22 @@ def inner_product_functional(g: InputFunction, rule: GaussRule,
         c = float(np.max(np.abs(g(rule.points))))
     else:
         c = lp_norm(g, q, rule)
-
-    def form(rl):
-        gw = rl.weights * np.asarray(g(rl.points), dtype=float).ravel()
-        return lambda values: np.asarray(values, dtype=float) @ gw
-
-    return TargetFunctional(name or f"inner-product[{g.tag}]",
-                            form, PowerModulus(c, 1.0))
+    return linear_functional(name or f"inner-product[{g.tag}]", g, _identity,
+                             PowerModulus(c, 1.0))
 
 
 def sin_inner_product_functional(g: InputFunction, rule: GaussRule,
                                  p: float = 2.0) -> TargetFunctional:
     """F(f) = sin(integral of f * g); shares the inner product's modulus."""
     base = inner_product_functional(g, rule, p)
-
-    def form(rl):
-        inner = base.form(rl)
-        return lambda values: np.sin(inner(values))
-
-    return TargetFunctional(f"sin-inner-product[{g.tag}]", form, base.omega)
+    return linear_functional(f"sin-inner-product[{g.tag}]", g, np.sin, base.omega)
 
 
 def constant_functional(value: float) -> TargetFunctional:
-    return TargetFunctional(
-        f"constant[{value}]",
-        lambda rl: lambda values: np.full(np.asarray(values).shape[:-1], float(value)),
-        PowerModulus(0.0, 1.0),
-    )
+    """F(f) = value: psi is the constant and g = 0."""
+    return linear_functional(f"constant[{value}]", _zero_weight,
+                             lambda x: np.full(np.shape(x), float(value)),
+                             PowerModulus(0.0, 1.0))
 
 
 def squared_coeff_norm_functional(op: DiscretizationOperator,
@@ -341,20 +384,79 @@ class FunctionalNet:
     metadata: dict = field(default_factory=dict)
 
 
+def _coefficient_weights(functional: TargetFunctional,
+                         op: DiscretizationOperator) -> np.ndarray:
+    """a = B_nodes^T (w * g), so that the linear form at a coefficient
+    vector xi is xi . a.  Each a_k adds the rule's nodes one after another
+    in their order (a running sum, no BLAS call), so it does not follow
+    the BLAS thread count."""
+    gw = functional.weighted_g(op.rule)
+    return np.cumsum(op.basis_at_nodes * gw[:, None], axis=0)[-1]
+
+
 def mu_values(functional: TargetFunctional, op: DiscretizationOperator,
-              vectors: np.ndarray) -> np.ndarray:
-    """Discretized target mu at coefficient vectors: the functional applied
-    to the polynomials the vectors represent, by quadrature on op's rule."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    return np.asarray(functional.apply_sampled(vectors @ op.basis_at_nodes.T, op.rule),
-                      dtype=float).ravel()
+              vectors) -> np.ndarray:
+    """Discretized target mu at coefficient vectors, one (t,) or a batch
+    (n, t); returns shape (n,).
+
+    For a functional with a linear form, mu(xi) is
+    psi(((0.0 + xi_0 a_0) + xi_1 a_1) + ...), with a from
+    :func:`_coefficient_weights`: the sum the grid nodes' tables make in
+    :func:`build_functional_net`.  Otherwise it is the functional applied
+    by quadrature to the polynomials the vectors represent, sampled at
+    op's rule.  Another shape, or a vector with a non-finite coordinate,
+    raises a ValueError naming it.
+    """
+    vectors, _ = point_batch(vectors, op.t)
+    bad = ~np.isfinite(vectors).all(axis=1)
+    if bad.any():
+        raise ValueError(f"vector {int(np.argmax(bad))} has a non-finite coordinate")
+    if functional.linear is None:
+        return np.asarray(functional.apply_sampled(vectors @ op.basis_at_nodes.T, op.rule),
+                          dtype=float).ravel()
+    a = _coefficient_weights(functional, op)
+    total = np.zeros(vectors.shape[0])
+    for k in range(op.t):
+        total += vectors[:, k] * a[k]
+    return np.asarray(functional.linear.psi(total), dtype=float)
 
 
-# Grid nodes whose mu values are computed at once.  A BLAS product may round
-# a row by where it falls in the batch, so the run size is fixed; the tests
-# check the runs bit-equal, under one and two BLAS threads, to one
-# single-thread mu_values call over all nodes.
+# The most grid nodes whose mu values are computed at once.  It bounds the
+# working set beside the one array of node values; the table path rounds
+# the same in any run.  On the quadrature path it also fixes the rows that
+# one BLAS product rounds together.
 _NODE_RUN = 1 << 14
+
+
+def _linear_node_values(psi: Callable, a: np.ndarray, grid: ScaledGrid,
+                        values: np.ndarray) -> None:
+    """Write psi(((0.0 + xi_0 a_0) + xi_1 a_1) + ...) at every node xi of
+    the grid into ``values``, C order, in runs of at most ``_NODE_RUN``.
+
+    Node coordinate i on an axis is -R + h*i, as :meth:`ScaledGrid.nodes`
+    computes it.  The trailing axes whose sub-lattice fits one run are
+    added by broadcasting their tables (-R + h*i) * a_k, a run of whole
+    sub-lattices at a time; each leading axis's term is computed from the
+    flat index of the sub-lattice.  No array of all nodes but ``values``
+    is made.
+    """
+    n1, t = grid.N + 1, grid.t
+    lead = t
+    while lead > 0 and n1 ** (t - lead + 1) <= _NODE_RUN:
+        lead -= 1
+    # an axis of more nodes than a run is never tabled
+    axis = -grid.R + grid.h * np.arange(n1 if lead < t else 0)
+    tables = [axis * a[k] for k in range(lead, t)]
+    rows = values.reshape((-1,) + (n1,) * (t - lead))
+    step = max(1, _NODE_RUN // n1 ** (t - lead))
+    for lo in range(0, rows.shape[0], step):
+        index = np.arange(lo, min(lo + step, rows.shape[0]))
+        total = np.zeros(index.shape[0])
+        for k in range(lead):
+            total += (-grid.R + grid.h * (index // n1 ** (lead - 1 - k) % n1)) * a[k]
+        for table in tables:
+            total = total[..., None] + table
+        rows[lo:lo + index.shape[0]] = psi(total)
 
 
 def build_functional_net(functional: TargetFunctional,
@@ -363,18 +465,25 @@ def build_functional_net(functional: TargetFunctional,
                          block: Optional[ReluNetwork] = None) -> FunctionalNet:
     """Interpolation network for the discretized target over the grid.
 
-    mu is computed over runs of ``_NODE_RUN`` grid nodes and written in
-    place into the one array of node values, so no other array of all
-    nodes is made; its time is ``metadata["mu_seconds"]``.  ``block`` is
-    passed on to :func:`build_interpolation_net`."""
+    mu is computed over runs of at most ``_NODE_RUN`` grid nodes and
+    written in place into the one array of node values, so no other array
+    of all nodes is made; its time is ``metadata["mu_seconds"]``.  A
+    functional with a linear form gets mu from per-axis tables
+    (:func:`_linear_node_values`), bit-equal to :func:`mu_values` at the
+    nodes; any other gets it from :func:`mu_values` run by run.  ``block``
+    is passed on to :func:`build_interpolation_net`."""
     if grid.t != op.t:
         raise ValueError(f"grid dimension {grid.t} != operator size {op.t}")
     t0 = time.perf_counter()
     n = grid.node_count
     values = np.empty(n)
-    for lo in range(0, n, _NODE_RUN):
-        hi = min(lo + _NODE_RUN, n)
-        values[lo:hi] = mu_values(functional, op, grid.nodes(np.arange(lo, hi)))
+    if functional.linear is None:
+        for lo in range(0, n, _NODE_RUN):
+            hi = min(lo + _NODE_RUN, n)
+            values[lo:hi] = mu_values(functional, op, grid.nodes(np.arange(lo, hi)))
+    else:
+        _linear_node_values(functional.linear.psi, _coefficient_weights(functional, op),
+                            grid, values)
     mu_seconds = time.perf_counter() - t0
     spec = InterpolationSpec(grid, values)
     net = build_interpolation_net(spec, block)

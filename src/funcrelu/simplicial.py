@@ -113,17 +113,22 @@ class ScaledGrid:
                                         (self.N + 1,) * self.t))
 
 
-def point_batch(x, dim: int, ndims=(1, 2)):
+def point_batch(x, dim=None, ndims=(1, 2)):
     """``x`` as a float batch (n, dim), and whether it was one point.
 
-    ``ndims`` holds the accepted array ranks: 1 for one point (dim,), 2
-    for a batch (n, dim).  Any other shape raises a ValueError naming the
-    accepted ones.
+    ``dim`` is the point dimension, or None for any dimension >= 1, read
+    from the last axis.  ``ndims`` holds the accepted array ranks: 1 for
+    one point (dim,), 2 for a batch (n, dim); None also accepts a batch
+    (..., dim) of any rank, returned as it is.  Any other shape (a scalar
+    among them) raises a ValueError naming the accepted ones.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim not in ndims or x.shape[-1] != dim:
-        want = " or ".join(("", f"({dim},)", f"(n, {dim})")[k] for k in ndims)
-        raise ValueError(f"points must have shape {want}, got {x.shape}")
+    rank_ok = x.ndim >= 1 if ndims is None else x.ndim in ndims
+    if not (rank_ok and (x.shape[-1] >= 1 if dim is None else x.shape[-1] == dim)):
+        d = "t" if dim is None else dim
+        want = ((f"({d},)", f"(..., {d})") if ndims is None
+                else [("", f"({d},)", f"(n, {d})")[k] for k in ndims])
+        raise ValueError(f"points must have shape {' or '.join(want)}, got {x.shape}")
     return (x[None, :] if x.ndim == 1 else x), x.ndim == 1
 
 
@@ -169,10 +174,12 @@ def locate(y, grid: ScaledGrid) -> SimplexId:
     """Canonical containing simplex of a single point.
 
     Defined for every finite point whose cell shift fits in int64; raises
-    ValueError otherwise (see :func:`locate_batch`)."""
-    n, rho = locate_batch(np.asarray(y, dtype=float)[None, :], grid)
+    ValueError otherwise (see :func:`locate_batch`), and for a y of
+    another shape than (t,)."""
+    pts, _ = point_batch(y, grid.t, (1,))
+    n, rho = locate_batch(pts, grid)
     sid = SimplexId(tuple(int(v) for v in n[0]), tuple(int(v) for v in rho[0]))
-    if not contains(sid, y, grid):
+    if not contains(sid, pts[0], grid):
         raise AssertionError("constructed simplex fails its membership chain")
     return sid
 
@@ -226,8 +233,10 @@ def support_pairs(y, grid: ScaledGrid):
 
 def contains(simplex: SimplexId, y, grid: ScaledGrid, tol: float = 0.0) -> bool:
     """Recheck the defining inequality chain 0 <= v_1 <= ... <= v_t <= 1
-    with v = y/h - n ordered by rho."""
-    z = np.asarray(y, dtype=float) / grid.h
+    with v = y/h - n ordered by rho; y is one point (t,)."""
+    if simplex.t != grid.t:
+        raise ValueError(f"simplex dimension {simplex.t} != grid dimension {grid.t}")
+    z = point_batch(y, grid.t, (1,))[0][0] / grid.h
     v = z[list(simplex.rho)] - np.array(simplex.n, dtype=float)[list(simplex.rho)]
     chain = np.concatenate(([0.0], v, [1.0]))
     return bool(np.all(np.diff(chain) >= -tol))
@@ -241,9 +250,7 @@ def spike(y: np.ndarray) -> np.ndarray:
     outside S0, and is linear on each simplex of the unit triangulation.
     Accepts shape (t,) or a batch (..., t).
     """
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = y[None, :] if single else y
+    pts, single = point_batch(y, ndims=None)
     # The diagonal of the pair table is the constant 1, which never moves
     # the minimum because min(1 + y_k, 1 - y_k) <= 1.
     diffs = 1.0 + pts[..., :, None] - pts[..., None, :]
@@ -281,10 +288,9 @@ def spike_forms(t: int, scale: float = 1.0, center=None):
 
 def in_Sprime(y: np.ndarray) -> np.ndarray:
     """Membership in the half-space intersection
-    {|y_k| <= 1 for all k, and y_k <= 1 + y_l for all k != l}."""
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = y[None, :] if single else y
+    {|y_k| <= 1 for all k, and y_k <= 1 + y_l for all k != l},
+    for y of shape (t,) or (..., t)."""
+    pts, single = point_batch(y, ndims=None)
     box = np.abs(pts).max(axis=-1) <= 1.0
     pairs = (pts.max(axis=-1) - pts.min(axis=-1)) <= 1.0
     res = box & pairs
@@ -310,10 +316,8 @@ def simplices_containing_origin(t: int) -> list:
 
 def in_S0(y: np.ndarray) -> np.ndarray:
     """Membership in the union of simplices containing the origin,
-    by direct enumeration of the qualifying cells."""
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = y[None, :] if single else y
+    by direct enumeration of the qualifying cells; y is (t,) or (n, t)."""
+    pts, single = point_batch(y)
     res = np.zeros(pts.shape[0], dtype=bool)
     for sid in simplices_containing_origin(pts.shape[1]):
         v = pts[:, list(sid.rho)] - np.array(sid.n, dtype=float)[list(sid.rho)]

@@ -741,19 +741,21 @@ def test_node_values_written_in_place():
     assert np.array_equal(values[:run], mu_values(F, op, grid.nodes(np.arange(run))))
 
 
-# The seed-7 'inner' report at m=2, N=8, as the reprs of its rows without
-# their timings.
+# The seed-7 'inner' and 'sin' reports at m=2, N=8, as the reprs of their
+# rows without their timings.
 _THREADS_SCRIPT = """
 import json
 from dataclasses import replace
 from funcrelu import pipeline, verify
 
-cfg = replace(verify._rate_config(functional_kind="inner"), m_values=(2,),
-              N_values=(8,))
 timing = {"wall_seconds", "mu_seconds", "build_seconds", "eval_seconds",
           "oracle_seconds"}
-rows = [{k: repr(v) for k, v in vars(r).items() if k not in timing}
-        for r in pipeline.run_rate_experiment(cfg).rows]
+rows = {}
+for kind in ("inner", "sin"):
+    cfg = replace(verify._rate_config(functional_kind=kind), m_values=(2,),
+                  N_values=(8,))
+    rows[kind] = [{k: repr(v) for k, v in vars(r).items() if k not in timing}
+                  for r in pipeline.run_rate_experiment(cfg).rows]
 print(json.dumps(rows))
 """
 
@@ -767,5 +769,162 @@ def test_seed7_report_does_not_follow_the_blas_thread_count():
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         rows[threads] = json.loads(done.stdout)
-    assert [(r["m"], r["N"], r["status"]) for r in rows["1"]] == [("2", "8", "'ok'")]
+    for kind in ("inner", "sin"):
+        assert [(r["m"], r["N"], r["status"]) for r in rows["1"][kind]] == [
+            ("2", "8", "'ok'")]
     assert rows["1"] == rows["2"]
+
+
+_LINEAR_KINDS = {
+    "inner": lambda rule: inner_product_functional(get_function("slow-series"), rule),
+    "sin": lambda rule: sin_inner_product_functional(get_function("gaussian"), rule),
+    "constant": lambda rule: constant_functional(-0.75),
+}
+# non-dyadic, so node coordinates -R + h*i are rounded
+_ODD_R = 1.295091801838947
+
+
+def _loop_coefficients(F, op):
+    # a_k = sum over the rule's nodes, in their order, of B[q, k] * w_q g_q
+    gw = F.linear.weights(op.rule)
+    B = op.basis_at_nodes
+    a = []
+    for k in range(op.t):
+        total = 0.0
+        for q in range(B.shape[0]):
+            total += float(B[q, k]) * float(gw[q])
+        a.append(total)
+    return a
+
+
+def _loop_node_values(F, op, grid):
+    a = _loop_coefficients(F, op)
+    out = []
+    for xi in grid.node_array():
+        total = 0.0
+        for k in range(op.t):
+            total += float(xi[k]) * a[k]
+        out.append(float(F.linear.psi(np.float64(total))))
+    return np.array(out)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_LINEAR_KINDS))
+@pytest.mark.parametrize("m, N, run", [
+    # t = 1, 3, 5 over 3, 5 and 5 runs of the default size; at N = 41 the
+    # last node -R + h*N is not R
+    (0, 40_000, None), (1, 41, None), (2, 8, None),
+    # small runs, so that one to three leading axes are indexed
+    (0, 120, 50), (1, 9, 50), (2, 4, 50),
+])
+def test_table_path_equals_a_per_node_loop(kind, m, N, run, monkeypatch):
+    if run is not None:
+        monkeypatch.setattr(pipeline_module, "_NODE_RUN", run)
+    op = make_operator(1, m)
+    F = _LINEAR_KINDS[kind](op.rule).bind(op.rule)
+    grid = ScaledGrid(op.t, _ODD_R, N)
+    assert grid.node_count > 2 * pipeline_module._NODE_RUN
+    assert _same_bits(pipeline_module._coefficient_weights(F, op), _loop_coefficients(F, op))
+    values = build_functional_net(F, op, grid).spec.node_values
+    assert _same_bits(values, _loop_node_values(F, op, grid))
+
+
+@pytest.mark.parametrize("kind", sorted(_LINEAR_KINDS))
+@pytest.mark.parametrize("s, m, N", [(1, 0, 20_000), (1, 1, 30), (1, 2, 8), (2, 1, 3)])
+def test_mu_values_at_the_nodes_equal_the_built_values(kind, s, m, N):
+    op = make_operator(s, m)
+    F = _LINEAR_KINDS[kind](op.rule)
+    grid = ScaledGrid(op.t, _ODD_R, N)
+    values = build_functional_net(F, op, grid).spec.node_values
+    assert _same_bits(mu_values(F, op, grid.node_array()), values)
+    assert _same_bits(mu_values(F.bind(op.rule), op, grid.node_array()), values)
+
+
+def _gamma(n):
+    u = 2.0 ** -53
+    return n * u / (1.0 - n * u)
+
+
+@pytest.mark.parametrize("kind", sorted(_LINEAR_KINDS))
+@pytest.mark.parametrize("s, m, N", [(1, 0, 64), (1, 1, 16), (1, 2, 8), (2, 1, 3)])
+def test_table_path_near_the_quadrature_path(kind, s, m, N):
+    # Both paths compute S = sum_{k,q} xi_k B_qk (w g)_q, one as
+    # sum_q (sum_k xi_k B_qk)(w g)_q, the other as sum_k xi_k (sum_q B_qk (w g)_q).
+    # Each is within (g_t + g_q + g_t g_q) * sum_{k,q} |xi_k| |B_qk| |(w g)_q|
+    # of S, with g_n = n u / (1 - n u) the dot-product error factor for any
+    # summation order.  psi = sin adds at most 4 ulp of 1 per evaluation.
+    op = make_operator(s, m)
+    F = _LINEAR_KINDS[kind](op.rule)
+    quadrature = TargetFunctional(F.name, F.form, F.omega)
+    assert quadrature.linear is None
+    grid = ScaledGrid(op.t, _ODD_R, N)
+    nodes = grid.node_array()
+    table = build_functional_net(F, op, grid).spec.node_values
+    reference = build_functional_net(quadrature, op, grid).spec.node_values
+    t, q = op.t, op.rule.points.shape[0]
+    R = float(np.abs(nodes).max())
+    mass = float((np.abs(F.linear.weights(op.rule)) @ np.abs(op.basis_at_nodes)).sum())
+    psi_slack = 8 * 2.0 ** -52 if kind == "sin" else 0.0
+    bound = 2 * (_gamma(t) + _gamma(q) + _gamma(t) * _gamma(q)) * R * mass + psi_slack
+    assert np.abs(table - reference).max() <= bound
+
+
+def _quadrature_node_values(F, op, grid):
+    # the node values of the parent path: the functional applied by
+    # quadrature to the node polynomials, run by run
+    run = pipeline_module._NODE_RUN
+    n = grid.node_count
+    return np.concatenate([
+        np.asarray(F.apply_sampled(grid.nodes(np.arange(lo, min(lo + run, n)))
+                                   @ op.basis_at_nodes.T, op.rule), dtype=float).ravel()
+        for lo in range(0, n, run)])
+
+
+@pytest.mark.parametrize("s, m, N", [(1, 1, 40), (1, 2, 8), (2, 1, 3)])
+def test_squared_coeff_norm_keeps_the_quadrature_node_values(s, m, N):
+    op = make_operator(s, m)
+    F = squared_coeff_norm_functional(op, 2.0)
+    assert F.linear is None
+    grid = ScaledGrid(op.t, _ODD_R, N)
+    values = build_functional_net(F, op, grid).spec.node_values
+    assert _same_bits(values, _quadrature_node_values(F, op, grid))
+
+
+class TestMuValuesNamedErrors:
+    @staticmethod
+    def _functional(kind, op):
+        # one functional of each path: the table path and quadrature
+        if kind == "inner":
+            return _LINEAR_KINDS["inner"](op.rule)
+        return squared_coeff_norm_functional(op, 1.0)
+
+    @pytest.mark.parametrize("kind", ["inner", "squared"])
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 4), (2, 2, 3), (3, 0)])
+    def test_wrong_shape(self, kind, shape):
+        op = make_operator(1, 1)
+        F = self._functional(kind, op)
+        with pytest.raises(ValueError, match=r"points must have shape \(3,\) or \(n, 3\)"):
+            mu_values(F, op, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", ["inner", "squared"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, kind, bad):
+        op = make_operator(1, 1)
+        F = self._functional(kind, op)
+        vectors = np.zeros((4, 3))
+        vectors[2, 1] = bad
+        with pytest.raises(ValueError, match=r"^vector 2 has a non-finite coordinate"):
+            mu_values(F, op, vectors)
+        with pytest.raises(ValueError, match=r"^vector 0 has a non-finite coordinate"):
+            mu_values(F, op, vectors[2])
+
+    def test_one_vector_gives_one_value(self):
+        op = make_operator(1, 1)
+        F = _LINEAR_KINDS["sin"](op.rule)
+        v = np.array([0.3, -0.2, 0.1])
+        assert _same_bits(mu_values(F, op, v), mu_values(F, op, v[None, :]))
+        assert mu_values(F, op, v).shape == (1,)

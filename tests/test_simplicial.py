@@ -364,3 +364,36 @@ def test_batched_spike_forms_equal_the_per_centre_rows(t, N, R):
         assert row.tobytes() == b_loop.tobytes()
         assert spike_forms(t, scale, centre)[1].tobytes() == row.tobytes()
 
+
+
+class TestScalarPoints:
+    """A scalar is no point: each point-taking function names the shapes
+    it accepts."""
+
+    def test_spike(self):
+        with pytest.raises(ValueError, match=r"points must have shape \(t,\) or \(\.\.\., t\), got \(\)"):
+            spike(0.3)
+
+    def test_in_S0(self):
+        with pytest.raises(ValueError, match=r"points must have shape \(t,\) or \(n, t\), got \(\)"):
+            in_S0(0.3)
+
+    def test_in_Sprime(self):
+        with pytest.raises(ValueError, match=r"points must have shape \(t,\) or \(\.\.\., t\), got \(\)"):
+            in_Sprime(0.3)
+
+    def test_locate(self):
+        with pytest.raises(ValueError, match=r"points must have shape \(2,\), got \(\)"):
+            locate(0.3, UNIT2)
+
+    def test_contains(self):
+        sid = locate(np.array([0.2, 0.7]), UNIT2)
+        with pytest.raises(ValueError, match=r"points must have shape \(2,\), got \(\)"):
+            contains(sid, 0.3, UNIT2)
+        with pytest.raises(ValueError, match="simplex dimension 2 != grid dimension 3"):
+            contains(sid, np.zeros(3), UNIT3)
+
+    def test_batches_of_any_rank_still_accepted(self):
+        Y = np.random.default_rng(6).uniform(-1.5, 1.5, (4, 5, 3))
+        assert np.array_equal(spike(Y), spike(Y.reshape(-1, 3)).reshape(4, 5))
+        assert np.array_equal(in_Sprime(Y), in_Sprime(Y.reshape(-1, 3)).reshape(4, 5))
