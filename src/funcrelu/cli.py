@@ -12,6 +12,7 @@ import contextlib
 import csv
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import fields
@@ -242,6 +243,9 @@ def _cmd_run(args):
     t0 = time.perf_counter()
     report = pipeline.run_rate_experiment(cfg)
     report.summary["wall_seconds"] = time.perf_counter() - t0
+    # the process's peak resident set so far; ru_maxrss is in KiB on Linux
+    report.summary["peak_rss_mb"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
     report.to_csv(out_dir / "report.csv")
     report.summary_to_json(out_dir / "summary.json")
     print(f"wrote {out_dir / 'report.csv'} and {out_dir / 'summary.json'}",

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .relu_net import Layer, ReluNetwork
+from .relu_net import Layer, ReluNetwork, _issparse
 from .simplicial import (ScaledGrid, integer_size, point_batch, spike, spike_forms,
                          support_pairs)
 
@@ -128,8 +128,10 @@ def build_interpolation_net(spec: InterpolationSpec,
 
     ``block`` is a spike net of the grid's t to build from instead of a
     new one; the net then holds its deeper ``Layer`` objects, and with them
-    their CSR forms, and only the scaled first layer is its own.  A block
-    of other shapes, or with a grid, raises ValueError.
+    the index forms the pruned pass multiplies by, and only the scaled
+    first layer is its own.  A block layer stored sparse is written dense
+    into a new ``Layer`` of the net.  A block of other shapes, or with a
+    grid, raises ValueError.
     """
     grid = spec.grid
     if block is None:
@@ -137,7 +139,8 @@ def build_interpolation_net(spec: InterpolationSpec,
     elif (block.grid is not None or block.input_dim != grid.t
           or [l.weights.shape for l in block.layers] != spike_layer_shapes(grid.t)):
         raise ValueError(f"block is not the spike net on R^{grid.t}")
-    first, *deeper = block.layers
+    first, *deeper = (Layer(l.weights.toarray(), l.shifts)
+                      if _issparse(l.weights) else l for l in block.layers)
     # the spike's forms at (y - xi) / cell; its shifts at the origin are
     # the same at every scale
     layers = [Layer(first.weights * (1.0 / grid.h), first.shifts), *deeper]

@@ -777,7 +777,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         return state_cache[m]
 
     # one spike block per t, built at the first point that needs it; its
-    # nets share the block's deeper layers and their CSR forms, and the
+    # nets share the block's deeper layers and their index forms, and the
     # blocks go when the experiment ends
     blocks = {}
 

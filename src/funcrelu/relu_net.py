@@ -16,15 +16,16 @@ contract.  An interpolation net stores the layers of one spike block,
 dense and read-only, and a grid that repeats it once per node (see
 :class:`ReluNetwork`); counts and values are those of the expanded net,
 which :func:`expand_blocks` writes out as CSR.  The pruned pass multiplies
-by a CSR form of each block layer, made on first use and kept on the
-layer; nets built from one block share its deeper layers, and so their
-forms (a rate experiment makes each form once).  Its candidate copies at
-a point are the vertices of the point's simplex: t + 1 at a generic
-point, at most 2^(t+1) - 1 anywhere.  It keeps one last-layer value per
-(point, candidate copy) pair, never an array over every copy.
+by an index form of each block layer (each row's nonzero columns and
+weights, numpy arrays only), made on first use and kept on the layer;
+nets built from one block share its deeper layers, and so their forms (a
+rate experiment makes each form once).  Its candidate copies at a point
+are the vertices of the point's simplex: t + 1 at a generic point, at
+most 2^(t+1) - 1 anywhere.  It keeps one last-layer value per (point,
+candidate copy) pair, never an array over every copy.
 scipy is imported only where a sparse matrix is made or combined, so
-building an interpolation net, counting its nonzeros and serializing it
-never load it.
+building an interpolation net, counting its nonzeros, serializing it and
+evaluating it never load it; :func:`expand_blocks` does.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -81,11 +82,11 @@ class Layer:
     """
 
     # (r, c) ndarray or CSR matrix; a grid net's block is a read-only
-    # ndarray, and _csr keeps the CSR form the pruned pass multiplies by
+    # ndarray, and _index keeps the index form the pruned pass multiplies by
     weights: object
     shifts: np.ndarray  # (r,)
-    _csr: Optional[tuple] = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _index: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         self.weights = _as_matrix(self.weights)
@@ -158,16 +159,20 @@ class ReluNetwork:
                 raise ValueError(
                     f"layers are not one spike block on R^{t}, with "
                     f"{t * t + t} first-layer rows and one output unit")
+            for j, layer in enumerate(self.layers):
+                if _issparse(layer.weights):
+                    raise ValueError(
+                        f"layer {j} is sparse; a grid net's spike block "
+                        "must be dense")
         if self.output.shape[1] != _copies(self) * prev:
             got = prev if self.grid is None else (
                 f"{prev} x {self.grid.node_count} grid nodes")
             raise ValueError(
                 f"output expects {self.output.shape[1]} inputs, got {got}")
         if self.grid is not None:
-            # the pruned pass keeps a CSR form of each block layer
+            # the pruned pass keeps an index form of each block layer
             for layer in self.layers:
-                if not _issparse(layer.weights):
-                    layer.weights.flags.writeable = False
+                layer.weights.flags.writeable = False
 
     @property
     def output_dim(self) -> int:
@@ -354,24 +359,109 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
     return _stack(outs, net)
 
 
-def _csr_form(layer: Layer):
-    """The CSR matrix the pruned pass multiplies a block layer by, the
-    arrays of ``sp.csr_matrix(layer.weights)`` written straight from the
-    nonzeros in row-major order, with no COO step; made on first use and
-    kept on the layer while its weights are the same object (a grid net's
-    block is read-only, so the form cannot go stale)."""
-    w = layer.weights
-    if layer._csr is None or layer._csr[0] is not w:
-        import scipy.sparse as sp
+class _IndexForm(NamedTuple):
+    """A block layer as the pruned pass multiplies by it, with no scipy
+    call: its rows in runs of consecutive rows with one nonzero count, and
+    per run one term per nonzero, the run's k-th nonzeros in ascending
+    column order.  A term is (src, scale): the rows of the input it reads,
+    a slice where they are consecutive, and its weights, None where all
+    are 1.0, -1.0 where all are -1.0, else a (rows, 1) array."""
 
+    rows: int
+    runs: tuple  # (slice of rows, terms)
+    shifts: Optional[np.ndarray]  # (rows, 1), or None where all are zero
+    relu: tuple  # slices of rows that relu can change
+
+
+def _term(cols: list, weights: list) -> tuple:
+    lo = cols[0]
+    src = (slice(lo, lo + len(cols)) if cols == list(range(lo, lo + len(cols)))
+           else np.array(cols))
+    if weights.count(1.0) == len(weights):
+        return src, None
+    if weights.count(-1.0) == len(weights):
+        return src, -1.0
+    return src, np.array(weights)[:, None]
+
+
+def _index_form(layer: Layer) -> _IndexForm:
+    """The index form of a block layer, written from ``np.nonzero`` of its
+    dense weights; made on first use and kept on the layer while its
+    weights are the same object (a grid net's block is read-only, so the
+    form cannot go stale).  A block has a few thousand nonzeros at most,
+    so the runs are read from Python lists of them.
+
+    ``relu`` names the runs that hold a weight or a shift below zero.  On
+    the output of a relu layer the other runs add nonnegative terms, so
+    relu would leave them as they are (a zero may differ in sign only),
+    and the pass applies relu to the named runs alone."""
+    w = layer.weights
+    if layer._index is None or layer._index[0] is not w:
         row, col = np.nonzero(w)
-        # a block is at most a few thousand units wide: int32 indices,
-        # the type csr_matrix picks for it
-        indptr = np.zeros(w.shape[0] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(row, minlength=w.shape[0]), out=indptr[1:])
-        layer._csr = (w, sp.csr_matrix((w[row, col], col.astype(np.int32), indptr),
-                                       shape=w.shape))
-    return layer._csr[1]
+        values, cols = w[row, col].tolist(), col.tolist()
+        count = np.bincount(row, minlength=w.shape[0])
+        edges = [0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), w.shape[0]]
+        count, shifts = count.tolist(), layer.shifts.tolist()
+        runs, relu = [], []
+        at = 0  # the run's first nonzero
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            k = count[lo]
+            end = at + k * (hi - lo)
+            # row-major nonzeros: the run's i-th terms are every k-th one
+            runs.append((slice(lo, hi), tuple(_term(cols[at + i : end : k],
+                                                    values[at + i : end : k])
+                                              for i in range(k))))
+            if min(values[at:end], default=0.0) < 0.0 or min(shifts[lo:hi]) < 0.0:
+                relu.append(slice(lo, hi))
+            at = end
+        layer._index = (w, _IndexForm(len(count), tuple(runs),
+                                      layer.shifts[:, None] if any(shifts) else None,
+                                      tuple(relu)))
+    return layer._index[1]
+
+
+def _index_product(form: _IndexForm, h: np.ndarray) -> np.ndarray:
+    """W @ h for the layer of ``form``, h (cols, pairs): each row adds its
+    terms in ascending column order, one rounding per add, as
+    ``csr_matrix @ h`` does.  It starts from the first term, not from 0.0,
+    so a row whose sum is zero may differ from that product in the sign
+    of the zero only.  No BLAS call."""
+    out = np.empty((form.rows, h.shape[1]))
+    for rows, terms in form.runs:
+        o = out[rows]
+        if not terms:
+            o.fill(0.0)
+            continue
+        (src, scale), *rest = terms
+        x = h[src] if isinstance(src, slice) else np.take(h, src, axis=0, out=o)
+        if scale is None:
+            if x is not o:
+                np.copyto(o, x)
+        elif isinstance(scale, float):
+            np.negative(x, out=o)
+        else:
+            np.multiply(x, scale, out=o)
+        for src, scale in rest:
+            x = h[src]
+            if scale is None:
+                o += x
+            elif isinstance(scale, float):
+                o -= x
+            else:
+                o += x * scale
+    return out
+
+
+def _index_layer(form: _IndexForm, h: np.ndarray) -> np.ndarray:
+    """relu(W @ h + b) for the layer of ``form``, h the output of a relu
+    layer; equal to it computed with ``csr_matrix @ h`` up to the sign of
+    a zero."""
+    h = _index_product(form, h)
+    if form.shifts is not None:
+        h += form.shifts
+    for rows in form.relu:
+        np.maximum(h[rows], 0.0, out=h[rows])
+    return h
 
 
 def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
@@ -388,10 +478,13 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
     minimum recursion gives it an exact 0, and its term an exact +-0; a
     sum that starts from 0.0 never becomes -0.0, so adding such a term
     leaves it as it is, and the candidates' sum is the full pass's bit for
-    bit.  Chunks hold a bounded number of pairs (:func:`_chunk_points`).
+    bit.  Each layer multiplies by its index form (:func:`_index_product`),
+    whose hidden values equal the CSR product's up to the sign of a zero;
+    such a value gives a +-0 term too, so the sums are the same.  Chunks
+    hold a bounded number of pairs (:func:`_chunk_points`).
     """
-    first = _csr_form(net.layers[0])
-    deeper = [(_csr_form(l), l.shifts[:, None]) for l in net.layers[1:]]
+    first = _index_form(net.layers[0])
+    deeper = [_index_form(l) for l in net.layers[1:]]
     chunk = _chunk_points(net, max_batch_bytes)
     outs = []
     for lo in range(0, pts.shape[0], chunk):
@@ -402,13 +495,11 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
         # layer's activations in cache
         for a in range(0, point.shape[0], _PAIR_RUN):
             p, c = point[a : a + _PAIR_RUN], node[a : a + _PAIR_RUN]
-            h = first @ part[p].T
+            h = _index_product(first, part[p].T)
             h += _grid_shifts(net.grid, c).T
             np.maximum(h, 0.0, out=h)
-            for w, b in deeper:
-                h = w @ h
-                h += b
-                np.maximum(h, 0.0, out=h)
+            for form in deeper:
+                h = _index_layer(form, h)
             value[a : a + _PAIR_RUN] = h[0]
         outs.append(_output_stage(net.output, point, node, value, part.shape[0]))
     return _stack(outs, net)

@@ -120,9 +120,15 @@ def point_batch(x, dim=None, ndims=(1, 2)):
     from the last axis.  ``ndims`` holds the accepted array ranks: 1 for
     one point (dim,), 2 for a batch (n, dim); None also accepts a batch
     (..., dim) of any rank, returned as it is.  Any other shape (a scalar
-    among them) raises a ValueError naming the accepted ones.
+    among them) raises a ValueError naming the accepted ones, and points
+    of another dtype than bool, integer or float (complex among them) a
+    ValueError naming their dtype.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    # booleans, integers and floats; a complex value must not be truncated
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"points must be real numbers, got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
     rank_ok = x.ndim >= 1 if ndims is None else x.ndim in ndims
     if not (rank_ok and (x.shape[-1] >= 1 if dim is None else x.shape[-1] == dim)):
         d = "t" if dim is None else dim

@@ -187,6 +187,7 @@ def test_run_experiment(tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["completed_points"] == 4
     assert summary["decomposition_ok"] is True
+    assert summary["peak_rss_mb"] > 0.0
     assert "sup_error" in capsys.readouterr().out
 
 

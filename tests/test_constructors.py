@@ -24,6 +24,7 @@ from funcrelu.relu_net import (
     evaluate,
     evaluate_batch,
     expand_blocks,
+    forward,
     nonzero_breakdown,
     serialize,
 )
@@ -375,7 +376,7 @@ class TestInterpolationNet:
 
     def test_shared_block_gives_the_fresh_build_bits(self):
         # two nets of one t, built from one block; A runs first and makes
-        # the CSR forms that B then reuses
+        # the index forms that B then reuses
         rng = np.random.default_rng(5)
         block = build_spike_net(3)
         specs = [InterpolationSpec(ScaledGrid(3, R, N), rng.uniform(-1, 1, (N + 1) ** 3))
@@ -399,6 +400,41 @@ class TestInterpolationNet:
         for block in (build_spike_net(3), build_spike_net(1), grid_net, short):
             with pytest.raises(ValueError, match=r"not the spike net on R\^2"):
                 build_interpolation_net(spec, block)
+
+    @pytest.mark.parametrize("t,N", [(2, 3), (3, 2)])
+    def test_sparse_block_is_written_dense(self, t, N):
+        rng = np.random.default_rng(10 * t + N)
+        grid = ScaledGrid(t, 1.295091801838947, N)
+        spec = InterpolationSpec(grid, rng.uniform(-1, 1, grid.node_count))
+        dense = build_spike_net(t)
+        sparse = ReluNetwork(t, [Layer(sp.csr_matrix(l.weights), l.shifts)
+                                 for l in dense.layers], dense.output)
+        net = build_interpolation_net(spec, sparse)
+        assert all(isinstance(l.weights, np.ndarray) for l in net.layers)
+        Y = rng.uniform(-1.4, 1.4, (200, t))
+        Y[:50] = grid.nodes(rng.integers(0, grid.node_count, 50))
+        want = evaluate_batch(build_interpolation_net(spec, dense), Y)
+        assert evaluate_batch(net, Y).tobytes() == want.tobytes()
+        assert serialize(net) == serialize(build_interpolation_net(spec))
+
+    def test_grid_net_refuses_sparse_block_layers(self):
+        grid = ScaledGrid(2, 1.0, 3)
+        layers = build_interpolation_net(InterpolationSpec(grid, np.ones(16))).layers
+        for j in (0, 3):
+            mixed = list(layers)
+            mixed[j] = Layer(sp.csr_matrix(layers[j].weights), layers[j].shifts)
+            with pytest.raises(ValueError, match=f"layer {j} is sparse; a grid net's "
+                                                 "spike block must be dense"):
+                ReluNetwork(2, mixed, np.ones((1, 16)), grid=grid)
+
+    @pytest.mark.parametrize("call", ["forward", "interpolant_values"])
+    def test_complex_points_are_refused(self, call):
+        grid = ScaledGrid(2, 1.0, 3)
+        spec = InterpolationSpec(grid, np.ones(grid.node_count))
+        f = {"forward": lambda y: forward(build_interpolation_net(spec), y),
+             "interpolant_values": lambda y: interpolant_values(spec, y)}[call]
+        with pytest.raises(ValueError, match=r"points must be real numbers, got dtype complex128"):
+            f(np.zeros((3, 2)) + 1j)
 
     def test_wrong_value_count_rejected(self):
         grid = ScaledGrid(2, 1.0, 2)

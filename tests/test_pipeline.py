@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from funcrelu import constructors
 from funcrelu import pipeline as pipeline_module
+from funcrelu import relu_net
 from funcrelu import verify
 from funcrelu.constructors import interpolant_values
 from funcrelu.discretize import InputFunction, discretize, make_operator
@@ -596,8 +596,8 @@ class TestOneSpikeBlockPerT:
 
         monkeypatch.setattr(pipeline_module, "build_functional_net", keeping)
         made = []
-        csr = sp.csr_matrix
-        monkeypatch.setattr(sp, "csr_matrix", lambda *a, **k: made.append(1) or csr(*a, **k))
+        form = relu_net._IndexForm
+        monkeypatch.setattr(relu_net, "_IndexForm", lambda *a: made.append(1) or form(*a))
         run_rate_experiment(_seed7_config("inner"))
         assert len(nets) == 15
         assert len({id(net.layers[0]) for net in nets}) == 15
@@ -609,7 +609,7 @@ class TestOneSpikeBlockPerT:
             assert len(deeper[0]) == t * t + t
             for layers in deeper[1:]:
                 assert all(a is b for a, b in zip(layers, deeper[0], strict=True))
-        # one CSR form per first layer, and one per shared layer
+        # one index form per first layer, and one per shared layer
         assert len(made) == 15 + sum(t * t + t for t in by_t) == 59
 
 
@@ -921,6 +921,13 @@ class TestMuValuesNamedErrors:
             mu_values(F, op, vectors)
         with pytest.raises(ValueError, match=r"^vector 0 has a non-finite coordinate"):
             mu_values(F, op, vectors[2])
+
+    @pytest.mark.parametrize("kind", ["inner", "squared"])
+    def test_complex_vectors_named(self, kind):
+        op = make_operator(1, 1)
+        F = self._functional(kind, op)
+        with pytest.raises(ValueError, match=r"points must be real numbers, got dtype complex128"):
+            mu_values(F, op, np.zeros((2, 3)) + 1j)
 
     def test_one_vector_gives_one_value(self):
         op = make_operator(1, 1)

@@ -868,35 +868,77 @@ class TestPrunedForward:
             ReluNetwork(2, net.layers, net.output, grid=ScaledGrid(2, 1.0, 2))
 
 
-class TestBlockCsrForm:
-    """The CSR form of a grid net's dense block that the pruned pass
+def _index_product(layer, h):
+    return relu_net._index_product(relu_net._index_form(layer), h)
+
+
+def _zero_signed_inputs(rng, cols, points, signed):
+    """(cols, points) inputs holding +0.0, -0.0, repeated small values (so
+    that terms cancel) and random ones; negative ones too if ``signed``."""
+    h = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=(cols, points))
+    mask = rng.random((cols, points)) < 0.3
+    h[mask] = rng.uniform(0.0, 3.0, mask.sum())
+    if signed:
+        h *= rng.choice([-1.0, 1.0], size=h.shape)
+    return h
+
+
+class TestBlockIndexForm:
+    """The index form of a grid net's dense block that the pruned pass
     multiplies by."""
 
-    @pytest.mark.parametrize("t,N", [(1, 4), (2, 3), (3, 2), (5, 2), (7, 2)])
-    def test_is_the_csr_matrix_of_each_block_layer(self, t, N):
-        grid = ScaledGrid(t, 1.295091801838947, N)
-        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-        for got in (net, deserialize(serialize(net))):
-            forward(got, np.zeros((2, t)))
-            for layer in got.layers:
-                assert isinstance(layer.weights, np.ndarray)
-                form, want = relu_net._csr_form(layer), sp.csr_matrix(layer.weights)
-                assert form.shape == want.shape and form.has_canonical_format
-                for part in ("data", "indices", "indptr"):
-                    a, b = getattr(form, part), getattr(want, part)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+    @pytest.mark.parametrize("t", range(1, 8))
+    def test_product_is_the_csr_product(self, t):
+        rng = np.random.default_rng(70 + t)
+        grid = ScaledGrid(t, 1.295091801838947, 3)
+        scaled = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
+        layers = [(l, j == 0) for j, l in enumerate(build_spike_net(t).layers)]
+        layers.append((scaled.layers[0], True))
+        for layer, signed in layers:
+            h = _zero_signed_inputs(rng, layer.cols, 64, signed)
+            got, want = _index_product(layer, h), sp.csr_matrix(layer.weights) @ h
+            assert np.array_equal(got, want)
+            # equal bits once each zero is +0.0
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+            if not signed:
+                # relu changes only the rows the form names
+                left = np.ones(layer.rows, dtype=bool)
+                for rows in relu_net._index_form(layer).relu:
+                    left[rows] = False
+                assert np.array_equal(np.maximum(want[left], 0.0), want[left])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_layer_is_the_csr_layer(self, seed):
+        # rows of 0-4 nonzeros in runs and alone, weights of both signs and
+        # units, shifts of both signs and zero, on relu outputs
+        rng = np.random.default_rng(seed)
+        rows, cols = 40, 12
+        count = np.resize(np.repeat(rng.integers(0, 5, 12), rng.integers(1, 6, 12)), rows)
+        w = np.zeros((rows, cols))
+        for r, k in enumerate(count):
+            at = rng.choice(cols, k, replace=False)
+            w[r, at] = rng.choice([1.0, -1.0, 0.37, -2.5, 1e-3], k)
+        shifts = rng.choice([0.0, 0.0, 0.25, -0.75], rows) * (seed % 3 != 0)
+        layer = Layer(w, shifts)
+        h = _zero_signed_inputs(rng, cols, 50, signed=False)
+        form = relu_net._index_form(layer)
+        got = relu_net._index_layer(form, h)
+        want = np.maximum(sp.csr_matrix(w) @ h + shifts[:, None], 0.0)
+        assert np.array_equal(got, want)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        assert (form.shifts is None) == (seed % 3 == 0)
 
     def test_repeated_evaluate_builds_it_once(self, monkeypatch):
         grid = ScaledGrid(2, 1.0, 4)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
         made = []
-        real = sp.csr_matrix
+        real = relu_net._IndexForm
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             made.append(1)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(sp, "csr_matrix", counting)
+        monkeypatch.setattr(relu_net, "_IndexForm", counting)
         values = [evaluate(net, x) for x in np.linspace(-1.0, 1.0, 12).reshape(6, 2)]
         assert len(made) == len(net.layers)
         assert values == [evaluate(net, x) for x in np.linspace(-1.0, 1.0, 12).reshape(6, 2)]
@@ -908,37 +950,68 @@ class TestBlockCsrForm:
         x = np.array([0.1, -0.2])
         before = evaluate(net, x)
         layer = net.layers[-1]
+        old = relu_net._index_form(layer)
         with pytest.raises(ValueError, match="read-only"):
             layer.weights[0, 0] = 2.0
         # a new weights array gets its own form
         layer.weights = 2.0 * layer.weights
-        assert np.array_equal(relu_net._csr_form(layer).toarray(), layer.weights)
+        assert relu_net._index_form(layer) is not old
+        assert np.array_equal(_index_product(layer, np.eye(layer.cols)), layer.weights)
         assert evaluate(net, x) == 2.0 * before
 
 
-# Builds, counts and round-trips a grid net, then runs it; prints nothing
-# but fails on the first assert that does not hold.
+# Builds, counts, round-trips and runs a grid net, then a tiny rate
+# experiment and `funcrelu run`; prints nothing but fails on the first
+# assert that does not hold.
 _IMPORT_SCRIPT = """
+import json
 import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import funcrelu
-from funcrelu import relu_net
+from funcrelu import cli, pipeline, relu_net
 from funcrelu.constructors import InterpolationSpec, build_interpolation_net
+from funcrelu.discretize import make_operator
+from funcrelu.functions import get_function
 from funcrelu.simplicial import ScaledGrid
+
+
+def no_scipy():
+    assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+
 
 grid = ScaledGrid(3, 1.0, 4)
 net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
 assert relu_net.count_nonzero(net) == relu_net.nonzero_breakdown(net)["total"]
 back = relu_net.deserialize(relu_net.serialize(net))
 assert back.grid == grid
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+no_scipy()
 relu_net.forward(back, np.zeros(3))
-# the pruned pass multiplies by the block's CSR form
-assert "scipy.sparse" in sys.modules
+relu_net.forward(net, np.random.default_rng(0).uniform(-1.0, 1.0, (20, 3)))
+no_scipy()
+functional = pipeline.inner_product_functional(get_function("slow-series"),
+                                               make_operator(1, 2).rule)
+cfg = pipeline.ExperimentConfig(
+    s=1, p=2.0, functional=functional,
+    input_class=pipeline.InputClass("hoelder_ball", beta=2.0, sample_count=8, seed=3),
+    m_values=(0, 1), N_values=(2, 4), node_cap=100, ladder=True,
+    ladder_weight_cap=100_000)
+assert pipeline.run_rate_experiment(cfg).completed()
+no_scipy()
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    config.write_text(json.dumps({
+        "functional": {"name": "inner-product", "g": "slow-series"},
+        "input_class": {"sample_count": 8, "seed": 3},
+        "m_values": [0, 1], "N_values": [2, 4], "budget_ladder": False}))
+    cli.main(["run", "--config", str(config), "--out-dir", str(Path(tmp) / "out")])
+no_scipy()
 """
 
 
-def test_only_the_forward_pass_loads_scipy():
+def test_evaluating_a_grid_net_never_loads_scipy():
     src = Path(relu_net.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,

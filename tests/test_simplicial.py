@@ -393,6 +393,10 @@ class TestScalarPoints:
         with pytest.raises(ValueError, match="simplex dimension 2 != grid dimension 3"):
             contains(sid, np.zeros(3), UNIT3)
 
+    def test_complex_points_named(self):
+        with pytest.raises(ValueError, match=r"points must be real numbers, got dtype complex128"):
+            spike(np.array([0.1, 0.2]) + 0.5j)
+
     def test_batches_of_any_rank_still_accepted(self):
         Y = np.random.default_rng(6).uniform(-1.5, 1.5, (4, 5, 3))
         assert np.array_equal(spike(Y), spike(Y.reshape(-1, 3)).reshape(4, 5))
