@@ -30,9 +30,7 @@ from .legendre import (
     LegendreBasis,
     PolyCoeffs,
     eval_legendre_1d,
-    eval_tensor,
     gauss_legendre_rule,
-    phi_inverse,
 )
 from .pipeline import (
     ExperimentConfig,
@@ -54,17 +52,13 @@ from .relu_net import (
     Layer,
     NetworkFormatError,
     ReluNetwork,
-    compose_parallel,
-    compose_serial,
     count_nonzero,
     depth,
     deserialize,
     evaluate,
     evaluate_batch,
     forward,
-    identity_net,
     nonzero_breakdown,
-    pad_to_depth,
     serialize,
 )
 from .simplicial import (

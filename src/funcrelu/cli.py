@@ -32,7 +32,7 @@ from .discretize import InputFunction, discretize, make_operator
 from .functions import CUBE_FUNCTIONS, get_function, get_node_function
 from .legendre import default_rule_size, gauss_legendre_rule
 from .relu_net import count_nonzero, depth, serialize
-from .simplicial import ScaledGrid, spike
+from .simplicial import ScaledGrid, integer_size, spike
 
 
 def _emit_network(net, seconds, out):
@@ -142,13 +142,18 @@ def _csv_out(path):
 
 
 def _cmd_spike_grid(args):
+    t = integer_size(args.t, "t")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ValueError(f"step must be finite and > 0, got {args.step}")
+    if not (math.isfinite(args.extent) and args.extent >= 0):
+        raise ValueError(f"extent must be finite and >= 0, got {args.extent}")
     axis = np.arange(-args.extent, args.extent + args.step / 2, args.step)
-    mesh = np.meshgrid(*([axis] * args.t), indexing="ij")
+    mesh = np.meshgrid(*([axis] * t), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     vals = spike(pts)
     with _csv_out(args.out) as out:
         writer = csv.writer(out)
-        writer.writerow([f"y{d + 1}" for d in range(args.t)] + ["psi"])
+        writer.writerow([f"y{d + 1}" for d in range(t)] + ["psi"])
         for p, v in zip(pts, vals):
             writer.writerow([*(f"{c:.12g}" for c in p), f"{v:.17g}"])
     if args.out:
@@ -214,9 +219,12 @@ def _config_fields(doc, table, where):
 def _functional_from_doc(doc, cfg):
     doc = _config_fields(doc, _FUNCTIONAL_KEYS, "functional")
     # a ladder-only run sizes the rule by the ladder's degrees
-    m_values = cfg.m_values or (cfg.ladder_m_values if cfg.ladder else ())
+    ladder_m_values = cfg.ladder_m_values if cfg.ladder else ()
+    m_values = cfg.m_values or ladder_m_values
     if not m_values:
         raise ValueError("m_values is empty and no budget ladder runs: nothing to measure")
+    if not cfg.N_values and not ladder_m_values:
+        raise ValueError("N_values is empty and no budget ladder runs: nothing to measure")
     rule = gauss_legendre_rule(default_rule_size(max(m_values)), cfg.s)
     name = doc.get("name", "inner-product")
     if name == "constant":

@@ -117,9 +117,11 @@ def build_interpolation_net(spec: InterpolationSpec,
     grid nodes xi; interpolates the node values and is linear on each
     cell of the scaled triangulation.
 
-    Equivalent to compose_parallel over per-node shifted spike networks:
-    the layer blocks are identical across nodes except first-layer shifts
-    and output coefficients, so the net stores the layers of
+    The sum is one scalar net over the per-node shifted spike nets: their
+    first layers stack on the shared input, their deeper layers go block
+    diagonal and the output row holds each node's value.  The blocks are
+    identical across nodes except first-layer shifts and output
+    coefficients, so the net stores the layers of
     :func:`build_spike_net` once, at cell scale, and the grid gives the
     copies and each copy's first-layer shifts (see
     :class:`funcrelu.relu_net.ReluNetwork`).  The block is kept dense, as

@@ -96,30 +96,12 @@ class LegendreBasis:
             raise IndexError(f"linear index {k} outside 1..{self.t}")
         return tuple(int(v) for v in self.multi_indices[k - 1])
 
-    def index_of(self, multi) -> int:
-        """1-based linear index of a multi-index."""
-        multi = tuple(int(v) for v in multi)
-        hits = np.where((self.multi_indices == np.array(multi)).all(axis=1))[0]
-        if hits.size == 0:
-            raise IndexError(f"multi-index {multi} not in basis")
-        return int(hits[0]) + 1
-
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         """Values of all t basis functions, shape (..., t)."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.s:
             raise ValueError(f"points have dimension {x.shape[-1]}, basis is {self.s}")
         return tensor_eval(self.multi_indices, x)
-
-
-def eval_tensor(basis: LegendreBasis, k: int, x) -> float:
-    """Value of basis function with 1-based linear index k at point x."""
-    multi = basis.multi_of(k)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    val = 1.0
-    for d in range(basis.s):
-        val *= eval_legendre_1d(multi[d], float(x[d]))
-    return val
 
 
 @dataclass(frozen=True)
@@ -140,11 +122,6 @@ class PolyCoeffs:
 
     def __call__(self, x):
         return self.basis.eval_all(np.asarray(x, dtype=float)) @ self.coeffs
-
-
-def phi_inverse(basis: LegendreBasis, vector) -> PolyCoeffs:
-    """Reconstruct the polynomial with the given coefficient vector."""
-    return PolyCoeffs(basis, np.asarray(vector, dtype=float))
 
 
 @dataclass(frozen=True)

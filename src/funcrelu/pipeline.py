@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -541,12 +541,12 @@ class ExperimentReport:
         return [r for r in self.rows if r.status == "ok"]
 
     def to_csv(self, path):
-        fields = [f for f in vars(self.rows[0])] if self.rows else []
+        names = [f.name for f in fields(ExperimentRow)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(fields)
+            writer.writerow(names)
             for r in self.rows:
-                writer.writerow([getattr(r, f) for f in fields])
+                writer.writerow([getattr(r, n) for n in names])
 
     def summary_to_json(self, path):
         with open(path, "w") as fh:

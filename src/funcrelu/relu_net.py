@@ -1,5 +1,5 @@
-"""Deep ReLU networks as explicit weight data: evaluation, composition,
-serialization and exact nonzero-weight accounting.
+"""Deep ReLU networks as explicit weight data: evaluation, serialization
+and exact nonzero-weight accounting.
 
 A network with J hidden layers computes
 
@@ -23,9 +23,9 @@ rate experiment makes each form once).  Its candidate copies at a point
 are the vertices of the point's simplex: t + 1 at a generic point, at
 most 2^(t+1) - 1 anywhere.  It keeps one last-layer value per (point,
 candidate copy) pair, never an array over every copy.
-scipy is imported only where a sparse matrix is made or combined, so
-building an interpolation net, counting its nonzeros, serializing it and
-evaluating it never load it; :func:`expand_blocks` does.
+scipy is imported only where a sparse matrix is made, so building an
+interpolation net, counting its nonzeros, serializing it and evaluating
+it never load it; :func:`expand_blocks` does.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class Layer:
 class ReluNetwork:
     """Immutable feedforward ReLU network.
 
-    ``output`` is a matrix so that intermediate construction stages can
-    carry several values; scalar networks have a single output row.
+    ``output`` is a matrix, one row per network value; scalar networks
+    have a single output row.
 
     ``grid`` is set only by
     :func:`funcrelu.constructors.build_interpolation_net`.  It states that
@@ -280,9 +280,8 @@ def expand_blocks(net: ReluNetwork) -> ReluNetwork:
     """The same network with its grid copies written out as CSR layers,
     and no grid; a net without a grid comes back as is.
 
-    Composition and padding work on this form, and so does
-    :func:`_full_forward`.  It holds every copy, so on a large
-    interpolation net it costs what the block form saves.
+    :func:`_full_forward` works on this form.  It holds every copy, so on
+    a large interpolation net it costs what the block form saves.
     """
     if net.grid is None:
         return net
@@ -546,113 +545,6 @@ def evaluate_batch(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
         raise ValueError("evaluate_batch is for scalar networks; use forward")
     pts, _ = point_batch(x, net.input_dim, (2,))
     return forward(net, pts)[:, 0]
-
-
-def _vstack(mats):
-    if any(map(_issparse, mats)):
-        import scipy.sparse as sp
-
-        return sp.vstack([sp.csr_matrix(m) for m in mats], format="csr")
-    return np.vstack(mats)
-
-
-def _block_diag(mats):
-    if any(map(_issparse, mats)) or len(mats) >= 8:
-        import scipy.sparse as sp
-
-        return sp.block_diag([sp.csr_matrix(m) for m in mats], format="csr")
-    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
-
-
-def compose_serial(outer: ReluNetwork, inner: ReluNetwork) -> ReluNetwork:
-    """Network computing outer(inner(x)); depths add.
-
-    The inner output matrix is folded into the first outer layer, so the
-    result is again a plain layered network.
-    """
-    if outer.input_dim != inner.output_dim:
-        raise ValueError(
-            f"outer expects {outer.input_dim} inputs, inner produces {inner.output_dim}"
-        )
-    if not outer.layers:
-        raise ValueError("outer network must have at least one hidden layer")
-    outer, inner = expand_blocks(outer), expand_blocks(inner)
-    first = outer.layers[0]
-    merged = Layer(first.weights @ inner.output, first.shifts.copy())
-    layers = list(inner.layers) + [merged] + list(outer.layers[1:])
-    return ReluNetwork(inner.input_dim, layers, outer.output.copy())
-
-
-def compose_parallel(nets: list, coefficients) -> ReluNetwork:
-    """Single scalar network computing sum_i c_i * net_i(x).
-
-    All nets must share input_dim and depth and have one output row; pad
-    shallower nets with :func:`pad_to_depth` first.  First layers stack on
-    the shared input, deeper layers go block diagonal, and the output row
-    concatenates the scaled per-net output rows.  The nonzero count is
-    exactly the sum of the per-net counts whenever every coefficient is
-    nonzero (no extra gadget weights are introduced).
-    """
-    coefficients = np.asarray(coefficients, dtype=float).ravel()
-    if len(nets) != coefficients.shape[0]:
-        raise ValueError("one coefficient per network required")
-    if not nets:
-        raise ValueError("need at least one network")
-    nets = [expand_blocks(n) for n in nets]
-    d0 = nets[0].input_dim
-    J = depth(nets[0])
-    for n in nets:
-        if n.input_dim != d0:
-            raise ValueError("mixed input dimensions")
-        if depth(n) != J:
-            raise ValueError("mixed depths; pad_to_depth first")
-        if n.output_dim != 1:
-            raise ValueError("compose_parallel needs scalar networks")
-    layers = [Layer(_vstack([n.layers[0].weights for n in nets]),
-                    np.concatenate([n.layers[0].shifts for n in nets]))]
-    for j in range(1, J):
-        layers.append(Layer(_block_diag([n.layers[j].weights for n in nets]),
-                            np.concatenate([n.layers[j].shifts for n in nets])))
-    out = np.hstack([c * np.asarray(n.output.todense() if _issparse(n.output) else n.output)
-                     for c, n in zip(coefficients, nets)])
-    return ReluNetwork(d0, layers, out)
-
-
-def identity_net(dim: int, hidden_layers: int = 1) -> ReluNetwork:
-    """Network computing x exactly via relu(x) - relu(-x), any depth."""
-    if hidden_layers < 1:
-        raise ValueError("need at least one hidden layer")
-    eye = np.eye(dim)
-    layers = [Layer(np.vstack([eye, -eye]), np.zeros(2 * dim))]
-    for _ in range(hidden_layers - 1):
-        layers.append(Layer(np.eye(2 * dim), np.zeros(2 * dim)))
-    return ReluNetwork(dim, layers, np.hstack([eye, -eye]))
-
-
-def pad_to_depth(net: ReluNetwork, target_depth: int) -> ReluNetwork:
-    """Append identity gadget layers until the depth matches.
-
-    Each padding step splits every output row r into the pair
-    (relu(r.h), relu(-r.h)) and recombines with (1, -1), so evaluation is
-    unchanged on all inputs.
-    """
-    if target_depth < depth(net):
-        raise ValueError("target depth below current depth")
-    net = expand_blocks(net)
-    layers = list(net.layers)
-    out = np.asarray(net.output.todense() if _issparse(net.output) else net.output)
-    r = out.shape[0]
-    eye = np.eye(r)
-    for _ in range(target_depth - depth(net)):
-        layers.append(Layer(np.vstack([out, -out]), np.zeros(2 * r)))
-        out = np.hstack([eye, -eye])
-    return ReluNetwork(net.input_dim, layers, out)
 
 
 # written values joined into one string at a time

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,18 @@ def test_spike_grid_csv(tmp_path):
     assert float(row["psi"]) == pytest.approx(spike(y), abs=1e-15)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("step", "0"), ("step", "-0.1"), ("step", "nan"), ("step", "inf"),
+    ("extent", "-1"), ("extent", "nan"), ("extent", "inf"),
+    ("t", "0"), ("t", "-1"),
+])
+def test_spike_grid_bad_flag_is_named(tmp_path, flag, value):
+    out = tmp_path / "spike.csv"
+    with pytest.raises(ValueError, match=rf"^{flag}\b"):
+        main(["spike-grid", f"--{flag}", value, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_quad_rule_csv(tmp_path):
     out = tmp_path / "rule.csv"
     main(["quad-rule", "--q", "3", "--s", "1", "--out", str(out)])
@@ -265,15 +278,19 @@ def test_run_ladder_only_config(tmp_path):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["completed_points"] == 0
     assert summary["budget_ladder"]["points"] >= 1
+    # no sweep rows, still the header
+    header = (out_dir / "report.csv").read_text().splitlines()
+    assert header == [",".join(f.name for f in fields(pipeline.ExperimentRow))]
 
 
-@pytest.mark.parametrize("change", [
-    {"m_values": [], "budget_ladder": False},
-    {"m_values": [], "ladder_m_values": []},
-], ids=["no-ladder", "no-ladder-degrees"])
-def test_run_with_nothing_to_measure_is_named(tmp_path, change):
+@pytest.mark.parametrize("change, key", [
+    ({"m_values": [], "budget_ladder": False}, "m_values"),
+    ({"m_values": [], "ladder_m_values": []}, "m_values"),
+    ({"N_values": [], "budget_ladder": False}, "N_values"),
+], ids=["no-ladder", "no-ladder-degrees", "no-grid-sizes"])
+def test_run_with_nothing_to_measure_is_named(tmp_path, change, key):
     config = {"input_class": {"sample_count": 4}, **change}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match=r"^m_values\b"):
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
         main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from funcrelu.constructors import (
     InterpolationSpec,
@@ -18,7 +19,6 @@ from funcrelu.constructors import (
 from funcrelu.relu_net import (
     Layer,
     ReluNetwork,
-    compose_parallel,
     count_nonzero,
     depth,
     evaluate,
@@ -35,6 +35,20 @@ from funcrelu.simplicial import (
     spike,
     spike_forms,
 )
+
+
+def _parallel_sum(nets, coefficients):
+    """The scalar net computing sum_i c_i * net_i(x), written densely: the
+    first layers stacked on the shared input, the deeper layers block
+    diagonal, the output row the scaled output rows side by side.  The
+    reference for the grid net's block assembly."""
+    layers = [Layer(np.vstack([n.layers[0].weights for n in nets]),
+                    np.concatenate([n.layers[0].shifts for n in nets]))]
+    for j in range(1, depth(nets[0])):
+        layers.append(Layer(block_diag(*(n.layers[j].weights for n in nets)),
+                            np.concatenate([n.layers[j].shifts for n in nets])))
+    out = np.hstack([c * n.output for c, n in zip(coefficients, nets)])
+    return ReluNetwork(nets[0].input_dim, layers, out)
 
 
 def _reference_min_nets(d: int):
@@ -239,7 +253,7 @@ class TestInterpolationNet:
                 InterpolationSpec(grid, np.ones(grid.node_count)))
             assert depth(net) == t * t + t + 1
 
-    def test_matches_compose_parallel_construction(self):
+    def test_matches_the_parallel_sum_construction(self):
         # the block assembly is exactly the parallel composition of
         # per-node shifted scaled spikes
         rng = np.random.default_rng(3)
@@ -255,7 +269,7 @@ class TestInterpolationNet:
                 Layer(np.asarray(mn.output), np.zeros(1))
             ]
             nets.append(ReluNetwork(2, layers, np.array([[1.0]])))
-        par = compose_parallel(nets, values)
+        par = _parallel_sum(nets, values)
         Y = rng.uniform(-1.2, 1.2, (500, 2))
         assert np.abs(evaluate_batch(fast, Y) - evaluate_batch(par, Y)).max() <= 1e-12
         assert count_nonzero(fast) == count_nonzero(par)
@@ -272,7 +286,7 @@ class TestInterpolationNet:
                             + build_spike_net(t).layers[1:], np.array([[1.0]]))
                 for xi in grid.node_array()]
         block = build_interpolation_net(InterpolationSpec(grid, values))
-        assert serialize(expand_blocks(block)) == serialize(compose_parallel(nets, values))
+        assert serialize(expand_blocks(block)) == serialize(_parallel_sum(nets, values))
 
     @pytest.mark.parametrize("t,N,M", [(5, 8, 64_535_454), (3, 32, 7_821_396),
                                        (7, 2, 7_645_752)])

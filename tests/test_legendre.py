@@ -9,11 +9,9 @@ from funcrelu.legendre import (
     PolyCoeffs,
     default_rule_size,
     eval_legendre_1d,
-    eval_tensor,
     gauss_legendre_rule,
     legendre_values,
     lp_norm,
-    phi_inverse,
     tensor_multi_indices,
 )
 
@@ -89,11 +87,6 @@ class TestBasis:
         totals = [sum(b.multi_of(k)) for k in range(1, b.t + 1)]
         assert totals == sorted(totals)
 
-    def test_index_round_trip(self):
-        b = LegendreBasis(3, 1)
-        for k in range(1, b.t + 1):
-            assert b.index_of(b.multi_of(k)) == k
-
     def test_out_of_range_index(self):
         b = LegendreBasis(1, 1)
         with pytest.raises(IndexError):
@@ -103,13 +96,13 @@ class TestBasis:
 
     def test_tensor_constant(self):
         b = LegendreBasis(2, 1)
-        k0 = b.index_of((0, 0))
-        assert eval_tensor(b, k0, np.array([0.3, -0.8])) == pytest.approx(0.5, abs=1e-15)
+        # the first basis function is L_0 x L_0
+        assert b.eval_all(np.array([0.3, -0.8]))[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_tensor_product_value(self):
         b = LegendreBasis(2, 1)
-        k = b.index_of((1, 0))
-        got = eval_tensor(b, k, np.array([0.5, 0.77]))
+        k = b.multi_indices.tolist().index([1, 0])
+        got = b.eval_all(np.array([0.5, 0.77]))[k]
         assert got == pytest.approx(math.sqrt(1.5) * 0.5 * math.sqrt(0.5), abs=1e-14)
 
     @pytest.mark.parametrize("s,m", [(1, 2), (2, 1), (3, 1), (2, 2), (3, 2)])
@@ -120,12 +113,14 @@ class TestBasis:
         gram = B.T @ (rule.weights[:, None] * B)
         assert np.abs(gram - np.eye(b.t)).max() <= 1e-10
 
-    def test_eval_all_matches_eval_tensor(self):
+    def test_eval_all_matches_univariate_products(self):
         b = LegendreBasis(2, 2)
         x = np.array([0.21, -0.6])
         all_vals = b.eval_all(x)
         for k in range(1, b.t + 1):
-            assert all_vals[k - 1] == pytest.approx(eval_tensor(b, k, x), abs=1e-13)
+            want = math.prod(eval_legendre_1d(n, float(xd))
+                             for n, xd in zip(b.multi_of(k), x))
+            assert all_vals[k - 1] == pytest.approx(want, abs=1e-13)
 
 
 class TestPhi:
@@ -134,13 +129,13 @@ class TestPhi:
             b = LegendreBasis(s, 1)
             c = np.zeros(b.t)
             c[0] = 1.0
-            poly = phi_inverse(b, c)
+            poly = PolyCoeffs(b, c)
             pts = np.random.default_rng(0).uniform(-1, 1, (20, s))
             assert np.allclose(poly(pts), math.sqrt(0.5) ** s, atol=1e-14)
 
     def test_zero_vector(self):
         b = LegendreBasis(1, 2)
-        poly = phi_inverse(b, np.zeros(b.t))
+        poly = PolyCoeffs(b, np.zeros(b.t))
         assert np.all(poly(np.linspace(-1, 1, 9)[:, None]) == 0.0)
 
     def test_isometry(self):
@@ -150,7 +145,7 @@ class TestPhi:
             rule = gauss_legendre_rule(default_rule_size(m), s)
             for _ in range(100):
                 c = rng.standard_normal(b.t)
-                poly = phi_inverse(b, c)
+                poly = PolyCoeffs(b, c)
                 assert lp_norm(poly, 2, rule) == pytest.approx(
                     float(np.linalg.norm(c)), abs=1e-10
                 )
@@ -161,7 +156,7 @@ class TestPhi:
         rule = gauss_legendre_rule(8, 2)
         c = rng.standard_normal(b.t)
         op = DiscretizationOperator(b, np.ones(b.t), rule)
-        back = apply_Vm(op, phi_inverse(b, c)).coeffs
+        back = apply_Vm(op, PolyCoeffs(b, c)).coeffs
         assert np.abs(back - c).max() <= 1e-10
 
     def test_project_recovers_polynomial(self):
@@ -186,7 +181,7 @@ def test_norm_comparison_shape():
         ratios = []
         for _ in range(60):
             c = rng.standard_normal(b.t)
-            poly = phi_inverse(b, c)
+            poly = PolyCoeffs(b, c)
             ratios.append(lp_norm(poly, p, rule) / lp_norm(poly, q, rule))
         worst.append(max(ratios) / max(m, 1) ** expo)
     assert max(worst) / min(worst) < 10.0

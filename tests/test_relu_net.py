@@ -23,8 +23,6 @@ from funcrelu.relu_net import (
     Layer,
     NetworkFormatError,
     ReluNetwork,
-    compose_parallel,
-    compose_serial,
     count_nonzero,
     depth,
     deserialize,
@@ -32,9 +30,7 @@ from funcrelu.relu_net import (
     evaluate_batch,
     expand_blocks,
     forward,
-    identity_net,
     nonzero_breakdown,
-    pad_to_depth,
     serialize,
 )
 from funcrelu.constructors import interpolant_values
@@ -139,115 +135,6 @@ class TestAccounting:
             assert evaluate(net, lam * x) == pytest.approx(
                 lam * evaluate(net, x), rel=1e-12, abs=1e-12
             )
-
-
-class TestComposeSerial:
-    def test_identity_passthrough(self):
-        rng = np.random.default_rng(8)
-        f = random_net(rng, 3, [5, 4])
-        composed = compose_serial(f, identity_net(3))
-        X = rng.uniform(-2, 2, (100, 3))
-        assert np.allclose(evaluate_batch(composed, X), evaluate_batch(f, X),
-                           atol=1e-12)
-
-    def test_min_recursion_gives_three_input_min_at_depth_two(self):
-        # the d = 3 minimum as min(min(x1, x2), x3): inner stage emits the
-        # pair (min(x1, x2), x3) in one hidden layer, outer is the 2-input min
-        W = np.array([
-            [0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0],
-            [-1.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [0.0, 0.0, -1.0],
-        ])
-        inner = ReluNetwork(3, [(W, np.zeros(5))],
-                            np.array([[1.0, -1.0, -1.0, 0.0, 0.0],
-                                      [0.0, 0.0, 0.0, 1.0, -1.0]]))
-        net = compose_serial(build_min_net(2), inner)
-        assert depth(net) == 2
-        rng = np.random.default_rng(20)
-        X = rng.uniform(-5, 5, (200, 3))
-        assert np.abs(evaluate_batch(net, X) - X.min(axis=1)).max() <= 1e-12
-
-    def test_matches_sequential_evaluation(self):
-        rng = np.random.default_rng(9)
-        inner = random_net(rng, 3, [6, 5], out_rows=4)
-        outer = random_net(rng, 4, [5, 3])
-        net = compose_serial(outer, inner)
-        X = rng.uniform(-3, 3, (100, 3))
-        direct = np.array([evaluate(outer, forward(inner, x)) for x in X])
-        assert np.abs(evaluate_batch(net, X) - direct).max() <= 1e-12
-
-    def test_associative_in_evaluation(self):
-        rng = np.random.default_rng(10)
-        h = random_net(rng, 2, [4], out_rows=3)
-        g = random_net(rng, 3, [5], out_rows=2)
-        f = random_net(rng, 2, [3])
-        left = compose_serial(compose_serial(f, g), h)
-        right = compose_serial(f, compose_serial(g, h))
-        X = rng.uniform(-2, 2, (100, 2))
-        assert np.abs(evaluate_batch(left, X) - evaluate_batch(right, X)).max() <= 1e-12
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(ValueError):
-            compose_serial(random_net(rng, 3, [4]), random_net(rng, 2, [5], out_rows=2))
-
-
-class TestComposeParallel:
-    def test_single_net_coefficient_one(self):
-        rng = np.random.default_rng(12)
-        net = random_net(rng, 2, [4, 3])
-        par = compose_parallel([net], [1.0])
-        X = rng.uniform(-2, 2, (100, 2))
-        assert np.allclose(evaluate_batch(par, X), evaluate_batch(net, X), atol=1e-13)
-
-    def test_cancellation_gives_zero(self):
-        rng = np.random.default_rng(13)
-        net = random_net(rng, 3, [5, 4])
-        par = compose_parallel([net, net], [1.0, -1.0])
-        X = rng.uniform(-5, 5, (100, 3))
-        assert np.abs(evaluate_batch(par, X)).max() <= 1e-12
-
-    def test_spike_combination_against_direct_sum(self):
-        rng = np.random.default_rng(14)
-        coeffs = rng.standard_normal(4)
-        shifts = [np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, -1.0]),
-                  np.array([1.0, 1.0])]
-        nets = []
-        for c in shifts:
-            base = build_spike_net(2)
-            first = base.layers[0]
-            shifted = Layer(np.asarray(first.weights).copy(),
-                            first.shifts - np.asarray(first.weights) @ c)
-            nets.append(ReluNetwork(2, [shifted] + base.layers[1:], base.output))
-        par = compose_parallel(nets, coeffs)
-        Y = rng.uniform(-2.0, 2.0, (1000, 2))
-        direct = sum(c * spike(Y - sh) for c, sh in zip(coeffs, shifts))
-        assert np.abs(evaluate_batch(par, Y) - direct).max() <= 1e-10
-
-    def test_count_is_sum_without_overhead(self):
-        rng = np.random.default_rng(15)
-        nets = [random_net(rng, 2, [3, 4]) for _ in range(3)]
-        par = compose_parallel(nets, [2.0, -1.0, 0.5])
-        assert count_nonzero(par) == sum(count_nonzero(n) for n in nets)
-
-    def test_mixed_depth_rejected_and_padding_fixes(self):
-        rng = np.random.default_rng(16)
-        shallow = random_net(rng, 2, [3])
-        deep = random_net(rng, 2, [4, 4])
-        with pytest.raises(ValueError):
-            compose_parallel([shallow, deep], [1.0, 1.0])
-        padded = pad_to_depth(shallow, 2)
-        X = rng.uniform(-2, 2, (50, 2))
-        assert np.allclose(evaluate_batch(padded, X), evaluate_batch(shallow, X),
-                           atol=1e-12)
-        par = compose_parallel([padded, deep], [1.0, 1.0])
-        assert np.allclose(
-            evaluate_batch(par, X),
-            evaluate_batch(padded, X) + evaluate_batch(deep, X),
-            atol=1e-12,
-        )
 
 
 class TestSerialization:
@@ -435,18 +322,47 @@ def _signed_zero_net():
     return net
 
 
+def _identity_net(dim, hidden_layers):
+    """x = relu(x) - relu(-x), carried through identity layers."""
+    eye = np.eye(dim)
+    layers = [Layer(np.vstack([eye, -eye]), np.zeros(2 * dim))]
+    layers += [Layer(np.eye(2 * dim), np.zeros(2 * dim)) for _ in range(hidden_layers - 1)]
+    return ReluNetwork(dim, layers, np.hstack([eye, -eye]))
+
+
+def _parallel_net():
+    """1.5 * a(x) - 0.5 * b(x) as one net: first layers stacked, second
+    layers block diagonal, output rows scaled side by side."""
+    a, b = (random_net(np.random.default_rng(s), 2, [3, 4]) for s in (22, 23))
+    second = np.zeros((8, 6))
+    second[:4, :3], second[4:, 3:] = a.layers[1].weights, b.layers[1].weights
+    layers = [Layer(np.vstack([a.layers[0].weights, b.layers[0].weights]),
+                    np.concatenate([a.layers[0].shifts, b.layers[0].shifts])),
+              Layer(second, np.concatenate([a.layers[1].shifts, b.layers[1].shifts]))]
+    return ReluNetwork(2, layers, np.hstack([1.5 * a.output, -0.5 * b.output]))
+
+
+def _padded_net():
+    """A one-layer net padded to depth 3: each padding layer splits the
+    output r into (relu(r.h), relu(-r.h)) and recombines with (1, -1)."""
+    net = random_net(np.random.default_rng(24), 2, [3])
+    layers, out = list(net.layers), net.output
+    for _ in range(2):
+        layers.append(Layer(np.vstack([out, -out]), np.zeros(2)))
+        out = np.array([[1.0, -1.0]])
+    return ReluNetwork(2, layers, out)
+
+
 SERIALIZED_NETS = {
     "min": lambda: build_min_net(3),
     "spike": lambda: build_spike_net(2),
-    "identity": lambda: identity_net(3, 2),
+    "identity": lambda: _identity_net(3, 2),
     "zero": zero_net,
     "random": lambda: random_net(np.random.default_rng(18), 3, [5, 4], out_rows=2),
     "sparse-dense": lambda: random_net(np.random.default_rng(19), 4, [7, 6], density=0.3),
     "signed-zeros": _signed_zero_net,
-    "parallel": lambda: compose_parallel(
-        [random_net(np.random.default_rng(s), 2, [3, 4]) for s in (22, 23)],
-        [1.5, -0.5]),
-    "padded": lambda: pad_to_depth(random_net(np.random.default_rng(24), 2, [3]), 3),
+    "parallel": _parallel_net,
+    "padded": _padded_net,
     "interp-t1-N4": lambda: _interp(1, 4),
     "interp-t1-N8": lambda: _interp(1, 8),
     "interp-t2-N4": lambda: _interp(2, 4),
@@ -858,8 +774,6 @@ class TestPrunedForward:
         assert deserialize(serialize(net)).grid == grid
         assert expand_blocks(net).grid is None
         assert deserialize(serialize(expand_blocks(net))).grid is None
-        assert pad_to_depth(net, depth(net) + 1).grid is None
-        assert compose_parallel([net], [1.0]).grid is None
 
     def test_grid_must_match_the_blocks(self):
         # a spike net reads one output unit; a 9-node grid makes 9 of them
