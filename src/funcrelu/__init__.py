@@ -29,7 +29,6 @@ from .legendre import (
     GaussRule,
     LegendreBasis,
     PolyCoeffs,
-    eval_legendre_1d,
     gauss_legendre_rule,
 )
 from .pipeline import (

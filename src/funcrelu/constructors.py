@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .relu_net import Layer, ReluNetwork, _issparse
+from .relu_net import Layer, ReluNetwork
 from .simplicial import (ScaledGrid, integer_size, point_batch, spike, spike_forms,
                          support_pairs)
 
@@ -124,16 +124,14 @@ def build_interpolation_net(spec: InterpolationSpec,
     coefficients, so the net stores the layers of
     :func:`build_spike_net` once, at cell scale, and the grid gives the
     copies and each copy's first-layer shifts (see
-    :class:`funcrelu.relu_net.ReluNetwork`).  The block is kept dense, as
-    :func:`build_spike_net` makes it.  Depth is t^2 + t + 1 and the
+    :class:`funcrelu.relu_net.ReluNetwork`).  Depth is t^2 + t + 1 and the
     nonzero count is at most node_count * spike_nominal_nonzeros(t).
 
     ``block`` is a spike net of the grid's t to build from instead of a
     new one; the net then holds its deeper ``Layer`` objects, and with them
     the index forms the pruned pass multiplies by, and only the scaled
-    first layer is its own.  A block layer stored sparse is written dense
-    into a new ``Layer`` of the net.  A block of other shapes, or with a
-    grid, raises ValueError.
+    first layer is its own.  A block of other shapes, or with a grid,
+    raises ValueError.
     """
     grid = spec.grid
     if block is None:
@@ -141,8 +139,7 @@ def build_interpolation_net(spec: InterpolationSpec,
     elif (block.grid is not None or block.input_dim != grid.t
           or [l.weights.shape for l in block.layers] != spike_layer_shapes(grid.t)):
         raise ValueError(f"block is not the spike net on R^{grid.t}")
-    first, *deeper = (Layer(l.weights.toarray(), l.shifts)
-                      if _issparse(l.weights) else l for l in block.layers)
+    first, *deeper = block.layers
     # the spike's forms at (y - xi) / cell; its shifts at the origin are
     # the same at every scale
     layers = [Layer(first.weights * (1.0 / grid.h), first.shifts), *deeper]

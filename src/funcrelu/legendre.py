@@ -42,14 +42,6 @@ def legendre_values(n_max: int, x) -> np.ndarray:
     return vals
 
 
-def eval_legendre_1d(n: int, x):
-    """Single orthonormal Legendre value L_n(x); x scalar or array."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    out = legendre_values(n, x)[..., n]
-    return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
-
-
 def tensor_multi_indices(s: int, max_degree: int) -> np.ndarray:
     """All multi-indices in {0..max_degree}^s sorted by (total degree, lex),
     shape (count, s)."""
@@ -89,12 +81,6 @@ class LegendreBasis:
     @property
     def t(self) -> int:
         return (2 * self.m + 1) ** self.s
-
-    def multi_of(self, k: int) -> tuple:
-        """Multi-index of 1-based linear index k."""
-        if not 1 <= k <= self.t:
-            raise IndexError(f"linear index {k} outside 1..{self.t}")
-        return tuple(int(v) for v in self.multi_indices[k - 1])
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         """Values of all t basis functions, shape (..., t)."""

@@ -10,29 +10,24 @@ and passes the result through relu componentwise.  The output stage is a
 plain matrix A with no shift; the scalar case is a 1-row A.  It adds each
 output at each point over the last hidden units in ascending unit order,
 starting from 0.0, so its rounding follows neither the point chunks nor
-the BLAS thread count.  Weight matrices may be dense ndarrays or scipy
-CSR matrices; sparsity is an internal storage choice, never part of the
-contract.  An interpolation net stores the layers of one spike block,
-dense and read-only, and a grid that repeats it once per node (see
-:class:`ReluNetwork`); counts and values are those of the expanded net,
-which :func:`expand_blocks` writes out as CSR.  The pruned pass multiplies
-by an index form of each block layer (each row's nonzero columns and
-weights, numpy arrays only), made on first use and kept on the layer;
+the BLAS thread count.  Every weight matrix is a dense float ndarray.
+An interpolation net stores the layers of one spike block, read-only,
+and a grid that repeats it once per node (see :class:`ReluNetwork`);
+counts and values are those of the net with every copy written out.
+The pruned pass multiplies by an index form of each block layer (each
+row's nonzero columns and weights, numpy arrays only), made on first
+use and kept on the layer;
 nets built from one block share its deeper layers, and so their forms (a
 rate experiment makes each form once).  Its candidate copies at a point
 are the vertices of the point's simplex: t + 1 at a generic point, at
 most 2^(t+1) - 1 anywhere.  It keeps one last-layer value per (point,
 candidate copy) pair, never an array over every copy.
-scipy is imported only where a sparse matrix is made, so building an
-interpolation net, counting its nonzeros, serializing it and evaluating
-it never load it; :func:`expand_blocks` does.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Optional
@@ -54,22 +49,22 @@ class NetworkFormatError(ValueError):
     """Raised when a serialized network cannot be parsed."""
 
 
-def _issparse(w) -> bool:
-    """Whether ``w`` is a scipy sparse matrix, without importing scipy: no
-    sparse matrix exists before scipy.sparse is loaded."""
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(w)
-
-
-def _as_matrix(w):
-    if _issparse(w):
-        return w.tocsr()
-    return np.atleast_2d(np.asarray(w, dtype=float))
+def _as_matrix(w) -> np.ndarray:
+    """``w`` as a dense float matrix, a vector as one row.  Anything numpy
+    cannot read as numbers (a sparse matrix among them), or that has more
+    than two axes, raises ValueError."""
+    try:
+        a = np.atleast_2d(np.asarray(w, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"weights must be a numeric array, got {type(w).__name__}") from exc
+    if a.ndim != 2:
+        raise ValueError(f"weights must be a 2-D array, got shape {a.shape}")
+    return a
 
 
 def _check_finite(w, what):
-    data = w.data if _issparse(w) else w
-    if data.size and not np.all(np.isfinite(data)):
+    if w.size and not np.all(np.isfinite(w)):
         raise ValueError(f"non-finite entries in {what}")
 
 
@@ -81,9 +76,9 @@ class Layer:
     every grid node repeats, and ``rows`` and ``cols`` are the block's own.
     """
 
-    # (r, c) ndarray or CSR matrix; a grid net's block is a read-only
-    # ndarray, and _index keeps the index form the pruned pass multiplies by
-    weights: object
+    # (r, c); a grid net's block is read-only, and _index keeps the index
+    # form the pruned pass multiplies by
+    weights: np.ndarray
     shifts: np.ndarray  # (r,)
     _index: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -159,11 +154,6 @@ class ReluNetwork:
                 raise ValueError(
                     f"layers are not one spike block on R^{t}, with "
                     f"{t * t + t} first-layer rows and one output unit")
-            for j, layer in enumerate(self.layers):
-                if _issparse(layer.weights):
-                    raise ValueError(
-                        f"layer {j} is sparse; a grid net's spike block "
-                        "must be dense")
         if self.output.shape[1] != _copies(self) * prev:
             got = prev if self.grid is None else (
                 f"{prev} x {self.grid.node_count} grid nodes")
@@ -191,8 +181,6 @@ def depth(net: ReluNetwork) -> int:
 
 
 def _nnz(w) -> int:
-    if _issparse(w):
-        return int(np.count_nonzero(w.data))
     return int(np.count_nonzero(w))
 
 
@@ -258,41 +246,6 @@ def nonzero_breakdown(net: ReluNetwork) -> dict:
     return {"total": sum(parts.values()), **parts, "per_layer": per_layer}
 
 
-def _repeat_block(w, n: int, stacked: bool):
-    """CSR matrix of n copies of the block ``w``: stacked on one input, or
-    else block diagonal."""
-    import scipy.sparse as sp
-
-    block = sp.csr_matrix(w)
-    rows, c = block.shape
-    cols = c if stacked else n * c
-    indices = np.tile(block.indices.astype(np.int64), n)
-    if not stacked:
-        indices += (np.arange(n, dtype=np.int64) * c).repeat(block.nnz)
-    if cols < np.iinfo(np.int32).max:
-        indices = indices.astype(np.int32)
-    indptr = np.concatenate(([0], np.tile(np.diff(block.indptr), n).cumsum()))
-    return sp.csr_matrix((np.tile(block.data, n), indices, indptr),
-                         shape=(n * rows, cols))
-
-
-def expand_blocks(net: ReluNetwork) -> ReluNetwork:
-    """The same network with its grid copies written out as CSR layers,
-    and no grid; a net without a grid comes back as is.
-
-    :func:`_full_forward` works on this form.  It holds every copy, so on
-    a large interpolation net it costs what the block form saves.
-    """
-    if net.grid is None:
-        return net
-    n = _copies(net)
-    shifts = _grid_shifts(net.grid, np.arange(n))
-    layers = [Layer(_repeat_block(l.weights, n, j == 0),
-                    shifts.ravel() if j == 0 else np.tile(l.shifts, n))
-              for j, l in enumerate(net.layers)]
-    return ReluNetwork(net.input_dim, layers, net.output)
-
-
 # (point, copy) pairs per run of the pruned pass
 _PAIR_RUN = 4096
 
@@ -322,8 +275,7 @@ def _output_stage(output, point, unit, value, points: int) -> np.ndarray:
     order, whatever the chunks and the BLAS thread count."""
     res = np.empty((points, output.shape[0]))
     for r in range(output.shape[0]):
-        row = output[r].toarray()[0] if _issparse(output) else output[r]
-        res[:, r] = np.bincount(point, weights=row[unit] * value,
+        res[:, r] = np.bincount(point, weights=output[r, unit] * value,
                                 minlength=points)
     return res
 
@@ -339,9 +291,12 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
     """Every unit of every layer for a batch (n, input_dim) -> (n, output_dim).
 
     The reference evaluation: :func:`forward` takes it for every net
-    without a grid, and the tests compare the pruned path against it on
-    the net :func:`expand_blocks` writes out.  Its output stage adds each
-    point's terms over every last-layer unit in ascending unit order.
+    without a grid.  It reads only ``input_dim``, ``grid``, ``output``,
+    ``output_dim`` and each layer's ``rows``, ``weights`` and ``shifts``,
+    and multiplies by ``weights @ h``, so the tests run it on a grid net
+    with every copy written out as CSR layers, the reference the pruned
+    pass is proven against.  Its output stage adds each point's terms over
+    every last-layer unit in ascending unit order.
     """
     chunk = _chunk_points(net, max_batch_bytes)
     outs = []
@@ -359,8 +314,8 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
 
 
 class _IndexForm(NamedTuple):
-    """A block layer as the pruned pass multiplies by it, with no scipy
-    call: its rows in runs of consecutive rows with one nonzero count, and
+    """A block layer as the pruned pass multiplies by it, in numpy arrays
+    only: its rows in runs of consecutive rows with one nonzero count, and
     per run one term per nonzero, the run's k-th nonzeros in ascending
     column order.  A term is (src, scale): the rows of the input it reads,
     a slice where they are consecutive, and its weights, None where all
@@ -561,8 +516,6 @@ def _float_list(w) -> list:
     strings of ``_VALUE_RUN`` nonzeros, so only one run's strings exist at
     a time.
     """
-    if _issparse(w):
-        w = w.toarray()
     a = np.asarray(w, dtype=float).ravel()
     nz = np.flatnonzero(a.view(np.int64))
     # zeros before each nonzero, then after the last one

@@ -23,7 +23,6 @@ from funcrelu.relu_net import (
     depth,
     evaluate,
     evaluate_batch,
-    expand_blocks,
     forward,
     nonzero_breakdown,
     serialize,
@@ -35,6 +34,7 @@ from funcrelu.simplicial import (
     spike,
     spike_forms,
 )
+from test_relu_net import dense_expansion
 
 
 def _parallel_sum(nets, coefficients):
@@ -286,7 +286,7 @@ class TestInterpolationNet:
                             + build_spike_net(t).layers[1:], np.array([[1.0]]))
                 for xi in grid.node_array()]
         block = build_interpolation_net(InterpolationSpec(grid, values))
-        assert serialize(expand_blocks(block)) == serialize(_parallel_sum(nets, values))
+        assert serialize(dense_expansion(block)) == serialize(_parallel_sum(nets, values))
 
     @pytest.mark.parametrize("t,N,M", [(5, 8, 64_535_454), (3, 32, 7_821_396),
                                        (7, 2, 7_645_752)])
@@ -300,14 +300,8 @@ class TestInterpolationNet:
     def test_blocks_stored_once(self):
         grid = ScaledGrid(5, 1.0, 8)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-
-        def nbytes(w):
-            if sp.issparse(w):
-                return w.data.nbytes + w.indices.nbytes + w.indptr.nbytes
-            return w.nbytes
-
-        stored = nbytes(net.output) + sum(nbytes(l.weights) + l.shifts.nbytes
-                                          for l in net.layers)
+        stored = net.output.nbytes + sum(l.weights.nbytes + l.shifts.nbytes
+                                         for l in net.layers)
         assert stored < 32 * 2**20
         # the stored layers are the spike net's, the first at cell scale
         for t in (1, 2, 3, 5):
@@ -415,31 +409,17 @@ class TestInterpolationNet:
             with pytest.raises(ValueError, match=r"not the spike net on R\^2"):
                 build_interpolation_net(spec, block)
 
-    @pytest.mark.parametrize("t,N", [(2, 3), (3, 2)])
-    def test_sparse_block_is_written_dense(self, t, N):
-        rng = np.random.default_rng(10 * t + N)
-        grid = ScaledGrid(t, 1.295091801838947, N)
-        spec = InterpolationSpec(grid, rng.uniform(-1, 1, grid.node_count))
-        dense = build_spike_net(t)
-        sparse = ReluNetwork(t, [Layer(sp.csr_matrix(l.weights), l.shifts)
-                                 for l in dense.layers], dense.output)
-        net = build_interpolation_net(spec, sparse)
-        assert all(isinstance(l.weights, np.ndarray) for l in net.layers)
-        Y = rng.uniform(-1.4, 1.4, (200, t))
-        Y[:50] = grid.nodes(rng.integers(0, grid.node_count, 50))
-        want = evaluate_batch(build_interpolation_net(spec, dense), Y)
-        assert evaluate_batch(net, Y).tobytes() == want.tobytes()
-        assert serialize(net) == serialize(build_interpolation_net(spec))
-
-    def test_grid_net_refuses_sparse_block_layers(self):
+    def test_sparse_block_layers_are_refused_by_name(self):
+        # a layer holds one dense matrix; a sparse one is refused by its
+        # type name, which needs no scipy import in the package
         grid = ScaledGrid(2, 1.0, 3)
         layers = build_interpolation_net(InterpolationSpec(grid, np.ones(16))).layers
         for j in (0, 3):
-            mixed = list(layers)
-            mixed[j] = Layer(sp.csr_matrix(layers[j].weights), layers[j].shifts)
-            with pytest.raises(ValueError, match=f"layer {j} is sparse; a grid net's "
-                                                 "spike block must be dense"):
-                ReluNetwork(2, mixed, np.ones((1, 16)), grid=grid)
+            with pytest.raises(ValueError, match="weights must be a numeric array, "
+                                                 "got csr_matrix"):
+                Layer(sp.csr_matrix(layers[j].weights), layers[j].shifts)
+        with pytest.raises(ValueError, match="weights must be a numeric array, got csr_matrix"):
+            ReluNetwork(2, layers, sp.csr_matrix(np.ones((1, 16))), grid=grid)
 
     @pytest.mark.parametrize("call", ["forward", "interpolant_values"])
     def test_complex_points_are_refused(self, call):

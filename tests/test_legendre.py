@@ -8,7 +8,6 @@ from funcrelu.legendre import (
     LegendreBasis,
     PolyCoeffs,
     default_rule_size,
-    eval_legendre_1d,
     gauss_legendre_rule,
     legendre_values,
     lp_norm,
@@ -19,22 +18,23 @@ from funcrelu.legendre import (
 class TestUnivariate:
     def test_constant(self):
         for x in (-1.0, 0.0, 0.3, 1.0):
-            assert eval_legendre_1d(0, x) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+            assert legendre_values(0, x)[..., 0] == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
     def test_linear(self):
-        assert eval_legendre_1d(1, 1.0) == pytest.approx(math.sqrt(1.5), abs=1e-15)
-        assert eval_legendre_1d(1, 0.5) == pytest.approx(0.5 * math.sqrt(1.5), abs=1e-15)
+        assert legendre_values(1, 1.0)[..., 1] == pytest.approx(math.sqrt(1.5), abs=1e-15)
+        assert legendre_values(1, 0.5)[..., 1] == pytest.approx(0.5 * math.sqrt(1.5),
+                                                                abs=1e-15)
 
     def test_normalization_by_quadrature(self):
         rule = gauss_legendre_rule(4, 1)
-        vals = eval_legendre_1d(3, rule.points[:, 0])
+        vals = legendre_values(3, rule.points[:, 0])[..., 3]
         assert rule.weights @ vals**2 == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_rodrigues_at_low_degree(self):
         # n = 2: sqrt(5/2) * (3x^2 - 1)/2 from the derivative definition
         xs = np.linspace(-1, 1, 11)
         expect = math.sqrt(2.5) * (3 * xs**2 - 1) / 2
-        assert np.allclose(eval_legendre_1d(2, xs), expect, atol=1e-14)
+        assert np.allclose(legendre_values(2, xs)[..., 2], expect, atol=1e-14)
 
     def test_values_table_shape(self):
         vals = legendre_values(5, np.zeros(7))
@@ -81,18 +81,11 @@ class TestBasis:
     def test_size_and_ordering(self):
         b = LegendreBasis(2, 1)
         assert b.t == 9
-        assert b.multi_of(1) == (0, 0)
-        seen = {b.multi_of(k) for k in range(1, b.t + 1)}
+        assert b.multi_indices[0].tolist() == [0, 0]
+        seen = {tuple(b.multi_indices[k - 1].tolist()) for k in range(1, b.t + 1)}
         assert seen == {(i, j) for i in range(3) for j in range(3)}
-        totals = [sum(b.multi_of(k)) for k in range(1, b.t + 1)]
+        totals = [int(b.multi_indices[k - 1].sum()) for k in range(1, b.t + 1)]
         assert totals == sorted(totals)
-
-    def test_out_of_range_index(self):
-        b = LegendreBasis(1, 1)
-        with pytest.raises(IndexError):
-            b.multi_of(0)
-        with pytest.raises(IndexError):
-            b.multi_of(b.t + 1)
 
     def test_tensor_constant(self):
         b = LegendreBasis(2, 1)
@@ -118,8 +111,8 @@ class TestBasis:
         x = np.array([0.21, -0.6])
         all_vals = b.eval_all(x)
         for k in range(1, b.t + 1):
-            want = math.prod(eval_legendre_1d(n, float(xd))
-                             for n, xd in zip(b.multi_of(k), x))
+            want = math.prod(legendre_values(n, float(xd))[..., n]
+                             for n, xd in zip(b.multi_indices[k - 1].tolist(), x))
             assert all_vals[k - 1] == pytest.approx(want, abs=1e-13)
 
 

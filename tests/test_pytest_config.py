@@ -1,10 +1,16 @@
-"""The suite's own pytest configuration, run on a file of its own."""
+"""The suite's own pytest configuration, run on a file of its own, and
+the package metadata in pyproject.toml."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 ONE_FAILING_GIVEN_ONE_PASSING = """\
 from hypothesis import given, strategies as st
@@ -31,3 +37,31 @@ def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout, done.stdout + done.stderr
+
+
+def _imported_packages(path: Path) -> set:
+    """Top-level package names of every absolute import in a module,
+    those inside functions included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_of_the_package_is_a_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    listed = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
+              for dep in project["dependencies"]}
+    sources = sorted((ROOT / "src" / "funcrelu").glob("*.py"))
+    assert sources
+    third_party = {}
+    for path in sources:
+        for name in _imported_packages(path) - set(sys.stdlib_module_names) - {"funcrelu"}:
+            third_party.setdefault(name, []).append(path.name)
+    unlisted = {name: files for name, files in third_party.items() if name not in listed}
+    assert not unlisted, f"imported but not in pyproject dependencies: {unlisted}"
+    assert "numpy" in third_party

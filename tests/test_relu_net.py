@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from funcrelu.relu_net import (
     deserialize,
     evaluate,
     evaluate_batch,
-    expand_blocks,
     forward,
     nonzero_breakdown,
     serialize,
@@ -51,6 +51,52 @@ def random_net(rng, input_dim, widths, out_rows=1, density=1.0):
 
 def zero_net(d=2):
     return ReluNetwork(d, [(np.zeros((3, d)), np.zeros(3))], np.zeros((1, 3)))
+
+
+def _repeat_block(w, n: int, stacked: bool):
+    """CSR matrix of n copies of the block ``w``: stacked on one input, or
+    else block diagonal."""
+    block = sp.csr_matrix(w)
+    rows, c = block.shape
+    cols = c if stacked else n * c
+    indices = np.tile(block.indices.astype(np.int64), n)
+    if not stacked:
+        indices += (np.arange(n, dtype=np.int64) * c).repeat(block.nnz)
+    if cols < np.iinfo(np.int32).max:
+        indices = indices.astype(np.int32)
+    indptr = np.concatenate(([0], np.tile(np.diff(block.indptr), n).cumsum()))
+    return sp.csr_matrix((np.tile(block.data, n), indices, indptr),
+                         shape=(n * rows, cols))
+
+
+def expand_blocks(net, output=None):
+    """The reference form of a grid net for ``relu_net._full_forward``: its
+    grid copies written out as CSR layers, and no grid; ``output`` replaces
+    the output matrix, e.g. an identity to read every copy's last unit.  A
+    net without a grid comes back as is.  It holds every copy, so on a
+    large interpolation net it costs what the block form saves.
+    """
+    if net.grid is None:
+        return net
+    n = net.grid.node_count
+    shifts = relu_net._grid_shifts(net.grid, np.arange(n))
+    layers = [SimpleNamespace(weights=_repeat_block(l.weights, n, j == 0),
+                              shifts=shifts.ravel() if j == 0 else np.tile(l.shifts, n),
+                              rows=n * l.rows)
+              for j, l in enumerate(net.layers)]
+    output = net.output if output is None else output
+    return SimpleNamespace(input_dim=net.input_dim, layers=layers, output=output,
+                           output_dim=output.shape[0], grid=None)
+
+
+def dense_expansion(net):
+    """:func:`expand_blocks` of a grid net as a ReluNetwork of dense layers,
+    for the calls that need a network: ``serialize``, ``forward``,
+    ``deserialize``.  Small grids only."""
+    full = expand_blocks(net)
+    return ReluNetwork(full.input_dim,
+                       [Layer(l.weights.toarray(), l.shifts) for l in full.layers],
+                       full.output)
 
 
 class TestEvaluate:
@@ -96,6 +142,28 @@ class TestEvaluate:
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
             ReluNetwork(1, [(np.array([[np.inf]]), np.zeros(1))], np.ones((1, 1)))
+
+
+class TestMalformedWeights:
+    """Weights that are not one numeric matrix name their error when the
+    layer is made, not later in forward."""
+
+    def test_three_axes_refused(self):
+        with pytest.raises(ValueError, match=r"weights must be a 2-D array, got shape "
+                                             r"\(2, 2, 2\)"):
+            Layer(np.ones((2, 2, 2)), np.zeros(2))
+
+    def test_an_object_is_named(self):
+        with pytest.raises(ValueError, match="weights must be a numeric array, got object"):
+            Layer(object(), np.zeros(2))
+
+    def test_ragged_rows_are_named(self):
+        with pytest.raises(ValueError, match="weights must be a numeric array, got list"):
+            Layer([[1.0, 2.0], [3.0]], np.zeros(2))
+
+    def test_output_of_three_axes_refused(self):
+        with pytest.raises(ValueError, match=r"got shape \(1, 1, 3\)"):
+            ReluNetwork(2, [(np.ones((3, 2)), np.zeros(3))], np.ones((1, 1, 3)))
 
 
 class TestAccounting:
@@ -174,19 +242,15 @@ class TestSerialization:
         with pytest.raises(NetworkFormatError):
             deserialize(b"[1, 2, 3]")
 
-    def test_oversized_sparse_layer_refused(self):
-        # the dense row-major format is for desk-scale networks; a huge
-        # sparse layer must be refused, not silently densified
-        import scipy.sparse as sp
-
-        wide = 100_000
-        net = ReluNetwork(
-            wide,
-            [Layer(sp.csr_matrix((wide, wide)), np.zeros(wide))],
-            np.zeros((1, wide)),
-        )
-        with pytest.raises(ValueError, match="too large"):
+    def test_oversized_layer_refused(self, monkeypatch):
+        # the dense row-major format is for desk-scale networks; a layer
+        # above the entry limit is refused, not written
+        net = ReluNetwork(3, [Layer(np.ones((4, 3)), np.zeros(4))], np.ones((1, 4)))
+        monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 11)
+        with pytest.raises(ValueError, match=r"layer 0 with shape \(4, 3\) is too large"):
             serialize(net)
+        monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 12)
+        assert serialize(net) == _reference_serialize(net)
 
     def test_large_block_net_written_without_expansion(self):
         # expanded, its layers are above the entry limit; version 2 writes
@@ -232,7 +296,7 @@ class TestSerialization:
     def test_bad_value_deep_in_a_long_list_named(self, value):
         grid = ScaledGrid(2, 1.0, 4)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-        doc = json.loads(serialize(expand_blocks(net)))
+        doc = json.loads(serialize(dense_expansion(net)))
         assert len(doc["layers"][1]["weights"]) > 10_000
         doc = _mutated(doc, ("layers", 1, "weights", -1), value)
         with pytest.raises(NetworkFormatError, match="layer 1 weights"):
@@ -263,8 +327,6 @@ def _reference_serialize(net):
     entry a float, and written by json.dumps.  A grid net's document holds
     its stored layers, its output row and its grid."""
     def dense(w):
-        if sp.issparse(w):
-            w = w.toarray()
         return [float(v) for v in np.asarray(w, dtype=float).ravel()]
 
     doc = {
@@ -301,10 +363,6 @@ FLOATS = st.one_of(
 @example(np.full(3, -0.0))
 def test_float_list_writes_what_json_dumps_writes(a):
     assert "".join(relu_net._float_list(a)) == json.dumps([float(v) for v in a.ravel()])
-    if a.ndim == 2:
-        csr = sp.csr_matrix(a)
-        assert "".join(relu_net._float_list(csr)) == json.dumps(
-            [float(v) for v in csr.toarray().ravel()])
 
 
 def _interp(t, N):
@@ -401,9 +459,9 @@ def test_reloaded_grid_net_expands_to_its_v1_document(name):
     net = SERIALIZED_NETS[name]()
     back = deserialize(serialize(net))
     assert back.grid == net.grid
-    v1 = serialize(expand_blocks(back))
+    v1 = serialize(dense_expansion(back))
     assert json.loads(v1)["version"] == relu_net.FORMAT_VERSION
-    assert v1 == _reference_serialize(expand_blocks(net))
+    assert v1 == _reference_serialize(dense_expansion(net))
 
 
 def _json_paths(doc, prefix=()):
@@ -659,8 +717,7 @@ class TestPrunedForward:
         assert np.all(spike((X[p] - grid.nodes(i)) / grid.h) == 0.0)
         # every copy's last hidden unit: each identity row has one term
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-        copies = relu_net._full_forward(
-            ReluNetwork(t, expand_blocks(net).layers, np.eye(grid.node_count)), X)
+        copies = relu_net._full_forward(expand_blocks(net, np.eye(grid.node_count)), X)
         assert np.all(copies[p, i] == 0.0)
 
     def test_empty_batch_on_both_passes_and_the_oracle(self):
@@ -668,7 +725,7 @@ class TestPrunedForward:
         spec = InterpolationSpec(grid, np.arange(grid.node_count, dtype=float))
         net = build_interpolation_net(spec)
         X = np.empty((0, 2))
-        for got in (forward(net, X), forward(expand_blocks(net), X),
+        for got in (forward(net, X), forward(dense_expansion(net), X),
                     relu_net._full_forward(expand_blocks(net), X)):
             assert got.shape == (0, 1)
         assert evaluate_batch(net, X).shape == (0,)
@@ -736,7 +793,7 @@ class TestPrunedForward:
             grid = ScaledGrid(3, 1.0, N)
             net = build_interpolation_net(
                 InterpolationSpec(grid, rng.standard_normal(grid.node_count)))
-            forward(net, X[:1])  # makes the block's CSR forms
+            forward(net, X[:1])  # makes the block's index forms
             tracemalloc.start()
             try:
                 forward(net, X)
@@ -756,9 +813,7 @@ class TestPrunedForward:
         net = build_interpolation_net(InterpolationSpec(grid, values))
         X = equivalence_points(rng, grid, 2)
         # every copy's last hidden unit: each identity row has one term
-        expanded = expand_blocks(net)
-        psi = relu_net._full_forward(
-            ReluNetwork(t, expanded.layers, np.eye(grid.node_count)), X)
+        psi = relu_net._full_forward(expand_blocks(net, np.eye(grid.node_count)), X)
         point, node = support_pairs(X, grid)
         want = []
         for p in range(X.shape[0]):
@@ -773,7 +828,7 @@ class TestPrunedForward:
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
         assert deserialize(serialize(net)).grid == grid
         assert expand_blocks(net).grid is None
-        assert deserialize(serialize(expand_blocks(net))).grid is None
+        assert deserialize(serialize(dense_expansion(net))).grid is None
 
     def test_grid_must_match_the_blocks(self):
         # a spike net reads one output unit; a 9-node grid makes 9 of them
@@ -875,8 +930,8 @@ class TestBlockIndexForm:
 
 
 # Builds, counts, round-trips and runs a grid net, then a tiny rate
-# experiment and `funcrelu run`; prints nothing but fails on the first
-# assert that does not hold.
+# experiment, `funcrelu run` and every `funcrelu verify` check; prints
+# nothing but fails on the first assert that does not hold.
 _IMPORT_SCRIPT = """
 import json
 import sys
@@ -885,7 +940,7 @@ from pathlib import Path
 
 import numpy as np
 import funcrelu
-from funcrelu import cli, pipeline, relu_net
+from funcrelu import cli, pipeline, relu_net, verify
 from funcrelu.constructors import InterpolationSpec, build_interpolation_net
 from funcrelu.discretize import make_operator
 from funcrelu.functions import get_function
@@ -922,10 +977,13 @@ with tempfile.TemporaryDirectory() as tmp:
         "m_values": [0, 1], "N_values": [2, 4], "budget_ladder": False}))
     cli.main(["run", "--config", str(config), "--out-dir", str(Path(tmp) / "out")])
 no_scipy()
+failed = [res.name for _, res in verify.run_all(verbose=False) if not res.passed]
+assert not failed, failed
+no_scipy()
 """
 
 
-def test_evaluating_a_grid_net_never_loads_scipy():
+def test_src_never_loads_scipy():
     src = Path(relu_net.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
@@ -1057,7 +1115,7 @@ class TestNonFiniteInput:
         interp = build_interpolation_net(
             InterpolationSpec(grid, np.random.default_rng(5).standard_normal(grid.node_count)))
         for net, x in ((build_spike_net(2), [1.7e308, -1.7e308]),
-                       (expand_blocks(interp), [1e308, 0.0])):
+                       (dense_expansion(interp), [1e308, 0.0])):
             for call in (forward, evaluate):
                 with pytest.raises(ValueError, match="overflow"):
                     call(net, np.array(x))
