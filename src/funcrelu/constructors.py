@@ -16,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .relu_net import Layer, ReluNetwork
-from .simplicial import (ScaledGrid, integer_size, point_batch, spike, spike_forms,
-                         support_pairs)
+# spike_layer_shapes is imported from here as well
+from .simplicial import (ScaledGrid, integer_size, point_batch, real_array, spike,
+                         spike_forms, spike_layer_shapes, support_pairs)
 
 
 def build_min_net(d: int) -> ReluNetwork:
@@ -76,21 +77,11 @@ def build_spike_net(t: int) -> ReluNetwork:
     return ReluNetwork(t, layers, np.array([[1.0]]))
 
 
-def spike_layer_shapes(t: int) -> list:
-    """(rows, cols) of each layer of :func:`build_spike_net`, without
-    building it: the D = t^2 + t forms on R^t, the minimum network's
-    layers of 2D - 1, 2D - 3, ..., 3 units, and the final relu unit."""
-    D = t * t + t
-    rows = [D, *range(2 * D - 1, 2, -2), 1]
-    return list(zip(rows, [t, *rows[:-1]]))
-
-
 def spike_nominal_nonzeros(t: int) -> int:
     """Nonzero count of one unshifted spike block including a unit output
     coefficient: first layer 3t(t-1) + 4t, plus the minimum network over
     D = t^2 + t inputs, plus 1."""
-    D = t * t + t
-    return 3 * t * (t - 1) + 4 * t + (D * D + 4 * D - 5) + 1
+    return 3 * t * (t - 1) + 4 * t + min_net_nonzeros(t * t + t) + 1
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,7 @@ class InterpolationSpec:
     node_values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.node_values, dtype=float).ravel()
+        vals = real_array(self.node_values, "node values").ravel()
         if vals.shape[0] != self.grid.node_count:
             raise ValueError(
                 f"expected {self.grid.node_count} node values, got {vals.shape[0]}"
@@ -130,15 +121,14 @@ def build_interpolation_net(spec: InterpolationSpec,
     ``block`` is a spike net of the grid's t to build from instead of a
     new one; the net then holds its deeper ``Layer`` objects, and with them
     the index forms the pruned pass multiplies by, and only the scaled
-    first layer is its own.  A block of other shapes, or with a grid,
+    first layer is its own.  A grid net, or a block of other shapes,
     raises ValueError.
     """
     grid = spec.grid
     if block is None:
         block = build_spike_net(grid.t)
-    elif (block.grid is not None or block.input_dim != grid.t
-          or [l.weights.shape for l in block.layers] != spike_layer_shapes(grid.t)):
-        raise ValueError(f"block is not the spike net on R^{grid.t}")
+    elif block.grid is not None:
+        raise ValueError("a grid net is not a spike block")
     first, *deeper = block.layers
     # the spike's forms at (y - xi) / cell; its shifts at the origin are
     # the same at every scale

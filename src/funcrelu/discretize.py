@@ -135,6 +135,10 @@ class RadiusSpec:
 
     def __post_init__(self):
         check_p(self.p)
+        for name in ("C_K", "c1_surrogate"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     @property
     def R(self) -> float:

@@ -20,6 +20,8 @@ from itertools import product
 
 import numpy as np
 
+from .simplicial import integer_size
+
 # Quadrature points per axis used when integrating non-polynomial
 # quantities such as |Q|^p; see default_rule_size.
 RULE_FLOOR = 16
@@ -73,8 +75,8 @@ class LegendreBasis:
     multi_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.s < 1 or self.m < 0:
-            raise ValueError("need s >= 1 and m >= 0")
+        object.__setattr__(self, "s", integer_size(self.s, "s"))
+        object.__setattr__(self, "m", integer_size(self.m, "m", 0))
         object.__setattr__(self, "multi_indices",
                            tensor_multi_indices(self.s, 2 * self.m))
 
@@ -156,8 +158,7 @@ def gauss_legendre_rule(q: int, s: int) -> GaussRule:
 
     Weights are positive and sum to 2^s, the volume of the cube.
     """
-    if q < 1 or s < 1:
-        raise ValueError("need q >= 1 and s >= 1")
+    q, s = integer_size(q, "q"), integer_size(s, "s")
     if q == 1:
         x1, w1 = np.array([0.0]), np.array([2.0])
     else:

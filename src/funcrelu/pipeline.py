@@ -46,6 +46,7 @@ from .discretize import (
 from .legendre import (GaussRule, check_p, lp_norm, sampled_lp_norm,
                        tensor_eval, tensor_multi_indices)
 from .relu_net import (
+    _NODE_RUN,
     ReluNetwork,
     count_nonzero,
     depth,
@@ -53,7 +54,7 @@ from .relu_net import (
     evaluate_batch,
     serialize,
 )
-from .simplicial import ScaledGrid, point_batch
+from .simplicial import ScaledGrid, integer_size, point_batch
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,12 @@ class PowerModulus:
 
     c: float
     lam: float = 1.0
+
+    def __post_init__(self):
+        if not 0 <= self.c < math.inf:
+            raise ValueError(f"c must be a finite number >= 0, got {self.c!r}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be a finite number > 0, got {self.lam!r}")
 
     def __call__(self, r):
         return self.c * np.maximum(np.asarray(r, dtype=float), 0.0) ** self.lam
@@ -159,8 +166,7 @@ def _zero_weight(x):
     return np.zeros(np.shape(x)[0])
 
 
-def inner_product_functional(g: InputFunction, rule: GaussRule,
-                             p: float = 2.0, name: str = None) -> TargetFunctional:
+def inner_product_functional(g: InputFunction, rule: GaussRule, p: float = 2.0) -> TargetFunctional:
     """F(f) = integral of f * g; Lipschitz with constant ||g||_q."""
     check_p(p)
     q = p / (p - 1.0) if p > 1 else math.inf
@@ -168,7 +174,7 @@ def inner_product_functional(g: InputFunction, rule: GaussRule,
         c = float(np.max(np.abs(g(rule.points))))
     else:
         c = lp_norm(g, q, rule)
-    return linear_functional(name or f"inner-product[{g.tag}]", g, _identity,
+    return linear_functional(f"inner-product[{g.tag}]", g, _identity,
                              PowerModulus(c, 1.0))
 
 
@@ -266,8 +272,7 @@ def _check_input_class(cls: InputClass, s) -> None:
         raise ValueError(f"unknown input class kind {cls.kind!r}; choose from {INPUT_KINDS}")
     for name, value, low in (("sample_count", cls.sample_count, 1), ("s", s, 1),
                              ("degree_cap", cls.degree_cap, 0), ("seed", cls.seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        integer_size(value, name, low)
     beta = cls.beta
     if isinstance(beta, bool) or not isinstance(beta, (int, float, np.integer, np.floating)):
         raise ValueError(f"beta must be a number, got {beta!r}")
@@ -421,13 +426,6 @@ def mu_values(functional: TargetFunctional, op: DiscretizationOperator,
     return np.asarray(functional.linear.psi(total), dtype=float)
 
 
-# The most grid nodes whose mu values are computed at once.  It bounds the
-# working set beside the one array of node values; the table path rounds
-# the same in any run.  On the quadrature path it also fixes the rows that
-# one BLAS product rounds together.
-_NODE_RUN = 1 << 14
-
-
 def _linear_node_values(psi: Callable, a: np.ndarray, grid: ScaledGrid,
                         values: np.ndarray) -> None:
     """Write psi(((0.0 + xi_0 a_0) + xi_1 a_1) + ...) at every node xi of
@@ -569,7 +567,6 @@ class ExperimentConfig:
     dump_dir: Optional[str] = None
     ladder: bool = True
     ladder_m_values: tuple = (1, 2)
-    ladder_budget_count: int = 5
     ladder_weight_cap: int = 40_000_000
 
 
@@ -688,6 +685,9 @@ def _fit_c_hat(rows, omega: PowerModulus) -> float:
     return c_hat
 
 
+_LADDER_BUDGETS = 5  # weight budgets on the ladder's geometric grid
+
+
 def _budget_ladder_rows(cfg, per_m_state, spike_block=build_spike_net):
     """Budget-ladder realization of the degree-for-budget pairing.
 
@@ -721,10 +721,9 @@ def _budget_ladder_rows(cfg, per_m_state, spike_block=build_spike_net):
                                    max_feasible_N(m_top, cfg.ladder_weight_cap))
     c9_eff = math.log(top_budget) / (m_top**s * math.log(3.0 * m_top))
     low_budget = min(_nominal_nonzeros(t_of(m_cands[0]), 1), top_budget)
-    count = max(2, cfg.ladder_budget_count)
     # whole weight counts: a budget the geometric grid puts on a build's
     # nominal count must not miss it by rounding
-    budgets = np.rint(np.geomspace(low_budget, top_budget, count))
+    budgets = np.rint(np.geomspace(low_budget, top_budget, _LADDER_BUDGETS))
 
     def m_of_budget(B):
         picked = m_cands[0]

@@ -34,7 +34,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .simplicial import ScaledGrid, point_batch, spike_forms, support_pairs
+from .simplicial import (ScaledGrid, integer_size, point_batch, real_array,
+                         spike_forms, spike_layer_shapes, support_pairs)
 
 FORMAT_VERSION = 1
 # a grid net: its stored block, its output row and its grid
@@ -50,14 +51,15 @@ class NetworkFormatError(ValueError):
 
 
 def _as_matrix(w) -> np.ndarray:
-    """``w`` as a dense float matrix, a vector as one row.  Anything numpy
-    cannot read as numbers (a sparse matrix among them), or that has more
-    than two axes, raises ValueError."""
+    """``w`` as a dense float matrix, a vector as one row.  Anything but
+    an array of bool, integer or float values (a sparse matrix, a ragged
+    list or a complex array among them), or one of more than two axes,
+    raises ValueError."""
     try:
-        a = np.atleast_2d(np.asarray(w, dtype=float))
+        a = np.atleast_2d(real_array(w, "its values"))
     except (TypeError, ValueError) as exc:
         raise ValueError(
-            f"weights must be a numeric array, got {type(w).__name__}") from exc
+            f"weights must be a numeric array, got {type(w).__name__}: {exc}") from exc
     if a.ndim != 2:
         raise ValueError(f"weights must be a 2-D array, got shape {a.shape}")
     return a
@@ -85,7 +87,7 @@ class Layer:
 
     def __post_init__(self):
         self.weights = _as_matrix(self.weights)
-        self.shifts = np.asarray(self.shifts, dtype=float).ravel()
+        self.shifts = real_array(self.shifts, "layer shifts").ravel()
         if self.shifts.shape[0] != self.weights.shape[0]:
             raise ValueError(
                 f"layer has {self.weights.shape[0]} rows but "
@@ -111,15 +113,17 @@ class ReluNetwork:
     have a single output row.
 
     ``grid`` is set only by
-    :func:`funcrelu.constructors.build_interpolation_net`.  It states that
-    the layers are one block of the spike at the origin and that the net
-    holds ``grid.node_count`` copies of it, one output column each: the
-    first layer's copies stack on the shared input, the others go block
-    diagonal.  Copy i is that spike moved to grid node i: its first-layer
+    :func:`funcrelu.constructors.build_interpolation_net` (and so by
+    :func:`deserialize`).  It states that the layers are one block of the
+    spike at the origin and that the net holds ``grid.node_count`` copies
+    of it, one output column each: the first layer's copies stack on the
+    shared input, the others go block diagonal.  Copy i is that spike moved to grid node i: its first-layer
     shifts are those of :func:`funcrelu.simplicial.spike_forms` centred at
     node i, computed where they are read.  :func:`forward` then evaluates
     only the copies whose spike can be nonzero at each point.  A grid net
-    makes its dense block weights read-only.
+    makes its dense block weights read-only.  Its layers must have the
+    shapes :func:`funcrelu.simplicial.spike_layer_shapes` gives, or a
+    ValueError names the count or the first layer that differs.
     """
 
     input_dim: int
@@ -133,13 +137,17 @@ class ReluNetwork:
         ]
         self.output = _as_matrix(self.output)
         _check_finite(self.output, "output weights")
-        if (isinstance(self.input_dim, bool)
-                or not isinstance(self.input_dim, (int, np.integer))):
-            raise ValueError(
-                f"input_dim must be an integer, got {self.input_dim!r}")
-        self.input_dim = int(self.input_dim)
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+        self.input_dim = integer_size(self.input_dim, "input_dim")
+        if self.grid is not None:
+            t = self.grid.t
+            # the count first, so a huge t makes no list of shapes
+            if len(self.layers) != t * t + t + 1:
+                raise ValueError(f"a grid net has {len(self.layers)} layers; the "
+                                 f"spike block on R^{t} has {t * t + t + 1}")
+            for j, (l, shape) in enumerate(zip(self.layers, spike_layer_shapes(t))):
+                if l.weights.shape != shape:
+                    raise ValueError(f"layer {j} has shape {l.weights.shape}; the "
+                                     f"spike block on R^{t} needs {shape}")
         prev = self.input_dim
         for j, layer in enumerate(self.layers):
             if layer.cols != prev:
@@ -147,13 +155,6 @@ class ReluNetwork:
                     f"layer {j} expects {layer.cols} inputs, got {prev}"
                 )
             prev = layer.rows
-        if self.grid is not None:
-            t = self.grid.t
-            if not (t == self.input_dim and self.layers
-                    and self.layers[0].rows == t * t + t and prev == 1):
-                raise ValueError(
-                    f"layers are not one spike block on R^{t}, with "
-                    f"{t * t + t} first-layer rows and one output unit")
         if self.output.shape[1] != _copies(self) * prev:
             got = prev if self.grid is None else (
                 f"{prev} x {self.grid.node_count} grid nodes")
@@ -184,7 +185,9 @@ def _nnz(w) -> int:
     return int(np.count_nonzero(w))
 
 
-# grid nodes whose first-layer shifts are computed at once
+# The most grid nodes whose first-layer shifts (here) or mu values
+# (funcrelu.pipeline) are computed at once.  On the quadrature mu path it
+# also fixes the rows that one BLAS product rounds together.
 _NODE_RUN = 1 << 14
 
 
@@ -249,10 +252,12 @@ def nonzero_breakdown(net: ReluNetwork) -> dict:
 # (point, copy) pairs per run of the pruned pass
 _PAIR_RUN = 4096
 
+_BATCH_BYTES = 1 << 29  # one chunk's working set in forward
 
-def _chunk_points(net: ReluNetwork, max_batch_bytes: int) -> int:
+
+def _chunk_points(net: ReluNetwork) -> int:
     """Points per chunk so that a chunk's working set stays below
-    ``max_batch_bytes`` of 8-byte entries.  Per point, the full pass holds
+    ``_BATCH_BYTES`` of 8-byte entries.  Per point, the full pass holds
     every unit of its widest layer, and then six entries per last-layer
     unit: the unit, its point and unit indices, a copy of its value, its
     output coefficient and the term (:func:`_output_stage`).  The pruned
@@ -263,7 +268,7 @@ def _chunk_points(net: ReluNetwork, max_batch_bytes: int) -> int:
     width = max(max(rows), 6 * rows[-1])
     if net.grid is not None:
         width *= 2 ** (net.grid.t + 1) - 1
-    return max(1, int(max_batch_bytes // (8 * width)))
+    return max(1, int(_BATCH_BYTES // (8 * width)))
 
 
 def _output_stage(output, point, unit, value, points: int) -> np.ndarray:
@@ -286,8 +291,7 @@ def _stack(outs, net: ReluNetwork) -> np.ndarray:
     return np.vstack(outs) if outs else np.empty((0, net.output_dim))
 
 
-def _full_forward(net: ReluNetwork, pts: np.ndarray,
-                  max_batch_bytes: int = 1 << 29) -> np.ndarray:
+def _full_forward(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
     """Every unit of every layer for a batch (n, input_dim) -> (n, output_dim).
 
     The reference evaluation: :func:`forward` takes it for every net
@@ -298,7 +302,7 @@ def _full_forward(net: ReluNetwork, pts: np.ndarray,
     pass is proven against.  Its output stage adds each point's terms over
     every last-layer unit in ascending unit order.
     """
-    chunk = _chunk_points(net, max_batch_bytes)
+    chunk = _chunk_points(net)
     outs = []
     for lo in range(0, pts.shape[0], chunk):
         h = pts[lo : lo + chunk].T
@@ -418,8 +422,7 @@ def _index_layer(form: _IndexForm, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
-                    max_batch_bytes: int) -> np.ndarray:
+def _pruned_forward(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
     """:func:`_full_forward` of an interpolation net, over the candidate
     spike copies of each point only.
 
@@ -439,7 +442,7 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
     """
     first = _index_form(net.layers[0])
     deeper = [_index_form(l) for l in net.layers[1:]]
-    chunk = _chunk_points(net, max_batch_bytes)
+    chunk = _chunk_points(net)
     outs = []
     for lo in range(0, pts.shape[0], chunk):
         part = pts[lo : lo + chunk]
@@ -459,13 +462,13 @@ def _pruned_forward(net: ReluNetwork, pts: np.ndarray,
     return _stack(outs, net)
 
 
-def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> np.ndarray:
+def forward(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
     """All output rows for a batch of inputs.
 
     ``x`` is one point of shape (input_dim,) or a batch (n, input_dim);
     returns (output_dim,) or (n, output_dim).  Wide networks are evaluated
-    in chunks of points so a chunk's working set stays below
-    ``max_batch_bytes`` (see :func:`_chunk_points`).  An interpolation net
+    in chunks of points so a chunk's working set stays below the fixed
+    ``_BATCH_BYTES``, 512 MiB (see :func:`_chunk_points`).  An interpolation net
     (``net.grid`` set) runs only the spike copies whose support holds each
     point, with the same result as running all of them.  An empty batch
     gives (0, output_dim).  Any other shape of ``x``, non-finite inputs,
@@ -476,9 +479,9 @@ def forward(net: ReluNetwork, x: np.ndarray, max_batch_bytes: int = 1 << 29) -> 
     # an overflow shows as inf or nan in the result, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         if net.grid is None:
-            res = _full_forward(net, pts, max_batch_bytes)
+            res = _full_forward(net, pts)
         else:
-            res = _pruned_forward(net, pts, max_batch_bytes)
+            res = _pruned_forward(net, pts)
     if not np.all(np.isfinite(res)):
         raise ValueError(
             "network value overflows float64 at a finite input point")
@@ -628,8 +631,7 @@ def _grid_net(gdoc, input_dim, layers, out) -> ReluNetwork:
     row as node values.  The document's layers must be that net's block
     bit for bit, since the pruned pass is exact only for a spike block."""
     # constructors imports this module
-    from .constructors import (InterpolationSpec, build_interpolation_net,
-                               spike_layer_shapes)
+    from .constructors import InterpolationSpec, build_interpolation_net
 
     t, R, N = (_require(gdoc, key, "grid") for key in ("t", "R", "N"))
     try:

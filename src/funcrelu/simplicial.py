@@ -39,6 +39,15 @@ def integer_size(v, name: str, least: int = 1) -> int:
     return int(v)
 
 
+def real_array(x, what: str) -> np.ndarray:
+    """``x`` as a float array; a dtype other than bool, integer or float (a
+    complex one would lose its imaginary part) raises ValueError naming it."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real numbers, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class SimplexId:
     """Cell of the triangulation: integer shift ``n`` and permutation ``rho``."""
@@ -124,11 +133,7 @@ def point_batch(x, dim=None, ndims=(1, 2)):
     of another dtype than bool, integer or float (complex among them) a
     ValueError naming their dtype.
     """
-    x = np.asarray(x)
-    # booleans, integers and floats; a complex value must not be truncated
-    if x.dtype.kind not in "biuf":
-        raise ValueError(f"points must be real numbers, got dtype {x.dtype}")
-    x = x.astype(float, copy=False)
+    x = real_array(x, "points")
     rank_ok = x.ndim >= 1 if ndims is None else x.ndim in ndims
     if not (rank_ok and (x.shape[-1] >= 1 if dim is None else x.shape[-1] == dim)):
         d = "t" if dim is None else dim
@@ -237,15 +242,25 @@ def support_pairs(y, grid: ScaledGrid):
     return point, node
 
 
-def contains(simplex: SimplexId, y, grid: ScaledGrid, tol: float = 0.0) -> bool:
-    """Recheck the defining inequality chain 0 <= v_1 <= ... <= v_t <= 1
-    with v = y/h - n ordered by rho; y is one point (t,)."""
+def in_simplex(z, n, rho) -> np.ndarray:
+    """Whether each point z (k, t), in cells, lies in its simplex (n, rho),
+    one cell (t,) or one per point (k, t): the offsets v = z - n in rho
+    order make the chain 0 <= v_1 <= ... <= v_t <= 1."""
+    d = z - n
+    # one cell's columns by plain indexing: a broadcast take_along_axis
+    # doubled the time of verify's S0 check
+    v = d[:, list(rho)] if np.ndim(rho) == 1 else np.take_along_axis(d, rho, axis=1)
+    return ((v[:, 0] >= 0.0) & (v[:, -1] <= 1.0)
+            & np.all(np.diff(v, axis=1) >= 0.0, axis=1))
+
+
+def contains(simplex: SimplexId, y, grid: ScaledGrid) -> bool:
+    """Whether one point y (t,) lies in the simplex: the chain of
+    :func:`in_simplex` at y/h."""
     if simplex.t != grid.t:
         raise ValueError(f"simplex dimension {simplex.t} != grid dimension {grid.t}")
-    z = point_batch(y, grid.t, (1,))[0][0] / grid.h
-    v = z[list(simplex.rho)] - np.array(simplex.n, dtype=float)[list(simplex.rho)]
-    chain = np.concatenate(([0.0], v, [1.0]))
-    return bool(np.all(np.diff(chain) >= -tol))
+    z = point_batch(y, grid.t, (1,))[0] / grid.h
+    return bool(in_simplex(z, np.array(simplex.n, dtype=float), simplex.rho)[0])
 
 
 def spike(y: np.ndarray) -> np.ndarray:
@@ -292,6 +307,16 @@ def spike_forms(t: int, scale: float = 1.0, center=None):
     return W, b
 
 
+def spike_layer_shapes(t: int) -> list:
+    """(rows, cols) of each layer of the spike block on R^t, the net
+    :func:`funcrelu.constructors.build_spike_net` builds: the D = t^2 + t
+    forms of :func:`spike_forms`, the minimum network's layers of 2D - 1,
+    2D - 3, ..., 3 units, and the final relu unit; t^2 + t + 1 layers."""
+    D = t * t + t
+    rows = [D, *range(2 * D - 1, 2, -2), 1]
+    return list(zip(rows, [t, *rows[:-1]]))
+
+
 def in_Sprime(y: np.ndarray) -> np.ndarray:
     """Membership in the half-space intersection
     {|y_k| <= 1 for all k, and y_k <= 1 + y_l for all k != l},
@@ -321,16 +346,12 @@ def simplices_containing_origin(t: int) -> list:
 
 
 def in_S0(y: np.ndarray) -> np.ndarray:
-    """Membership in the union of simplices containing the origin,
-    by direct enumeration of the qualifying cells; y is (t,) or (n, t)."""
+    """Membership in the union of simplices containing the origin (the
+    chain of :func:`in_simplex` in some cell); y is (t,) or (n, t)."""
     pts, single = point_batch(y)
     res = np.zeros(pts.shape[0], dtype=bool)
     for sid in simplices_containing_origin(pts.shape[1]):
-        v = pts[:, list(sid.rho)] - np.array(sid.n, dtype=float)[list(sid.rho)]
-        ok = (v[:, 0] >= 0.0) & (v[:, -1] <= 1.0)
-        if v.shape[1] > 1:
-            ok &= np.all(np.diff(v, axis=1) >= 0.0, axis=1)
-        res |= ok
+        res |= in_simplex(pts, np.array(sid.n, dtype=float), sid.rho)
         if res.all():
             break
     return bool(res[0]) if single else res

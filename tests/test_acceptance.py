@@ -6,6 +6,11 @@ share one cached experiment run, so this module stays inside the stated
 budgets end to end.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from funcrelu import verify
 
 BUDGETS = {
@@ -70,3 +75,15 @@ def test_core_invariants():
     print()
     print(result.line())
     assert result.passed, "\n".join(result.details)
+
+
+def test_shipped_verify_passes_with_warnings_as_errors():
+    # the entry point as shipped, in a fresh interpreter and outside this
+    # suite's warning filters: any warning (a numpy truncation among them)
+    # ends the run
+    src = Path(verify.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "funcrelu", "verify"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "verify: all checks passed" in done.stdout

@@ -405,9 +405,13 @@ class TestInterpolationNet:
         spec = InterpolationSpec(grid, np.ones(grid.node_count))
         grid_net = build_interpolation_net(spec)
         short = ReluNetwork(2, build_spike_net(2).layers[:-1], np.ones((1, 3)))
-        for block in (build_spike_net(3), build_spike_net(1), grid_net, short):
-            with pytest.raises(ValueError, match=r"not the spike net on R\^2"):
+        # the grid net checks the shapes of the layers it is given
+        for block, layers in ((build_spike_net(3), 13), (build_spike_net(1), 3), (short, 6)):
+            with pytest.raises(ValueError, match=rf"a grid net has {layers} layers; "
+                                                 r"the spike block on R\^2 has 7"):
                 build_interpolation_net(spec, block)
+        with pytest.raises(ValueError, match="a grid net is not a spike block"):
+            build_interpolation_net(spec, grid_net)
 
     def test_sparse_block_layers_are_refused_by_name(self):
         # a layer holds one dense matrix; a sparse one is refused by its
@@ -420,6 +424,12 @@ class TestInterpolationNet:
                 Layer(sp.csr_matrix(layers[j].weights), layers[j].shifts)
         with pytest.raises(ValueError, match="weights must be a numeric array, got csr_matrix"):
             ReluNetwork(2, layers, sp.csr_matrix(np.ones((1, 16))), grid=grid)
+
+    def test_complex_node_values_are_refused(self):
+        # numpy would keep the real part and only warn
+        with pytest.raises(ValueError, match="node values must be real numbers, "
+                                             "got dtype complex128"):
+            InterpolationSpec(ScaledGrid(1, 1.0, 2), [1 + 2j, 0, 1])
 
     @pytest.mark.parametrize("call", ["forward", "interpolant_values"])
     def test_complex_points_are_refused(self, call):

@@ -193,6 +193,15 @@ class TestRadiusSpec:
     def test_m_zero_edge(self):
         assert RadiusSpec(0, 1, 1.0, 1.0).R == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("C_K, c1, field", [
+        (math.nan, 1.0, "C_K"), (0.0, 1.0, "C_K"), (-1.0, 1.0, "C_K"),
+        (math.inf, 1.0, "C_K"), (1.0, math.nan, "c1_surrogate"),
+        (1.0, 0.0, "c1_surrogate"), (1.0, -2.0, "c1_surrogate")])
+    def test_refuses_what_is_no_radius(self, C_K, c1, field):
+        # a NaN R let every vector pass the cube check
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite number > 0"):
+            RadiusSpec(1, 1, 2.0, C_K, c1)
+
 
 class TestTransferModulus:
     def test_p2_is_identity_scale(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from funcrelu.discretize import DiscretizationOperator, apply_Vm
+from funcrelu.discretize import DiscretizationOperator, apply_Vm, make_operator
 from funcrelu.legendre import (
     LegendreBasis,
     PolyCoeffs,
@@ -75,6 +75,34 @@ class TestQuadrature:
     def test_default_rule_size(self):
         assert default_rule_size(0) == 16
         assert default_rule_size(5) == 44
+
+
+class TestSizes:
+    """The basis, rule and operator sizes are integers, named when not."""
+
+    @pytest.mark.parametrize("call, name", [
+        # a stray TypeError, a silent m = 1, a 1-node rule and an arange error
+        (lambda: make_operator(1, 2.0), "m"),
+        (lambda: make_operator(1, True), "m"),
+        (lambda: make_operator(True, 1), "s"),
+        (lambda: make_operator(1, 1, q=2.5), "q"),
+        (lambda: gauss_legendre_rule(True, 1), "q"),
+        (lambda: gauss_legendre_rule(math.nan, 1), "q"),
+        (lambda: gauss_legendre_rule(3, 0), "s"),
+        (lambda: LegendreBasis(1, -1), "m"),
+        (lambda: LegendreBasis(0, 1), "s"),
+    ])
+    def test_a_size_that_is_no_integer_is_named(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
+            call()
+
+    def test_numpy_integers_give_the_same_bits(self):
+        ours = make_operator(np.int64(1), np.int32(2), q=np.int64(12))
+        ref = make_operator(1, 2, q=12)
+        assert (ours.basis.s, ours.basis.m, ours.rule.q) == (1, 2, 12)
+        assert type(ours.basis.m) is int and type(ours.rule.q) is int
+        assert ours.basis_at_nodes.tobytes() == ref.basis_at_nodes.tobytes()
+        assert ours.rule.weights.tobytes() == ref.rule.weights.tobytes()
 
 
 class TestBasis:

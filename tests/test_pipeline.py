@@ -47,6 +47,15 @@ class TestPowerModulus:
         assert om.inverse(-1.0) == 0.0
         assert PowerModulus(0.0).inverse(1.0) == math.inf
 
+    @pytest.mark.parametrize("c, lam, field", [
+        (1.0, 0.0, "lam"), (1.0, -0.5, "lam"), (1.0, math.nan, "lam"),
+        (1.0, math.inf, "lam"), (-1.0, 1.0, "c"), (math.nan, 1.0, "c"),
+        (math.inf, 1.0, "c")])
+    def test_refuses_what_is_no_modulus(self, c, lam, field):
+        # lam = 0 made inverse divide by zero
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite number"):
+            PowerModulus(c, lam)
+
     def test_nondecreasing_and_subadditive_on_samples(self):
         om = PowerModulus(2.0, 0.7)
         rs = np.linspace(0.01, 3.0, 40)
@@ -331,15 +340,15 @@ class TestRunRateExperiment:
         assert by_N[64].reason.startswith("node_cap")
         assert (2, 64) in [(m, N) for m, N, _ in report.summary["skipped_points"]]
 
-    def test_one_fit_rule_for_sweep_and_ladder(self):
+    def test_one_fit_rule_for_sweep_and_ladder(self, monkeypatch):
         # m=1 (t=3) nominal sizes: N=1 1744, N=2 5886, N=3 13952, N=4 27250
+        monkeypatch.setattr(pipeline_module, "_LADDER_BUDGETS", 2)
         cfg = ExperimentConfig(
             s=1, p=2.0,
             functional=constant_functional(0.0),
             input_class=InputClass("hoelder_ball", 2.0, 4, seed=9),
             m_values=(1,), N_values=(1, 4), node_cap=100, weight_cap=2_000,
             ladder=False, ladder_m_values=(1,), ladder_weight_cap=6_000,
-            ladder_budget_count=2,
         )
         report = run_rate_experiment(cfg)
         # N=4 is over both caps (125 nodes, 27250 nominal): node_cap names it
@@ -352,15 +361,16 @@ class TestRunRateExperiment:
         assert [(r.N, r.status, r.reason) for r in rows] == [
             (1, "ok", ""), (2, "skipped", "weight_cap:5886")]
 
-    def test_ladder_tops_out_at_the_build_that_sets_its_budget(self):
+    def test_ladder_tops_out_at_the_build_that_sets_its_budget(self, monkeypatch):
         # the top budget is the N=3 build's nominal count; a float estimate
         # of its N falls one short, as 64 ** (1/3) is 3.9999999999999996
+        monkeypatch.setattr(pipeline_module, "_LADDER_BUDGETS", 2)
         cfg = ExperimentConfig(
             s=1, p=2.0,
             functional=constant_functional(0.0),
             input_class=InputClass("hoelder_ball", 2.0, 4, seed=9),
             m_values=(), N_values=(), node_cap=100,
-            ladder=True, ladder_m_values=(1,), ladder_budget_count=2,
+            ladder=True, ladder_m_values=(1,),
         )
         rows = run_rate_experiment(cfg).summary["budget_ladder_rows"]
         assert [(m, N, status) for m, N, _, _, status in rows] == [
@@ -414,7 +424,8 @@ class TestRunRateExperiment:
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["completed_points"] == 1
 
-    def test_budget_ladder_structure(self):
+    def test_budget_ladder_structure(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "_LADDER_BUDGETS", 4)
         cfg = ExperimentConfig(
             s=1, p=2.0,
             functional=inner_product_functional(
@@ -422,7 +433,6 @@ class TestRunRateExperiment:
             input_class=InputClass("hoelder_ball", 2.0, 12, seed=12),
             m_values=(), N_values=(), ladder=True,
             ladder_m_values=(1, 2), ladder_weight_cap=2_000_000,
-            ladder_budget_count=4,
         )
         report = run_rate_experiment(cfg)
         info = report.summary["budget_ladder"]
@@ -652,14 +662,15 @@ def test_generate_inputs_names_bad_field(kwargs, s, field):
         generate_inputs(cls, s)
 
 
-def test_report_has_stage_times(tmp_path):
+def test_report_has_stage_times(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline_module, "_LADDER_BUDGETS", 2)
     cfg = ExperimentConfig(
         s=1, p=2.0,
         functional=inner_product_functional(get_function("gaussian"),
                                             make_operator(1, 1).rule),
         input_class=InputClass("hoelder_ball", 2.0, 4, seed=11),
         m_values=(0, 1), N_values=(2,), ladder=True,
-        ladder_weight_cap=100_000, ladder_budget_count=2,
+        ladder_weight_cap=100_000,
     )
     report = run_rate_experiment(cfg)
     timing = ("mu_seconds", "build_seconds", "eval_seconds", "oracle_seconds")

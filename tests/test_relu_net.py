@@ -165,6 +165,22 @@ class TestMalformedWeights:
         with pytest.raises(ValueError, match=r"got shape \(1, 1, 3\)"):
             ReluNetwork(2, [(np.ones((3, 2)), np.zeros(3))], np.ones((1, 1, 3)))
 
+    # numpy would keep the real part of a complex value and only warn
+    def test_complex_weights_are_named(self):
+        with pytest.raises(ValueError, match="weights must be a numeric array, got ndarray: "
+                                             "its values must be real numbers, got dtype complex128"):
+            Layer(np.array([[1 + 2j, 0.5]]), np.zeros(1))
+
+    def test_complex_shifts_are_named(self):
+        with pytest.raises(ValueError, match="layer shifts must be real numbers, "
+                                             "got dtype complex128"):
+            Layer(np.ones((1, 1)), np.array([1j]))
+
+    def test_complex_output_is_named(self):
+        with pytest.raises(ValueError, match="weights must be a numeric array, got list: "
+                                             "its values must be real numbers, got dtype complex128"):
+            ReluNetwork(1, [(np.ones((2, 1)), np.zeros(2))], [[1.0, 1j]])
+
 
 class TestAccounting:
     def test_zero_network_count(self):
@@ -585,7 +601,7 @@ def test_malformed_v2_document_named(edit):
         deserialize(raw)
 
 
-def test_full_pass_output_stage_within_the_budget():
+def test_full_pass_output_stage_within_the_budget(monkeypatch):
     # the last layer is the widest: its output stage's index and term
     # arrays must fit the budget beside it
     rng = np.random.default_rng(33)
@@ -595,7 +611,9 @@ def test_full_pass_output_stage_within_the_budget():
     budget = 16 << 20
     tracemalloc.start()
     try:
-        chunked = forward(net, X, max_batch_bytes=budget)
+        with monkeypatch.context() as m:
+            m.setattr(relu_net, "_BATCH_BYTES", budget)
+            chunked = forward(net, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -749,15 +767,16 @@ class TestPrunedForward:
             return point, node
 
         monkeypatch.setattr(relu_net, "support_pairs", recording)
+        monkeypatch.setattr(relu_net, "_BATCH_BYTES", budget)
         X = rng.uniform(-1.2, 1.2, (3000, 3))
-        pruned = forward(net, X, max_batch_bytes=budget)
+        pruned = forward(net, X)
         assert len(runs) > 1
         for points, pairs in runs:
             # a chunk's pairs, run at once, would hold their activations
             assert 8 * pairs * widest_block <= budget
             assert 8 * min(pairs, relu_net._PAIR_RUN) * widest_block <= budget
         assert np.array_equal(pruned,
-                              relu_net._full_forward(expand_blocks(net), X, budget))
+                              relu_net._full_forward(expand_blocks(net), X))
 
     def test_chunks_follow_pairs_not_copies(self, monkeypatch):
         # 35 937 copies; a (copies x points) chunk under this budget would
@@ -779,7 +798,9 @@ class TestPrunedForward:
 
         monkeypatch.setattr(relu_net, "support_pairs", recording)
         X = rng.uniform(-1.0, 1.0, (2 * chunk + 5, 3))
-        chunked = forward(net, X, max_batch_bytes=budget)
+        with monkeypatch.context() as m:
+            m.setattr(relu_net, "_BATCH_BYTES", budget)
+            chunked = forward(net, X)
         assert sizes == [chunk, chunk, 5]
         sizes.clear()
         assert np.array_equal(chunked, forward(net, X))
@@ -1057,12 +1078,33 @@ class TestGridShifts:
         if R == 1.0 and N in (2, 4, 8):
             assert breakdown["per_layer"][0]["shifts"] < grid.node_count * (t * t + t)
 
+    def test_a_grid_net_of_another_depth_is_refused(self):
+        # depth 2 on R^1, not 3: forward would run it as a spike block and
+        # give -1.4 at y = -0.9, where the pass over every copy gives 13.3
+        grid = ScaledGrid(1, 1.0, 4)
+        good = build_interpolation_net(InterpolationSpec(grid, [0.3, -1.0, 2.0, 0.5, 1.5]))
+        short = [good.layers[0], Layer(np.ones((1, 2)), np.zeros(1))]
+        with pytest.raises(ValueError, match=r"a grid net has 2 layers; the spike "
+                                             r"block on R\^1 has 3"):
+            ReluNetwork(1, short, good.output, grid=grid)
+
+    def test_the_first_layer_of_another_shape_is_named(self):
+        grid = ScaledGrid(1, 1.0, 4)
+        good = build_interpolation_net(InterpolationSpec(grid, np.ones(5)))
+        first, second, last = good.layers
+        wide = [first, Layer(np.ones((4, 2)), np.zeros(4)), Layer(np.ones((1, 4)), np.zeros(1))]
+        with pytest.raises(ValueError, match=r"layer 1 has shape \(4, 2\); the spike "
+                                             r"block on R\^1 needs \(3, 2\)"):
+            ReluNetwork(1, wide, good.output, grid=grid)
+        ReluNetwork(1, [first, second, last], good.output, grid=grid)
+
     def test_first_block_must_hold_the_spike_forms(self):
         grid = ScaledGrid(2, 1.0, 2)
         n = grid.node_count
         first = Layer(np.ones((1, 2)), np.zeros(1))
         ReluNetwork(2, [first], np.ones((1, 1)))
-        with pytest.raises(ValueError, match=r"not one spike block on R\^2, with 6 first"):
+        with pytest.raises(ValueError, match=r"a grid net has 1 layers; the spike "
+                                             r"block on R\^2 has 7"):
             ReluNetwork(2, [first], np.ones((1, n)), grid=grid)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from funcrelu.simplicial import (
     classify_interpolant,
     contains,
     in_S0,
+    in_simplex,
     in_Sprime,
     locate,
     locate_batch,
@@ -232,6 +234,59 @@ class TestS0:
         for t in (2, 3, 4):
             for sid in simplices_containing_origin(t):
                 assert contains(sid, np.zeros(t), ScaledGrid.unit(t))
+
+
+def _chain_of_contains(z, n, rho):
+    # contains() before the shared chain, at its only tolerance 0.0
+    v = z[list(rho)] - np.array(n, dtype=float)[list(rho)]
+    return bool(np.all(np.diff(np.concatenate(([0.0], v, [1.0]))) >= -0.0))
+
+
+def _chain_of_in_S0(pts, n, rho):
+    # in_S0's per-cell test before the shared chain
+    v = pts[:, list(rho)] - np.array(n, dtype=float)[list(rho)]
+    ok = (v[:, 0] >= 0.0) & (v[:, -1] <= 1.0)
+    if v.shape[1] > 1:
+        ok &= np.all(np.diff(v, axis=1) >= 0.0, axis=1)
+    return ok
+
+
+def _chain_of_verify(z, n, rho):
+    # the locate check of funcrelu verify before the shared chain
+    v = np.take_along_axis(z - n, rho, axis=1)
+    ok = (v[:, 0] >= 0.0) & (v[:, -1] <= 1.0)
+    if v.shape[1] > 1:
+        ok &= np.all(np.diff(v, axis=1) >= 0.0, axis=1)
+    return ok
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_in_simplex_equals_the_three_former_chains(t):
+    rng = np.random.default_rng(40 + t)
+    random = rng.uniform(-2.0, 2.0, (60, t))
+    lattice = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=t)))
+    # points on a lattice plane, and points with tied coordinates
+    face = rng.uniform(-1.5, 1.5, (40, t))
+    face[np.arange(20), rng.integers(0, t, 20)] = rng.integers(-1, 2, 20)
+    face[20:, :] = face[20:, :1]
+    # coordinates one ulp off a lattice plane
+    near = np.nextafter(lattice[rng.integers(0, len(lattice), 20)],
+                        rng.choice((-np.inf, np.inf), (20, t)))
+    Z = np.vstack([random, lattice, face, near])
+    cells = [(tuple(rng.integers(-1, 1, t)), tuple(rng.permutation(t)))
+             for _ in range(12)]
+    hits = 0
+    for n, rho in cells:
+        ours = in_simplex(Z, np.array(n, dtype=float), rho)
+        assert np.array_equal(ours, _chain_of_in_S0(Z, n, rho))
+        assert ours.tolist() == [_chain_of_contains(z, n, rho) for z in Z]
+        hits += int(ours.sum())
+    # one cell per point, as locate_batch gives them
+    pick = rng.integers(0, len(cells), Z.shape[0])
+    n = np.array([cells[k][0] for k in pick])
+    rho = np.array([cells[k][1] for k in pick])
+    assert np.array_equal(in_simplex(Z, n, rho), _chain_of_verify(Z, n, rho))
+    assert 0 < hits < len(cells) * Z.shape[0]
 
 
 class TestVertexInterpolant:
