@@ -2,9 +2,12 @@
 spike network, and the piecewise linear interpolation network built from
 scaled spikes on a grid.
 
-Every construction has a companion direct evaluator (``np.min``,
-:func:`funcrelu.simplicial.spike`, :func:`interpolant_values`); the test
-strategy is equivalence of the network path with the direct path.
+Their weights, sparse and mostly +-1, are dense read-only matrices that
+:func:`funcrelu.relu_net.forward` runs through their index forms with no
+BLAS call, so no value follows the BLAS build or the point chunks.
+Every construction has a companion direct evaluator (``np.min``, :func:`funcrelu.simplicial.spike`,
+:func:`interpolant_values`); the test strategy is equivalence of the
+network path with the direct path.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ def build_interpolation_net(spec: InterpolationSpec,
 
     ``block`` is a spike net of the grid's t to build from instead of a
     new one; the net then holds its deeper ``Layer`` objects, and with them
-    the index forms the pruned pass multiplies by, and only the scaled
+    the index forms forward multiplies by, and only the scaled
     first layer is its own.  A grid net, or a block of other shapes,
     raises ValueError.
     """

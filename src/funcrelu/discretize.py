@@ -40,6 +40,7 @@ from .legendre import (
     gauss_legendre_rule,
     sampled_lp_norm,
 )
+from .simplicial import real_array
 
 FILTER_KINDS = ("dlvp", "truncate")
 
@@ -164,7 +165,7 @@ def _project(op: DiscretizationOperator, f, B: np.ndarray):
     there, one per node.
     """
     points = op.rule.points
-    vals = np.asarray(f(points) if callable(f) else f, dtype=float).ravel()
+    vals = real_array(f(points) if callable(f) else f, "input function values").ravel()
     if vals.shape[0] != points.shape[0]:
         raise ValueError(f"expected {points.shape[0]} values at the quadrature "
                          f"nodes, got {vals.shape[0]}")

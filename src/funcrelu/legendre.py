@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .simplicial import integer_size
+from .simplicial import integer_size, real_array
 
 # Quadrature points per axis used when integrating non-polynomial
 # quantities such as |Q|^p; see default_rule_size.
@@ -103,7 +103,7 @@ class PolyCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).ravel()
+        c = real_array(self.coeffs, "coefficients").ravel()
         if c.shape[0] != self.basis.t:
             raise ValueError(f"expected {self.basis.t} coefficients, got {c.shape[0]}")
         object.__setattr__(self, "coeffs", c)

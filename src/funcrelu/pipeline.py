@@ -498,9 +498,8 @@ def build_functional_net(functional: TargetFunctional,
     return FunctionalNet(op, net, spec, functional, meta)
 
 
-def evaluate_functional_net(fnet: FunctionalNet, f: InputFunction,
-                            radius_spec: Optional[RadiusSpec] = None) -> float:
-    nu = discretize(fnet.op, f, radius_spec=radius_spec)
+def evaluate_functional_net(fnet: FunctionalNet, f: InputFunction) -> float:
+    nu = discretize(fnet.op, f)
     return float(evaluate_batch(fnet.net, nu[None, :])[0])
 
 

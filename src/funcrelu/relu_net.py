@@ -7,21 +7,20 @@ A network with J hidden layers computes
 
 where each hidden layer applies its weight matrix, adds the shift vector
 and passes the result through relu componentwise.  The output stage is a
-plain matrix A with no shift; the scalar case is a 1-row A.  It adds each
-output at each point over the last hidden units in ascending unit order,
-starting from 0.0, so its rounding follows neither the point chunks nor
-the BLAS thread count.  Every weight matrix is a dense float ndarray.
-An interpolation net stores the layers of one spike block, read-only,
-and a grid that repeats it once per node (see :class:`ReluNetwork`);
-counts and values are those of the net with every copy written out.
-The pruned pass multiplies by an index form of each block layer (each
-row's nonzero columns and weights, numpy arrays only), made on first
-use and kept on the layer;
-nets built from one block share its deeper layers, and so their forms (a
-rate experiment makes each form once).  Its candidate copies at a point
-are the vertices of the point's simplex: t + 1 at a generic point, at
-most 2^(t+1) - 1 anywhere.  It keeps one last-layer value per (point,
-candidate copy) pair, never an array over every copy.
+plain matrix A with no shift; the scalar case is a 1-row A.  Every
+weight matrix is a dense float ndarray, read-only once the net is made.
+An interpolation net stores the layers of one spike block and a grid
+that repeats it once per node (see :class:`ReluNetwork`); counts and
+values are those of the net with every copy written out.
+
+:func:`forward` runs every net through one pass over (point, copy)
+pairs: one per point without a grid, else the point's candidate copies,
+the vertices of its simplex (at most 2^(t+1) - 1).  Each layer
+multiplies by its index form (each row's nonzero columns and weights,
+numpy only, no BLAS), kept on the layer, so nets that share a block's
+layers share their forms.  The output stage adds each point's terms in
+ascending column order from 0.0, so no value follows the point chunks or
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ class Layer:
     every grid node repeats, and ``rows`` and ``cols`` are the block's own.
     """
 
-    # (r, c); a grid net's block is read-only, and _index keeps the index
-    # form the pruned pass multiplies by
+    # (r, c); read-only once in a net, and _index keeps the index form
+    # forward multiplies by
     weights: np.ndarray
     shifts: np.ndarray  # (r,)
     _index: Optional[tuple] = field(default=None, init=False, repr=False,
@@ -107,7 +106,9 @@ class Layer:
 
 @dataclass
 class ReluNetwork:
-    """Immutable feedforward ReLU network.
+    """Immutable feedforward ReLU network: it makes its layers' weights and
+    shifts read-only, so the index form :func:`forward` keeps on each
+    layer cannot go stale.
 
     ``output`` is a matrix, one row per network value; scalar networks
     have a single output row.
@@ -120,10 +121,10 @@ class ReluNetwork:
     shared input, the others go block diagonal.  Copy i is that spike moved to grid node i: its first-layer
     shifts are those of :func:`funcrelu.simplicial.spike_forms` centred at
     node i, computed where they are read.  :func:`forward` then evaluates
-    only the copies whose spike can be nonzero at each point.  A grid net
-    makes its dense block weights read-only.  Its layers must have the
-    shapes :func:`funcrelu.simplicial.spike_layer_shapes` gives, or a
-    ValueError names the count or the first layer that differs.
+    only the copies whose spike can be nonzero at each point.  A grid
+    net's layers must have the shapes
+    :func:`funcrelu.simplicial.spike_layer_shapes` gives, or a ValueError
+    names the count or the first layer that differs.
     """
 
     input_dim: int
@@ -160,10 +161,9 @@ class ReluNetwork:
                 f"{prev} x {self.grid.node_count} grid nodes")
             raise ValueError(
                 f"output expects {self.output.shape[1]} inputs, got {got}")
-        if self.grid is not None:
-            # the pruned pass keeps an index form of each block layer
-            for layer in self.layers:
-                layer.weights.flags.writeable = False
+        for layer in self.layers:
+            layer.weights.flags.writeable = False
+            layer.shifts.flags.writeable = False
 
     @property
     def output_dim(self) -> int:
@@ -249,7 +249,7 @@ def nonzero_breakdown(net: ReluNetwork) -> dict:
     return {"total": sum(parts.values()), **parts, "per_layer": per_layer}
 
 
-# (point, copy) pairs per run of the pruned pass
+# (point, copy) pairs per run of forward's pass
 _PAIR_RUN = 4096
 
 _BATCH_BYTES = 1 << 29  # one chunk's working set in forward
@@ -257,68 +257,42 @@ _BATCH_BYTES = 1 << 29  # one chunk's working set in forward
 
 def _chunk_points(net: ReluNetwork) -> int:
     """Points per chunk so that a chunk's working set stays below
-    ``_BATCH_BYTES`` of 8-byte entries.  Per point, the full pass holds
-    every unit of its widest layer, and then six entries per last-layer
-    unit: the unit, its point and unit indices, a copy of its value, its
-    output coefficient and the term (:func:`_output_stage`).  The pruned
-    pass holds the same per (point, copy) pair, at most 2^(t+1) - 1 pairs
-    per point (:func:`funcrelu.simplicial.support_pairs`), so its chunks
-    follow its pairs, not the grid's copies."""
+    ``_BATCH_BYTES`` of 8-byte entries.  Per (point, copy) pair the pass
+    holds every unit of the widest layer, and then six entries per
+    last-layer unit: the unit, its point and column indices, its output
+    coefficient and the term (:func:`_output_stage`), beside the last
+    run's activations.  A point has one pair without a grid and at most
+    2^(t+1) - 1 with one (:func:`funcrelu.simplicial.support_pairs`), so
+    a grid net's chunks follow its pairs, not its copies."""
     rows = [l.rows for l in net.layers] or [net.input_dim]
-    width = max(max(rows), 6 * rows[-1])
-    if net.grid is not None:
-        width *= 2 ** (net.grid.t + 1) - 1
-    return max(1, int(_BATCH_BYTES // (8 * width)))
+    # one entry at least: a net whose layers have no units runs too
+    width = max(1, *rows, 6 * rows[-1])
+    pairs = 1 if net.grid is None else 2 ** (net.grid.t + 1) - 1
+    return max(1, int(_BATCH_BYTES // (8 * width * pairs)))
 
 
-def _output_stage(output, point, unit, value, points: int) -> np.ndarray:
-    """The output stage over (point, unit, value) triples of the last
-    hidden layer: (points, output_dim), where row r at each point adds
-    the terms ``output[r, unit] * value`` of that point's triples in their
-    order, starting from 0.0 (``np.bincount``).  Both passes give their
-    triples in ascending unit order, so each point's sum has one fixed
-    order, whatever the chunks and the BLAS thread count."""
+def _output_stage(output, point, copy, value, points: int) -> np.ndarray:
+    """The output stage over the last-layer values ``value`` (pairs,
+    units) of (point, copy) pairs: (points, output_dim), where row r at
+    each point adds the terms ``output[r, copy * units + unit] * value``
+    of that point's pairs in their order, each pair's units in ascending
+    order, starting from 0.0 (``np.bincount``).  The pass gives each
+    point's pairs in ascending copy order, so each point's sum adds its
+    terms in ascending column order, whatever the chunks."""
+    units = value.shape[1]
+    if units != 1:
+        point = point.repeat(units)
+        copy = (copy[:, None] * units + np.arange(units)).ravel()
+    value = value.ravel()
     res = np.empty((points, output.shape[0]))
     for r in range(output.shape[0]):
-        res[:, r] = np.bincount(point, weights=output[r, unit] * value,
+        res[:, r] = np.bincount(point, weights=output[r, copy] * value,
                                 minlength=points)
     return res
 
 
-def _stack(outs, net: ReluNetwork) -> np.ndarray:
-    """The chunks' (points, output_dim) results as one array; no chunk
-    (an empty batch) gives (0, output_dim)."""
-    return np.vstack(outs) if outs else np.empty((0, net.output_dim))
-
-
-def _full_forward(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
-    """Every unit of every layer for a batch (n, input_dim) -> (n, output_dim).
-
-    The reference evaluation: :func:`forward` takes it for every net
-    without a grid.  It reads only ``input_dim``, ``grid``, ``output``,
-    ``output_dim`` and each layer's ``rows``, ``weights`` and ``shifts``,
-    and multiplies by ``weights @ h``, so the tests run it on a grid net
-    with every copy written out as CSR layers, the reference the pruned
-    pass is proven against.  Its output stage adds each point's terms over
-    every last-layer unit in ascending unit order.
-    """
-    chunk = _chunk_points(net)
-    outs = []
-    for lo in range(0, pts.shape[0], chunk):
-        h = pts[lo : lo + chunk].T
-        for layer in net.layers:
-            h = layer.weights @ h
-            h += layer.shifts[:, None]
-            np.maximum(h, 0.0, out=h)
-        units, points = h.shape
-        outs.append(_output_stage(net.output, np.arange(points).repeat(units),
-                                  np.tile(np.arange(units), points),
-                                  h.T.ravel(), points))
-    return _stack(outs, net)
-
-
 class _IndexForm(NamedTuple):
-    """A block layer as the pruned pass multiplies by it, in numpy arrays
+    """A layer as forward's pass multiplies by it, in numpy arrays
     only: its rows in runs of consecutive rows with one nonzero count, and
     per run one term per nonzero, the run's k-th nonzeros in ascending
     column order.  A term is (src, scale): the rows of the input it reads,
@@ -343,23 +317,24 @@ def _term(cols: list, weights: list) -> tuple:
 
 
 def _index_form(layer: Layer) -> _IndexForm:
-    """The index form of a block layer, written from ``np.nonzero`` of its
-    dense weights; made on first use and kept on the layer while its
-    weights are the same object (a grid net's block is read-only, so the
-    form cannot go stale).  A block has a few thousand nonzeros at most,
-    so the runs are read from Python lists of them.
+    """The index form of a layer, written from ``np.nonzero`` of its dense
+    weights; made on first use and kept on the layer while its weights
+    and shifts are the same objects (a net makes them read-only, so the
+    form cannot go stale).  A spike block has a few thousand nonzeros at
+    most, so the runs are read from Python lists of them.
 
     ``relu`` names the runs that hold a weight or a shift below zero.  On
     the output of a relu layer the other runs add nonnegative terms, so
     relu would leave them as they are (a zero may differ in sign only),
     and the pass applies relu to the named runs alone."""
-    w = layer.weights
-    if layer._index is None or layer._index[0] is not w:
+    w, b = layer.weights, layer.shifts
+    if layer._index is None or layer._index[0] is not w or layer._index[1] is not b:
         row, col = np.nonzero(w)
         values, cols = w[row, col].tolist(), col.tolist()
         count = np.bincount(row, minlength=w.shape[0])
-        edges = [0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), w.shape[0]]
-        count, shifts = count.tolist(), layer.shifts.tolist()
+        # each run's first row, then the end: a layer of no rows has no run
+        edges = sorted({0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), w.shape[0]})
+        count, shifts = count.tolist(), b.tolist()
         runs, relu = [], []
         at = 0  # the run's first nonzero
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -372,10 +347,10 @@ def _index_form(layer: Layer) -> _IndexForm:
             if min(values[at:end], default=0.0) < 0.0 or min(shifts[lo:hi]) < 0.0:
                 relu.append(slice(lo, hi))
             at = end
-        layer._index = (w, _IndexForm(len(count), tuple(runs),
-                                      layer.shifts[:, None] if any(shifts) else None,
-                                      tuple(relu)))
-    return layer._index[1]
+        layer._index = (w, b, _IndexForm(len(count), tuple(runs),
+                                         b[:, None] if any(shifts) else None,
+                                         tuple(relu)))
+    return layer._index[2]
 
 
 def _index_product(form: _IndexForm, h: np.ndarray) -> np.ndarray:
@@ -422,66 +397,70 @@ def _index_layer(form: _IndexForm, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _pruned_forward(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
-    """:func:`_full_forward` of an interpolation net, over the candidate
-    spike copies of each point only.
+def _forward_pairs(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
+    """The values (n, output_dim) of ``net`` at ``pts`` (n, input_dim):
+    its stored layers run over the (point, copy) pairs, copy 0 of each
+    point without a grid, else the candidate copies of
+    :func:`funcrelu.simplicial.support_pairs` in ascending node order.
+    The first layer adds each pair's shifts (a grid copy's from
+    :func:`_grid_shifts`) and applies relu to every unit; each deeper
+    layer is :func:`_index_layer`.  It keeps the last-layer values of
+    each pair, never an array over the grid's copies, in chunks of a
+    bounded number of pairs (:func:`_chunk_points`).
 
-    Runs the stored block of each layer over the (point, candidate) pairs
-    from :func:`funcrelu.simplicial.support_pairs`, adding each candidate's
-    own first-layer shifts, keeps one last-layer value per pair and hands
-    the pairs, in ascending node order per point, to the output stage the
-    full pass ends in.  No array spans the grid's copies.  A copy left out
-    has a negative first-layer form at the point, so in the full pass the
-    minimum recursion gives it an exact 0, and its term an exact +-0; a
-    sum that starts from 0.0 never becomes -0.0, so adding such a term
-    leaves it as it is, and the candidates' sum is the full pass's bit for
-    bit.  Each layer multiplies by its index form (:func:`_index_product`),
-    whose hidden values equal the CSR product's up to the sign of a zero;
-    such a value gives a +-0 term too, so the sums are the same.  Chunks
-    hold a bounded number of pairs (:func:`_chunk_points`).
+    The result is that of every copy written out as CSR layers and run
+    in full, bit for bit.  Each index product equals the CSR product up
+    to the sign of a zero, which gives a +-0 term; a grid copy left out
+    has a negative first-layer form at the point, so the minimum
+    recursion gives it an exact 0 and its term an exact +-0; and a sum
+    that starts from 0.0 never becomes -0.0, so adding such a term
+    leaves it as it is.
     """
-    first = _index_form(net.layers[0])
-    deeper = [_index_form(l) for l in net.layers[1:]]
+    forms = [_index_form(l) for l in net.layers]
+    units = net.layers[-1].rows if net.layers else net.input_dim
     chunk = _chunk_points(net)
-    outs = []
+    outs = [np.empty((0, net.output_dim))]  # an empty batch has no chunk
     for lo in range(0, pts.shape[0], chunk):
         part = pts[lo : lo + chunk]
-        point, node = support_pairs(part, net.grid)
-        value = np.empty(point.shape[0])
+        point, copy = (support_pairs(part, net.grid) if net.grid is not None
+                       else (np.arange(len(part)), np.zeros(len(part), np.intp)))
+        value = np.empty((point.shape[0], units))
         # pairs are independent columns; short runs of them keep each
         # layer's activations in cache
         for a in range(0, point.shape[0], _PAIR_RUN):
-            p, c = point[a : a + _PAIR_RUN], node[a : a + _PAIR_RUN]
-            h = _index_product(first, part[p].T)
-            h += _grid_shifts(net.grid, c).T
-            np.maximum(h, 0.0, out=h)
-            for form in deeper:
+            p, c = point[a : a + _PAIR_RUN], copy[a : a + _PAIR_RUN]
+            h = part[p].T  # a net of no layers outputs its input
+            if forms:
+                h = _index_product(forms[0], h)
+                h += (net.layers[0].shifts[:, None] if net.grid is None
+                      else _grid_shifts(net.grid, c).T)
+                np.maximum(h, 0.0, out=h)
+            for form in forms[1:]:
                 h = _index_layer(form, h)
-            value[a : a + _PAIR_RUN] = h[0]
-        outs.append(_output_stage(net.output, point, node, value, part.shape[0]))
-    return _stack(outs, net)
+            value[a : a + _PAIR_RUN] = h.T
+        outs.append(_output_stage(net.output, point, copy, value, part.shape[0]))
+    return np.vstack(outs)
 
 
 def forward(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
     """All output rows for a batch of inputs.
 
     ``x`` is one point of shape (input_dim,) or a batch (n, input_dim);
-    returns (output_dim,) or (n, output_dim).  Wide networks are evaluated
-    in chunks of points so a chunk's working set stays below the fixed
-    ``_BATCH_BYTES``, 512 MiB (see :func:`_chunk_points`).  An interpolation net
-    (``net.grid`` set) runs only the spike copies whose support holds each
-    point, with the same result as running all of them.  An empty batch
-    gives (0, output_dim).  Any other shape of ``x``, non-finite inputs,
-    and finite ones whose value overflows float64, raise ValueError.
+    returns (output_dim,) or (n, output_dim).  Every net runs one pass,
+    :func:`_forward_pairs`, with no BLAS call, so a point's value does not
+    depend on its batch; an interpolation net (``net.grid`` set) runs
+    only the spike copies whose support holds each point, with the same
+    result as running all of them.  A chunk's working set stays below
+    ``_BATCH_BYTES``, 512 MiB (see :func:`_chunk_points`).  An empty
+    batch gives (0, output_dim).  Any other shape of ``x``, non-finite
+    inputs, and finite ones whose value overflows float64, raise
+    ValueError.
     """
     pts, single = point_batch(x, net.input_dim)
     _check_finite(pts, "input points")
     # an overflow shows as inf or nan in the result, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        if net.grid is None:
-            res = _full_forward(net, pts)
-        else:
-            res = _pruned_forward(net, pts)
+        res = _forward_pairs(net, pts)
     if not np.all(np.isfinite(res)):
         raise ValueError(
             "network value overflows float64 at a finite input point")
@@ -629,7 +608,7 @@ def _grid_net(gdoc, input_dim, layers, out) -> ReluNetwork:
     """The interpolation net of a version-2 document: the grid's
     :func:`funcrelu.constructors.build_interpolation_net` with the output
     row as node values.  The document's layers must be that net's block
-    bit for bit, since the pruned pass is exact only for a spike block."""
+    bit for bit: a pass over candidate copies is exact only for a spike block."""
     # constructors imports this module
     from .constructors import InterpolationSpec, build_interpolation_net
 

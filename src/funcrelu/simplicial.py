@@ -405,19 +405,22 @@ def vertex_interpolant(simplex: SimplexId) -> AffineForm:
     return AffineForm(tuple(float(c) for c in coeffs), float(const))
 
 
-def classify_interpolant(form: AffineForm, tol: float = 1e-9):
+CLASSIFY_TOL = 1e-9  # how near 1, -1 or 0 a coefficient must be
+
+
+def classify_interpolant(form: AffineForm):
     """Match an affine form against the three listed shapes.
 
     Returns (a, b, l, k) with h(y) = 1 + a*y_l - b*y_k for
     (a, b) in {(1, 0), (1, 1), (-1, 0)}, or None if the form is not of
     that shape.  Index None stands for an absent term.
     """
-    if abs(form.constant - 1.0) > tol:
+    if abs(form.constant - 1.0) > CLASSIFY_TOL:
         return None
     c = np.array(form.coeffs)
-    pos = np.where(np.abs(c - 1.0) < tol)[0]
-    neg = np.where(np.abs(c + 1.0) < tol)[0]
-    zero = np.where(np.abs(c) < tol)[0]
+    pos = np.where(np.abs(c - 1.0) < CLASSIFY_TOL)[0]
+    neg = np.where(np.abs(c + 1.0) < CLASSIFY_TOL)[0]
+    zero = np.where(np.abs(c) < CLASSIFY_TOL)[0]
     if len(pos) + len(neg) + len(zero) != c.size:
         return None
     if len(pos) == 1 and len(neg) == 0:

@@ -353,6 +353,16 @@ def test_non_finite_node_value_names_the_node(bad):
         assert str(op.rule.points[5]) in str(err.value)
 
 
+# numpy would keep the real part of a complex value and only warn
+@pytest.mark.parametrize("vals", [np.full(16, 1j), [1j] * 16], ids=["array", "list"])
+def test_complex_node_values_are_named(vals):
+    op = make_operator(1, 1)
+    for project in (discretize, apply_Vm, projection_error, vm_error):
+        with pytest.raises(ValueError, match="input function values must be real "
+                                             "numbers, got dtype complex128"):
+            project(op, vals)
+
+
 @pytest.mark.parametrize("count", [0, 1, 15, 17, 32])
 def test_node_values_of_wrong_length_are_rejected(count):
     op = make_operator(1, 1)

@@ -159,6 +159,14 @@ class TestPhi:
         poly = PolyCoeffs(b, np.zeros(b.t))
         assert np.all(poly(np.linspace(-1, 1, 9)[:, None]) == 0.0)
 
+    # numpy would keep the real part of a complex value and only warn
+    @pytest.mark.parametrize("coeffs", [np.array([1 + 2j, 0, 0]), [1j, 0.0, 0.0]],
+                             ids=["array", "list"])
+    def test_complex_coefficients_are_named(self, coeffs):
+        with pytest.raises(ValueError, match="coefficients must be real numbers, "
+                                             "got dtype complex128"):
+            PolyCoeffs(LegendreBasis(1, 1), coeffs)
+
     def test_isometry(self):
         rng = np.random.default_rng(1)
         for s, m in ((1, 1), (1, 3), (2, 1)):

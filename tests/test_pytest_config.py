@@ -51,6 +51,28 @@ def _imported_packages(path: Path) -> set:
     return names
 
 
+BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot"}
+
+
+def _blas_uses(path: Path) -> list:
+    """(line, what) of each matrix product in a module: an ``@`` or a call
+    of one of ``BLAS_CALLS`` as an attribute, such as ``np.dot``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in BLAS_CALLS):
+            found.append((node.lineno, node.func.attr))
+    return found
+
+
+def test_forward_makes_no_blas_call():
+    # every net's values are those of one numpy-only pass, so they follow
+    # neither the point chunks nor the BLAS build and thread count
+    assert _blas_uses(ROOT / "src" / "funcrelu" / "relu_net.py") == []
+
+
 def test_every_third_party_import_of_the_package_is_a_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]

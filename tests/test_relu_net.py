@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -37,16 +38,23 @@ from funcrelu.constructors import interpolant_values
 from funcrelu.simplicial import SUPPORT_SLACK, ScaledGrid, spike, support_pairs
 
 
-def random_net(rng, input_dim, widths, out_rows=1, density=1.0):
+def random_arrays(rng, input_dim, widths, out_rows=1, density=1.0):
+    """The (weights, shifts) of each layer and the output matrix of
+    :func:`random_net`, as writable arrays: a net makes its layers
+    read-only."""
     layers = []
     prev = input_dim
     for w in widths:
         W = rng.standard_normal((w, prev))
         if density < 1.0:
             W *= rng.random((w, prev)) < density
-        layers.append(Layer(W, rng.standard_normal(w)))
+        layers.append((W, rng.standard_normal(w)))
         prev = w
-    return ReluNetwork(input_dim, layers, rng.standard_normal((out_rows, prev)))
+    return layers, rng.standard_normal((out_rows, prev))
+
+
+def random_net(rng, input_dim, widths, out_rows=1, density=1.0):
+    return ReluNetwork(input_dim, *random_arrays(rng, input_dim, widths, out_rows, density))
 
 
 def zero_net(d=2):
@@ -70,27 +78,60 @@ def _repeat_block(w, n: int, stacked: bool):
 
 
 def expand_blocks(net, output=None):
-    """The reference form of a grid net for ``relu_net._full_forward``: its
-    grid copies written out as CSR layers, and no grid; ``output`` replaces
-    the output matrix, e.g. an identity to read every copy's last unit.  A
-    net without a grid comes back as is.  It holds every copy, so on a
-    large interpolation net it costs what the block form saves.
+    """The reference form of a net for :func:`_full_pass`: its copies
+    written out as CSR layers, and no grid; ``output`` replaces the output
+    matrix, e.g. an identity to read every copy's last unit.  A net
+    without a grid is one copy.  It holds every copy, so on a large
+    interpolation net it costs what the block form saves.
     """
-    if net.grid is None:
-        return net
-    n = net.grid.node_count
-    shifts = relu_net._grid_shifts(net.grid, np.arange(n))
+    n = 1 if net.grid is None else net.grid.node_count
+
+    def shifts(j, layer):
+        if j == 0 and net.grid is not None:
+            return relu_net._grid_shifts(net.grid, np.arange(n)).ravel()
+        return np.tile(layer.shifts, n)
+
     layers = [SimpleNamespace(weights=_repeat_block(l.weights, n, j == 0),
-                              shifts=shifts.ravel() if j == 0 else np.tile(l.shifts, n),
-                              rows=n * l.rows)
+                              shifts=shifts(j, l), rows=n * l.rows)
               for j, l in enumerate(net.layers)]
     output = net.output if output is None else output
     return SimpleNamespace(input_dim=net.input_dim, layers=layers, output=output,
                            output_dim=output.shape[0], grid=None)
 
 
+# one chunk's largest layer in _full_pass
+_REFERENCE_BYTES = 1 << 29
+
+
+def _full_pass(net, pts):
+    """The reference pass over :func:`expand_blocks` of a net: every unit
+    of every layer for a batch (n, input_dim) -> (n, output_dim), in point
+    chunks.  Each layer is ``weights @ h``, a CSR product that adds each
+    row's terms in ascending column order, starting from 0.0.  The output
+    stage adds each point's terms ``output[r, unit] * value`` over every
+    last-layer unit in ascending unit order, starting from 0.0: a running
+    sum (``np.cumsum``) that starts from its first term differs from that
+    in the sign of a zero only, which adding 0.0 at the end clears.
+    """
+    widest = max([net.input_dim] + [l.rows for l in net.layers])
+    chunk = max(1, _REFERENCE_BYTES // (8 * max(1, widest)))
+    outs = [np.empty((0, net.output_dim))]
+    for lo in range(0, pts.shape[0], chunk):
+        h = pts[lo : lo + chunk].T
+        for layer in net.layers:
+            h = layer.weights @ h
+            h += layer.shifts[:, None]
+            np.maximum(h, 0.0, out=h)
+        res = np.zeros((h.shape[1], net.output_dim))
+        if h.shape[0]:
+            for r in range(net.output_dim):
+                res[:, r] += np.cumsum(net.output[r] * h.T, axis=1)[:, -1]
+        outs.append(res)
+    return np.vstack(outs)
+
+
 def dense_expansion(net):
-    """:func:`expand_blocks` of a grid net as a ReluNetwork of dense layers,
+    """:func:`expand_blocks` of a net as a ReluNetwork of dense layers,
     for the calls that need a network: ``serialize``, ``forward``,
     ``deserialize``.  Small grids only."""
     full = expand_blocks(net)
@@ -129,14 +170,12 @@ class TestEvaluate:
         assert np.all(np.isfinite(vals))
 
     def test_batch_matches_single(self):
-        # blas gemm vs gemv accumulation differs in the last bit, so the
-        # comparison is tight-tolerance, not bitwise
         rng = np.random.default_rng(6)
         net = random_net(rng, 4, [7, 5])
         X = rng.standard_normal((32, 4))
         batch = evaluate_batch(net, X)
         singles = np.array([evaluate(net, x) for x in X])
-        assert np.allclose(batch, singles, rtol=1e-13, atol=1e-13)
+        assert np.array_equal(batch, singles)
         assert np.array_equal(batch, evaluate_batch(net, X))
 
     def test_nonfinite_weights_rejected(self):
@@ -241,6 +280,20 @@ class TestSerialization:
     def test_zero_network_round_trip(self):
         back = deserialize(serialize(zero_net()))
         assert count_nonzero(back) == 0
+
+    @pytest.mark.parametrize("widths", [[0], [3, 0], [0, 0]])
+    def test_layers_of_no_units_evaluate_to_zeros(self, widths):
+        layers, prev = [], 2
+        for w in widths:
+            layers.append({"rows": w, "cols": prev, "weights": [1.0] * (w * prev),
+                           "shifts": [0.5] * w})
+            prev = w
+        net = deserialize(json.dumps({"version": 1, "input_dim": 2, "layers": layers,
+                                      "output": {"rows": 1, "cols": 0, "weights": []}}))
+        assert forward(net, np.zeros(2)).tolist() == [0.0]
+        X = np.random.default_rng(8).uniform(-1.0, 1.0, (5, 2))
+        assert forward(net, X).tolist() == [[0.0]] * 5
+        assert np.array_equal(forward(net, X), _full_pass(expand_blocks(net), X))
 
     def test_truncated_stream_names_missing_section(self):
         doc = json.loads(serialize(build_min_net(2)))
@@ -389,11 +442,11 @@ def _interp(t, N):
 
 
 def _signed_zero_net():
-    net = random_net(np.random.default_rng(21), 3, [6, 5], out_rows=2)
-    for l in net.layers:
-        l.weights[l.weights < 0.2] = -0.0
-    net.output[0, :2] = -0.0
-    return net
+    layers, output = random_arrays(np.random.default_rng(21), 3, [6, 5], out_rows=2)
+    for weights, _ in layers:
+        weights[weights < 0.2] = -0.0
+    output[0, :2] = -0.0
+    return ReluNetwork(3, layers, output)
 
 
 def _identity_net(dim, hidden_layers):
@@ -526,7 +579,7 @@ def _deserializes_or_names_error(raw):
     assert serialize(deserialize(serialize(net))) == serialize(net)
     X = np.random.default_rng(0).uniform(-1.5, 1.5, (16, net.input_dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        full = relu_net._full_forward(expand_blocks(net), X)
+        full = _full_pass(expand_blocks(net), X)
     if np.all(np.isfinite(full)):
         assert np.array_equal(forward(net, X), full)
     else:
@@ -618,8 +671,7 @@ def test_full_pass_output_stage_within_the_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * budget
-    # dense layers go through BLAS, whose rounding may follow the chunk
-    np.testing.assert_allclose(chunked, forward(net, X), rtol=1e-12, atol=1e-12)
+    assert np.array_equal(chunked, forward(net, X))
 
 
 @settings(max_examples=25, deadline=None)
@@ -630,6 +682,59 @@ def test_forward_deterministic_and_pure(seed, dim, layers):
     x = rng.uniform(-5, 5, dim)
     first = evaluate(net, x)
     assert evaluate(net, x) == first
+
+
+def _with_signed_zeros(rng, a, share=0.2):
+    """``a`` with about ``share`` of its entries set to -0.0, in place."""
+    a[rng.random(a.shape) < share] = -0.0
+    return a
+
+
+def _points_with_zeros(rng, n, dim, scale):
+    """n points, about a fifth of their coordinates +0.0 or -0.0."""
+    X = rng.uniform(-scale, scale, (n, dim))
+    at = rng.random((n, dim)) < 0.2
+    X[at] = rng.choice([0.0, -0.0], at.sum())
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.lists(st.integers(0, 9), max_size=3), st.integers(1, 3),
+       st.sampled_from([1.0, 0.3]))
+def test_forward_is_the_csr_full_pass(seed, dim, widths, out_rows, density):
+    # dense and sparse weights, shifts and output entries of -0.0 among
+    # them, on points with zero coordinates of both signs
+    rng = np.random.default_rng(seed)
+    layers, output = random_arrays(rng, dim, widths, out_rows, density)
+    for weights, shifts in layers:
+        _with_signed_zeros(rng, weights)
+        _with_signed_zeros(rng, shifts)
+    net = ReluNetwork(dim, layers, _with_signed_zeros(rng, output))
+    X = _points_with_zeros(rng, 40, dim, 3.0)
+    got = forward(net, X)
+    assert np.array_equal(got, _full_pass(expand_blocks(net), X))
+    assert (got + 0.0).tobytes() == got.tobytes()  # no -0.0 value
+    assert np.array_equal(forward(net, X[0]), got[0])
+
+
+PAPER_NETS = {**{f"min{d}": (build_min_net, d) for d in (2, 3, 6, 12)},
+              **{f"spike{t}": (build_spike_net, t) for t in (1, 2, 3, 5)}}
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_net(name):
+    build, size = PAPER_NETS[name]
+    return build(size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(PAPER_NETS)), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.5, 1.5, 100.0]))
+def test_min_and_spike_nets_are_the_csr_full_pass(name, seed, scale):
+    net = _paper_net(name)
+    X = _points_with_zeros(np.random.default_rng(seed), 30, net.input_dim, scale)
+    assert np.array_equal(forward(net, X), _full_pass(expand_blocks(net), X))
 
 
 # Every interpolation-net shape (t, N) the suite builds at N <= 8, each with
@@ -676,7 +781,8 @@ def _box_pairs(X, grid):
 
 
 class TestPrunedForward:
-    """The pruned pass of interpolation nets against the full layer loop."""
+    """forward of interpolation nets, over each point's candidate copies,
+    against the full pass over every copy."""
 
     @pytest.mark.parametrize("t,N,R", INTERP_SHAPES)
     def test_matches_full_pass(self, t, N, R):
@@ -695,13 +801,13 @@ class TestPrunedForward:
         assert count_nonzero(back) == count_nonzero(net)
         assert nonzero_breakdown(back) == nonzero_breakdown(net)
         reference = expand_blocks(net)
-        full = relu_net._full_forward(reference, X)
+        full = _full_pass(reference, X)
         # one summation order, same block weights, exact zeros elsewhere:
         # bit-equal, which is within 1e-15 * max(1, max |node value|)
         assert np.array_equal(pruned, full), np.abs(pruned - full).max()
         for x in X[:: max(1, len(X) // 3)]:
             assert np.array_equal(forward(net, x),
-                                  relu_net._full_forward(reference, x[None])[0])
+                                  _full_pass(reference, x[None])[0])
         assert evaluate_batch(net, X[-k:])[0] == 0.0  # the far-out point
 
     def test_lattice_nodes_of_a_non_dyadic_grid(self):
@@ -712,7 +818,7 @@ class TestPrunedForward:
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
         X = grid.node_array()
         assert np.array_equal(forward(net, X),
-                              relu_net._full_forward(expand_blocks(net), X))
+                              _full_pass(expand_blocks(net), X))
 
     @pytest.mark.parametrize("t,N", [(2, 6), (3, 4), (4, 2), (5, 2), (7, 2)])
     def test_every_dropped_pair_is_an_exact_zero(self, t, N):
@@ -735,7 +841,7 @@ class TestPrunedForward:
         assert np.all(spike((X[p] - grid.nodes(i)) / grid.h) == 0.0)
         # every copy's last hidden unit: each identity row has one term
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-        copies = relu_net._full_forward(expand_blocks(net, np.eye(grid.node_count)), X)
+        copies = _full_pass(expand_blocks(net, np.eye(grid.node_count)), X)
         assert np.all(copies[p, i] == 0.0)
 
     def test_empty_batch_on_both_passes_and_the_oracle(self):
@@ -744,7 +850,7 @@ class TestPrunedForward:
         net = build_interpolation_net(spec)
         X = np.empty((0, 2))
         for got in (forward(net, X), forward(dense_expansion(net), X),
-                    relu_net._full_forward(expand_blocks(net), X)):
+                    _full_pass(expand_blocks(net), X)):
             assert got.shape == (0, 1)
         assert evaluate_batch(net, X).shape == (0,)
         assert interpolant_values(spec, X).shape == (0,)
@@ -776,7 +882,7 @@ class TestPrunedForward:
             assert 8 * pairs * widest_block <= budget
             assert 8 * min(pairs, relu_net._PAIR_RUN) * widest_block <= budget
         assert np.array_equal(pruned,
-                              relu_net._full_forward(expand_blocks(net), X))
+                              _full_pass(expand_blocks(net), X))
 
     def test_chunks_follow_pairs_not_copies(self, monkeypatch):
         # 35 937 copies; a (copies x points) chunk under this budget would
@@ -834,7 +940,7 @@ class TestPrunedForward:
         net = build_interpolation_net(InterpolationSpec(grid, values))
         X = equivalence_points(rng, grid, 2)
         # every copy's last hidden unit: each identity row has one term
-        psi = relu_net._full_forward(expand_blocks(net, np.eye(grid.node_count)), X)
+        psi = _full_pass(expand_blocks(net, np.eye(grid.node_count)), X)
         point, node = support_pairs(X, grid)
         want = []
         for p in range(X.shape[0]):
@@ -936,18 +1042,28 @@ class TestBlockIndexForm:
 
     def test_cannot_go_stale(self):
         grid = ScaledGrid(2, 1.0, 2)
-        net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-        x = np.array([0.1, -0.2])
-        before = evaluate(net, x)
-        layer = net.layers[-1]
-        old = relu_net._index_form(layer)
-        with pytest.raises(ValueError, match="read-only"):
-            layer.weights[0, 0] = 2.0
-        # a new weights array gets its own form
-        layer.weights = 2.0 * layer.weights
-        assert relu_net._index_form(layer) is not old
-        assert np.array_equal(_index_product(layer, np.eye(layer.cols)), layer.weights)
-        assert evaluate(net, x) == 2.0 * before
+        nets = [(build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count))),
+                 np.array([0.1, -0.2])),
+                (build_min_net(3), np.array([0.7, 0.3, 0.9]))]
+        for net, x in nets:
+            before = evaluate(net, x)
+            assert before > 0.0
+            layer = net.layers[-1]
+            old = relu_net._index_form(layer)
+            with pytest.raises(ValueError, match="read-only"):
+                layer.weights[0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                layer.shifts[0] = 2.0
+            # a new weights array gets its own form; the last layer has no
+            # shift, so the net's value doubles
+            layer.weights = 2.0 * layer.weights
+            assert relu_net._index_form(layer) is not old
+            assert np.array_equal(_index_product(layer, np.eye(layer.cols)), layer.weights)
+            assert evaluate(net, x) == 2.0 * before
+            # and so does a new shifts array
+            old = relu_net._index_form(layer)
+            layer.shifts = layer.shifts + 0.0
+            assert relu_net._index_form(layer) is not old
 
 
 # Builds, counts, round-trips and runs a grid net, then a tiny rate
@@ -1156,7 +1272,8 @@ class TestNonFiniteInput:
         grid = ScaledGrid(2, 1.0, 4)
         interp = build_interpolation_net(
             InterpolationSpec(grid, np.random.default_rng(5).standard_normal(grid.node_count)))
-        for net, x in ((build_spike_net(2), [1.7e308, -1.7e308]),
+        spike_net = build_spike_net(2)
+        for net, x in ((spike_net, [-1.7e308, 1.7e308]),
                        (dense_expansion(interp), [1e308, 0.0])):
             for call in (forward, evaluate):
                 with pytest.raises(ValueError, match="overflow"):
@@ -1164,6 +1281,12 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match="overflow"):
                 evaluate_batch(net, np.vstack([np.zeros(2), x]))
         assert evaluate(interp, np.array([1e308, 0.0])) == 0.0
+        # here no inf - inf arises once the zero weights are left out, as
+        # the CSR full pass leaves them out
+        x = np.array([[1.7e308, -1.7e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _full_pass(expand_blocks(spike_net), x).tolist() == [[0.0]]
+        assert evaluate(spike_net, x[0]) == 0.0
 
     def test_far_finite_point_has_value_zero(self):
         grid = ScaledGrid(2, 1.0, 2)
