@@ -90,6 +90,8 @@ def _node_values(args, grid):
                 raise SystemExit(
                     f"{where}: node index {i} outside [0, {grid.node_count})"
                 )
+            if seen[i]:
+                raise SystemExit(f"{where}: node index {i} is listed twice")
             values[i] = v
             seen[i] = True
         if not seen.all():

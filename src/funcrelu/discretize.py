@@ -40,7 +40,7 @@ from .legendre import (
     gauss_legendre_rule,
     sampled_lp_norm,
 )
-from .simplicial import real_array
+from .simplicial import integer_size, point_batch, real_array
 
 FILTER_KINDS = ("dlvp", "truncate")
 
@@ -77,7 +77,7 @@ class DiscretizationOperator:
     low_basis_at_nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = np.asarray(self.filter, dtype=float).ravel()
+        h = real_array(self.filter, "filter values").ravel()
         if h.shape[0] != self.basis.t:
             raise ValueError("filter length must equal basis size")
         if not np.all(np.isfinite(h)):
@@ -116,7 +116,7 @@ class InputFunction:
     tag: str = ""
 
     def __call__(self, x):
-        return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
+        return real_array(self.evaluator(real_array(x, "points")), "input function values")
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,9 @@ class RadiusSpec:
     c1_surrogate: float = 1.0
 
     def __post_init__(self):
+        # m and s give the vectors' length t = (2m + 1)^s
+        object.__setattr__(self, "m", integer_size(self.m, "m", 0))
+        object.__setattr__(self, "s", integer_size(self.s, "s"))
         check_p(self.p)
         for name in ("C_K", "c1_surrogate"):
             value = getattr(self, name)
@@ -147,8 +150,9 @@ class RadiusSpec:
         return self.c1_surrogate * self.C_K * float(max(self.m, 1)) ** expo
 
     def check(self, vectors) -> None:
-        """Raise unless the vector (or every row of a stack) lies in the
-        cube [-R, R]^t."""
+        """Raise unless the vector (t,) or every row of a stack (n, t) is a
+        point of the cube [-R, R]^t, t = (2m + 1)^s."""
+        vectors, _ = point_batch(vectors, (2 * self.m + 1) ** self.s)
         top = float(np.max(np.abs(vectors), initial=0.0))
         if top > self.R:
             raise ValueError(
@@ -183,13 +187,10 @@ def apply_Vm(op: DiscretizationOperator, f) -> PolyCoeffs:
 
 
 def discretize(op: DiscretizationOperator, f,
-               radius_spec: Optional[RadiusSpec] = None,
                self_check: bool = False) -> np.ndarray:
     """Coefficient vector of the discretized function, length t.
 
-    ``f`` is an input function or its values at op's nodes.  With a radius
-    spec, vectors outside [-R, R]^t raise (the configured C_K or c1
-    surrogate is then wrong for this input class).  With ``self_check``
+    ``f`` is an input function or its values at op's nodes.  With ``self_check``
     the quadrature is repeated at doubled resolution and a relative drift
     above 1e-8 warns; that needs f itself, not its node values.
     """
@@ -209,8 +210,6 @@ def discretize(op: DiscretizationOperator, f,
                 "doubling; increase the rule size",
                 stacklevel=2,
             )
-    if radius_spec is not None:
-        radius_spec.check(coeffs)
     return coeffs
 
 

@@ -86,7 +86,7 @@ class LegendreBasis:
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         """Values of all t basis functions, shape (..., t)."""
-        x = np.asarray(x, dtype=float)
+        x = real_array(x, "points")
         if x.shape[-1] != self.s:
             raise ValueError(f"points have dimension {x.shape[-1]}, basis is {self.s}")
         return tensor_eval(self.multi_indices, x)
@@ -109,7 +109,7 @@ class PolyCoeffs:
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, x):
-        return self.basis.eval_all(np.asarray(x, dtype=float)) @ self.coeffs
+        return self.basis.eval_all(x) @ self.coeffs
 
 
 @dataclass(frozen=True)
@@ -193,5 +193,5 @@ def lp_norm(func, p: float, rule: GaussRule) -> float:
 def sampled_lp_norm(values, p: float, rule: GaussRule) -> float:
     """Quadrature L^p norm from the values at the rule's nodes."""
     check_p(p)
-    vals = np.abs(np.asarray(values, dtype=float).ravel())
+    vals = np.abs(real_array(values, "values").ravel())
     return float((rule.weights @ vals**p) ** (1.0 / p))

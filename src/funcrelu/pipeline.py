@@ -54,7 +54,7 @@ from .relu_net import (
     evaluate_batch,
     serialize,
 )
-from .simplicial import ScaledGrid, integer_size, point_batch
+from .simplicial import ScaledGrid, integer_size, point_batch, real_array
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class PowerModulus:
             raise ValueError(f"lam must be a finite number > 0, got {self.lam!r}")
 
     def __call__(self, r):
-        return self.c * np.maximum(np.asarray(r, dtype=float), 0.0) ** self.lam
+        return self.c * np.maximum(real_array(r, "radii"), 0.0) ** self.lam
 
     def inverse(self, v: float) -> float:
         """Smallest r with omega(r) >= v (0 when v <= 0, inf when c = 0)."""
@@ -96,11 +96,12 @@ class LinearForm:
     psi: Callable
 
     def weights(self, rule: GaussRule) -> np.ndarray:
-        return rule.weights * np.asarray(self.g(rule.points), dtype=float).ravel()
+        return rule.weights * real_array(self.g(rule.points), "weight values").ravel()
 
     def sampled(self, gw: np.ndarray) -> Callable:
         """The functional on node samples of the rule whose weights are ``gw``."""
-        return lambda values: self.psi(np.asarray(values, dtype=float) @ gw)
+        return lambda values: real_array(self.psi(real_array(values, "node samples") @ gw),
+                                         "psi values")
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def squared_coeff_norm_functional(op: DiscretizationOperator,
         B = op.basis.eval_all(rl.points)
 
         def apply(values):
-            coeffs = (np.asarray(values, dtype=float) * rl.weights) @ B * op.filter
+            coeffs = (real_array(values, "node samples") * rl.weights) @ B * op.filter
             return (coeffs**2).sum(axis=-1)
 
         return apply
@@ -242,8 +243,7 @@ class SeriesInput:
     tag: str = ""
 
     def __call__(self, x):
-        return np.asarray(tensor_eval(self.multi_indices, np.asarray(x, dtype=float))
-                          @ self.coeffs, dtype=float)
+        return tensor_eval(self.multi_indices, real_array(x, "points")) @ self.coeffs
 
 
 def sample_inputs(inputs, rule: GaussRule) -> np.ndarray:
@@ -262,7 +262,7 @@ def sample_inputs(inputs, rule: GaussRule) -> np.ndarray:
                 bases[key] = tensor_eval(f.multi_indices, rule.points)
             rows.append(bases[key] @ f.coeffs)
         else:
-            rows.append(np.asarray(f(rule.points), dtype=float).ravel())
+            rows.append(real_array(f(rule.points), "input function values").ravel())
     return np.array(rows, dtype=float)
 
 
@@ -409,21 +409,18 @@ def mu_values(functional: TargetFunctional, op: DiscretizationOperator,
     :func:`_coefficient_weights`: the sum the grid nodes' tables make in
     :func:`build_functional_net`.  Otherwise it is the functional applied
     by quadrature to the polynomials the vectors represent, sampled at
-    op's rule.  Another shape, or a vector with a non-finite coordinate,
-    raises a ValueError naming it.
+    op's rule.  The vectors are points of :func:`point_batch`; values of F
+    or psi of a dtype other than real raise a ValueError naming it.
     """
     vectors, _ = point_batch(vectors, op.t)
-    bad = ~np.isfinite(vectors).all(axis=1)
-    if bad.any():
-        raise ValueError(f"vector {int(np.argmax(bad))} has a non-finite coordinate")
     if functional.linear is None:
-        return np.asarray(functional.apply_sampled(vectors @ op.basis_at_nodes.T, op.rule),
-                          dtype=float).ravel()
+        return real_array(functional.apply_sampled(vectors @ op.basis_at_nodes.T, op.rule),
+                          "functional values").ravel()
     a = _coefficient_weights(functional, op)
     total = np.zeros(vectors.shape[0])
     for k in range(op.t):
         total += vectors[:, k] * a[k]
-    return np.asarray(functional.linear.psi(total), dtype=float)
+    return real_array(functional.linear.psi(total), "psi values")
 
 
 def _linear_node_values(psi: Callable, a: np.ndarray, grid: ScaledGrid,
@@ -454,7 +451,7 @@ def _linear_node_values(psi: Callable, a: np.ndarray, grid: ScaledGrid,
             total += (-grid.R + grid.h * (index // n1 ** (lead - 1 - k) % n1)) * a[k]
         for table in tables:
             total = total[..., None] + table
-        rows[lo:lo + index.shape[0]] = psi(total)
+        rows[lo:lo + index.shape[0]] = real_array(psi(total), "psi values")
 
 
 def build_functional_net(functional: TargetFunctional,
@@ -687,7 +684,7 @@ def _fit_c_hat(rows, omega: PowerModulus) -> float:
 _LADDER_BUDGETS = 5  # weight budgets on the ladder's geometric grid
 
 
-def _budget_ladder_rows(cfg, per_m_state, spike_block=build_spike_net):
+def _budget_ladder_rows(cfg, per_m_state, spike_block):
     """Budget-ladder realization of the degree-for-budget pairing.
 
     The pairing rule picks, for a weight budget B, the largest m with

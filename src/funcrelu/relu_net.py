@@ -457,7 +457,6 @@ def forward(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
     ValueError.
     """
     pts, single = point_batch(x, net.input_dim)
-    _check_finite(pts, "input points")
     # an overflow shows as inf or nan in the result, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         res = _forward_pairs(net, pts)

@@ -40,8 +40,10 @@ def integer_size(v, name: str, least: int = 1) -> int:
 
 
 def real_array(x, what: str) -> np.ndarray:
-    """``x`` as a float array; a dtype other than bool, integer or float (a
-    complex one would lose its imaginary part) raises ValueError naming it."""
+    """``x`` as a float array: the one conversion of a caller's values but
+    points (see :func:`point_batch`).  A dtype other than bool, integer or
+    float (a cast would keep a complex value's real part) raises a
+    ValueError naming ``what`` and the dtype."""
     x = np.asarray(x)
     if x.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be real numbers, got dtype {x.dtype}")
@@ -123,15 +125,15 @@ class ScaledGrid:
 
 
 def point_batch(x, dim=None, ndims=(1, 2)):
-    """``x`` as a float batch (n, dim), and whether it was one point.
+    """``x`` as a float batch (n, dim), and whether it was one point: the
+    one conversion of a caller's points.
 
     ``dim`` is the point dimension, or None for any dimension >= 1, read
     from the last axis.  ``ndims`` holds the accepted array ranks: 1 for
     one point (dim,), 2 for a batch (n, dim); None also accepts a batch
-    (..., dim) of any rank, returned as it is.  Any other shape (a scalar
-    among them) raises a ValueError naming the accepted ones, and points
-    of another dtype than bool, integer or float (complex among them) a
-    ValueError naming their dtype.
+    (..., dim) of any rank, returned as it is.  A ValueError names a dtype
+    :func:`real_array` refuses, any other shape (a scalar among them), and
+    the first point, in C order, with a nan or infinite coordinate.
     """
     x = real_array(x, "points")
     rank_ok = x.ndim >= 1 if ndims is None else x.ndim in ndims
@@ -140,17 +142,11 @@ def point_batch(x, dim=None, ndims=(1, 2)):
         want = ((f"({d},)", f"(..., {d})") if ndims is None
                 else [("", f"({d},)", f"(n, {d})")[k] for k in ndims])
         raise ValueError(f"points must have shape {' or '.join(want)}, got {x.shape}")
-    return (x[None, :] if x.ndim == 1 else x), x.ndim == 1
-
-
-def _finite_points(y, grid: ScaledGrid) -> np.ndarray:
-    """y, one point (t,) or a batch (n, t), as an (n, t) float batch;
-    rejects any other shape or a non-finite coordinate."""
-    pts, _ = point_batch(y, grid.t)
-    bad = ~np.isfinite(pts).all(axis=1)
-    if bad.any():
-        raise ValueError(f"point {int(np.argmax(bad))} has a non-finite coordinate")
-    return pts
+    pts = x[None, :] if x.ndim == 1 else x
+    finite = np.isfinite(pts).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"point {int(np.argmin(finite))} has a non-finite coordinate")
+    return pts, x.ndim == 1
 
 
 def locate_batch(y: np.ndarray, grid: ScaledGrid):
@@ -163,7 +159,7 @@ def locate_batch(y: np.ndarray, grid: ScaledGrid):
     arrays (n, rho) of the same shape as y.  Raises ValueError for a
     non-finite point and for one whose shift n does not fit in int64.
     """
-    y = _finite_points(y, grid)
+    y, _ = point_batch(y, grid.t)
     z = y / grid.h
     # strict bound: floor(z) - 1 on a lattice plane must still fit
     far = ~(np.abs(z) < 2.0**63).all(axis=1)
@@ -218,7 +214,7 @@ def support_pairs(y, grid: ScaledGrid):
     Rejects non-finite points; a finite point more than one cell outside
     the cube has no pair, so an interpolant is 0 there.
     """
-    pts = _finite_points(y, grid)
+    pts, _ = point_batch(y, grid.t)
     # clipping before the int cast keeps far-out points (1e300) in range;
     # two cells out, the window on that axis is already empty
     u = np.clip((pts + grid.R) / grid.h, -2.0, grid.N + 2.0)
@@ -365,8 +361,7 @@ class AffineForm:
     constant: float
 
     def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        return y @ np.array(self.coeffs) + self.constant
+        return real_array(y, "points") @ np.array(self.coeffs) + self.constant
 
 
 def simplex_vertices(simplex: SimplexId) -> np.ndarray:

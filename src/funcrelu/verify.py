@@ -193,7 +193,7 @@ def check_weight_growth() -> CheckResult:
     return _finish("weight growth shape", t0, failures, details)
 
 
-def _rate_config(sample_count=64, functional_kind="inner"):
+def _rate_config(functional_kind="inner"):
     op_probe = make_operator(1, 2)
     g = get_function("slow-series")
     if functional_kind == "inner":
@@ -201,7 +201,7 @@ def _rate_config(sample_count=64, functional_kind="inner"):
     else:
         functional = pipeline.sin_inner_product_functional(g, op_probe.rule)
     cls = pipeline.InputClass("hoelder_ball", beta=2.0,
-                              sample_count=sample_count, seed=7)
+                              sample_count=64, seed=7)
     return pipeline.ExperimentConfig(
         s=1, p=2.0, functional=functional, input_class=cls,
         m_values=(0, 1, 2), N_values=(4, 8, 16, 32),

@@ -107,6 +107,7 @@ def test_build_stats_line_counts_bytes(tmp_path, capsys):
     ("2,high", "expected 'node_index,value'"),
     ("2", "expected 'node_index,value'"),
     ("2,nan", "value nan is not finite"),
+    ("0,2.0", "node index 0 is listed twice"),
 ])
 def test_build_interp_bad_csv_row_names_line(tmp_path, bad_row, problem):
     values = tmp_path / "values.csv"

@@ -155,13 +155,14 @@ class TestDiscretize:
         spec = RadiusSpec(m=1, s=1, p=2.0, C_K=1e-6)
         big = InputFunction(lambda x: 10.0 * np.ones(len(np.atleast_2d(x))))
         with pytest.raises(ValueError, match="cube"):
-            discretize(op, big, radius_spec=spec)
+            spec.check(discretize(op, big))
 
     def test_radius_accepts_inside(self):
         op = make_operator(1, 1)
         spec = RadiusSpec(m=1, s=1, p=2.0, C_K=10.0)
         f = InputFunction(lambda x: np.ones(len(np.atleast_2d(x))))
-        nu = discretize(op, f, radius_spec=spec)
+        nu = discretize(op, f)
+        spec.check(nu)
         assert np.abs(nu).max() <= spec.R
 
     def test_self_check_warns_on_underresolved_rule(self):
@@ -178,7 +179,8 @@ class TestDiscretize:
         )
         spec = RadiusSpec(m=2, s=1, p=2.0, C_K=c_k * (1 + 1e-12))
         for f in inputs:
-            nu = discretize(op, f, radius_spec=spec)
+            nu = discretize(op, f)
+            spec.check(nu)
             assert np.abs(nu).max() <= spec.R
 
 
@@ -201,6 +203,15 @@ class TestRadiusSpec:
         # a NaN R let every vector pass the cube check
         with pytest.raises(ValueError, match=rf"^{field} must be a finite number > 0"):
             RadiusSpec(1, 1, 2.0, C_K, c1)
+
+
+    @pytest.mark.parametrize("m, s, field", [(-1, 1, "m"), (1.5, 1, "m"), (1, 0, "s"),
+                                             (1, True, "s")])
+    def test_refuses_what_gives_no_vector_length(self, m, s, field):
+        # check reads vectors of length (2m + 1)^s: at m = -1 it refused
+        # every vector, at m = 1.5 it took vectors of length 4.0
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
+            RadiusSpec(m, s, 2.0, 1.0)
 
 
 class TestTransferModulus:

@@ -357,7 +357,7 @@ class TestRunRateExperiment:
         # the ladder's cap admits N=2, the sweep's weight_cap does not
         inputs = generate_inputs(cfg.input_class, cfg.s)
         rows, _ = pipeline_module._budget_ladder_rows(
-            cfg, lambda m: _rule_state(cfg, inputs, m))
+            cfg, lambda m: _rule_state(cfg, inputs, m), constructors.build_spike_net)
         assert [(r.N, r.status, r.reason) for r in rows] == [
             (1, "ok", ""), (2, "skipped", "weight_cap:5886")]
 
@@ -928,9 +928,9 @@ class TestMuValuesNamedErrors:
         F = self._functional(kind, op)
         vectors = np.zeros((4, 3))
         vectors[2, 1] = bad
-        with pytest.raises(ValueError, match=r"^vector 2 has a non-finite coordinate"):
+        with pytest.raises(ValueError, match=r"^point 2 has a non-finite coordinate"):
             mu_values(F, op, vectors)
-        with pytest.raises(ValueError, match=r"^vector 0 has a non-finite coordinate"):
+        with pytest.raises(ValueError, match=r"^point 0 has a non-finite coordinate"):
             mu_values(F, op, vectors[2])
 
     @pytest.mark.parametrize("kind", ["inner", "squared"])

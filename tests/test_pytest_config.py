@@ -73,6 +73,51 @@ def test_forward_makes_no_blas_call():
     assert _blas_uses(ROOT / "src" / "funcrelu" / "relu_net.py") == []
 
 
+# functions that cast arrays the program made itself to float; a
+# caller's values go through simplicial.real_array or point_batch, which
+# refuse a complex dtype that a cast would drop to its real part
+FLOAT_CASTS_ALLOWED = {
+    "legendre.legendre_values", "legendre.tensor_eval", "functions._asbatch",
+    "pipeline.sample_inputs", "relu_net._float_list", "relu_net._numbers",
+    "simplicial.spike_forms", "simplicial.simplex_vertices", "simplicial.contains",
+    "simplicial.in_S0", "verify.check_spike_equivalence",
+}
+
+
+def _is_float(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "float")
+            or (isinstance(node, ast.Attribute) and node.attr == "float64"))
+
+
+def _float_casts(path: Path) -> list:
+    """(line, enclosing function) of each ``asarray``/``array`` call with a
+    float dtype in a module, the function named ``module.Class.method``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+            if name in ("asarray", "array") and any(map(_is_float, dtypes)):
+                found.append((node.lineno, ".".join([path.stem, *scope])))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), [])
+    return found
+
+
+def test_only_the_program_s_own_arrays_are_cast_to_float():
+    # a new entry point cannot bring back a silent conversion of caller data
+    casts = [c for path in sorted((ROOT / "src" / "funcrelu").glob("*.py"))
+             for c in _float_casts(path)]
+    assert [c for c in casts if c[1] not in FLOAT_CASTS_ALLOWED] == []
+    # and the list names no function that casts nothing
+    assert FLOAT_CASTS_ALLOWED - {where for _, where in casts} == set()
+
+
 def test_every_third_party_import_of_the_package_is_a_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]
