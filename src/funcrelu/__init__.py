@@ -65,7 +65,6 @@ from .simplicial import (
     SimplexId,
     in_S0,
     in_Sprime,
-    locate,
     simplices_containing_origin,
     spike,
     vertex_interpolant,

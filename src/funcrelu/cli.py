@@ -266,7 +266,7 @@ def _cmd_run(args):
 
 
 def _cmd_verify(args):
-    results = verify.run_all(verbose=True)
+    results = verify.run_all()
     if all(res.passed for _, res in results):
         print("verify: all checks passed")
         return

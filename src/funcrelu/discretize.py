@@ -234,9 +234,3 @@ def projection_error(op: DiscretizationOperator, f, p: float = 2.0) -> float:
     vals, coeffs = _project(op, f, op.low_basis_at_nodes)
     return sampled_lp_norm(vals - op.low_basis_at_nodes @ coeffs, p, op.rule)
 
-
-def vm_error(op: DiscretizationOperator, f, p: float = 2.0) -> float:
-    """Quadrature p-norm of f - V f (the operator's own error on f); f is
-    an input function or its values at op's nodes."""
-    vals, coeffs = _project(op, f, op.basis_at_nodes)
-    return sampled_lp_norm(vals - op.basis_at_nodes @ (op.filter * coeffs), p, op.rule)

@@ -193,23 +193,6 @@ def constant_functional(value: float) -> TargetFunctional:
                              PowerModulus(0.0, 1.0))
 
 
-def squared_coeff_norm_functional(op: DiscretizationOperator,
-                                  bound: float) -> TargetFunctional:
-    """F(f) = squared Euclidean norm of the discretized vector; on inputs
-    with discretized norm <= bound the modulus is 2 * bound * r (p = 2)."""
-    def form(rl):
-        B = op.basis.eval_all(rl.points)
-
-        def apply(values):
-            coeffs = (real_array(values, "node samples") * rl.weights) @ B * op.filter
-            return (coeffs**2).sum(axis=-1)
-
-        return apply
-
-    return TargetFunctional("squared-coeff-norm", form,
-                            PowerModulus(2.0 * bound, 1.0))
-
-
 INPUT_KINDS = ("hoelder_ball", "sobolev_like", "polynomial_ball")
 
 
@@ -380,13 +363,13 @@ def generate_inputs(cls: InputClass, s: int) -> list:
 
 @dataclass
 class FunctionalNet:
-    """Discretization operator plus interpolation network on its cube."""
+    """Discretization operator plus interpolation network on its cube, and
+    the seconds spent computing the network's node values."""
 
     op: DiscretizationOperator
     net: ReluNetwork
     spec: InterpolationSpec
-    functional: TargetFunctional
-    metadata: dict = field(default_factory=dict)
+    mu_seconds: float
 
 
 def _coefficient_weights(functional: TargetFunctional,
@@ -462,7 +445,7 @@ def build_functional_net(functional: TargetFunctional,
 
     mu is computed over runs of at most ``_NODE_RUN`` grid nodes and
     written in place into the one array of node values, so no other array
-    of all nodes is made; its time is ``metadata["mu_seconds"]``.  A
+    of all nodes is made; its time is the result's ``mu_seconds``.  A
     functional with a linear form gets mu from per-axis tables
     (:func:`_linear_node_values`), bit-equal to :func:`mu_values` at the
     nodes; any other gets it from :func:`mu_values` run by run.  ``block``
@@ -481,18 +464,7 @@ def build_functional_net(functional: TargetFunctional,
                             grid, values)
     mu_seconds = time.perf_counter() - t0
     spec = InterpolationSpec(grid, values)
-    net = build_interpolation_net(spec, block)
-    meta = {
-        "m": op.basis.m,
-        "s": op.basis.s,
-        "t": op.t,
-        "N": grid.N,
-        "R": grid.R,
-        "J": depth(net),
-        "M": count_nonzero(net),
-        "mu_seconds": mu_seconds,
-    }
-    return FunctionalNet(op, net, spec, functional, meta)
+    return FunctionalNet(op, build_interpolation_net(spec, block), spec, mu_seconds)
 
 
 def evaluate_functional_net(fnet: FunctionalNet, f: InputFunction) -> float:
@@ -625,13 +597,14 @@ def _measure_point(cfg, functional, op, nus, F_vals, eps_hat, radius,
     t0 = time.perf_counter()
     grid = ScaledGrid(t, radius.R, N)
     fnet = build_functional_net(functional, op, grid, block)
+    row.J, row.M = depth(fnet.net), count_nonzero(fnet.net)
     t1 = time.perf_counter()
     theta = evaluate_batch(fnet.net, nus)
     t2 = time.perf_counter()
     mu_at_nu = mu_values(functional, op, nus)
     direct = interpolant_values(fnet.spec, nus)
     t3 = time.perf_counter()
-    row.mu_seconds = fnet.metadata["mu_seconds"]
+    row.mu_seconds = fnet.mu_seconds
     row.build_seconds = t1 - t0 - row.mu_seconds
     row.eval_seconds, row.oracle_seconds = t2 - t1, t3 - t2
     errors = np.abs(F_vals - theta)
@@ -639,8 +612,6 @@ def _measure_point(cfg, functional, op, nus, F_vals, eps_hat, radius,
     grid_pieces = np.abs(mu_at_nu - theta)
     omega_t = transfer_modulus(functional.omega, op.basis.m, cfg.s, cfg.p,
                                cfg.c1_surrogate)
-    row.J = fnet.metadata["J"]
-    row.M = fnet.metadata["M"]
     row.sup_error = float(errors.max())
     row.poly_gap = float(poly_pieces.max())
     row.grid_gap = float(grid_pieces.max())
@@ -697,8 +668,6 @@ def _budget_ladder_rows(cfg, per_m_state, spike_block):
     """
     s = cfg.s
     m_cands = sorted(cfg.ladder_m_values)
-    if not m_cands or m_cands[0] < 1:
-        raise ValueError("ladder m values must be >= 1")
 
     def t_of(m):
         return (2 * m + 1) ** s
@@ -755,6 +724,11 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     the two-term bound, and fit the budget-ladder decay exponent."""
     if cfg.functional is None or cfg.input_class is None:
         raise ValueError("config needs a functional and an input class")
+    if cfg.ladder:
+        if not cfg.ladder_m_values:
+            raise ValueError("ladder m values must be integers >= 1, got none")
+        for m in cfg.ladder_m_values:
+            integer_size(m, "ladder m values", 1)
     t0 = time.perf_counter()
     inputs = generate_inputs(cfg.input_class, cfg.s)
     stage_seconds = {"inputs": time.perf_counter() - t0, "sample": 0.0,

@@ -6,9 +6,9 @@ simplices
     {y : 0 <= y_{rho(0)} - h*n_{rho(0)} <= ... <= y_{rho(t-1)} - h*n_{rho(t-1)} <= h}
 
 indexed by an integer shift n and a permutation rho (a Kuhn-type
-triangulation).  This module locates points in that partition, evaluates
-the spike function psi (the unique continuous cellwise-linear function
-with psi(0) = 1 and psi = 0 on all other lattice points), and provides
+triangulation).  This module locates points, in cells, in that partition,
+evaluates the spike function psi (the unique continuous cellwise-linear
+function with psi(0) = 1 and psi = 0 on all other lattice points), and provides
 executable versions of the supporting facts about the spike's support:
 the union S0 of simplices containing the origin equals an explicit
 intersection of half-spaces, and each vertex interpolant over the S0 fan
@@ -95,11 +95,6 @@ class ScaledGrid:
         # the cell, and the network format's repr of R, are float64's
         object.__setattr__(self, "R", float(R))
 
-    @classmethod
-    def unit(cls, t: int) -> "ScaledGrid":
-        """Grid with cell size exactly 1 (nodes -1, 0, 1 per axis)."""
-        return cls(t, 1.0, 2)
-
     @property
     def h(self) -> float:
         return 2.0 * self.R / self.N
@@ -117,11 +112,6 @@ class ScaledGrid:
     def node_array(self) -> np.ndarray:
         """All grid nodes, shape (node_count, t), C-order over axis indices."""
         return self.nodes(np.arange(self.node_count))
-
-    def node_index(self, i) -> int:
-        """Flat node index of the axis-index tuple i (C order)."""
-        return int(np.ravel_multi_index(tuple(int(v) for v in i),
-                                        (self.N + 1,) * self.t))
 
 
 def point_batch(x, dim=None, ndims=(1, 2)):
@@ -149,24 +139,24 @@ def point_batch(x, dim=None, ndims=(1, 2)):
     return pts, x.ndim == 1
 
 
-def locate_batch(y: np.ndarray, grid: ScaledGrid):
-    """Canonical (n, rho) of the containing simplex for each row of y.
+def locate_batch(z):
+    """Canonical (n, rho) of the containing simplex for each point z, in
+    cells: one point (t,) or a batch (k, t) of the triangulation of the
+    lattice Z^t.  A grid's cells are ``locate_batch((y + R) / h)``.
 
     The canonical cell is the lexicographically smallest (n, rho) among
     all cells containing the point: coordinates hitting a lattice plane
     take the lower shift (fractional offset 1 at the top of the chain),
     and tied offsets are ordered by coordinate index.  Returns integer
-    arrays (n, rho) of the same shape as y.  Raises ValueError for a
-    non-finite point and for one whose shift n does not fit in int64.
+    arrays (n, rho) of shape (k, t).  Raises ValueError for a non-finite
+    point and for one whose shift n does not fit in int64.
     """
-    y, _ = point_batch(y, grid.t)
-    z = y / grid.h
+    z, _ = point_batch(z)
     # strict bound: floor(z) - 1 on a lattice plane must still fit
     far = ~(np.abs(z) < 2.0**63).all(axis=1)
     if far.any():
         raise ValueError(
-            f"point {int(np.argmax(far))} lies beyond the int64 range of "
-            f"cell shifts at h = {grid.h}"
+            f"point {int(np.argmax(far))} lies beyond the int64 range of cell shifts"
         )
     n = np.floor(z).astype(np.int64)
     frac = z - n
@@ -175,20 +165,6 @@ def locate_batch(y: np.ndarray, grid: ScaledGrid):
     frac[on_face] = 1.0
     rho = np.argsort(frac, axis=1, kind="stable")
     return n, rho
-
-
-def locate(y, grid: ScaledGrid) -> SimplexId:
-    """Canonical containing simplex of a single point.
-
-    Defined for every finite point whose cell shift fits in int64; raises
-    ValueError otherwise (see :func:`locate_batch`), and for a y of
-    another shape than (t,)."""
-    pts, _ = point_batch(y, grid.t, (1,))
-    n, rho = locate_batch(pts, grid)
-    sid = SimplexId(tuple(int(v) for v in n[0]), tuple(int(v) for v in rho[0]))
-    if not contains(sid, pts[0], grid):
-        raise AssertionError("constructed simplex fails its membership chain")
-    return sid
 
 
 # Slack, in cells, added to each inequality of a spike's support when
@@ -248,15 +224,6 @@ def in_simplex(z, n, rho) -> np.ndarray:
     v = d[:, list(rho)] if np.ndim(rho) == 1 else np.take_along_axis(d, rho, axis=1)
     return ((v[:, 0] >= 0.0) & (v[:, -1] <= 1.0)
             & np.all(np.diff(v, axis=1) >= 0.0, axis=1))
-
-
-def contains(simplex: SimplexId, y, grid: ScaledGrid) -> bool:
-    """Whether one point y (t,) lies in the simplex: the chain of
-    :func:`in_simplex` at y/h."""
-    if simplex.t != grid.t:
-        raise ValueError(f"simplex dimension {simplex.t} != grid dimension {grid.t}")
-    z = point_batch(y, grid.t, (1,))[0] / grid.h
-    return bool(in_simplex(z, np.array(simplex.n, dtype=float), simplex.rho)[0])
 
 
 def spike(y: np.ndarray) -> np.ndarray:

@@ -89,10 +89,9 @@ def check_appendix_suite() -> CheckResult:
     failures, details = [], []
     rng = np.random.default_rng(303)
     for t in (2, 3):
-        grid = simplicial.ScaledGrid.unit(t)
         Y = rng.uniform(-3.0, 3.0, (100_000, t))
-        n, rho = simplicial.locate_batch(Y, grid)
-        bad = int((~simplicial.in_simplex(Y / grid.h, n, rho)).sum())
+        n, rho = simplicial.locate_batch(Y)
+        bad = int((~simplicial.in_simplex(Y, n, rho)).sum())
         if bad:
             failures.append(f"t={t}: {bad} locate membership violations")
         details.append(f"t={t}: locate violations {bad}/100000")
@@ -374,13 +373,12 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(verbose: bool = True) -> list:
+def run_all() -> list:
     results = []
     for label, fn in ALL_CHECKS:
         res = fn()
         results.append((label, res))
-        if verbose:
-            print(res.line())
-            for d in res.details:
-                print(f"    {d}")
+        print(res.line())
+        for d in res.details:
+            print(f"    {d}")
     return results

@@ -13,11 +13,10 @@ from funcrelu.discretize import (DiscretizationOperator, InputFunction, RadiusSp
 from funcrelu.legendre import LegendreBasis, PolyCoeffs, sampled_lp_norm
 from funcrelu.pipeline import (PowerModulus, SeriesInput, TargetFunctional,
                                build_functional_net, inner_product_functional,
-                               linear_functional, mu_values, sample_inputs,
-                               squared_coeff_norm_functional)
+                               linear_functional, mu_values, sample_inputs)
 from funcrelu.relu_net import evaluate, evaluate_batch, forward
-from funcrelu.simplicial import (AffineForm, ScaledGrid, contains, in_S0, in_Sprime,
-                                 locate, locate_batch, spike, support_pairs)
+from funcrelu.simplicial import (AffineForm, ScaledGrid, in_S0, in_Sprime, locate_batch,
+                                 spike, support_pairs)
 
 GRID = ScaledGrid(2, 1.0, 2)
 SPEC = InterpolationSpec(GRID, np.ones(GRID.node_count))
@@ -44,9 +43,7 @@ POINT_ENTRIES = {
     "spike": spike,
     "in_Sprime": in_Sprime,
     "in_S0": in_S0,
-    "contains": lambda y: contains(locate(np.zeros(2), GRID), y, GRID),
-    "locate": lambda y: locate(y, GRID),
-    "locate_batch": lambda y: locate_batch(y, GRID),
+    "locate_batch": locate_batch,
     "support_pairs": lambda y: support_pairs(y, GRID),
     "interpolant_values": lambda y: interpolant_values(SPEC, y),
     "forward": lambda y: forward(NET, y),
@@ -96,8 +93,6 @@ COMPLEX_SITES = {
     "LinearForm.sampled-psi": lambda: linear_functional(
         "psi", lambda x: np.ones(len(x)), lambda x: x + C,
         PowerModulus(1.0)).apply_sampled(np.zeros(NODES), OP.rule),
-    "squared_coeff_norm": lambda: squared_coeff_norm_functional(OP, 1.0).apply_sampled(
-        np.zeros(NODES) + C, OP.rule),
     "SeriesInput": lambda: SeriesInput(OP.basis.multi_indices, np.zeros(3))(
         np.zeros((2, 1)) + C),
     "sample_inputs": lambda: sample_inputs([lambda x: np.full(len(x), C)], OP.rule),

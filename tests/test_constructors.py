@@ -29,7 +29,8 @@ from funcrelu.relu_net import (
 )
 from funcrelu.simplicial import (
     ScaledGrid,
-    locate,
+    SimplexId,
+    locate_batch,
     simplex_vertices,
     spike,
     spike_forms,
@@ -353,8 +354,8 @@ class TestInterpolationNet:
         net = build_interpolation_net(spec)
         for _ in range(100):
             y1 = rng.uniform(-1, 1, 2)
-            sid = locate(y1, grid)
-            verts = grid.h * np.array(simplex_vertices(sid))
+            n, rho = locate_batch((y1 + grid.R) / grid.h)
+            verts = -grid.R + grid.h * simplex_vertices(SimplexId(tuple(n[0]), tuple(rho[0])))
             lam = rng.dirichlet(np.ones(3))
             y2 = lam @ verts
             mid = 0.5 * (y1 + y2)

@@ -13,7 +13,6 @@ from funcrelu.discretize import (
     make_operator,
     projection_error,
     transfer_modulus,
-    vm_error,
 )
 from funcrelu.legendre import (
     LegendreBasis,
@@ -35,6 +34,13 @@ from funcrelu.pipeline import (
 def poly_input(basis, coeffs, tag="poly"):
     poly = PolyCoeffs(basis, coeffs)
     return InputFunction(poly, tag=tag)
+
+
+def _vm_error(op, f, p=2.0):
+    """Quadrature p-norm of f - V f on op's rule: the operator's own error
+    on the input function f."""
+    approx = apply_Vm(op, f)
+    return lp_norm(lambda x: f(x) - approx(x), p, op.rule)
 
 
 class TestFilters:
@@ -99,7 +105,7 @@ class TestApplyVm:
         op = make_operator(1, 2)
         f = InputFunction(lambda x: np.atleast_2d(x)[:, 0] ** 5, tag="x^5")
         best = projection_error(op, f)
-        assert vm_error(op, f) <= best * (1 + 1e-10)
+        assert _vm_error(op, f) <= best * (1 + 1e-10)
 
     def test_nan_reported_with_node(self):
         op = make_operator(1, 1)
@@ -276,7 +282,7 @@ def test_functional_chain_inequality():
     for f in inputs:
         approx = apply_Vm(op, f)
         lhs = abs(F(f, op.rule) - float(F.apply_sampled(approx(op.rule.points), op.rule)))
-        rhs = F.omega(vm_error(op, f))
+        rhs = F.omega(_vm_error(op, f))
         assert lhs <= rhs + 1e-12
 
 
@@ -287,8 +293,6 @@ def test_p_below_one_is_rejected(p):
     f = InputFunction(lambda x: np.cos(np.atleast_2d(x)[:, 0]))
     with pytest.raises(ValueError, match="p >= 1"):
         projection_error(op, f, p)
-    with pytest.raises(ValueError, match="p >= 1"):
-        vm_error(op, f, p)
     with pytest.raises(ValueError, match="p >= 1"):
         RadiusSpec(m=1, s=1, p=p, C_K=1.0)
     with pytest.raises(ValueError, match="p >= 1"):
@@ -315,11 +319,9 @@ def test_operator_projections_equal_fresh_formulas(s, m, q):
         coeffs = op.filter * (B.T @ (rule.weights * vals))
         assert np.array_equal(apply_Vm(op, f).coeffs, coeffs)
         resid = vals - low_B @ (low_B.T @ (rule.weights * vals))
-        approx = PolyCoeffs(op.basis, coeffs)
         for p in (1.0, 2.0, 3.0):
             ref = float((rule.weights @ np.abs(resid) ** p) ** (1.0 / p))
             assert projection_error(op, f, p) == ref
-            assert vm_error(op, f, p) == lp_norm(lambda x: f(x) - approx(x), p, rule)
 
 
 def test_operator_evaluates_basis_once(monkeypatch):
@@ -337,7 +339,6 @@ def test_operator_evaluates_basis_once(monkeypatch):
     nu = discretize(op, f)
     apply_Vm(op, f)
     projection_error(op, f, 3.0)
-    vm_error(op, f)
     mu_values(inner_product_functional(g, op.rule), op, nu)
     assert calls == [op.rule.points.shape]
 
@@ -350,7 +351,6 @@ def test_node_values_project_like_the_function():
     assert np.array_equal(apply_Vm(op, vals).coeffs, apply_Vm(op, f).coeffs)
     for p in (1.0, 2.0, 3.0):
         assert projection_error(op, vals, p) == projection_error(op, f, p)
-        assert vm_error(op, vals, p) == vm_error(op, f, p)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -358,7 +358,7 @@ def test_non_finite_node_value_names_the_node(bad):
     op = make_operator(1, 1)
     vals = np.ones(op.rule.points.shape[0])
     vals[5] = bad
-    for project in (discretize, apply_Vm, projection_error, vm_error):
+    for project in (discretize, apply_Vm, projection_error):
         with pytest.raises(ValueError, match="non-finite value at node") as err:
             project(op, vals)
         assert str(op.rule.points[5]) in str(err.value)
@@ -368,7 +368,7 @@ def test_non_finite_node_value_names_the_node(bad):
 @pytest.mark.parametrize("vals", [np.full(16, 1j), [1j] * 16], ids=["array", "list"])
 def test_complex_node_values_are_named(vals):
     op = make_operator(1, 1)
-    for project in (discretize, apply_Vm, projection_error, vm_error):
+    for project in (discretize, apply_Vm, projection_error):
         with pytest.raises(ValueError, match="input function values must be real "
                                              "numbers, got dtype complex128"):
             project(op, vals)
@@ -378,7 +378,7 @@ def test_complex_node_values_are_named(vals):
 def test_node_values_of_wrong_length_are_rejected(count):
     op = make_operator(1, 1)
     assert op.rule.points.shape[0] == 16
-    for project in (discretize, apply_Vm, projection_error, vm_error):
+    for project in (discretize, apply_Vm, projection_error):
         with pytest.raises(ValueError, match=f"expected 16 values .* got {count}"):
             project(op, np.ones(count))
 

@@ -33,10 +33,20 @@ from funcrelu.pipeline import (
     run_rate_experiment,
     sample_inputs,
     sin_inner_product_functional,
-    squared_coeff_norm_functional,
 )
-from funcrelu.relu_net import count_nonzero, deserialize, evaluate_batch
+from funcrelu.relu_net import count_nonzero, depth, deserialize, evaluate_batch
 from funcrelu.simplicial import ScaledGrid
+
+
+def _squared_coeff_norm(op, bound):
+    """F(f) = squared Euclidean norm of the discretized vector, declared
+    only by its ``form``, so mu comes by quadrature; on inputs with
+    discretized norm <= bound the modulus is 2 * bound * r (p = 2)."""
+    def form(rl):
+        B = op.basis.eval_all(rl.points)
+        return lambda values: (((values * rl.weights) @ B * op.filter)**2).sum(axis=-1)
+
+    return TargetFunctional("squared-coeff-norm", form, PowerModulus(2.0 * bound, 1.0))
 
 
 class TestPowerModulus:
@@ -220,7 +230,7 @@ class TestBuildFunctionalNet:
         # omega(r) = 2 sqrt(t) R r
         op = make_operator(1, 1)
         R = 1.0
-        F = squared_coeff_norm_functional(op, bound=R)
+        F = _squared_coeff_norm(op, bound=R)
         grid = ScaledGrid(op.t, R, 4)
         fnet = build_functional_net(F, op, grid)
         nodes = grid.node_array()
@@ -239,8 +249,9 @@ class TestBuildFunctionalNet:
         F = constant_functional(0.0)
         fnet = build_functional_net(F, op, ScaledGrid(op.t, 1.0, 2))
         t = op.t
-        assert fnet.metadata["J"] == t * t + t + 1
-        assert fnet.metadata["M"] == count_nonzero(fnet.net)
+        assert depth(fnet.net) == t * t + t + 1
+        assert count_nonzero(fnet.net) == count_nonzero(
+            constructors.build_interpolation_net(fnet.spec))
 
     def test_grid_dimension_mismatch(self):
         op = make_operator(1, 1)
@@ -284,6 +295,27 @@ class TestEvaluateFunctionalNet:
 
 
 class TestRunRateExperiment:
+    @pytest.mark.parametrize("ladder_m_values", [(0, 1), (), (1, 1.5)],
+                             ids=["zero", "empty", "fraction"])
+    def test_bad_ladder_degrees_are_refused_before_any_point(self, monkeypatch, tmp_path,
+                                                             ladder_m_values):
+        # refused before the grid sweep: no point is measured and no
+        # network is written to dump_dir
+        calls = []
+        measure = pipeline_module._measure_point
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "_measure_point", counted)
+        cfg = replace(verify._rate_config("inner"), ladder_m_values=ladder_m_values,
+                      dump_dir=str(tmp_path / "nets"))
+        with pytest.raises(ValueError, match="^ladder m values must be"):
+            run_rate_experiment(cfg)
+        assert calls == []
+        assert not (tmp_path / "nets").exists()
+
     def test_constant_functional_is_flat(self):
         cfg = ExperimentConfig(
             s=1, p=2.0,
@@ -898,7 +930,7 @@ def _quadrature_node_values(F, op, grid):
 @pytest.mark.parametrize("s, m, N", [(1, 1, 40), (1, 2, 8), (2, 1, 3)])
 def test_squared_coeff_norm_keeps_the_quadrature_node_values(s, m, N):
     op = make_operator(s, m)
-    F = squared_coeff_norm_functional(op, 2.0)
+    F = _squared_coeff_norm(op, 2.0)
     assert F.linear is None
     grid = ScaledGrid(op.t, _ODD_R, N)
     values = build_functional_net(F, op, grid).spec.node_values
@@ -911,7 +943,7 @@ class TestMuValuesNamedErrors:
         # one functional of each path: the table path and quadrature
         if kind == "inner":
             return _LINEAR_KINDS["inner"](op.rule)
-        return squared_coeff_norm_functional(op, 1.0)
+        return _squared_coeff_norm(op, 1.0)
 
     @pytest.mark.parametrize("kind", ["inner", "squared"])
     @pytest.mark.parametrize("shape", [(), (4,), (2, 4), (2, 2, 3), (3, 0)])

@@ -79,8 +79,8 @@ def test_forward_makes_no_blas_call():
 FLOAT_CASTS_ALLOWED = {
     "legendre.legendre_values", "legendre.tensor_eval", "functions._asbatch",
     "pipeline.sample_inputs", "relu_net._float_list", "relu_net._numbers",
-    "simplicial.spike_forms", "simplicial.simplex_vertices", "simplicial.contains",
-    "simplicial.in_S0", "verify.check_spike_equivalence",
+    "simplicial.spike_forms", "simplicial.simplex_vertices", "simplicial.in_S0",
+    "verify.check_spike_equivalence",
 }
 
 
@@ -116,6 +116,71 @@ def test_only_the_program_s_own_arrays_are_cast_to_float():
     assert [c for c in casts if c[1] not in FLOAT_CASTS_ALLOWED] == []
     # and the list names no function that casts nothing
     assert FLOAT_CASTS_ALLOWED - {where for _, where in casts} == set()
+
+
+# definitions that nothing in src/ or bench/ names, kept because they are
+# the package's own calls for a reader of the paper
+ENTRY_POINTS = {
+    "pipeline.evaluate_functional_net": "the paper's F(f) = net(V_m f) in one call",
+}
+
+
+def _definitions_and_names(path: Path):
+    """The module's functions, classes and methods as (name,
+    ``module.Class.method``, node id), and each name an ``ast.Name`` or
+    ``ast.Attribute`` reads, with the ids of the definitions it sits in."""
+    defs, names = [], []
+
+    def visit(node, scope, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+            defs.append((node.name, ".".join([path.stem, *scope]), id(node)))
+            inside = inside | {id(node)}
+        elif isinstance(node, ast.Name):
+            names.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            names.append((node.attr, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, inside)
+
+    visit(ast.parse(path.read_text(), str(path)), [], frozenset())
+    return defs, names
+
+
+def _bench_names() -> set:
+    """Every name bench/ reads, the dotted strings it installs its
+    tracer's wrappers by (``"LegendreBasis.eval_all"``) among them."""
+    names = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_in_src_is_reached():
+    # a definition only the tests call belongs in those tests: src/ keeps
+    # what the CLI, funcrelu verify and the benchmark workloads run.
+    # __init__.py's re-exports name nothing for this test.
+    defs, names = [], []
+    for path in sorted((ROOT / "src" / "funcrelu").glob("*.py")):
+        if path.name != "__init__.py":
+            path_defs, path_names = _definitions_and_names(path)
+            defs += path_defs
+            names += path_names
+    bench = _bench_names()
+    unreached = sorted(
+        where for name, where, node in defs
+        if not (name.startswith("__") and name.endswith("__")) and name not in bench
+        and not any(n == name and node not in inside for n, inside in names))
+    # exactly the listed entry points: an entry that is gone, or that
+    # something reaches anyway, fails too
+    assert unreached == sorted(ENTRY_POINTS)
 
 
 def test_every_third_party_import_of_the_package_is_a_dependency():

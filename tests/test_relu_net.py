@@ -1114,7 +1114,7 @@ with tempfile.TemporaryDirectory() as tmp:
         "m_values": [0, 1], "N_values": [2, 4], "budget_ladder": False}))
     cli.main(["run", "--config", str(config), "--out-dir", str(Path(tmp) / "out")])
 no_scipy()
-failed = [res.name for _, res in verify.run_all(verbose=False) if not res.passed]
+failed = [res.name for _, res in verify.run_all() if not res.passed]
 assert not failed, failed
 no_scipy()
 """

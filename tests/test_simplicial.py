@@ -11,11 +11,9 @@ from funcrelu.simplicial import (
     ScaledGrid,
     SimplexId,
     classify_interpolant,
-    contains,
     in_S0,
     in_simplex,
     in_Sprime,
-    locate,
     locate_batch,
     simplex_vertices,
     simplices_containing_origin,
@@ -25,13 +23,28 @@ from funcrelu.simplicial import (
     vertex_interpolant,
 )
 
-UNIT2 = ScaledGrid.unit(2)
-UNIT3 = ScaledGrid.unit(3)
+# grids of cell size exactly 1 (nodes -1, 0, 1 per axis)
+UNIT2 = ScaledGrid(2, 1.0, 2)
+UNIT3 = ScaledGrid(3, 1.0, 2)
+
+
+def _contains(sid, z):
+    """Whether one point z (t,), in cells, lies in the cell ``sid``."""
+    return bool(in_simplex(np.atleast_2d(z), np.array(sid.n, dtype=float), sid.rho)[0])
+
+
+def _locate(z):
+    """The canonical cell of one point z (t,), in cells, checked to
+    contain the point."""
+    n, rho = locate_batch(z)
+    sid = SimplexId(tuple(int(v) for v in n[0]), tuple(int(v) for v in rho[0]))
+    assert _contains(sid, z)
+    return sid
 
 
 class TestLocate:
     def test_interior_point_example(self):
-        sid = locate(np.array([0.2, 0.7]), UNIT2)
+        sid = _locate(np.array([0.2, 0.7]))
         assert sid.n == (0, 0)
         assert sid.rho == (0, 1)  # y1 <= y2 in the chain
 
@@ -39,30 +52,29 @@ class TestLocate:
         # a lattice point sits on every face; the canonical cell takes the
         # lexicographically smallest n, which is the point shifted by -1,
         # with all chain offsets equal to 1
-        sid = locate(np.array([2.0, -1.0]), UNIT2)
+        sid = _locate(np.array([2.0, -1.0]))
         assert sid.n == (1, -2)
         assert sid.rho == (0, 1)
-        assert contains(sid, np.array([2.0, -1.0]), UNIT2)
 
     def test_membership_holds_on_random_points(self):
         rng = np.random.default_rng(0)
         for grid in (UNIT2, UNIT3, ScaledGrid(2, 1.0, 8)):
-            Y = rng.uniform(-3.0, 3.0, (2000, grid.t))
-            n, rho = locate_batch(Y, grid)
-            v = np.take_along_axis(Y / grid.h - n, rho, axis=1)
+            Z = (rng.uniform(-3.0, 3.0, (2000, grid.t)) + grid.R) / grid.h
+            n, rho = locate_batch(Z)
+            v = np.take_along_axis(Z - n, rho, axis=1)
             assert np.all(v[:, 0] >= 0.0)
             assert np.all(v[:, -1] <= 1.0)
             assert np.all(np.diff(v, axis=1) >= 0.0)
 
     def test_canonical_choice_is_lex_smallest(self):
         # a point on an interior face: y1 integer, y2 not
-        sid = locate(np.array([1.0, 0.4]), UNIT2)
+        sid = _locate(np.array([1.0, 0.4]))
         assert sid.n == (0, 0)
         # chain: y2 offset 0.4 comes before y1 offset 1.0
         assert sid.rho == (1, 0)
 
     def test_tie_break_on_equal_offsets(self):
-        sid = locate(np.array([0.3, 0.3]), UNIT2)
+        sid = _locate(np.array([0.3, 0.3]))
         assert sid.rho == (0, 1)
 
     @pytest.mark.parametrize("bad,match", [(np.nan, "non-finite"), (np.inf, "non-finite"),
@@ -70,15 +82,27 @@ class TestLocate:
                                            (-1e300, "int64")])
     def test_unlocatable_points_rejected(self, bad, match):
         with pytest.raises(ValueError, match=match):
-            locate_batch(np.array([[0.5, 0.5], [0.2, bad]]), UNIT2)
+            locate_batch(np.array([[0.5, 0.5], [0.2, bad]]))
         with pytest.raises(ValueError, match=match):
-            locate(np.array([bad, 0.2]), UNIT2)
+            locate_batch(np.array([bad, 0.2]))
 
     def test_largest_locatable_shift(self):
         big = np.nextafter(2.0**63, 0.0)
-        n, _ = locate_batch(np.array([[big, -big]]), UNIT2)
+        n, _ = locate_batch(np.array([[big, -big]]))
         assert n[0, 0] == int(big) - 1 and n[0, 1] == -int(big) - 1
 
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_grid_cells_are_the_simplices_of_support_pairs(self, t, N):
+        # the grid's lattice is -R + h*Z^t, which is not h*Z^t at odd N
+        grid = ScaledGrid(t, 0.9, N)
+        Y = np.random.default_rng(10 * t + N).uniform(-0.9, 0.9, (200, t))
+        n, rho = locate_batch((Y + grid.R) / grid.h)
+        point, node = support_pairs(Y, grid)
+        for k in range(len(Y)):
+            verts = simplex_vertices(SimplexId(tuple(n[k]), tuple(rho[k])))
+            flat = np.ravel_multi_index(verts.astype(int).T, (N + 1,) * t)
+            assert sorted(flat) == node[point == k].tolist()
 
     def test_uniqueness_off_faces(self):
         # perturbed off all faces, exactly one cell in a neighborhood
@@ -118,7 +142,7 @@ class TestSupportPairs:
         # the vertices of each point's simplex: 2^(t+1) - 1 at a lattice
         # node, t + 1 at a generic point inside the cube
         assert counts.max() <= 2 ** (t + 1) - 1
-        assert counts[300 + grid.node_index((1,) * t)] == 2 ** (t + 1) - 1
+        assert counts[300 + np.ravel_multi_index((1,) * t, (N + 1,) * t)] == 2 ** (t + 1) - 1
         interior = np.all(np.abs(Y[:300]) < R, axis=1)
         assert interior.sum() > 50
         assert np.all(counts[:300][interior] == t + 1)
@@ -177,10 +201,9 @@ class TestSpike:
 
     def test_cellwise_linearity(self):
         rng = np.random.default_rng(5)
-        grid = UNIT2
         for _ in range(200):
             y1 = rng.uniform(-2, 2, 2)
-            sid = locate(y1, grid)
+            sid = _locate(y1)
             verts = np.array(simplex_vertices(sid))
             lam = rng.dirichlet(np.ones(3))
             y2 = lam @ verts
@@ -233,11 +256,12 @@ class TestS0:
     def test_fan_cells_all_contain_origin(self):
         for t in (2, 3, 4):
             for sid in simplices_containing_origin(t):
-                assert contains(sid, np.zeros(t), ScaledGrid.unit(t))
+                assert _contains(sid, np.zeros(t))
 
 
 def _chain_of_contains(z, n, rho):
-    # contains() before the shared chain, at its only tolerance 0.0
+    # the one-point membership test before the shared chain, at its only
+    # tolerance 0.0
     v = z[list(rho)] - np.array(n, dtype=float)[list(rho)]
     return bool(np.all(np.diff(np.concatenate(([0.0], v, [1.0]))) >= -0.0))
 
@@ -347,7 +371,7 @@ def test_grid_nodes():
     assert grid.node_count == 9
     assert np.allclose(nodes[0], [-1, -1])
     assert np.allclose(nodes[-1], [1, 1])
-    assert grid.node_index((1, 2)) == 5
+    assert np.allclose(grid.nodes([5]), [[0, 1]])
 
 
 @pytest.mark.parametrize("t,R,N,field", [
@@ -438,15 +462,8 @@ class TestScalarPoints:
             in_Sprime(0.3)
 
     def test_locate(self):
-        with pytest.raises(ValueError, match=r"points must have shape \(2,\), got \(\)"):
-            locate(0.3, UNIT2)
-
-    def test_contains(self):
-        sid = locate(np.array([0.2, 0.7]), UNIT2)
-        with pytest.raises(ValueError, match=r"points must have shape \(2,\), got \(\)"):
-            contains(sid, 0.3, UNIT2)
-        with pytest.raises(ValueError, match="simplex dimension 2 != grid dimension 3"):
-            contains(sid, np.zeros(3), UNIT3)
+        with pytest.raises(ValueError, match=r"points must have shape \(t,\) or \(n, t\), got \(\)"):
+            locate_batch(0.3)
 
     def test_complex_points_named(self):
         with pytest.raises(ValueError, match=r"points must be real numbers, got dtype complex128"):
