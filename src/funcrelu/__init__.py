@@ -43,6 +43,7 @@ from .pipeline import (
     evaluate_functional_net,
     generate_inputs,
     inner_product_functional,
+    l1_norm_functional,
     linear_functional,
     run_rate_experiment,
     sin_inner_product_functional,

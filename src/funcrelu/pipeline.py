@@ -87,21 +87,26 @@ class LinearForm:
     """F(f) = psi(integral of f * g).
 
     ``g`` is the weight, a function on [-1, 1]^s, and ``psi`` the outer
-    map, applied elementwise to a float array.  On a rule the integral is
-    the node samples dotted with ``weights(rule)``, the rule's weights
-    times g at its nodes.
+    map, applied elementwise to a float array.  ``on(rule)`` is the
+    functional on that rule's node samples: it keeps ``gw``, the rule's
+    weights times g at its nodes, and the integral is the samples dotted
+    with ``gw``.
     """
 
     g: Callable
     psi: Callable
+    gw: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def weights(self, rule: GaussRule) -> np.ndarray:
         return rule.weights * real_array(self.g(rule.points), "weight values").ravel()
 
-    def sampled(self, gw: np.ndarray) -> Callable:
-        """The functional on node samples of the rule whose weights are ``gw``."""
-        return lambda values: real_array(self.psi(real_array(values, "node samples") @ gw),
-                                         "psi values")
+    def on(self, rule: GaussRule) -> "LinearForm":
+        return replace(self, gw=self.weights(rule))
+
+    def __call__(self, values):
+        if self.gw is None:
+            raise ValueError("a linear form takes node samples on a rule: call on(rule)")
+        return real_array(self.psi(real_array(values, "node samples") @ self.gw), "psi values")
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,11 @@ class TargetFunctional:
     the result; ``omega`` is a known upper bound on the modulus of
     continuity.
 
-    ``linear``, when set, declares F(f) = psi(integral of f * g) and
-    ``form`` is derived from it (see :func:`linear_functional`); mu is then
-    psi of a dot product of the coefficient vector (:func:`mu_values`).
-    A functional declared only by ``form`` gets mu by quadrature.
+    ``linear``, when set, declares F(f) = psi(integral of f * g), and
+    ``form`` is ``linear.on`` (see :func:`linear_functional`).  Either way
+    mu has one writer, mu(xi) = Phi(S xi) (see :func:`_mu_map`): psi of
+    one dot product for a linear form, the form at the node values of the
+    polynomial otherwise.
     """
 
     name: str
@@ -127,24 +133,17 @@ class TargetFunctional:
     linear: Optional[LinearForm] = None
     bound_rule: Optional[GaussRule] = field(default=None, repr=False, compare=False)
     bound_form: Optional[Callable] = field(default=None, repr=False, compare=False)
-    bound_weights: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def bind(self, rule: GaussRule) -> "TargetFunctional":
-        """The same functional with its form for ``rule`` computed once,
-        and for a linear form its weights on the rule."""
-        if self.linear is None:
-            return replace(self, bound_rule=rule, bound_form=self.form(rule))
-        gw = self.linear.weights(rule)
-        return replace(self, bound_rule=rule, bound_form=self.linear.sampled(gw),
-                       bound_weights=gw)
+        """The same functional with its form for ``rule`` computed once."""
+        return replace(self, bound_rule=rule, bound_form=self.form(rule))
 
-    def weighted_g(self, rule: GaussRule) -> np.ndarray:
-        """The linear form's weights on ``rule``, kept by ``bind``."""
-        return self.bound_weights if rule is self.bound_rule else self.linear.weights(rule)
+    def on(self, rule: GaussRule) -> Callable:
+        """The form on ``rule``, the one ``bind`` kept if it is that rule's."""
+        return self.bound_form if rule is self.bound_rule else self.form(rule)
 
     def apply_sampled(self, values, rule: GaussRule):
-        form = self.bound_form if rule is self.bound_rule else self.form(rule)
-        return form(values)
+        return self.on(rule)(values)
 
     def __call__(self, f: InputFunction, rule: GaussRule) -> float:
         return float(self.apply_sampled(f(rule.points), rule))
@@ -155,8 +154,7 @@ def linear_functional(name: str, g: Callable, psi: Callable,
     """F(f) = psi(integral of f * g), its ``form`` and its ``linear``
     field both made from (g, psi)."""
     linear = LinearForm(g, psi)
-    return TargetFunctional(name, lambda rl: linear.sampled(linear.weights(rl)),
-                            omega, linear)
+    return TargetFunctional(name, linear.on, omega, linear)
 
 
 def _identity(x):
@@ -191,6 +189,20 @@ def constant_functional(value: float) -> TargetFunctional:
     return linear_functional(f"constant[{value}]", _zero_weight,
                              lambda x: np.full(np.shape(x), float(value)),
                              PowerModulus(0.0, 1.0))
+
+
+def l1_norm_functional(s: int, p: float = 2.0) -> TargetFunctional:
+    """F(f) = integral of |f| on the rule, declared by its ``form`` alone
+    (no linear form: mu is not a ridge function).  By Hoelder's
+    inequality |F(f) - F(g)| <= ||f - g||_1 <= 2^(s (1 - 1/p)) ||f - g||_p."""
+    s = integer_size(s, "s", 1)
+    check_p(p)
+
+    def form(rule):
+        return lambda values: (np.abs(real_array(values, "node samples"))
+                               * rule.weights).sum(axis=-1)
+
+    return TargetFunctional("l1-norm", form, PowerModulus(2.0 ** (s * (1.0 - 1.0 / p)), 1.0))
 
 
 INPUT_KINDS = ("hoelder_ball", "sobolev_like", "polynomial_ball")
@@ -378,8 +390,29 @@ def _coefficient_weights(functional: TargetFunctional,
     vector xi is xi . a.  Each a_k adds the rule's nodes one after another
     in their order (a running sum, no BLAS call), so it does not follow
     the BLAS thread count."""
-    gw = functional.weighted_g(op.rule)
+    gw = functional.on(op.rule).gw
     return np.cumsum(op.basis_at_nodes * gw[:, None], axis=0)[-1]
+
+
+def _mu_map(functional: TargetFunctional, op: DiscretizationOperator):
+    """(S, Phi) with mu(xi) = Phi(S xi), S an (r, t) matrix and Phi a map
+    from (..., r) to (...).  For psi of a linear form S is a^T from
+    :func:`_coefficient_weights` (r = 1) and Phi is psi; otherwise S is the
+    basis at the rule's nodes (r = nodes) and Phi the functional's form."""
+    if functional.linear is None:
+        return op.basis_at_nodes, functional.on(op.rule)
+    psi = functional.linear.psi
+    return _coefficient_weights(functional, op)[None, :], lambda v: psi(v[..., 0])
+
+
+def _running_sums(S: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """((0.0 + x_0 S[:, 0]) + x_1 S[:, 1]) + ..., added in axis order over
+    the columns of ``points`` (n, k <= t), one row of shape (r,) per point;
+    no BLAS call, so no dependence on the BLAS thread count."""
+    total = np.zeros((points.shape[0], S.shape[0]))
+    for k in range(points.shape[1]):
+        total += points[:, k, None] * S[:, k]
+    return total
 
 
 def mu_values(functional: TargetFunctional, op: DiscretizationOperator,
@@ -387,54 +420,48 @@ def mu_values(functional: TargetFunctional, op: DiscretizationOperator,
     """Discretized target mu at coefficient vectors, one (t,) or a batch
     (n, t); returns shape (n,).
 
-    For a functional with a linear form, mu(xi) is
-    psi(((0.0 + xi_0 a_0) + xi_1 a_1) + ...), with a from
-    :func:`_coefficient_weights`: the sum the grid nodes' tables make in
-    :func:`build_functional_net`.  Otherwise it is the functional applied
-    by quadrature to the polynomials the vectors represent, sampled at
-    op's rule.  The vectors are points of :func:`point_batch`; values of F
-    or psi of a dtype other than real raise a ValueError naming it.
+    mu(xi) = Phi(S xi) with (S, Phi) from :func:`_mu_map`, S xi the running
+    sums of :func:`_running_sums`: the sums the grid nodes' tables make in
+    :func:`build_functional_net`.  The vectors are points of
+    :func:`point_batch`; values of Phi of a dtype other than real raise a
+    ValueError naming it.
     """
     vectors, _ = point_batch(vectors, op.t)
-    if functional.linear is None:
-        return real_array(functional.apply_sampled(vectors @ op.basis_at_nodes.T, op.rule),
-                          "functional values").ravel()
-    a = _coefficient_weights(functional, op)
-    total = np.zeros(vectors.shape[0])
-    for k in range(op.t):
-        total += vectors[:, k] * a[k]
-    return real_array(functional.linear.psi(total), "psi values")
+    S, phi = _mu_map(functional, op)
+    return real_array(phi(_running_sums(S, vectors)), "mu values")
 
 
-def _linear_node_values(psi: Callable, a: np.ndarray, grid: ScaledGrid,
-                        values: np.ndarray) -> None:
-    """Write psi(((0.0 + xi_0 a_0) + xi_1 a_1) + ...) at every node xi of
-    the grid into ``values``, C order, in runs of at most ``_NODE_RUN``.
+def _node_values(S: np.ndarray, phi: Callable, grid: ScaledGrid,
+                 values: np.ndarray) -> None:
+    """Write Phi(S xi) at every node xi of the grid into ``values``, C
+    order, in runs of at most ``_NODE_RUN`` // r nodes, so that a run's
+    sums hold at most ``_NODE_RUN`` numbers.
 
     Node coordinate i on an axis is -R + h*i, as :meth:`ScaledGrid.nodes`
     computes it.  The trailing axes whose sub-lattice fits one run are
-    added by broadcasting their tables (-R + h*i) * a_k, a run of whole
-    sub-lattices at a time; each leading axis's term is computed from the
-    flat index of the sub-lattice.  No array of all nodes but ``values``
-    is made.
+    added by broadcasting their tables (-R + h*i) S[:, k], a run of whole
+    sub-lattices at a time, onto the running sums that
+    :func:`_running_sums` makes of the leading axes' coordinates.
+    No array of all nodes but ``values`` is made.
     """
-    n1, t = grid.N + 1, grid.t
+    r, t = S.shape
+    n1 = grid.N + 1
+    run = max(1, _NODE_RUN // r)
     lead = t
-    while lead > 0 and n1 ** (t - lead + 1) <= _NODE_RUN:
+    while lead > 0 and n1 ** (t - lead + 1) <= run:
         lead -= 1
     # an axis of more nodes than a run is never tabled
     axis = -grid.R + grid.h * np.arange(n1 if lead < t else 0)
-    tables = [axis * a[k] for k in range(lead, t)]
+    tables = [axis[:, None] * S[:, k] for k in range(lead, t)]
     rows = values.reshape((-1,) + (n1,) * (t - lead))
-    step = max(1, _NODE_RUN // n1 ** (t - lead))
+    place = n1 ** np.arange(lead - 1, -1, -1)  # leading axes' place values in a row index
+    step = max(1, run // n1 ** (t - lead))
     for lo in range(0, rows.shape[0], step):
         index = np.arange(lo, min(lo + step, rows.shape[0]))
-        total = np.zeros(index.shape[0])
-        for k in range(lead):
-            total += (-grid.R + grid.h * (index // n1 ** (lead - 1 - k) % n1)) * a[k]
+        total = _running_sums(S, -grid.R + grid.h * (index[:, None] // place % n1))
         for table in tables:
-            total = total[..., None] + table
-        rows[lo:lo + index.shape[0]] = real_array(psi(total), "psi values")
+            total = total[..., None, :] + table
+        rows[lo:lo + index.shape[0]] = real_array(phi(total), "mu values")
 
 
 def build_functional_net(functional: TargetFunctional,
@@ -443,25 +470,16 @@ def build_functional_net(functional: TargetFunctional,
                          block: Optional[ReluNetwork] = None) -> FunctionalNet:
     """Interpolation network for the discretized target over the grid.
 
-    mu is computed over runs of at most ``_NODE_RUN`` grid nodes and
-    written in place into the one array of node values, so no other array
-    of all nodes is made; its time is the result's ``mu_seconds``.  A
-    functional with a linear form gets mu from per-axis tables
-    (:func:`_linear_node_values`), bit-equal to :func:`mu_values` at the
-    nodes; any other gets it from :func:`mu_values` run by run.  ``block``
-    is passed on to :func:`build_interpolation_net`."""
+    mu is written run by run in place into the one array of node values
+    (:func:`_node_values`), so no other array of all nodes is made; it is
+    bit-equal to :func:`mu_values` at the nodes, and its time is the
+    result's ``mu_seconds``.  ``block`` is passed on to
+    :func:`build_interpolation_net`."""
     if grid.t != op.t:
         raise ValueError(f"grid dimension {grid.t} != operator size {op.t}")
     t0 = time.perf_counter()
-    n = grid.node_count
-    values = np.empty(n)
-    if functional.linear is None:
-        for lo in range(0, n, _NODE_RUN):
-            hi = min(lo + _NODE_RUN, n)
-            values[lo:hi] = mu_values(functional, op, grid.nodes(np.arange(lo, hi)))
-    else:
-        _linear_node_values(functional.linear.psi, _coefficient_weights(functional, op),
-                            grid, values)
+    values = np.empty(grid.node_count)
+    _node_values(*_mu_map(functional, op), grid, values)
     mu_seconds = time.perf_counter() - t0
     spec = InterpolationSpec(grid, values)
     return FunctionalNet(op, build_interpolation_net(spec, block), spec, mu_seconds)
@@ -724,6 +742,11 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     the two-term bound, and fit the budget-ladder decay exponent."""
     if cfg.functional is None or cfg.input_class is None:
         raise ValueError("config needs a functional and an input class")
+    # every sweep value is checked before an input is drawn or a net dumped
+    for m in cfg.m_values:
+        integer_size(m, "m values", 0)
+    for N in cfg.N_values:
+        integer_size(N, "N values", 1)
     if cfg.ladder:
         if not cfg.ladder_m_values:
             raise ValueError("ladder m values must be integers >= 1, got none")

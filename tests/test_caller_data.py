@@ -34,7 +34,7 @@ def _inner():
 
 
 def _quadrature():
-    # a functional with no linear form: mu comes by quadrature
+    # a functional with no linear form: mu is its form at the node values
     return TargetFunctional("sum", lambda rl: lambda v: v.sum(axis=-1), PowerModulus(1.0))
 
 

@@ -17,7 +17,7 @@ from funcrelu import verify
 from funcrelu.constructors import interpolant_values
 from funcrelu.discretize import InputFunction, discretize, make_operator
 from funcrelu.functions import get_function
-from funcrelu.legendre import gauss_legendre_rule, tensor_eval
+from funcrelu.legendre import gauss_legendre_rule, sampled_lp_norm, tensor_eval
 from funcrelu.pipeline import (
     ExperimentConfig,
     InputClass,
@@ -29,6 +29,7 @@ from funcrelu.pipeline import (
     evaluate_functional_net,
     generate_inputs,
     inner_product_functional,
+    l1_norm_functional,
     mu_values,
     run_rate_experiment,
     sample_inputs,
@@ -40,7 +41,7 @@ from funcrelu.simplicial import ScaledGrid
 
 def _squared_coeff_norm(op, bound):
     """F(f) = squared Euclidean norm of the discretized vector, declared
-    only by its ``form``, so mu comes by quadrature; on inputs with
+    only by its ``form``, so mu is the form at the node values; on inputs with
     discretized norm <= bound the modulus is 2 * bound * r (p = 2)."""
     def form(rl):
         B = op.basis.eval_all(rl.points)
@@ -316,6 +317,30 @@ class TestRunRateExperiment:
         assert calls == []
         assert not (tmp_path / "nets").exists()
 
+    @pytest.mark.parametrize("field, values, message", [
+        ("N_values", (4, 8, 0), "^N values must be an integer >= 1, got 0"),
+        ("N_values", (4, 2.5), "^N values must be an integer >= 1, got 2.5"),
+        ("m_values", (0, 1, -1), "^m values must be an integer >= 0, got -1"),
+        ("m_values", (True,), "^m values must be an integer >= 0, got True"),
+    ])
+    def test_bad_sweep_values_are_refused_before_any_point(self, monkeypatch, tmp_path,
+                                                           field, values, message):
+        # refused before an input is drawn: no point is measured and no
+        # network is written to dump_dir
+        calls, drawn = [], []
+        measure, draw = pipeline_module._measure_point, pipeline_module.generate_inputs
+        monkeypatch.setattr(pipeline_module, "_measure_point",
+                            lambda *a, **k: calls.append(a) or measure(*a, **k))
+        monkeypatch.setattr(pipeline_module, "generate_inputs",
+                            lambda *a: drawn.append(a) or draw(*a))
+        dump = tmp_path / "nets"
+        dump.mkdir()
+        cfg = replace(verify._rate_config("inner"), dump_dir=str(dump), **{field: values})
+        with pytest.raises(ValueError, match=message):
+            run_rate_experiment(cfg)
+        assert calls == [] and drawn == []
+        assert list(dump.iterdir()) == []
+
     def test_constant_functional_is_flat(self):
         cfg = ExperimentConfig(
             s=1, p=2.0,
@@ -562,7 +587,7 @@ def _report_reprs(report):
     return rows, summary
 
 
-@pytest.mark.parametrize("kind", ["inner", "sin"])
+@pytest.mark.parametrize("kind", ["inner", "sin", "l1"])
 def test_seed7_report_equals_per_input_path(kind, monkeypatch):
     fast = _report_reprs(verify.rate_report(kind))
     # the per-input path: inputs behind plain callables are called at the
@@ -574,6 +599,17 @@ def test_seed7_report_equals_per_input_path(kind, monkeypatch):
     cfg = verify._rate_config(functional_kind=kind)
     cfg.ladder = kind == "inner"
     assert _report_reprs(run_rate_experiment(cfg)) == fast
+
+
+def test_rate_config_takes_only_its_kinds():
+    names = {kind: verify._rate_config(kind).functional.name
+             for kind in verify.RATE_FUNCTIONALS}
+    assert names == {"inner": "inner-product[slow-series]",
+                     "sin": "sin-inner-product[slow-series]", "l1": "l1-norm"}
+    for kind in ("cos", "l1-norm", None):
+        with pytest.raises(ValueError, match=rf"^unknown rate functional kind {kind!r}; "
+                                             r"choose from \('inner', 'sin', 'l1'\)$"):
+            verify._rate_config(kind)
 
 
 def _seed7_config(kind, seed=7):
@@ -616,7 +652,7 @@ class TestOneSpikeBlockPerT:
         assert report.summary["stage_seconds"]["block"] > 0.0
 
     @pytest.mark.parametrize("seed", [7, 1501])
-    @pytest.mark.parametrize("kind", ["inner", "sin"])
+    @pytest.mark.parametrize("kind", ["inner", "sin", "l1"])
     def test_report_equals_one_block_per_net(self, kind, seed, monkeypatch):
         shared = _report_reprs(run_rate_experiment(_seed7_config(kind, seed)))
         real = build_functional_net
@@ -664,6 +700,13 @@ def test_bound_functional_matches_unbound():
         values = np.cos(np.arange(3 * rl.points.shape[0])).reshape(3, -1)
         assert np.array_equal(bound.apply_sampled(values, rl), F.apply_sampled(values, rl))
     assert (bound.name, bound.omega) == (F.name, F.omega)
+
+
+def test_a_linear_form_off_a_rule_is_refused_by_name():
+    linear = sin_inner_product_functional(get_function("slow-series"),
+                                          make_operator(1, 1).rule).linear
+    with pytest.raises(ValueError, match=r"^a linear form takes node samples on a rule"):
+        linear(np.zeros(16))
 
 
 @pytest.mark.parametrize("make", [inner_product_functional,
@@ -720,8 +763,10 @@ def test_report_has_stage_times(tmp_path, monkeypatch):
 
 
 # mu over grids of the criterion-6 sweep at m in {1, 2}, in node runs and in
-# one piece; m=1, N=32 and m=2, N >= 8 span several runs.  Prints the bytes'
-# digest of both per shape.
+# one piece; m=1, N=32 and m=2, N >= 8 span several runs (the L1 norm's runs
+# hold 16 384 // 16 or // 20 nodes, so its m=1, N >= 16 and m=2 shapes do;
+# it runs the shapes within the sweep's 200 000-node cap).  Prints the
+# bytes' digest of both per shape.
 _NODE_RUN_SCRIPT = """
 import hashlib, json
 from funcrelu import pipeline, verify
@@ -729,9 +774,12 @@ from funcrelu.discretize import make_operator
 from funcrelu.simplicial import ScaledGrid
 
 digests = {}
-for kind in ("inner", "sin"):
+for kind in ("inner", "sin", "l1"):
     functional = verify._rate_config(functional_kind=kind).functional
     for m, R, N_values in ((1, 0.9639, (4, 8, 16, 32)), (2, 1.0535, (4, 8, 16))):
+        if kind == "l1":
+            # one piece at m=2, N=16 would hold 1 419 857 x 20 sums
+            N_values = tuple(N for N in N_values if (N + 1) ** (2 * m + 1) <= 200_000)
         op = make_operator(1, m)
         F = functional.bind(op.rule)
         for N in N_values:
@@ -755,7 +803,7 @@ def test_node_runs_give_the_one_thread_one_piece_mu_values():
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         digests[threads] = json.loads(done.stdout)
-    assert len(digests["1"]) == 14
+    assert len(digests["1"]) == 20
     for shape, (runs, whole) in digests["1"].items():
         assert runs == whole, shape
         # under two threads one piece may round its last rows otherwise
@@ -784,8 +832,8 @@ def test_node_values_written_in_place():
     assert np.array_equal(values[:run], mu_values(F, op, grid.nodes(np.arange(run))))
 
 
-# The seed-7 'inner' and 'sin' reports at m=2, N=8, as the reprs of their
-# rows without their timings.
+# The seed-7 'inner', 'sin' and 'l1' reports at m=2, N=8, as the reprs of
+# their rows without their timings.
 _THREADS_SCRIPT = """
 import json
 from dataclasses import replace
@@ -794,7 +842,7 @@ from funcrelu import pipeline, verify
 timing = {"wall_seconds", "mu_seconds", "build_seconds", "eval_seconds",
           "oracle_seconds"}
 rows = {}
-for kind in ("inner", "sin"):
+for kind in ("inner", "sin", "l1"):
     cfg = replace(verify._rate_config(functional_kind=kind), m_values=(2,),
                   N_values=(8,))
     rows[kind] = [{k: repr(v) for k, v in vars(r).items() if k not in timing}
@@ -812,7 +860,7 @@ def test_seed7_report_does_not_follow_the_blas_thread_count():
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         rows[threads] = json.loads(done.stdout)
-    for kind in ("inner", "sin"):
+    for kind in ("inner", "sin", "l1"):
         assert [(r["m"], r["N"], r["status"]) for r in rows["1"][kind]] == [
             ("2", "8", "'ok'")]
     assert rows["1"] == rows["2"]
@@ -823,6 +871,10 @@ _LINEAR_KINDS = {
     "sin": lambda rule: sin_inner_product_functional(get_function("gaussian"), rule),
     "constant": lambda rule: constant_functional(-0.75),
 }
+# every kind of the one mu writer: the ridge functionals, r = 1, and the
+# L1 norm, declared by its form, r = the rule's node count
+_MU_KINDS = {**_LINEAR_KINDS,
+             "l1": lambda rule: l1_norm_functional(rule.points.shape[1], 2.0)}
 # non-dyadic, so node coordinates -R + h*i are rounded
 _ODD_R = 1.295091801838947
 
@@ -876,15 +928,23 @@ def test_table_path_equals_a_per_node_loop(kind, m, N, run, monkeypatch):
     assert _same_bits(values, _loop_node_values(F, op, grid))
 
 
-@pytest.mark.parametrize("kind", sorted(_LINEAR_KINDS))
+@pytest.mark.parametrize("kind", sorted(_MU_KINDS))
 @pytest.mark.parametrize("s, m, N", [(1, 0, 20_000), (1, 1, 30), (1, 2, 8), (2, 1, 3)])
 def test_mu_values_at_the_nodes_equal_the_built_values(kind, s, m, N):
     op = make_operator(s, m)
-    F = _LINEAR_KINDS[kind](op.rule)
+    F = _MU_KINDS[kind](op.rule)
     grid = ScaledGrid(op.t, _ODD_R, N)
     values = build_functional_net(F, op, grid).spec.node_values
-    assert _same_bits(mu_values(F, op, grid.node_array()), values)
-    assert _same_bits(mu_values(F.bind(op.rule), op, grid.node_array()), values)
+    assert _same_bits(_mu_at_nodes(F, op, grid), values)
+    assert _same_bits(_mu_at_nodes(F.bind(op.rule), op, grid), values)
+
+
+def _mu_at_nodes(F, op, grid, piece=512):
+    # mu_values over the grid's nodes, a piece of nodes per call: at s=2 the
+    # L1 norm's sums for all nodes at once would take 262 144 x 256 floats
+    n = grid.node_count
+    return np.concatenate([mu_values(F, op, grid.nodes(np.arange(lo, min(lo + piece, n))))
+                           for lo in range(0, n, piece)])
 
 
 def _gamma(n):
@@ -929,18 +989,77 @@ def _quadrature_node_values(F, op, grid):
 
 @pytest.mark.parametrize("s, m, N", [(1, 1, 40), (1, 2, 8), (2, 1, 3)])
 def test_squared_coeff_norm_keeps_the_quadrature_node_values(s, m, N):
+    # The writer forms v = B xi as running sums in axis order, the reference
+    # as a BLAS product; the form then computes
+    # c_j = f_j sum_q (v_q w_q) B'_qj and sum_j c_j^2 (B' the form's own basis
+    # at the nodes).  Each term xi_k B_qk w_q B'_qj f_j of c_j passes through
+    # at most n = t + q + 2 roundings in either path (t for v_q in any order,
+    # one for w, q for the dot in any order, one for f), so the computed c_j
+    # is within g_n |c|_j of the exact one, |c|_j the same sum of absolute
+    # terms; squaring and the t-term sum make that g_(2n + t) sum_j |c|_j^2.
     op = make_operator(s, m)
     F = _squared_coeff_norm(op, 2.0)
     assert F.linear is None
     grid = ScaledGrid(op.t, _ODD_R, N)
     values = build_functional_net(F, op, grid).spec.node_values
-    assert _same_bits(values, _quadrature_node_values(F, op, grid))
+    reference = _quadrature_node_values(F, op, grid)
+    t, q = op.t, op.rule.points.shape[0]
+    V = np.abs(grid.node_array()) @ np.abs(op.basis_at_nodes).T
+    c = (V * op.rule.weights) @ np.abs(op.basis.eval_all(op.rule.points)) * op.filter
+    bound = 2 * _gamma(2 * (t + q + 2) + t) * (c**2).sum(axis=1)
+    assert np.all(np.abs(values - reference) <= bound)
+
+
+@pytest.mark.parametrize("s, m, N", [(1, 0, 64), (1, 1, 40), (1, 2, 8), (2, 1, 3)])
+def test_l1_node_values_near_the_quadrature_path(s, m, N):
+    # v_q = (B xi)_q is within g_t V_q of its exact value in either path,
+    # V_q = sum_k |xi_k| |B_qk|; |.| rounds nothing, and the product with w
+    # and the q-term sum put at most q roundings on each |v_q| w_q.  Each
+    # path is then within (g_t + g_q + g_t g_q) sum_q w_q V_q of the exact
+    # sum_q |v_q| w_q.
+    op = make_operator(s, m)
+    F = l1_norm_functional(s, 2.0)
+    grid = ScaledGrid(op.t, _ODD_R, N)
+    values = build_functional_net(F, op, grid).spec.node_values
+    reference = _quadrature_node_values(F, op, grid)
+    t, q = op.t, op.rule.points.shape[0]
+    V = np.abs(grid.node_array()) @ np.abs(op.basis_at_nodes).T
+    bound = 2 * (_gamma(t) + _gamma(q) + _gamma(t) * _gamma(q)) * (V @ op.rule.weights)
+    assert np.all(np.abs(values - reference) <= bound)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_l1_norm_modulus_holds_on_samples(s, p):
+    # |F(f) - F(g)| <= ||f - g||_1 <= 2^(s (1 - 1/p)) ||f - g||_p on the
+    # rule (Hoelder with the rule's weights, which sum to 2^s); c_hat and
+    # the bound of the rate check rest on this modulus
+    F = l1_norm_functional(s, p)
+    assert F.omega == PowerModulus(2.0 ** (s * (1.0 - 1.0 / p)), 1.0)
+    rule = make_operator(s, 1).rule
+    samples = sample_inputs(generate_inputs(InputClass("hoelder_ball", 2.0, 12, seed=5,
+                                                       degree_cap=8), s), rule)
+    # positive inputs 2.5 + a and 2 + b with |a - b| < 0.5, where the first
+    # step is an equality
+    samples = np.vstack([samples, 2.0 + samples[:3] * 0.1, 2.5 + samples[:3] * 0.1])
+    values = F.apply_sampled(samples, rule)
+    ratios = []
+    for i in range(len(samples)):
+        for j in range(i):
+            gap = abs(float(values[i] - values[j]))
+            r = sampled_lp_norm(samples[i] - samples[j], p, rule)
+            slack = 1e-12 * (abs(float(values[i])) + abs(float(values[j])))
+            assert gap <= float(F.omega(r)) * (1 + 1e-12) + slack, (i, j)
+            ratios.append(gap / float(F.omega(r)))
+    # the constant is no looser than needed where p = 1
+    if p == 1.0:
+        assert max(ratios) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestMuValuesNamedErrors:
     @staticmethod
     def _functional(kind, op):
-        # one functional of each path: the table path and quadrature
+        # one functional of each kind of S: a ridge (r = 1) and a form (r = nodes)
         if kind == "inner":
             return _LINEAR_KINDS["inner"](op.rule)
         return _squared_coeff_norm(op, 1.0)

@@ -54,11 +54,19 @@ def _imported_packages(path: Path) -> set:
 BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot"}
 
 
-def _blas_uses(path: Path) -> list:
-    """(line, what) of each matrix product in a module: an ``@`` or a call
-    of one of ``BLAS_CALLS`` as an attribute, such as ``np.dot``."""
+def _blas_uses(path: Path, functions=None) -> list:
+    """(line, what) of each matrix product in a module, or in its
+    top-level ``functions`` only: an ``@`` or a call of one of
+    ``BLAS_CALLS`` as an attribute, such as ``np.dot``."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    tree = ast.parse(path.read_text(), str(path))
+    if functions is not None:
+        roots = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in functions]
+        assert sorted(node.name for node in roots) == sorted(functions)
+    else:
+        roots = [tree]
+    for node in (node for root in roots for node in ast.walk(root)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append((node.lineno, "@"))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -71,6 +79,26 @@ def test_forward_makes_no_blas_call():
     # every net's values are those of one numpy-only pass, so they follow
     # neither the point chunks nor the BLAS build and thread count
     assert _blas_uses(ROOT / "src" / "funcrelu" / "relu_net.py") == []
+
+
+# the mu path of every functional: (S, Phi), the running sums, the node
+# writer, the ridge's coefficients and the L1 norm's form
+MU_FUNCTIONS = ("_mu_map", "_running_sums", "mu_values", "_node_values",
+                "_coefficient_weights", "build_functional_net", "l1_norm_functional")
+
+
+def test_mu_makes_no_blas_call():
+    # so mu at the grid nodes and at the sampled vectors follows no BLAS
+    # thread count, for ridge functionals and the L1 norm alike
+    assert _blas_uses(ROOT / "src" / "funcrelu" / "pipeline.py", MU_FUNCTIONS) == []
+
+
+def test_the_blas_check_sees_a_product_in_a_named_function(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("def f(a, b):\n    return a @ b\n\n\ndef g(a, b):\n"
+                      "    return np.dot(a, b)\n")
+    assert _blas_uses(module, ("f",)) == [(2, "@")]
+    assert _blas_uses(module, ("f", "g")) == [(2, "@"), (6, "dot")]
 
 
 # functions that cast arrays the program made itself to float; a
