@@ -82,30 +82,20 @@ class PowerModulus:
         return (v / self.c) ** (1.0 / self.lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearForm:
-    """F(f) = psi(integral of f * g).
+    """psi(integral of f * g) on a rule's node samples.
 
-    ``g`` is the weight, a function on [-1, 1]^s, and ``psi`` the outer
-    map, applied elementwise to a float array.  ``on(rule)`` is the
-    functional on that rule's node samples: it keeps ``gw``, the rule's
-    weights times g at its nodes, and the integral is the samples dotted
-    with ``gw``.
+    ``gw`` is the rule's weights times the weight g at its nodes, so the
+    integral is the samples dotted with ``gw``; ``psi`` is the outer map,
+    applied elementwise to a float array.  :func:`linear_functional`'s
+    form returns one per rule.
     """
 
-    g: Callable
     psi: Callable
-    gw: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def weights(self, rule: GaussRule) -> np.ndarray:
-        return rule.weights * real_array(self.g(rule.points), "weight values").ravel()
-
-    def on(self, rule: GaussRule) -> "LinearForm":
-        return replace(self, gw=self.weights(rule))
+    gw: np.ndarray = field(repr=False)
 
     def __call__(self, values):
-        if self.gw is None:
-            raise ValueError("a linear form takes node samples on a rule: call on(rule)")
         return real_array(self.psi(real_array(values, "node samples") @ self.gw), "psi values")
 
 
@@ -120,17 +110,15 @@ class TargetFunctional:
     the result; ``omega`` is a known upper bound on the modulus of
     continuity.
 
-    ``linear``, when set, declares F(f) = psi(integral of f * g), and
-    ``form`` is ``linear.on`` (see :func:`linear_functional`).  Either way
     mu has one writer, mu(xi) = Phi(S xi) (see :func:`_mu_map`): psi of
-    one dot product for a linear form, the form at the node values of the
+    one dot product when the form on the rule is a :class:`LinearForm`
+    (see :func:`linear_functional`), the form at the node values of the
     polynomial otherwise.
     """
 
     name: str
     form: Callable
     omega: PowerModulus
-    linear: Optional[LinearForm] = None
     bound_rule: Optional[GaussRule] = field(default=None, repr=False, compare=False)
     bound_form: Optional[Callable] = field(default=None, repr=False, compare=False)
 
@@ -151,10 +139,12 @@ class TargetFunctional:
 
 def linear_functional(name: str, g: Callable, psi: Callable,
                       omega: PowerModulus) -> TargetFunctional:
-    """F(f) = psi(integral of f * g), its ``form`` and its ``linear``
-    field both made from (g, psi)."""
-    linear = LinearForm(g, psi)
-    return TargetFunctional(name, linear.on, omega, linear)
+    """F(f) = psi(integral of f * g), whose form on a rule is the
+    :class:`LinearForm` of psi and the rule's weights times g at its nodes."""
+    def form(rule):
+        return LinearForm(psi, rule.weights * real_array(g(rule.points), "weight values").ravel())
+
+    return TargetFunctional(name, form, omega)
 
 
 def _identity(x):
@@ -193,7 +183,7 @@ def constant_functional(value: float) -> TargetFunctional:
 
 def l1_norm_functional(s: int, p: float = 2.0) -> TargetFunctional:
     """F(f) = integral of |f| on the rule, declared by its ``form`` alone
-    (no linear form: mu is not a ridge function).  By Hoelder's
+    (not a linear form: mu is not a ridge function).  By Hoelder's
     inequality |F(f) - F(g)| <= ||f - g||_1 <= 2^(s (1 - 1/p)) ||f - g||_p."""
     s = integer_size(s, "s", 1)
     check_p(p)
@@ -384,25 +374,24 @@ class FunctionalNet:
     mu_seconds: float
 
 
-def _coefficient_weights(functional: TargetFunctional,
-                         op: DiscretizationOperator) -> np.ndarray:
-    """a = B_nodes^T (w * g), so that the linear form at a coefficient
-    vector xi is xi . a.  Each a_k adds the rule's nodes one after another
-    in their order (a running sum, no BLAS call), so it does not follow
-    the BLAS thread count."""
-    gw = functional.on(op.rule).gw
+def _coefficient_weights(gw: np.ndarray, op: DiscretizationOperator) -> np.ndarray:
+    """a = B_nodes^T gw, with gw the rule's weights times g at its nodes,
+    so that the linear form at a coefficient vector xi is xi . a.  Each a_k
+    adds the rule's nodes one after another in their order (a running sum,
+    no BLAS call), so it does not follow the BLAS thread count."""
     return np.cumsum(op.basis_at_nodes * gw[:, None], axis=0)[-1]
 
 
 def _mu_map(functional: TargetFunctional, op: DiscretizationOperator):
     """(S, Phi) with mu(xi) = Phi(S xi), S an (r, t) matrix and Phi a map
-    from (..., r) to (...).  For psi of a linear form S is a^T from
-    :func:`_coefficient_weights` (r = 1) and Phi is psi; otherwise S is the
-    basis at the rule's nodes (r = nodes) and Phi the functional's form."""
-    if functional.linear is None:
-        return op.basis_at_nodes, functional.on(op.rule)
-    psi = functional.linear.psi
-    return _coefficient_weights(functional, op)[None, :], lambda v: psi(v[..., 0])
+    from (..., r) to (...).  When the form on op's rule is a
+    :class:`LinearForm`, S is a^T from :func:`_coefficient_weights` (r = 1)
+    and Phi is psi; otherwise S is the basis at the rule's nodes
+    (r = nodes) and Phi the form."""
+    phi = functional.on(op.rule)
+    if not isinstance(phi, LinearForm):
+        return op.basis_at_nodes, phi
+    return _coefficient_weights(phi.gw, op)[None, :], lambda v: phi.psi(v[..., 0])
 
 
 def _running_sums(S: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -422,7 +411,11 @@ def mu_values(functional: TargetFunctional, op: DiscretizationOperator,
 
     mu(xi) = Phi(S xi) with (S, Phi) from :func:`_mu_map`, S xi the running
     sums of :func:`_running_sums`: the sums the grid nodes' tables make in
-    :func:`build_functional_net`.  The vectors are points of
+    :func:`build_functional_net`.  Phi sees the sums as an (n, r) array
+    here and as blocks (..., r) there, so mu is the same bits in both, and
+    follows no BLAS thread count, when Phi works row by row without BLAS,
+    as psi and the L1 norm's form do; a form that multiplies by ``@`` may
+    round otherwise.  The vectors are points of
     :func:`point_batch`; values of Phi of a dtype other than real raise a
     ValueError naming it.
     """
@@ -471,8 +464,9 @@ def build_functional_net(functional: TargetFunctional,
     """Interpolation network for the discretized target over the grid.
 
     mu is written run by run in place into the one array of node values
-    (:func:`_node_values`), so no other array of all nodes is made; it is
-    bit-equal to :func:`mu_values` at the nodes, and its time is the
+    (:func:`_node_values`), so no other array of all nodes is made; for a
+    Phi that works row by row without BLAS it is bit-equal to
+    :func:`mu_values` at the nodes (see there), and its time is the
     result's ``mu_seconds``.  ``block`` is passed on to
     :func:`build_interpolation_net`."""
     if grid.t != op.t:

@@ -192,13 +192,16 @@ def check_weight_growth() -> CheckResult:
     return _finish("weight growth shape", t0, failures, details)
 
 
-# the criterion-6 functionals by kind, each made on the probe rule: two
-# ridge functionals psi(integral of f g) and the L1 norm, which is not one
+# the criterion-6 sweep's input dimension and L^p exponent, and its
+# functionals by kind, each made for them on the probe rule: two ridge
+# functionals psi(integral of f g) and the L1 norm, which is not one
+_RATE_S, _RATE_P = 1, 2.0
 RATE_FUNCTIONALS = {
-    "inner": lambda rule: pipeline.inner_product_functional(get_function("slow-series"), rule),
+    "inner": lambda rule: pipeline.inner_product_functional(get_function("slow-series"), rule,
+                                                            _RATE_P),
     "sin": lambda rule: pipeline.sin_inner_product_functional(get_function("slow-series"),
-                                                              rule),
-    "l1": lambda rule: pipeline.l1_norm_functional(1, 2.0),
+                                                              rule, _RATE_P),
+    "l1": lambda rule: pipeline.l1_norm_functional(_RATE_S, _RATE_P),
 }
 
 
@@ -206,11 +209,11 @@ def _rate_config(functional_kind="inner"):
     if functional_kind not in RATE_FUNCTIONALS:
         raise ValueError(f"unknown rate functional kind {functional_kind!r}; "
                          f"choose from {tuple(RATE_FUNCTIONALS)}")
-    functional = RATE_FUNCTIONALS[functional_kind](make_operator(1, 2).rule)
+    functional = RATE_FUNCTIONALS[functional_kind](make_operator(_RATE_S, 2).rule)
     cls = pipeline.InputClass("hoelder_ball", beta=2.0,
                               sample_count=64, seed=7)
     return pipeline.ExperimentConfig(
-        s=1, p=2.0, functional=functional, input_class=cls,
+        s=_RATE_S, p=_RATE_P, functional=functional, input_class=cls,
         m_values=(0, 1, 2), N_values=(4, 8, 16, 32),
     )
 

@@ -21,6 +21,7 @@ from funcrelu.legendre import gauss_legendre_rule, sampled_lp_norm, tensor_eval
 from funcrelu.pipeline import (
     ExperimentConfig,
     InputClass,
+    LinearForm,
     PowerModulus,
     TargetFunctional,
     _rule_state,
@@ -702,13 +703,6 @@ def test_bound_functional_matches_unbound():
     assert (bound.name, bound.omega) == (F.name, F.omega)
 
 
-def test_a_linear_form_off_a_rule_is_refused_by_name():
-    linear = sin_inner_product_functional(get_function("slow-series"),
-                                          make_operator(1, 1).rule).linear
-    with pytest.raises(ValueError, match=r"^a linear form takes node samples on a rule"):
-        linear(np.zeros(16))
-
-
 @pytest.mark.parametrize("make", [inner_product_functional,
                                   sin_inner_product_functional])
 def test_inner_product_functionals_reject_p_inf(make):
@@ -881,7 +875,7 @@ _ODD_R = 1.295091801838947
 
 def _loop_coefficients(F, op):
     # a_k = sum over the rule's nodes, in their order, of B[q, k] * w_q g_q
-    gw = F.linear.weights(op.rule)
+    gw = F.on(op.rule).gw
     B = op.basis_at_nodes
     a = []
     for k in range(op.t):
@@ -894,12 +888,13 @@ def _loop_coefficients(F, op):
 
 def _loop_node_values(F, op, grid):
     a = _loop_coefficients(F, op)
+    psi = F.on(op.rule).psi
     out = []
     for xi in grid.node_array():
         total = 0.0
         for k in range(op.t):
             total += float(xi[k]) * a[k]
-        out.append(float(F.linear.psi(np.float64(total))))
+        out.append(float(psi(np.float64(total))))
     return np.array(out)
 
 
@@ -923,7 +918,7 @@ def test_table_path_equals_a_per_node_loop(kind, m, N, run, monkeypatch):
     F = _LINEAR_KINDS[kind](op.rule).bind(op.rule)
     grid = ScaledGrid(op.t, _ODD_R, N)
     assert grid.node_count > 2 * pipeline_module._NODE_RUN
-    assert _same_bits(pipeline_module._coefficient_weights(F, op), _loop_coefficients(F, op))
+    assert _same_bits(pipeline_module._coefficient_weights(F.on(op.rule).gw, op), _loop_coefficients(F, op))
     values = build_functional_net(F, op, grid).spec.node_values
     assert _same_bits(values, _loop_node_values(F, op, grid))
 
@@ -935,13 +930,15 @@ def test_mu_values_at_the_nodes_equal_the_built_values(kind, s, m, N):
     F = _MU_KINDS[kind](op.rule)
     grid = ScaledGrid(op.t, _ODD_R, N)
     values = build_functional_net(F, op, grid).spec.node_values
-    assert _same_bits(_mu_at_nodes(F, op, grid), values)
-    assert _same_bits(_mu_at_nodes(F.bind(op.rule), op, grid), values)
+    # the ridge kinds in one call on all nodes; the L1 norm in pieces, as
+    # at s=2 its sums for all nodes at once would take 262 144 x 256 floats
+    piece = 512 if kind == "l1" else grid.node_count
+    assert _same_bits(_mu_at_nodes(F, op, grid, piece), values)
+    assert _same_bits(_mu_at_nodes(F.bind(op.rule), op, grid, piece), values)
 
 
-def _mu_at_nodes(F, op, grid, piece=512):
-    # mu_values over the grid's nodes, a piece of nodes per call: at s=2 the
-    # L1 norm's sums for all nodes at once would take 262 144 x 256 floats
+def _mu_at_nodes(F, op, grid, piece):
+    # mu_values over the grid's nodes, a piece of nodes per call
     n = grid.node_count
     return np.concatenate([mu_values(F, op, grid.nodes(np.arange(lo, min(lo + piece, n))))
                            for lo in range(0, n, piece)])
@@ -962,15 +959,13 @@ def test_table_path_near_the_quadrature_path(kind, s, m, N):
     # summation order.  psi = sin adds at most 4 ulp of 1 per evaluation.
     op = make_operator(s, m)
     F = _LINEAR_KINDS[kind](op.rule)
-    quadrature = TargetFunctional(F.name, F.form, F.omega)
-    assert quadrature.linear is None
     grid = ScaledGrid(op.t, _ODD_R, N)
     nodes = grid.node_array()
     table = build_functional_net(F, op, grid).spec.node_values
-    reference = build_functional_net(quadrature, op, grid).spec.node_values
+    reference = _quadrature_node_values(F, op, grid)
     t, q = op.t, op.rule.points.shape[0]
     R = float(np.abs(nodes).max())
-    mass = float((np.abs(F.linear.weights(op.rule)) @ np.abs(op.basis_at_nodes)).sum())
+    mass = float((np.abs(F.on(op.rule).gw) @ np.abs(op.basis_at_nodes)).sum())
     psi_slack = 8 * 2.0 ** -52 if kind == "sin" else 0.0
     bound = 2 * (_gamma(t) + _gamma(q) + _gamma(t) * _gamma(q)) * R * mass + psi_slack
     assert np.abs(table - reference).max() <= bound
@@ -999,7 +994,7 @@ def test_squared_coeff_norm_keeps_the_quadrature_node_values(s, m, N):
     # terms; squaring and the t-term sum make that g_(2n + t) sum_j |c|_j^2.
     op = make_operator(s, m)
     F = _squared_coeff_norm(op, 2.0)
-    assert F.linear is None
+    assert not isinstance(F.on(op.rule), LinearForm)
     grid = ScaledGrid(op.t, _ODD_R, N)
     values = build_functional_net(F, op, grid).spec.node_values
     reference = _quadrature_node_values(F, op, grid)
