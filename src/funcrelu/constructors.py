@@ -132,10 +132,9 @@ def build_interpolation_net(spec: InterpolationSpec,
         block = build_spike_net(grid.t)
     elif block.grid is not None:
         raise ValueError("a grid net is not a spike block")
-    first, *deeper = block.layers
-    # the spike's forms at (y - xi) / cell; its shifts at the origin are
-    # the same at every scale
-    layers = [Layer(first.weights * (1.0 / grid.h), first.shifts), *deeper]
+    # the spike's forms at (y - xi) / cell, centred at the origin; copy i's
+    # shifts are the same forms centred at node i (relu_net._grid_shifts)
+    layers = [Layer(*spike_forms(grid.t, 1.0 / grid.h)), *block.layers[1:]]
     return ReluNetwork(grid.t, layers, spec.node_values.reshape(1, -1),
                        grid=grid)
 

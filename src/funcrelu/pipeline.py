@@ -415,13 +415,20 @@ def mu_values(functional: TargetFunctional, op: DiscretizationOperator,
     here and as blocks (..., r) there, so mu is the same bits in both, and
     follows no BLAS thread count, when Phi works row by row without BLAS,
     as psi and the L1 norm's form do; a form that multiplies by ``@`` may
-    round otherwise.  The vectors are points of
+    round otherwise.  The vectors go through in runs of ``_NODE_RUN`` // r,
+    so that, as at the nodes, a run's sums hold at most ``_NODE_RUN``
+    numbers.  The vectors are points of
     :func:`point_batch`; values of Phi of a dtype other than real raise a
     ValueError naming it.
     """
     vectors, _ = point_batch(vectors, op.t)
     S, phi = _mu_map(functional, op)
-    return real_array(phi(_running_sums(S, vectors)), "mu values")
+    run = max(1, _NODE_RUN // S.shape[0])
+    values = np.empty(vectors.shape[0])
+    for lo in range(0, vectors.shape[0], run):
+        values[lo:lo + run] = real_array(phi(_running_sums(S, vectors[lo:lo + run])),
+                                         "mu values")
+    return values
 
 
 def _node_values(S: np.ndarray, phi: Callable, grid: ScaledGrid,
@@ -430,9 +437,9 @@ def _node_values(S: np.ndarray, phi: Callable, grid: ScaledGrid,
     order, in runs of at most ``_NODE_RUN`` // r nodes, so that a run's
     sums hold at most ``_NODE_RUN`` numbers.
 
-    Node coordinate i on an axis is -R + h*i, as :meth:`ScaledGrid.nodes`
-    computes it.  The trailing axes whose sub-lattice fits one run are
-    added by broadcasting their tables (-R + h*i) S[:, k], a run of whole
+    With x_i = :meth:`ScaledGrid.coordinates` of axis index i, the
+    trailing axes whose sub-lattice fits one run are added by
+    broadcasting their tables x_i S[:, k], a run of whole
     sub-lattices at a time, onto the running sums that
     :func:`_running_sums` makes of the leading axes' coordinates.
     No array of all nodes but ``values`` is made.
@@ -444,14 +451,14 @@ def _node_values(S: np.ndarray, phi: Callable, grid: ScaledGrid,
     while lead > 0 and n1 ** (t - lead + 1) <= run:
         lead -= 1
     # an axis of more nodes than a run is never tabled
-    axis = -grid.R + grid.h * np.arange(n1 if lead < t else 0)
+    axis = grid.coordinates(np.arange(n1 if lead < t else 0))
     tables = [axis[:, None] * S[:, k] for k in range(lead, t)]
     rows = values.reshape((-1,) + (n1,) * (t - lead))
     place = n1 ** np.arange(lead - 1, -1, -1)  # leading axes' place values in a row index
     step = max(1, run // n1 ** (t - lead))
     for lo in range(0, rows.shape[0], step):
         index = np.arange(lo, min(lo + step, rows.shape[0]))
-        total = _running_sums(S, -grid.R + grid.h * (index[:, None] // place % n1))
+        total = _running_sums(S, grid.coordinates(index[:, None] // place % n1))
         for table in tables:
             total = total[..., None, :] + table
         rows[lo:lo + index.shape[0]] = real_array(phi(total), "mu values")

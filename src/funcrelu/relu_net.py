@@ -185,9 +185,10 @@ def _nnz(w) -> int:
     return int(np.count_nonzero(w))
 
 
-# The most grid nodes whose first-layer shifts (here) or mu values
-# (funcrelu.pipeline) are computed at once.  On the quadrature mu path it
-# also fixes the rows that one BLAS product rounds together.
+# The most grid nodes whose first-layer shifts (here) are computed at
+# once, and the most sums mu holds at once (funcrelu.pipeline: a run of
+# _NODE_RUN // r nodes or vectors, r sums each).  It bounds memory only:
+# no value follows it.
 _NODE_RUN = 1 << 14
 
 
@@ -237,7 +238,7 @@ def count_nonzero(net: ReluNetwork) -> int:
     """Total count of strictly nonzero entries over all weight matrices,
     shift vectors and the output matrix.  Entries that happen to come out
     exactly zero during construction are not counted."""
-    return _nnz(net.output) + sum(map(sum, _layer_nnz(net)))
+    return nonzero_breakdown(net)["total"]
 
 
 def nonzero_breakdown(net: ReluNetwork) -> dict:
@@ -468,17 +469,15 @@ def forward(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
 
 def evaluate(net: ReluNetwork, x: np.ndarray) -> float:
     """Scalar network value at one point (input_dim,); requires a single
-    output row."""
-    if net.output_dim != 1:
-        raise ValueError("evaluate is for scalar networks; use forward")
+    output row (see :func:`evaluate_batch`)."""
     pts, _ = point_batch(x, net.input_dim, (1,))
-    return float(forward(net, pts)[0, 0])
+    return float(evaluate_batch(net, pts)[0])
 
 
 def evaluate_batch(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
     """Scalar values for a batch (n, input_dim) -> (n,)."""
     if net.output_dim != 1:
-        raise ValueError("evaluate_batch is for scalar networks; use forward")
+        raise ValueError("scalar values need a single output row; use forward")
     pts, _ = point_batch(x, net.input_dim, (2,))
     return forward(net, pts)[:, 0]
 
@@ -603,35 +602,24 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
-def _grid_net(gdoc, input_dim, layers, out) -> ReluNetwork:
+def _grid_net(doc_net: ReluNetwork) -> ReluNetwork:
     """The interpolation net of a version-2 document: the grid's
     :func:`funcrelu.constructors.build_interpolation_net` with the output
-    row as node values.  The document's layers must be that net's block
-    bit for bit: a pass over candidate copies is exact only for a spike block."""
+    row as node values.  ``doc_net``, the document's own net, must have
+    one output row and that net's block bit for bit: a pass over
+    candidate copies is exact only for a spike block."""
     # constructors imports this module
     from .constructors import InterpolationSpec, build_interpolation_net
 
-    t, R, N = (_require(gdoc, key, "grid") for key in ("t", "R", "N"))
-    try:
-        grid = ScaledGrid(t, R, N)
-    except ValueError as exc:
-        raise NetworkFormatError(f"grid: {exc}") from exc
-    t = grid.t
-    # the layer count bounds t by the document's size before any list of
-    # t^2 + t entries is made
-    if (input_dim != t or len(layers) != t * t + t + 1
-            or [l.weights.shape for l in layers] != spike_layer_shapes(t)):
-        raise NetworkFormatError(f"layers are not the spike block on R^{t}")
-    if out.shape != (1, grid.node_count):
-        raise NetworkFormatError(
-            f"output has shape {out.shape}; the grid's {grid.node_count} "
-            f"nodes need (1, {grid.node_count})")
+    out, grid = doc_net.output, doc_net.grid
+    if out.shape[0] != 1:
+        raise ValueError(f"output has {out.shape[0]} rows; the grid's node "
+                         "values are one row")
     net = build_interpolation_net(InterpolationSpec(grid, out.ravel()))
-    for j, (mine, theirs) in enumerate(zip(net.layers, layers)):
+    for j, (mine, theirs) in enumerate(zip(net.layers, doc_net.layers)):
         if not (_same_bits(mine.weights, theirs.weights)
                 and _same_bits(mine.shifts, theirs.shifts)):
-            raise NetworkFormatError(
-                f"layer {j} is not the spike block of the grid {grid}")
+            raise ValueError(f"layer {j} is not the spike block of the grid {grid}")
     return net
 
 
@@ -660,8 +648,13 @@ def deserialize(raw: bytes) -> ReluNetwork:
                                               weights.shape[0])))
     out = _matrix(_require(doc, "output", "network"), "output")
     if version == GRID_FORMAT_VERSION:
-        return _grid_net(_require(doc, "grid", "network"), input_dim, layers, out)
+        gdoc = _require(doc, "grid", "network")
+        t_R_N = [_require(gdoc, key, "grid") for key in ("t", "R", "N")]
     try:
-        return ReluNetwork(input_dim, layers, out)
+        if version == FORMAT_VERSION:
+            return ReluNetwork(input_dim, layers, out)
+        # ReluNetwork checks the layer count before it lists t^2 + t + 1
+        # shapes, so the document's size bounds what t makes
+        return _grid_net(ReluNetwork(input_dim, layers, out, grid=ScaledGrid(*t_R_N)))
     except ValueError as exc:
         raise NetworkFormatError(str(exc)) from exc

@@ -103,11 +103,15 @@ class ScaledGrid:
     def node_count(self) -> int:
         return (self.N + 1) ** self.t
 
+    def coordinates(self, i) -> np.ndarray:
+        """The node coordinate -R + h * i of each axis index in ``i``."""
+        return -self.R + self.h * i
+
     def nodes(self, index) -> np.ndarray:
         """Coordinates of the nodes with flat (C order) indices ``index``,
         shape (len(index), t)."""
-        idx = np.stack(np.unravel_index(index, (self.N + 1,) * self.t), axis=-1)
-        return -self.R + self.h * idx
+        return self.coordinates(
+            np.stack(np.unravel_index(index, (self.N + 1,) * self.t), axis=-1))
 
     def node_array(self) -> np.ndarray:
         """All grid nodes, shape (node_count, t), C-order over axis indices."""

@@ -233,12 +233,28 @@ def rate_report(kind: str = "inner") -> pipeline.ExperimentReport:
 def check_rate_experiment() -> CheckResult:
     """Pointwise error decomposition and reconstructed two-term bound with
     a single fitted c <= 10, for a linear functional, psi of one and the
-    L1 norm, whose mu is no ridge function."""
+    L1 norm, whose mu is no ridge function.  Each completed row keeps both
+    error terms under their bounds: poly_gap <= omega_F(eps_hat) to
+    rounding, and grid_gap <= grid_bound; for ``inner``, whose mu is
+    affine and so interpolated exactly, grid_gap is rounding alone."""
     t0 = time.perf_counter()
     failures, details = [], []
     for kind in RATE_FUNCTIONALS:
         report = rate_report(kind)
         done = report.completed()
+        omega = _rate_config(kind).functional.omega
+        for r in done:
+            where = f"{kind}: m={r.m}, N={r.N}"
+            poly_bound = float(omega(r.eps_hat))
+            if not r.poly_gap <= poly_bound + 1e-12:
+                failures.append(f"{where}: poly gap {r.poly_gap:.3e} above "
+                                f"omega(eps_hat) = {poly_bound:.3e}")
+            if not r.grid_gap <= r.grid_bound:
+                failures.append(f"{where}: grid gap {r.grid_gap:.3e} above "
+                                f"the bound {r.grid_bound:.3e}")
+            if kind == "inner" and not r.grid_gap <= 1e-12:
+                failures.append(f"{where}: grid gap {r.grid_gap:.3e} > 1e-12 "
+                                "for an affine mu")
         if not report.summary["decomposition_ok"]:
             failures.append(f"{kind}: pointwise decomposition violated")
         c_hat = report.summary["c_hat"]
@@ -290,12 +306,47 @@ def check_rate_shape() -> CheckResult:
     return _finish("rate shape (budget-ladder exponent)", t0, failures, details)
 
 
+_U = 2.0 ** -53  # float64's unit roundoff
+
+
+def _gamma(n: int) -> float:
+    """g_n = n u / (1 - n u), the error factor of an n-term dot product in
+    any summation order."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _node_contract_bound(fnet, functional, nodes) -> float:
+    """How far the ridge functional net ``fnet`` may be from F(sum_k xi_k
+    L_k), computed by the form at B xi, at grid nodes ``nodes`` (n, t).
+
+    The node writer adds sum_k xi_k a_k, a = B^T (w g), the form
+    sum_q (B xi)_q (w g)_q; each is within (g_t + g_q + g_t g_q)
+    sum_{k,q} |xi_k B_qk (w g)_q| of the exact sum, and psi = sin adds at
+    most 4 ulp of 1 per evaluation.  The net then adds its own rounding
+    at a node: each of its at most 2^(t+1) - 1 candidate copies computes
+    first-layer forms of up to N/2 + 2 cells and their minimum over
+    D = t^2 + t forms, budgeted at 8 u per cell plus 16 u per form, times
+    the largest node value."""
+    op, grid = fnet.op, fnet.spec.grid
+    t, q = op.t, op.rule.points.shape[0]
+    mass = float((np.abs(functional.on(op.rule).gw) @ np.abs(op.basis_at_nodes)).sum())
+    values = 2 * (_gamma(t) + _gamma(q) + _gamma(t) * _gamma(q)) * (
+        float(np.abs(nodes).max()) * mass) + 8 * 2.0 ** -52
+    copies = 2 ** (t + 1) - 1
+    net = copies * float(np.abs(fnet.spec.node_values).max()) * _U * (
+        8 * (grid.N + 2) + 16 * (t * t + t))
+    return values + net
+
+
 def check_oracle_paths_and_serialization() -> CheckResult:
-    """Network path vs direct-formula path at 1e-9; byte-exact round trips
+    """Network path vs direct-formula path at 1e-9; the node contract (at
+    a fixed sample of grid nodes xi the net is F(sum_k xi_k L_k), to
+    rounding, see :func:`_node_contract_bound`); byte-exact round trips
     that keep a grid net's grid, its count and its values."""
     t0 = time.perf_counter()
     failures, details = [], []
     rng = np.random.default_rng(505)
+    node_rng = np.random.default_rng(506)
     configs = [(1, 0, 8), (1, 1, 8), (1, 2, 4), (2, 1, 1)]
     for s, m, N in configs:
         op = make_operator(s, m)
@@ -314,7 +365,18 @@ def check_oracle_paths_and_serialization() -> CheckResult:
         gap = float(np.abs(net_vals - direct_vals).max())
         if gap > 1e-9:
             failures.append(f"(s={s},m={m},N={N}): oracle gap {gap:.2e} > 1e-9")
-        details.append(f"(s={s},m={m},N={N}): t={op.t} oracle gap {gap:.2e}")
+        nodes = grid.nodes(np.sort(node_rng.choice(grid.node_count,
+                                                   min(64, grid.node_count),
+                                                   replace=False)))
+        F_at_nodes = functional.apply_sampled(nodes @ op.basis_at_nodes.T, op.rule)
+        node_gap = float(np.abs(relu_net.evaluate_batch(fnet.net, nodes)
+                                - F_at_nodes).max())
+        node_bound = _node_contract_bound(fnet, functional, nodes)
+        if not node_gap <= node_bound:
+            failures.append(f"(s={s},m={m},N={N}): node contract: |net - F| = "
+                            f"{node_gap:.2e} at a node > {node_bound:.2e}")
+        details.append(f"(s={s},m={m},N={N}): t={op.t} oracle gap {gap:.2e}, "
+                       f"node gap {node_gap:.2e} (bound {node_bound:.2e})")
     nets = {
         "min d=3": constructors.build_min_net(3),
         "spike t=2": constructors.build_spike_net(2),
@@ -337,7 +399,8 @@ def check_oracle_paths_and_serialization() -> CheckResult:
         if not np.array_equal(relu_net.forward(net, X), relu_net.forward(back, X)):
             failures.append(f"{name}: reloaded network evaluates differently")
     details.append(f"round-tripped {len(nets)} networks byte-identically")
-    return _finish("oracle-path equivalence and serialization", t0, failures, details)
+    return _finish("oracle-path equivalence, node contract and serialization",
+                   t0, failures, details)
 
 
 def check_core_invariants() -> CheckResult:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -613,6 +614,52 @@ def test_rate_config_takes_only_its_kinds():
             verify._rate_config(kind)
 
 
+def _doctor_poly_gap(kind, row):
+    row.poly_gap = 2.0 * float(verify._rate_config(kind).functional.omega(row.eps_hat))
+
+
+def _doctor_grid_gap(kind, row):
+    row.grid_gap = 1.5 * row.grid_bound
+
+
+def _doctor_affine_grid_gap(kind, row):
+    # far below the interpolation bound, far above rounding
+    row.grid_gap = 1e-11
+
+
+@pytest.mark.parametrize("kind, doctor, words", [
+    (kind, _doctor_poly_gap, "poly gap") for kind in ("inner", "sin", "l1")] + [
+    (kind, _doctor_grid_gap, "grid gap") for kind in ("inner", "sin", "l1")] + [
+    ("inner", _doctor_affine_grid_gap, "for an affine mu")])
+def test_rate_check_holds_each_error_term_to_its_bound(kind, doctor, words, monkeypatch):
+    report = copy.deepcopy(verify.rate_report(kind))
+    row = report.completed()[-1]
+    doctor(kind, row)
+    monkeypatch.setitem(verify._REPORT_CACHE, kind, report)
+    result = verify.check_rate_experiment()
+    assert not result.passed
+    failures = [d for d in result.details if d.startswith("FAIL")]
+    # inner's doctored grid gap breaks its affine bound as well
+    assert failures and all(d.startswith(f"FAIL: {kind}: m={row.m}, N={row.N}: ")
+                            for d in failures)
+    assert any(words in d for d in failures)
+
+
+@pytest.mark.parametrize("scale", [1.01, 1.10])
+def test_node_contract_catches_scaled_node_values(scale, monkeypatch):
+    write = pipeline_module._node_values
+
+    def scaled(S, phi, grid, values):
+        write(S, phi, grid, values)
+        values *= scale
+
+    monkeypatch.setattr(pipeline_module, "_node_values", scaled)
+    result = verify.check_oracle_paths_and_serialization()
+    assert not result.passed
+    failures = [d for d in result.details if d.startswith("FAIL")]
+    assert failures and all("node contract" in d for d in failures)
+
+
 def _seed7_config(kind, seed=7):
     cfg = verify._rate_config(functional_kind=kind)
     cfg.input_class = replace(cfg.input_class, seed=seed)
@@ -756,11 +803,12 @@ def test_report_has_stage_times(tmp_path, monkeypatch):
     assert all(v >= 0.0 for v in stages.values())
 
 
-# mu over grids of the criterion-6 sweep at m in {1, 2}, in node runs and in
-# one piece; m=1, N=32 and m=2, N >= 8 span several runs (the L1 norm's runs
-# hold 16 384 // 16 or // 20 nodes, so its m=1, N >= 16 and m=2 shapes do;
-# it runs the shapes within the sweep's 200 000-node cap).  Prints the
-# bytes' digest of both per shape.
+# mu over grids of the criterion-6 sweep at m in {1, 2}, by the node writer
+# (runs of whole sub-lattices) and by mu_values on all nodes (runs of
+# 16 384 // r vectors); m=1, N=32 and m=2, N >= 8 span several runs (the L1
+# norm's runs hold 16 384 // 16 or // 20 nodes, so its m=1, N >= 16 and m=2
+# shapes do; it runs only the shapes within the sweep's 200 000-node cap).
+# Prints the bytes' digest of both per shape.
 _NODE_RUN_SCRIPT = """
 import hashlib, json
 from funcrelu import pipeline, verify
@@ -772,7 +820,7 @@ for kind in ("inner", "sin", "l1"):
     functional = verify._rate_config(functional_kind=kind).functional
     for m, R, N_values in ((1, 0.9639, (4, 8, 16, 32)), (2, 1.0535, (4, 8, 16))):
         if kind == "l1":
-            # one piece at m=2, N=16 would hold 1 419 857 x 20 sums
+            # the sweep's node cap
             N_values = tuple(N for N in N_values if (N + 1) ** (2 * m + 1) <= 200_000)
         op = make_operator(1, m)
         F = functional.bind(op.rule)
@@ -800,10 +848,27 @@ def test_node_runs_give_the_one_thread_one_piece_mu_values():
     assert len(digests["1"]) == 20
     for shape, (runs, whole) in digests["1"].items():
         assert runs == whole, shape
-        # under two threads one piece may round its last rows otherwise
-        # (OpenBLAS 0.3.31 does at m=1, N=32); the runs keep the one-thread
-        # values
+        # mu makes no BLAS call, so the BLAS thread count moves no bit
         assert digests["2"][shape][0] == runs, shape
+
+
+def test_mu_values_holds_one_run_of_sums():
+    # the L1 norm at s=2, m=1 has r = 256 sums per vector: 8192 vectors at
+    # once would hold 16.8 MB of them, a run of 16 384 // 256 = 64 vectors
+    # holds 131 kB, and a handful of run-sized temporaries live beside it
+    op = make_operator(2, 1)
+    F = l1_norm_functional(2, 2.0).bind(op.rule)
+    vectors = np.random.default_rng(3).uniform(-1.0, 1.0, (8192, op.t))
+    run_bytes = 8 * pipeline_module._NODE_RUN
+    tracemalloc.start()
+    try:
+        values = mu_values(F, op, vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes + 8 * run_bytes
+    assert _same_bits(values, np.concatenate([mu_values(F, op, v)
+                                              for v in np.split(vectors, 4)]))
 
 
 def test_node_values_written_in_place():
@@ -930,18 +995,11 @@ def test_mu_values_at_the_nodes_equal_the_built_values(kind, s, m, N):
     F = _MU_KINDS[kind](op.rule)
     grid = ScaledGrid(op.t, _ODD_R, N)
     values = build_functional_net(F, op, grid).spec.node_values
-    # the ridge kinds in one call on all nodes; the L1 norm in pieces, as
-    # at s=2 its sums for all nodes at once would take 262 144 x 256 floats
-    piece = 512 if kind == "l1" else grid.node_count
-    assert _same_bits(_mu_at_nodes(F, op, grid, piece), values)
-    assert _same_bits(_mu_at_nodes(F.bind(op.rule), op, grid, piece), values)
-
-
-def _mu_at_nodes(F, op, grid, piece):
-    # mu_values over the grid's nodes, a piece of nodes per call
-    n = grid.node_count
-    return np.concatenate([mu_values(F, op, grid.nodes(np.arange(lo, min(lo + piece, n))))
-                           for lo in range(0, n, piece)])
+    # one call on all nodes; mu_values holds the sums of _NODE_RUN // r
+    # vectors at a time (the L1 norm at s=2: 64 vectors of 256 sums)
+    nodes = grid.node_array()
+    assert _same_bits(mu_values(F, op, nodes), values)
+    assert _same_bits(mu_values(F.bind(op.rule), op, nodes), values)
 
 
 def _gamma(n):

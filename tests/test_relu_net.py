@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from funcrelu import relu_net
+from funcrelu import constructors, relu_net
 from funcrelu.constructors import (
     InterpolationSpec,
     build_interpolation_net,
@@ -622,6 +622,25 @@ def _short_output(doc):
     return _mutated(doc, ("output", "weights", -1), None, delete=True)
 
 
+def _two_output_rows(doc):
+    out = doc["output"]
+    return _mutated(doc, ("output",), {**out, "rows": 2, "weights": out["weights"] * 2})
+
+
+def _short_middle_layer(doc):
+    # layer 3 loses its last row: a consistent layer of the wrong shape
+    layer = doc["layers"][3]
+    return _mutated(doc, ("layers", 3), {"rows": layer["rows"] - 1, "cols": layer["cols"],
+                                         "weights": layer["weights"][:-layer["cols"]],
+                                         "shifts": layer["shifts"][:-1]})
+
+
+def _huge_t(doc):
+    # the document's 7 layers are t = 2's; a spike block on R^1000 has
+    # 1 001 001 of them, and no such block may be built to find that out
+    return _mutated(doc, ("grid", "t"), 1000)
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: _mutated(d, ("layers", 1, "weights", 0), d["layers"][1]["weights"][0] + 1.0),
     lambda d: _mutated(d, ("layers", 0, "weights", 0), d["layers"][0]["weights"][0] * 2),
@@ -644,14 +663,24 @@ def _short_output(doc):
     lambda d: _mutated(d, ("grid", "R"), 2.0),
     _short_output,
     lambda d: _mutated(d, ("version",), relu_net.FORMAT_VERSION),
+    lambda d: _mutated(d, ("input_dim",), 3),
+    _short_middle_layer,
+    _two_output_rows,
+    _huge_t,
 ], ids=["block-weight", "first-layer-weight", "first-layer-shift", "grid-list",
         "no-grid", "no-R", "t-0", "t-2.5", "t-true", "t-3", "N-0", "N-2.5",
         "N-true", "N-huge", "R-inf", "R-nan", "R-negative", "R-huge", "R-other",
-        "short-output", "version-1"])
-def test_malformed_v2_document_named(edit):
+        "short-output", "version-1", "input-dim-not-t", "middle-layer-shape",
+        "two-output-rows", "t-1000"])
+def test_malformed_v2_document_named(edit, monkeypatch):
     raw = json.dumps(edit(VALID_V2_DOC)).encode()
+    built = []
+    monkeypatch.setattr(constructors, "build_spike_net",
+                        lambda t: built.append(t) or build_spike_net(t))
     with pytest.raises(NetworkFormatError):
         deserialize(raw)
+    if edit is _huge_t:
+        assert built == []
 
 
 def test_full_pass_output_stage_within_the_budget(monkeypatch):
