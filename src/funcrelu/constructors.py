@@ -20,8 +20,8 @@ import numpy as np
 
 from .relu_net import Layer, ReluNetwork
 # spike_layer_shapes is imported from here as well
-from .simplicial import (ScaledGrid, integer_size, point_batch, real_array, spike,
-                         spike_forms, spike_layer_shapes, support_pairs)
+from .simplicial import (ScaledGrid, integer_size, point_batch, read_only, real_array,
+                         spike, spike_forms, spike_layer_shapes, support_pairs)
 
 
 def build_min_net(d: int) -> ReluNetwork:
@@ -89,7 +89,10 @@ def spike_nominal_nonzeros(t: int) -> int:
 
 @dataclass(frozen=True)
 class InterpolationSpec:
-    """Grid plus one value per grid node (flat array in C node order)."""
+    """Grid plus one value per grid node (flat array in C node order).
+    The node values are made read-only in place, not copied: the caller's
+    array too, where it holds them (see
+    :func:`funcrelu.simplicial.read_only`)."""
 
     grid: ScaledGrid
     node_values: np.ndarray
@@ -102,7 +105,7 @@ class InterpolationSpec:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("node values must be finite")
-        object.__setattr__(self, "node_values", vals)
+        object.__setattr__(self, "node_values", read_only(vals, self.node_values))
 
 
 def build_interpolation_net(spec: InterpolationSpec,
@@ -123,9 +126,12 @@ def build_interpolation_net(spec: InterpolationSpec,
 
     ``block`` is a spike net of the grid's t to build from instead of a
     new one; the net then holds its deeper ``Layer`` objects, and with them
-    the index forms forward multiplies by, and only the scaled
-    first layer is its own.  A grid net, or a block of other shapes,
-    raises ValueError.
+    their index forms (:attr:`funcrelu.relu_net.Layer.form`), and only the
+    scaled first layer is its own.  A grid net, or a block of other
+    shapes, raises ValueError.  Sharing is safe because a net, its layers
+    and its node values are fixed when made (see
+    :mod:`funcrelu.relu_net`): the net's output row is ``spec``'s
+    read-only node values, and a write to them raises ValueError.
     """
     grid = spec.grid
     if block is None:

@@ -363,7 +363,7 @@ def generate_inputs(cls: InputClass, s: int) -> list:
     return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FunctionalNet:
     """Discretization operator plus interpolation network on its cube, and
     the seconds spent computing the network's node values."""

@@ -8,33 +8,42 @@ A network with J hidden layers computes
 where each hidden layer applies its weight matrix, adds the shift vector
 and passes the result through relu componentwise.  The output stage is a
 plain matrix A with no shift; the scalar case is a 1-row A.  Every
-weight matrix is a dense float ndarray, read-only once the net is made.
-An interpolation net stores the layers of one spike block and a grid
-that repeats it once per node (see :class:`ReluNetwork`); counts and
-values are those of the net with every copy written out.
+weight matrix is a dense float ndarray.  An interpolation net stores the
+layers of one spike block and a grid that repeats it once per node (see
+:class:`ReluNetwork`); counts and values are those of the net with every
+copy written out.
+
+A net, its layers and its node values are fixed when made.  Assigning a
+field of a :class:`Layer` or a :class:`ReluNetwork` raises
+``dataclasses.FrozenInstanceError``; ``layers`` is a tuple, so it has no
+``append``; and every array the net keeps is read-only, the caller's
+array it came from too where they share memory, so a write to one
+raises numpy's read-only ValueError.  Nets may therefore share layers.
 
 :func:`forward` runs every net through one pass over (point, copy)
 pairs: one per point without a grid, else the point's candidate copies,
 the vertices of its simplex (at most 2^(t+1) - 1).  Each layer
-multiplies by its index form (each row's nonzero columns and weights,
-numpy only, no BLAS), kept on the layer, so nets that share a block's
-layers share their forms.  The output stage adds each point's terms in
-ascending column order from 0.0, so no value follows the point chunks or
-the BLAS thread count.
+multiplies by its index form, :attr:`Layer.form` (each row's nonzero
+columns and weights, numpy only, no BLAS), made once per layer, so nets
+that share a block's layers share their forms.  The output stage adds
+each point's terms in ascending column order from 0.0, so no value
+follows the point chunks or the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .simplicial import (ScaledGrid, integer_size, point_batch, real_array,
-                         spike_forms, spike_layer_shapes, support_pairs)
+from .simplicial import (ScaledGrid, integer_size, point_batch, read_only,
+                         real_array, spike_layer_shapes, spike_shifts,
+                         support_pairs)
 
 FORMAT_VERSION = 1
 # a grid net: its stored block, its output row and its grid
@@ -69,31 +78,27 @@ def _check_finite(w, what):
         raise ValueError(f"non-finite entries in {what}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Layer:
-    """One hidden layer, relu(W @ h + b).
+    """One hidden layer, relu(W @ h + b), with read-only weights (r, c)
+    and shifts (r,) (see :func:`funcrelu.simplicial.read_only`).
 
     In a grid net (see :class:`ReluNetwork`) the layer is the block that
     every grid node repeats, and ``rows`` and ``cols`` are the block's own.
     """
 
-    # (r, c); read-only once in a net, and _index keeps the index form
-    # forward multiplies by
     weights: np.ndarray
-    shifts: np.ndarray  # (r,)
-    _index: Optional[tuple] = field(default=None, init=False, repr=False,
-                                    compare=False)
+    shifts: np.ndarray
 
     def __post_init__(self):
-        self.weights = _as_matrix(self.weights)
-        self.shifts = real_array(self.shifts, "layer shifts").ravel()
-        if self.shifts.shape[0] != self.weights.shape[0]:
-            raise ValueError(
-                f"layer has {self.weights.shape[0]} rows but "
-                f"{self.shifts.shape[0]} shifts"
-            )
-        _check_finite(self.weights, "layer weights")
-        _check_finite(self.shifts, "layer shifts")
+        w = _as_matrix(self.weights)
+        b = real_array(self.shifts, "layer shifts").ravel()
+        if b.shape[0] != w.shape[0]:
+            raise ValueError(f"layer has {w.shape[0]} rows but {b.shape[0]} shifts")
+        _check_finite(w, "layer weights")
+        _check_finite(b, "layer shifts")
+        object.__setattr__(self, "weights", read_only(w, self.weights))
+        object.__setattr__(self, "shifts", read_only(b, self.shifts))
 
     @property
     def rows(self) -> int:
@@ -103,12 +108,47 @@ class Layer:
     def cols(self) -> int:
         return self.weights.shape[1]
 
+    @cached_property
+    def form(self) -> _IndexForm:
+        """The index form :func:`forward` multiplies by, written from
+        ``np.nonzero`` of the dense weights on first use.  A spike block
+        has a few thousand nonzeros at most, so the runs are read from
+        Python lists of them.
 
-@dataclass
+        ``relu`` names the runs that hold a weight or a shift below zero.
+        On the output of a relu layer the other runs add nonnegative terms,
+        so relu would leave them as they are (a zero may differ in sign
+        only), and the pass applies relu to the named runs alone."""
+        w, b = self.weights, self.shifts
+        row, col = np.nonzero(w)
+        values, cols = w[row, col].tolist(), col.tolist()
+        count = np.bincount(row, minlength=w.shape[0])
+        # each run's first row, then the end: a layer of no rows has no run
+        edges = sorted({0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), w.shape[0]})
+        count, shifts = count.tolist(), b.tolist()
+        runs, relu = [], []
+        at = 0  # the run's first nonzero
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            k = count[lo]
+            end = at + k * (hi - lo)
+            # row-major nonzeros: the run's i-th terms are every k-th one
+            runs.append((slice(lo, hi), tuple(_term(cols[at + i : end : k],
+                                                    values[at + i : end : k])
+                                              for i in range(k))))
+            if min(values[at:end], default=0.0) < 0.0 or min(shifts[lo:hi]) < 0.0:
+                relu.append(slice(lo, hi))
+            at = end
+        return _IndexForm(len(count), tuple(runs),
+                          b[:, None] if any(shifts) else None, tuple(relu))
+
+
+@dataclass(frozen=True, eq=False)
 class ReluNetwork:
-    """Immutable feedforward ReLU network: it makes its layers' weights and
-    shifts read-only, so the index form :func:`forward` keeps on each
-    layer cannot go stale.
+    """Feedforward ReLU network, fixed when made (see the module
+    docstring): assigning a field raises
+    ``dataclasses.FrozenInstanceError``, ``layers`` is a tuple of
+    :class:`Layer`, and a write to ``output`` raises ValueError.  Layers
+    given as (weights, shifts) pairs are made into :class:`Layer` objects.
 
     ``output`` is a matrix, one row per network value; scalar networks
     have a single output row.
@@ -128,17 +168,19 @@ class ReluNetwork:
     """
 
     input_dim: int
-    layers: list = field(default_factory=list)
+    layers: tuple = ()
     output: object = None
     grid: Optional[ScaledGrid] = None
 
     def __post_init__(self):
-        self.layers = [
-            l if isinstance(l, Layer) else Layer(*l) for l in self.layers
-        ]
-        self.output = _as_matrix(self.output)
-        _check_finite(self.output, "output weights")
-        self.input_dim = integer_size(self.input_dim, "input_dim")
+        # from a list, so the tuple is made once at its size: tuple() of a
+        # generator grows it by reallocation, which fragments the
+        # small-object heap and raised the benchmark's peak memory
+        object.__setattr__(self, "layers", tuple(
+            [l if isinstance(l, Layer) else Layer(*l) for l in self.layers]))
+        output = _as_matrix(self.output)
+        _check_finite(output, "output weights")
+        object.__setattr__(self, "input_dim", integer_size(self.input_dim, "input_dim"))
         if self.grid is not None:
             t = self.grid.t
             # the count first, so a huge t makes no list of shapes
@@ -156,14 +198,12 @@ class ReluNetwork:
                     f"layer {j} expects {layer.cols} inputs, got {prev}"
                 )
             prev = layer.rows
-        if self.output.shape[1] != _copies(self) * prev:
+        if output.shape[1] != _copies(self) * prev:
             got = prev if self.grid is None else (
                 f"{prev} x {self.grid.node_count} grid nodes")
             raise ValueError(
-                f"output expects {self.output.shape[1]} inputs, got {got}")
-        for layer in self.layers:
-            layer.weights.flags.writeable = False
-            layer.shifts.flags.writeable = False
+                f"output expects {output.shape[1]} inputs, got {got}")
+        object.__setattr__(self, "output", read_only(output, self.output))
 
     @property
     def output_dim(self) -> int:
@@ -195,7 +235,7 @@ _NODE_RUN = 1 << 14
 def _grid_shifts(grid: ScaledGrid, node) -> np.ndarray:
     """First-layer shifts (len(node), t^2 + t) of the spike copies of the
     grid nodes with flat indices ``node``."""
-    return spike_forms(grid.t, 1.0 / grid.h, grid.nodes(node))[1]
+    return spike_shifts(grid.t, 1.0 / grid.h, grid.nodes(node))
 
 
 def _shift_nnz(grid: ScaledGrid) -> int:
@@ -317,43 +357,6 @@ def _term(cols: list, weights: list) -> tuple:
     return src, np.array(weights)[:, None]
 
 
-def _index_form(layer: Layer) -> _IndexForm:
-    """The index form of a layer, written from ``np.nonzero`` of its dense
-    weights; made on first use and kept on the layer while its weights
-    and shifts are the same objects (a net makes them read-only, so the
-    form cannot go stale).  A spike block has a few thousand nonzeros at
-    most, so the runs are read from Python lists of them.
-
-    ``relu`` names the runs that hold a weight or a shift below zero.  On
-    the output of a relu layer the other runs add nonnegative terms, so
-    relu would leave them as they are (a zero may differ in sign only),
-    and the pass applies relu to the named runs alone."""
-    w, b = layer.weights, layer.shifts
-    if layer._index is None or layer._index[0] is not w or layer._index[1] is not b:
-        row, col = np.nonzero(w)
-        values, cols = w[row, col].tolist(), col.tolist()
-        count = np.bincount(row, minlength=w.shape[0])
-        # each run's first row, then the end: a layer of no rows has no run
-        edges = sorted({0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), w.shape[0]})
-        count, shifts = count.tolist(), b.tolist()
-        runs, relu = [], []
-        at = 0  # the run's first nonzero
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            k = count[lo]
-            end = at + k * (hi - lo)
-            # row-major nonzeros: the run's i-th terms are every k-th one
-            runs.append((slice(lo, hi), tuple(_term(cols[at + i : end : k],
-                                                    values[at + i : end : k])
-                                              for i in range(k))))
-            if min(values[at:end], default=0.0) < 0.0 or min(shifts[lo:hi]) < 0.0:
-                relu.append(slice(lo, hi))
-            at = end
-        layer._index = (w, b, _IndexForm(len(count), tuple(runs),
-                                         b[:, None] if any(shifts) else None,
-                                         tuple(relu)))
-    return layer._index[2]
-
-
 def _index_product(form: _IndexForm, h: np.ndarray) -> np.ndarray:
     """W @ h for the layer of ``form``, h (cols, pairs): each row adds its
     terms in ascending column order, one rounding per add, as
@@ -417,7 +420,7 @@ def _forward_pairs(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
     that starts from 0.0 never becomes -0.0, so adding such a term
     leaves it as it is.
     """
-    forms = [_index_form(l) for l in net.layers]
+    forms = [l.form for l in net.layers]
     units = net.layers[-1].rows if net.layers else net.input_dim
     chunk = _chunk_points(net)
     outs = [np.empty((0, net.output_dim))]  # an empty batch has no chunk

@@ -50,6 +50,17 @@ def real_array(x, what: str) -> np.ndarray:
     return x.astype(float, copy=False)
 
 
+def read_only(a: np.ndarray, source) -> np.ndarray:
+    """``a``, an array a made object keeps, made read-only in place, and
+    ``source``, the caller's value it came from, too where ``a`` shares
+    its memory: a write to either then raises numpy's read-only
+    ValueError, and no second copy is made."""
+    a.flags.writeable = False
+    if isinstance(source, np.ndarray) and np.may_share_memory(a, source):
+        source.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SimplexId:
     """Cell of the triangulation: integer shift ``n`` and permutation ``rho``."""
@@ -258,10 +269,8 @@ def spike_forms(t: int, scale: float = 1.0, center=None):
     then the 1 + (.) singles; then the 1 - (.) singles.  For the origin
     the layer has exactly 3t(t-1) + 4t nonzero entries; shift terms can
     cancel some biases for lattice centres, which is reported, never
-    forced.
+    forced.  b is :func:`spike_shifts`.
     """
-    c = scale * (np.zeros(t) if center is None
-                 else np.asarray(center, dtype=float))
     k, j = np.nonzero(~np.eye(t, dtype=bool))
     pairs, singles = np.arange(k.size), np.arange(t)
     W = np.zeros((t * t + t, t))
@@ -269,9 +278,16 @@ def spike_forms(t: int, scale: float = 1.0, center=None):
     W[pairs, j] = -scale
     W[k.size + singles, singles] = scale
     W[k.size + t + singles, singles] = -scale
-    b = np.concatenate([1.0 - c[..., k] + c[..., j], 1.0 - c, 1.0 + c],
-                       axis=-1)
-    return W, b
+    return W, spike_shifts(t, scale, center)
+
+
+def spike_shifts(t: int, scale: float, center) -> np.ndarray:
+    """The shifts of :func:`spike_forms`, with no weight matrix: with
+    c = scale * center, 1 - c_k + c_j per pair row, then 1 - c and 1 + c."""
+    c = scale * (np.zeros(t) if center is None else np.asarray(center, dtype=float))
+    k, j = np.nonzero(~np.eye(t, dtype=bool))
+    return np.concatenate([1.0 - c[..., k] + c[..., j], 1.0 - c, 1.0 + c],
+                          axis=-1)
 
 
 def spike_layer_shapes(t: int) -> list:

@@ -20,7 +20,7 @@ from .functions import get_function
 from .legendre import LegendreBasis, PolyCoeffs, gauss_legendre_rule, lp_norm
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool

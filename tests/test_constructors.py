@@ -283,8 +283,8 @@ class TestInterpolationNet:
         grid = ScaledGrid(t, R, N)
         values = rng.standard_normal(grid.node_count)
         values[rng.integers(grid.node_count)] = 0.0
-        nets = [ReluNetwork(t, [Layer(*spike_forms(t, 1.0 / grid.h, xi))]
-                            + build_spike_net(t).layers[1:], np.array([[1.0]]))
+        nets = [ReluNetwork(t, [Layer(*spike_forms(t, 1.0 / grid.h, xi)),
+                                *build_spike_net(t).layers[1:]], np.array([[1.0]]))
                 for xi in grid.node_array()]
         block = build_interpolation_net(InterpolationSpec(grid, values))
         assert serialize(dense_expansion(block)) == serialize(_parallel_sum(nets, values))

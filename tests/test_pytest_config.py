@@ -107,7 +107,7 @@ def test_the_blas_check_sees_a_product_in_a_named_function(tmp_path):
 FLOAT_CASTS_ALLOWED = {
     "legendre.legendre_values", "legendre.tensor_eval", "functions._asbatch",
     "pipeline.sample_inputs", "relu_net._float_list", "relu_net._numbers",
-    "simplicial.spike_forms", "simplicial.simplex_vertices", "simplicial.in_S0",
+    "simplicial.spike_shifts", "simplicial.simplex_vertices", "simplicial.in_S0",
     "verify.check_spike_equivalence",
 }
 
@@ -144,6 +144,55 @@ def test_only_the_program_s_own_arrays_are_cast_to_float():
     assert [c for c in casts if c[1] not in FLOAT_CASTS_ALLOWED] == []
     # and the list names no function that casts nothing
     assert FLOAT_CASTS_ALLOWED - {where for _, where in casts} == set()
+
+
+# dataclasses of src/funcrelu that are changed after they are made, and
+# why; every other one is frozen=True, so an object shared between nets or
+# runs stays what it was made
+MUTABLE_DATACLASSES = {
+    "pipeline.ExperimentRow": "filled field by field in _measure_point",
+    "pipeline.ExperimentConfig": "set after it is made by cli, verify.rate_report "
+                                 "and bench/workloads.verify_config_mismatches",
+    "pipeline.ExperimentReport": "run_rate_experiment appends its rows and sets its summary",
+}
+
+
+def _dataclasses(path: Path) -> list:
+    """(``module.Class``, frozen) of each class in a module decorated with
+    ``dataclass`` or ``dataclasses.dataclass``, called or not; frozen only
+    for a literal ``frozen=True``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            func = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+                frozen = isinstance(dec, ast.Call) and any(
+                    k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                    and k.value.value is True for k in dec.keywords)
+                found.append((f"{path.stem}.{node.name}", frozen))
+    return found
+
+
+def test_every_dataclass_is_frozen_or_listed():
+    # a net, its layers and its node values are fixed when made; a new
+    # dataclass is too unless the list says why it is not
+    classes = [c for path in sorted((ROOT / "src" / "funcrelu").glob("*.py"))
+               for c in _dataclasses(path)]
+    assert len(classes) > len(MUTABLE_DATACLASSES)
+    # exactly the listed classes: an entry that is frozen or gone fails too
+    assert sorted(name for name, frozen in classes if not frozen) == sorted(MUTABLE_DATACLASSES)
+
+
+def test_the_dataclass_check_reads_each_decorator_form(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("@dataclass\nclass A:\n    pass\n\n\n"
+                      "@dataclass(frozen=True, eq=False)\nclass B:\n    pass\n\n\n"
+                      "@dataclasses.dataclass(frozen=False)\nclass C:\n    pass\n\n\n"
+                      "@functools.total_ordering\nclass D:\n    pass\n")
+    assert _dataclasses(module) == [("module.A", False), ("module.B", True),
+                                    ("module.C", False)]
 
 
 # definitions that nothing in src/ or bench/ names, kept because they are

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -994,7 +995,7 @@ class TestPrunedForward:
 
 
 def _index_product(layer, h):
-    return relu_net._index_product(relu_net._index_form(layer), h)
+    return relu_net._index_product(layer.form, h)
 
 
 def _zero_signed_inputs(rng, cols, points, signed):
@@ -1028,7 +1029,7 @@ class TestBlockIndexForm:
             if not signed:
                 # relu changes only the rows the form names
                 left = np.ones(layer.rows, dtype=bool)
-                for rows in relu_net._index_form(layer).relu:
+                for rows in layer.form.relu:
                     left[rows] = False
                 assert np.array_equal(np.maximum(want[left], 0.0), want[left])
 
@@ -1046,7 +1047,7 @@ class TestBlockIndexForm:
         shifts = rng.choice([0.0, 0.0, 0.25, -0.75], rows) * (seed % 3 != 0)
         layer = Layer(w, shifts)
         h = _zero_signed_inputs(rng, cols, 50, signed=False)
-        form = relu_net._index_form(layer)
+        form = layer.form
         got = relu_net._index_layer(form, h)
         want = np.maximum(sp.csr_matrix(w) @ h + shifts[:, None], 0.0)
         assert np.array_equal(got, want)
@@ -1078,21 +1079,87 @@ class TestBlockIndexForm:
             before = evaluate(net, x)
             assert before > 0.0
             layer = net.layers[-1]
-            old = relu_net._index_form(layer)
+            old = layer.form
             with pytest.raises(ValueError, match="read-only"):
                 layer.weights[0, 0] = 2.0
             with pytest.raises(ValueError, match="read-only"):
                 layer.shifts[0] = 2.0
-            # a new weights array gets its own form; the last layer has no
-            # shift, so the net's value doubles
-            layer.weights = 2.0 * layer.weights
-            assert relu_net._index_form(layer) is not old
-            assert np.array_equal(_index_product(layer, np.eye(layer.cols)), layer.weights)
-            assert evaluate(net, x) == 2.0 * before
-            # and so does a new shifts array
-            old = relu_net._index_form(layer)
-            layer.shifts = layer.shifts + 0.0
-            assert relu_net._index_form(layer) is not old
+            assert layer.form is old
+            assert evaluate(net, x) == before
+
+
+class TestFixedWhenMade:
+    """A net, its layers and its node values cannot change after they are
+    made: each change raises a named error, and the net's values stay."""
+
+    @staticmethod
+    def _net(values=None):
+        grid = ScaledGrid(2, 1.0, 4)
+        if values is None:
+            values = np.arange(grid.node_count, dtype=float)
+        spec = InterpolationSpec(grid, values)
+        return spec, build_interpolation_net(spec)
+
+    def test_fields_cannot_be_assigned(self):
+        _, net = self._net()
+        before = evaluate(net, [0.1, 0.2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.grid = ScaledGrid(2, 2.0, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.output = np.zeros_like(net.output)
+        assert evaluate(net, [0.1, 0.2]) == before
+
+    def test_a_shared_block_layer_cannot_be_assigned(self):
+        # wrong-shaped weights on a layer would reach every net holding it
+        block = build_spike_net(2)
+        spec, _ = self._net()
+        nets = [build_interpolation_net(spec, block) for _ in range(2)]
+        before = [evaluate(net, [0.1, 0.2]) for net in nets]
+        layer = block.layers[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.weights = np.ones((3, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.shifts = np.zeros(layer.rows)
+        assert [evaluate(net, [0.1, 0.2]) for net in nets] == before
+
+    def test_layers_cannot_be_appended(self):
+        _, net = self._net()
+        with pytest.raises(AttributeError):
+            net.layers.append(Layer(np.ones((1, 1)), np.zeros(1)))
+        assert depth(net) == 2 * 2 + 2 + 1
+
+    def test_node_values_are_read_only(self):
+        values = np.arange(25, dtype=float)
+        spec, net = self._net(values)
+        before = (evaluate(net, [0.1, 0.2]), count_nonzero(net))
+        for write in (lambda: values.__setitem__(7, np.nan),
+                      lambda: values.__setitem__(7, 0.0),
+                      lambda: spec.node_values.__setitem__(7, 0.0),
+                      lambda: net.output.__setitem__((0, 7), 0.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert (evaluate(net, [0.1, 0.2]), count_nonzero(net)) == before
+
+    def test_a_copied_caller_array_stays_writable(self):
+        # integer values are converted, so the spec keeps its own copy
+        values = np.arange(25)
+        spec, _ = self._net(values)
+        values[7] = -1
+        assert spec.node_values[7] == 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.node_values[7] = 0.0
+
+    def test_nets_of_one_block_share_the_block_s_forms(self):
+        block = build_spike_net(2)
+        nets = [build_interpolation_net(InterpolationSpec(ScaledGrid(2, R, N),
+                                                          np.ones((N + 1) ** 2)), block)
+                for R, N in ((1.0, 2), (0.7, 5))]
+        for net in nets:
+            evaluate(net, [0.1, 0.2])
+        for mine, theirs, shared in zip(*(n.layers[1:] for n in nets), block.layers[1:]):
+            assert mine.form is theirs.form is shared.form
+        # the first layer is each net's own, scaled to its cell
+        assert nets[0].layers[0] is not nets[1].layers[0]
 
 
 # Builds, counts, round-trips and runs a grid net, then a tiny rate
@@ -1166,15 +1233,15 @@ def _node_run_shift_nnz(grid, run=1 << 14):
 
 
 def _record_centres(monkeypatch) -> list:
-    """The number of centres of each spike_forms call relu_net makes."""
+    """The number of centres of each spike_shifts call relu_net makes."""
     centres = []
-    real = relu_net.spike_forms
+    real = relu_net.spike_shifts
 
     def recording(t, scale, center):
         centres.append(len(center))
         return real(t, scale, center)
 
-    monkeypatch.setattr(relu_net, "spike_forms", recording)
+    monkeypatch.setattr(relu_net, "spike_shifts", recording)
     return centres
 
 
