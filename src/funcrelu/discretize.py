@@ -38,6 +38,7 @@ from .legendre import (
     check_p,
     default_rule_size,
     gauss_legendre_rule,
+    row_products,
     sampled_lp_norm,
 )
 from .simplicial import integer_size, point_batch, real_array
@@ -166,23 +167,28 @@ def _project(op: DiscretizationOperator, f, B: np.ndarray):
     projection onto the basis functions whose node values are B's columns.
 
     ``f`` is an input function, called at the nodes, or already its values
-    there, one per node.
+    there: one input (nodes,) or a stack (n, nodes), one input per row,
+    whose values and projections keep the stack's rows.
     """
     points = op.rule.points
-    vals = real_array(f(points) if callable(f) else f, "input function values").ravel()
-    if vals.shape[0] != points.shape[0]:
+    vals = real_array(f(points) if callable(f) else f, "input function values")
+    if callable(f) or vals.ndim != 2:
+        vals = vals.ravel()
+    if vals.shape[-1] != points.shape[0]:
         raise ValueError(f"expected {points.shape[0]} values at the quadrature "
-                         f"nodes, got {vals.shape[0]}")
+                         f"nodes, got {vals.shape[-1]}")
     bad = ~np.isfinite(vals)
     if bad.any():
-        node = points[int(np.argmax(bad))]
-        raise ValueError(f"input function returned a non-finite value at node {node}")
-    return vals, B.T @ (op.rule.weights * vals)
+        row, node = divmod(int(np.argmax(bad)), points.shape[0])
+        where = f"input {row} has" if vals.ndim == 2 else "input function returned"
+        raise ValueError(f"{where} a non-finite value at node {points[node]}")
+    return vals, row_products(B.T, op.rule.weights * vals)
 
 
 def apply_Vm(op: DiscretizationOperator, f) -> PolyCoeffs:
-    """Filtered quadrature projection of f (an input function or its
-    values at op's nodes) onto the degree window."""
+    """Filtered quadrature projection of f (an input function, its values
+    at op's nodes, or a stack of such values, one polynomial per row) onto
+    the degree window."""
     return PolyCoeffs(op.basis, op.filter * _project(op, f, op.basis_at_nodes)[1])
 
 
@@ -190,9 +196,12 @@ def discretize(op: DiscretizationOperator, f,
                self_check: bool = False) -> np.ndarray:
     """Coefficient vector of the discretized function, length t.
 
-    ``f`` is an input function or its values at op's nodes.  With ``self_check``
-    the quadrature is repeated at doubled resolution and a relative drift
-    above 1e-8 warns; that needs f itself, not its node values.
+    ``f`` is an input function or its values at op's nodes.  A stack
+    (n, nodes) of node values, one input per row, gives the (n, t)
+    vectors, each row bit-equal to that row's own call.  With
+    ``self_check`` the quadrature is repeated at doubled resolution and a
+    relative drift above 1e-8 warns; that needs f itself, not its node
+    values.
     """
     if self_check and not callable(f):
         raise ValueError("self_check needs the input function, not its node values")
@@ -223,14 +232,15 @@ def transfer_modulus(omega_F, m: int, s: int, p: float,
     return lambda r: omega_F(factor * r)
 
 
-def projection_error(op: DiscretizationOperator, f, p: float = 2.0) -> float:
+def projection_error(op: DiscretizationOperator, f, p: float = 2.0):
     """Distance from f (an input function or its values at op's nodes) to
-    the polynomials of coordinatewise degree <= m.
+    the polynomials of coordinatewise degree <= m; for a stack (n, nodes)
+    of node values, one input per row, the (n,) distances, each bit-equal
+    to that row's own call.
 
     For p = 2 this is the best approximation error at the resolution of
     op's rule (orthonormal projection).  For p != 2 the same projector is
     measured in the quadrature p-norm, an upper bound on the true minimum.
     """
     vals, coeffs = _project(op, f, op.low_basis_at_nodes)
-    return sampled_lp_norm(vals - op.low_basis_at_nodes @ coeffs, p, op.rule)
-
+    return sampled_lp_norm(vals - row_products(op.low_basis_at_nodes, coeffs), p, op.rule)

@@ -32,16 +32,19 @@ def legendre_values(n_max: int, x) -> np.ndarray:
 
     Uses the stable three-term recurrence
     (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} and scales by sqrt(k + 1/2).
+    The recurrence runs degree by degree on the contiguous rows of a
+    (n_max+1,) + x.shape array, which is then copied to the C-contiguous
+    result, from which :func:`tensor_eval` gathers its columns.
     """
     x = np.asarray(x, dtype=float)
-    vals = np.empty(x.shape + (n_max + 1,))
-    vals[..., 0] = 1.0
+    vals = np.empty((n_max + 1,) + x.shape)
+    vals[0] = 1.0
     if n_max >= 1:
-        vals[..., 1] = x
+        vals[1] = x
     for k in range(1, n_max):
-        vals[..., k + 1] = ((2 * k + 1) * x * vals[..., k] - k * vals[..., k - 1]) / (k + 1)
-    vals *= np.sqrt(np.arange(n_max + 1) + 0.5)
-    return vals
+        vals[k + 1] = ((2 * k + 1) * x * vals[k] - k * vals[k - 1]) / (k + 1)
+    vals *= np.sqrt(np.arange(n_max + 1) + 0.5).reshape((-1,) + (1,) * x.ndim)
+    return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
 
 
 def tensor_multi_indices(s: int, max_degree: int) -> np.ndarray:
@@ -55,14 +58,19 @@ def tensor_multi_indices(s: int, max_degree: int) -> np.ndarray:
 def tensor_eval(multi_indices: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Tensor-product values prod_j L_{k_j}(x_j) for each multi-index row.
 
-    x has shape (..., s); result has shape (..., count).
+    x has shape (..., s); result has shape (..., count), C-contiguous, as
+    its callers' BLAS products expect.  The first axis's values start the
+    product (no array of ones is multiplied), and each further axis
+    multiplies it in place.
     """
     x = np.asarray(x, dtype=float)
+    count, s = multi_indices.shape
+    if s == 0:
+        return np.ones(x.shape[:-1] + (count,))
     n_max = int(multi_indices.max(initial=0))
-    out = np.ones(x.shape[:-1] + (multi_indices.shape[0],))
-    for d in range(multi_indices.shape[1]):
-        vals = legendre_values(n_max, x[..., d])
-        out *= vals[..., multi_indices[:, d]]
+    out = np.take(legendre_values(n_max, x[..., 0]), multi_indices[:, 0], axis=-1)
+    for d in range(1, s):
+        out *= np.take(legendre_values(n_max, x[..., d]), multi_indices[:, d], axis=-1)
     return out
 
 
@@ -97,19 +105,25 @@ class PolyCoeffs:
     """Polynomial sum_k coeffs[k] * L_{k+1}; callable on points in the cube.
 
     The Euclidean norm of ``coeffs`` equals the L2 norm of the polynomial.
+    ``coeffs`` of shape (n, t) is a stack of n polynomials, one per row;
+    any other shape is one polynomial's t coefficients.
     """
 
     basis: LegendreBasis
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = real_array(self.coeffs, "coefficients").ravel()
-        if c.shape[0] != self.basis.t:
-            raise ValueError(f"expected {self.basis.t} coefficients, got {c.shape[0]}")
+        c = real_array(self.coeffs, "coefficients")
+        if c.ndim != 2:
+            c = c.ravel()
+        if c.shape[-1] != self.basis.t:
+            raise ValueError(f"expected {self.basis.t} coefficients, got {c.shape[-1]}")
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, x):
-        return self.basis.eval_all(x) @ self.coeffs
+        """Values at the points, shape (...) for one polynomial and (..., n)
+        for a stack."""
+        return self.basis.eval_all(x) @ self.coeffs.T
 
 
 @dataclass(frozen=True)
@@ -184,14 +198,31 @@ def check_p(p: float) -> None:
         raise ValueError(f"need p >= 1 and p < inf, got p={p}")
 
 
+def row_products(B: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B @ x for one vector x (k,), or for each row of a stack (..., k):
+    one matrix-vector product per row (a dot product per row for a vector
+    B (k,)), the same BLAS call and so the same bits as the one-vector
+    product.  One product of B with all the rows would round differently."""
+    if B.ndim == 1:
+        return np.matmul(x[..., None, :], B)[..., 0]
+    return np.matmul(B, x[..., None])[..., 0]
+
+
 def lp_norm(func, p: float, rule: GaussRule) -> float:
     """Quadrature L^p norm on the cube; approximate for p != 2 since
     |f|^p is not polynomial."""
-    return sampled_lp_norm(func(rule.points), p, rule)
+    return sampled_lp_norm(real_array(func(rule.points), "values").ravel(), p, rule)
 
 
-def sampled_lp_norm(values, p: float, rule: GaussRule) -> float:
-    """Quadrature L^p norm from the values at the rule's nodes."""
+def sampled_lp_norm(values, p: float, rule: GaussRule):
+    """Quadrature L^p norm from the values at the rule's nodes: a float for
+    one function's values, or an array (n,) of one norm per row of a stack
+    (n, nodes), each row's equal bit for bit to its own call."""
     check_p(p)
-    vals = np.abs(real_array(values, "values").ravel())
-    return float((rule.weights @ vals**p) ** (1.0 / p))
+    vals = np.abs(real_array(values, "values"))
+    stack = vals.ndim == 2
+    sums = row_products(rule.weights, (vals if stack else vals.ravel()) ** p)
+    # each root by Python's float power, libm's pow, as a numpy scalar's
+    # is; numpy's array power rounds differently
+    roots = [float(v) ** (1.0 / p) for v in np.atleast_1d(sums)]
+    return np.array(roots) if stack else roots[0]

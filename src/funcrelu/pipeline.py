@@ -43,7 +43,7 @@ from .discretize import (
     projection_error,
     transfer_modulus,
 )
-from .legendre import (GaussRule, check_p, lp_norm, sampled_lp_norm,
+from .legendre import (GaussRule, check_p, lp_norm, row_products, sampled_lp_norm,
                        tensor_eval, tensor_multi_indices)
 from .relu_net import (
     _NODE_RUN,
@@ -87,16 +87,18 @@ class LinearForm:
     """psi(integral of f * g) on a rule's node samples.
 
     ``gw`` is the rule's weights times the weight g at its nodes, so the
-    integral is the samples dotted with ``gw``; ``psi`` is the outer map,
-    applied elementwise to a float array.  :func:`linear_functional`'s
-    form returns one per rule.
+    integral is the samples dotted with ``gw``, one dot product per row of
+    a stack of samples (see :func:`funcrelu.legendre.row_products`);
+    ``psi`` is the outer map, applied elementwise to a float array.
+    :func:`linear_functional`'s form returns one per rule.
     """
 
     psi: Callable
     gw: np.ndarray = field(repr=False)
 
     def __call__(self, values):
-        return real_array(self.psi(real_array(values, "node samples") @ self.gw), "psi values")
+        return real_array(self.psi(row_products(self.gw, real_array(values, "node samples"))),
+                          "psi values")
 
 
 @dataclass(frozen=True)
@@ -234,21 +236,25 @@ class SeriesInput:
 def sample_inputs(inputs, rule: GaussRule) -> np.ndarray:
     """Values of the inputs at the rule's nodes, one row per input.
 
-    Series inputs that share multi-indices share one basis evaluation; each
-    row is its own matrix-vector product, equal bit for bit to calling the
-    input at the nodes (one product for all rows would round differently).
+    Series inputs that share multi-indices share one basis evaluation, and
+    their rows come from one stacked product with their coefficients.  The
+    stacked product is one matrix-vector product per row
+    (:func:`funcrelu.legendre.row_products`), so each row is equal bit for
+    bit to calling its input at the nodes.
     """
-    bases = {}
-    rows = []
-    for f in inputs:
+    inputs = list(inputs)
+    rows = np.empty((len(inputs), rule.points.shape[0]))
+    series = {}
+    for i, f in enumerate(inputs):
         if isinstance(f, SeriesInput):
-            key = id(f.multi_indices)
-            if key not in bases:
-                bases[key] = tensor_eval(f.multi_indices, rule.points)
-            rows.append(bases[key] @ f.coeffs)
+            series.setdefault(id(f.multi_indices), []).append(i)
         else:
-            rows.append(real_array(f(rule.points), "input function values").ravel())
-    return np.array(rows, dtype=float)
+            rows[i] = real_array(f(rule.points), "input function values").ravel()
+    for members in series.values():
+        coeffs = np.array([inputs[i].coeffs for i in members], dtype=float)
+        rows[members] = row_products(tensor_eval(inputs[members[0]].multi_indices, rule.points),
+                                     coeffs)
+    return rows
 
 
 def _check_input_class(cls: InputClass, s) -> None:
@@ -267,6 +273,13 @@ def _check_input_class(cls: InputClass, s) -> None:
                              f"whole number >= 0, got {beta!r}")
     elif not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be a finite smoothness exponent > 0, got {beta!r}")
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of x (n, k): that is sqrt(x.dot(x)) for
+    one row, and a stacked (1, k) @ (k, 1) matmul makes the same dot call
+    for each row."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
 
 
 def generate_inputs(cls: InputClass, s: int) -> list:
@@ -340,19 +353,21 @@ def generate_inputs(cls: InputClass, s: int) -> list:
         state["has_uint32"] = (count * n) % 2
         state["uinteger"] = int(halves[-1])  # kept once read, as numpy does
         rng.bit_generator.state = state
-        # np.linalg.norm of a 1-D float array is sqrt(x.dot(x)), and a stacked
-        # (1, n) @ (n, 1) matmul makes the same dot call for each row
         ends = np.cumsum(sizes)
         norms = np.empty((count, sizes.shape[0]))
         for g, (lo, hi) in enumerate(zip(ends - sizes, ends)):
-            block = mags[:, lo:hi]
-            norms[:, g] = np.sqrt(np.matmul(block[:, None, :], block[:, :, None]))[:, 0, 0]
+            norms[:, g] = _row_norms(mags[:, lo:hi])
         c = np.zeros((count, n))
         c[:, order] = (mags / np.repeat(norms, sizes, axis=1) * np.repeat(np.sqrt(masses), sizes)
                        * np.repeat(jitter, sizes, axis=1))
-        for i in range(count):
-            c[i] /= max(float(np.max(np.abs(probe_B @ c[i]))), 1e-30)
-            out.append(SeriesInput(idx, c[i], f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
+        # each input's largest |value| on the probe, in runs of rows so the
+        # stacked values hold at most _NODE_RUN numbers
+        run = max(1, _NODE_RUN // probe_B.shape[0])
+        for lo in range(0, count, run):
+            top = np.max(np.abs(row_products(probe_B, c[lo:lo + run])), axis=1)
+            c[lo:lo + run] /= np.maximum(top, 1e-30)[:, None]
+        out += [SeriesInput(idx, c[i], f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]")
+                for i in range(count)]
     else:  # sobolev_like
         decay = (1.0 + total) ** (-(cls.beta + 0.5))
         weight = (1.0 + total) ** cls.beta
@@ -558,11 +573,12 @@ class ExperimentConfig:
 
 
 def _class_radius(op, nus, p, C_K, c1_surrogate):
-    """Radius spec with C_K measured over the sample's vectors unless configured."""
+    """Radius spec with C_K measured over the sample's vectors (n, t)
+    unless configured."""
     if C_K is None:
-        worst = max((float(np.linalg.norm(nu)) if p == 2
-                     else sampled_lp_norm(op.basis_at_nodes @ nu, p, op.rule)
-                     for nu in nus), default=0.0)
+        norms = (_row_norms(nus) if p == 2
+                 else sampled_lp_norm(row_products(op.basis_at_nodes, nus), p, op.rule))
+        worst = float(np.max(norms, initial=0.0))
         C_K = worst if worst > 0 else 1.0
     return RadiusSpec(op.basis.m, op.basis.s, p, C_K, c1_surrogate)
 
@@ -571,15 +587,17 @@ def _rule_state(cfg, inputs, m):
     """The degree-m operator and what a sweep needs of the inputs on its
     rule: (functional bound to the rule, op, vectors, functional values,
     eps_hat, radius).  Each input is sampled at the nodes once, and every
-    projection and functional value reads those samples."""
+    projection and functional value reads the stack of those samples, one
+    call for all inputs, each row bit-equal to that input's own call."""
     op = make_operator(cfg.s, m, cfg.filter_kind)
     samples = sample_inputs(inputs, op.rule)
-    nus = np.vstack([discretize(op, v) for v in samples])
+    nus = discretize(op, samples)
     radius = _class_radius(op, nus, cfg.p, cfg.C_K, cfg.c1_surrogate)
     radius.check(nus)
     functional = cfg.functional.bind(op.rule)
-    F_vals = np.array([float(functional.apply_sampled(v, op.rule)) for v in samples])
-    eps_hat = max(projection_error(op, v, cfg.p) for v in samples)
+    F_vals = real_array(functional.apply_sampled(samples, op.rule),
+                        "functional values").reshape(len(inputs))
+    eps_hat = float(np.max(projection_error(op, samples, cfg.p)))
     return functional, op, nus, F_vals, eps_hat, radius
 
 

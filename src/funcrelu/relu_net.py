@@ -109,6 +109,12 @@ class Layer:
         return self.weights.shape[1]
 
     @cached_property
+    def nnz(self) -> tuple:
+        """Nonzero (weights, shifts), counted on first use: the arrays are
+        read-only, so nets that share the layer count it once."""
+        return _nnz(self.weights), _nnz(self.shifts)
+
+    @cached_property
     def form(self) -> _IndexForm:
         """The index form :func:`forward` multiplies by, written from
         ``np.nonzero`` of the dense weights on first use.  A spike block
@@ -265,10 +271,11 @@ def _shift_nnz(grid: ScaledGrid) -> int:
 
 
 def _layer_nnz(net: ReluNetwork) -> list:
-    """Nonzero (weights, shifts) of each expanded layer; a grid net's
-    first-layer shifts are counted by :func:`_shift_nnz`."""
+    """Nonzero (weights, shifts) of each expanded layer, from each stored
+    layer's cached :attr:`Layer.nnz`; a grid net's first-layer shifts are
+    counted by :func:`_shift_nnz`."""
     n = _copies(net)
-    counts = [(n * _nnz(l.weights), n * _nnz(l.shifts)) for l in net.layers]
+    counts = [(n * l.nnz[0], n * l.nnz[1]) for l in net.layers]
     if net.grid is not None:
         counts[0] = (counts[0][0], _shift_nnz(net.grid))
     return counts

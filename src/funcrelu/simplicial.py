@@ -25,6 +25,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -207,8 +208,9 @@ def support_pairs(y, grid: ScaledGrid):
     """
     pts, _ = point_batch(y, grid.t)
     # clipping before the int cast keeps far-out points (1e300) in range;
-    # two cells out, the window on that axis is already empty
-    u = np.clip((pts + grid.R) / grid.h, -2.0, grid.N + 2.0)
+    # two cells out, the window on that axis is already empty.  Rows of
+    # u, lo and hi are axes, from one transposed copy of the points.
+    u = np.clip((np.ascontiguousarray(pts.T) + grid.R) / grid.h, -2.0, grid.N + 2.0)
     lo = np.maximum(np.ceil(u - 1.0 - SUPPORT_SLACK), 0).astype(np.int64)
     hi = np.minimum(np.floor(u + 1.0 + SUPPORT_SLACK), grid.N).astype(np.int64)
     point = np.arange(pts.shape[0])
@@ -216,16 +218,17 @@ def support_pairs(y, grid: ScaledGrid):
     # each pair's largest and smallest offset over the axes so far
     top = np.full(pts.shape[0], -np.inf)
     bottom = np.full(pts.shape[0], np.inf)
-    for k in range(grid.t):
-        cand = lo[point, k, None] + np.arange(3)
-        d = u[point, k, None] - cand
+    for u_k, lo_k, hi_k in zip(u, lo, hi):
+        cand = lo_k[point, None] + np.arange(3)
+        d = u_k[point, None] - cand
         d_top = np.maximum(top[:, None], d)
         d_bottom = np.minimum(bottom[:, None], d)
-        keep = ((cand <= hi[point, k, None])
-                & (d_top - d_bottom <= 1.0 + SUPPORT_SLACK))
-        point = np.broadcast_to(point[:, None], keep.shape)[keep]
-        node = (node[:, None] * (grid.N + 1) + cand)[keep]
-        top, bottom = d_top[keep], d_bottom[keep]
+        # flat indices of the kept (pair, candidate) entries, in C order
+        keep = np.flatnonzero((cand <= hi_k[point, None])
+                              & (d_top - d_bottom <= 1.0 + SUPPORT_SLACK))
+        point = point[keep // 3]
+        node = np.take(node[:, None] * (grid.N + 1) + cand, keep)
+        top, bottom = np.take(d_top, keep), np.take(d_bottom, keep)
     return point, node
 
 
@@ -259,6 +262,15 @@ def spike(y: np.ndarray) -> np.ndarray:
     return float(val[0]) if single else val
 
 
+@lru_cache(maxsize=None)
+def _pair_rows(t: int):
+    """(k, j) of the spike's pair rows on R^t: the ordered pairs k != j in
+    lexicographic order, one read-only table per t."""
+    k, j = np.nonzero(~np.eye(t, dtype=bool))
+    k.flags.writeable = j.flags.writeable = False
+    return k, j
+
+
 def spike_forms(t: int, scale: float = 1.0, center=None):
     """First-layer weights W (t^2 + t, t) and shifts b whose rows
     W @ y + b are the spike's affine forms at scale * (y - center).
@@ -271,7 +283,7 @@ def spike_forms(t: int, scale: float = 1.0, center=None):
     cancel some biases for lattice centres, which is reported, never
     forced.  b is :func:`spike_shifts`.
     """
-    k, j = np.nonzero(~np.eye(t, dtype=bool))
+    k, j = _pair_rows(t)
     pairs, singles = np.arange(k.size), np.arange(t)
     W = np.zeros((t * t + t, t))
     W[pairs, k] = scale
@@ -285,7 +297,7 @@ def spike_shifts(t: int, scale: float, center) -> np.ndarray:
     """The shifts of :func:`spike_forms`, with no weight matrix: with
     c = scale * center, 1 - c_k + c_j per pair row, then 1 - c and 1 + c."""
     c = scale * (np.zeros(t) if center is None else np.asarray(center, dtype=float))
-    k, j = np.nonzero(~np.eye(t, dtype=bool))
+    k, j = _pair_rows(t)
     return np.concatenate([1.0 - c[..., k] + c[..., j], 1.0 - c, 1.0 + c],
                           axis=-1)
 

@@ -24,10 +24,12 @@ from funcrelu.legendre import (
     tensor_multi_indices,
 )
 from funcrelu.pipeline import (
+    INPUT_KINDS,
     InputClass,
     generate_inputs,
     inner_product_functional,
     mu_values,
+    sample_inputs,
 )
 
 
@@ -362,6 +364,49 @@ def test_non_finite_node_value_names_the_node(bad):
         with pytest.raises(ValueError, match="non-finite value at node") as err:
             project(op, vals)
         assert str(op.rule.points[5]) in str(err.value)
+
+
+def _kind_samples(kind, s, rule, count=7):
+    """Samples at the rule's nodes of ``count`` inputs of one kind."""
+    cls = InputClass(kind, 3 if kind == "polynomial_ball" else 2.0, count,
+                     seed=21, degree_cap=8)
+    return sample_inputs(generate_inputs(cls, s), rule)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_a_stack_projects_like_its_rows_bit_for_bit(kind, s):
+    # one call on the (n, nodes) stack makes each row's own BLAS call
+    for m in (0, 2):
+        op = make_operator(s, m)
+        samples = _kind_samples(kind, s, op.rule)
+        nus, coeffs = discretize(op, samples), apply_Vm(op, samples).coeffs
+        assert nus.shape == coeffs.shape == (samples.shape[0], op.t)
+        for i, row in enumerate(samples):
+            assert np.array_equal(nus[i], discretize(op, row))
+            assert np.array_equal(coeffs[i], apply_Vm(op, row).coeffs)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            errors = projection_error(op, samples, p)
+            assert errors.shape == (samples.shape[0],)
+            assert errors.tolist() == [projection_error(op, row, p) for row in samples]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_a_stack_names_its_row_and_node(bad):
+    op = make_operator(1, 1)
+    vals = np.ones((4, op.rule.points.shape[0]))
+    vals[2, 5] = bad
+    for project in (discretize, apply_Vm, projection_error):
+        with pytest.raises(ValueError, match="input 2 has a non-finite value at node") as err:
+            project(op, vals)
+        assert str(op.rule.points[5]) in str(err.value)
+
+
+def test_a_stack_of_the_wrong_width_is_rejected():
+    op = make_operator(1, 1)
+    for project in (discretize, apply_Vm, projection_error):
+        with pytest.raises(ValueError, match="expected 16 values .* got 15"):
+            project(op, np.ones((3, 15)))
 
 
 # numpy would keep the real part of a complex value and only warn

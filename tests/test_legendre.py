@@ -11,6 +11,8 @@ from funcrelu.legendre import (
     gauss_legendre_rule,
     legendre_values,
     lp_norm,
+    sampled_lp_norm,
+    tensor_eval,
     tensor_multi_indices,
 )
 
@@ -221,3 +223,58 @@ def test_tensor_multi_indices_total_degree_sorted():
     assert idx.shape == (9, 2)
     totals = idx.sum(axis=1)
     assert np.all(np.diff(totals) >= 0)
+
+
+def _reference_legendre_values(n_max, x):
+    # the recurrence on the last axis of an x.shape + (n_max+1,) array
+    x = np.asarray(x, dtype=float)
+    vals = np.empty(x.shape + (n_max + 1,))
+    vals[..., 0] = 1.0
+    if n_max >= 1:
+        vals[..., 1] = x
+    for k in range(1, n_max):
+        vals[..., k + 1] = ((2 * k + 1) * x * vals[..., k] - k * vals[..., k - 1]) / (k + 1)
+    vals *= np.sqrt(np.arange(n_max + 1) + 0.5)
+    return vals
+
+
+def _reference_tensor_eval(multi_indices, x):
+    # an array of ones multiplied by each axis's gathered values
+    x = np.asarray(x, dtype=float)
+    n_max = int(multi_indices.max(initial=0))
+    out = np.ones(x.shape[:-1] + (multi_indices.shape[0],))
+    for d in range(multi_indices.shape[1]):
+        out *= _reference_legendre_values(n_max, x[..., d])[..., multi_indices[:, d]]
+    return out
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 9, 32])
+def test_legendre_table_equals_the_last_axis_recurrence(n_max):
+    x = np.random.default_rng(n_max).uniform(-1, 1, (5, 7))
+    for pts in (x, x[0], 0.25):
+        vals = legendre_values(n_max, pts)
+        assert vals.flags.c_contiguous
+        assert np.array_equal(vals, _reference_legendre_values(n_max, pts))
+
+
+@pytest.mark.parametrize("s, degree", [(1, 32), (2, 12), (3, 5)])
+def test_tensor_eval_equals_the_product_from_ones(s, degree):
+    # the same bits, C-contiguous as before: the BLAS products that read
+    # the table round by its layout
+    idx = tensor_multi_indices(s, degree)
+    x = np.random.default_rng(s).uniform(-1, 1, (3, 40, s))
+    for pts in (x, x[0]):
+        got = tensor_eval(idx, pts)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _reference_tensor_eval(idx, pts))
+    assert np.array_equal(tensor_eval(np.zeros((4, 0), dtype=int), x[0, :, :0]),
+                          np.ones((40, 4)))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_sampled_norms_of_a_stack_equal_its_rows(p):
+    rule = gauss_legendre_rule(12, 1)
+    values = np.random.default_rng(3).standard_normal((9, 12))
+    norms = sampled_lp_norm(values, p, rule)
+    assert norms.shape == (9,)
+    assert norms.tolist() == [sampled_lp_norm(v, p, rule) for v in values]

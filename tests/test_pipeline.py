@@ -25,6 +25,8 @@ from funcrelu.pipeline import (
     LinearForm,
     PowerModulus,
     TargetFunctional,
+    INPUT_KINDS,
+    _class_radius,
     _rule_state,
     build_functional_net,
     constant_functional,
@@ -529,17 +531,26 @@ def _reference_rule_state(cfg, inputs, m, g):
     for f in inputs:
         vals = np.asarray(f(pts), dtype=float).ravel()
         nus.append(op.filter * (op.basis_at_nodes.T @ (w * vals)))
-        inner = np.asarray(f(pts), dtype=float).ravel() @ (w * g(pts))
-        F_vals.append(float(np.sin(inner) if cfg.functional.name.startswith("sin") else inner))
+        vals = np.asarray(f(pts), dtype=float).ravel()
+        if cfg.functional.name == "l1-norm":
+            F_vals.append(float((np.abs(vals) * w).sum()))
+        else:
+            inner = vals @ (w * g(pts))
+            F_vals.append(float(np.sin(inner) if cfg.functional.name.startswith("sin")
+                                else inner))
         vals = np.asarray(f(pts), dtype=float).ravel()
         resid = vals - low @ (low.T @ (w * vals))
         eps.append(float((w @ np.abs(resid) ** cfg.p) ** (1.0 / cfg.p)))
     return np.vstack(nus), np.array(F_vals), max(eps)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def _l1_functional(g, rule, p):
+    return l1_norm_functional(rule.s, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("make", [inner_product_functional,
-                                  sin_inner_product_functional])
+                                  sin_inner_product_functional, _l1_functional])
 def test_rule_state_equals_per_input_formulas(make, p):
     g = get_function("slow-series")
     cfg = ExperimentConfig(
@@ -554,6 +565,57 @@ def test_rule_state_equals_per_input_formulas(make, p):
         assert np.array_equal(nus, ref_nus)
         assert np.array_equal(F_vals, ref_F)
         assert eps_hat == ref_eps
+
+
+def test_rule_state_projects_the_stack_once_per_degree(monkeypatch):
+    # one stacked call per degree, not one per input
+    calls = {"discretize": 0, "projection_error": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(pipeline_module, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(pipeline_module, name, counted)
+    cfg = ExperimentConfig(
+        s=1, p=2.0,
+        functional=inner_product_functional(get_function("gaussian"), make_operator(1, 2).rule),
+        input_class=InputClass("hoelder_ball", 2.0, 16, seed=7))
+    inputs = generate_inputs(cfg.input_class, cfg.s)
+    for m in (0, 1, 2):
+        _rule_state(cfg, inputs, m)
+    assert calls == {"discretize": 3, "projection_error": 3}
+
+
+def _kind_inputs(kind, s, count=7):
+    cls = InputClass(kind, 3 if kind == "polynomial_ball" else 2.0, count,
+                     seed=21, degree_cap=8)
+    return generate_inputs(cls, s)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("make", [inner_product_functional,
+                                  sin_inner_product_functional, _l1_functional])
+def test_functional_values_of_a_stack_equal_its_rows(make, kind, s):
+    # LinearForm dots each row on its own; the L1 form sums each row
+    g = get_function("slow-series")
+    for m in (0, 2):
+        rule = make_operator(s, m).rule
+        functional = make(g, rule, 2.0).bind(rule)
+        samples = sample_inputs(_kind_inputs(kind, s), rule)
+        stacked = functional.apply_sampled(samples, rule)
+        assert stacked.shape == (samples.shape[0],)
+        assert stacked.tolist() == [float(functional.apply_sampled(v, rule)) for v in samples]
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_class_radius_of_a_stack_equals_its_rows(kind, s):
+    op = make_operator(s, 1)
+    nus = discretize(op, sample_inputs(_kind_inputs(kind, s), op.rule))
+    for p in (1.0, 1.5, 2.0, 3.0):
+        rows = [float(np.linalg.norm(nu)) if p == 2
+                else sampled_lp_norm(op.basis_at_nodes @ nu, p, op.rule) for nu in nus]
+        assert _class_radius(op, nus, p, None, 1.0).C_K == max(rows)
 
 
 def test_sweep_samples_each_rule_once(monkeypatch):

@@ -1122,6 +1122,25 @@ class TestFixedWhenMade:
             layer.shifts = np.zeros(layer.rows)
         assert [evaluate(net, [0.1, 0.2]) for net in nets] == before
 
+    def test_nets_that_share_a_block_count_its_layers_once(self, monkeypatch):
+        # a block layer's nonzeros are counted on first use and kept
+        block = build_spike_net(2)
+        spec, _ = self._net()
+        nets = [build_interpolation_net(spec, block) for _ in range(3)]
+        want = [nonzero_breakdown(net) for net in (self._net()[1],) * 3]
+        read = []
+        real = relu_net._nnz
+        monkeypatch.setattr(relu_net, "_nnz", lambda w: read.append(id(w)) or real(w))
+        got = []
+        for net in nets:
+            got += [count_nonzero(net), nonzero_breakdown(net)]
+        assert got[1::2] == want and got[::2] == [b["total"] for b in want]
+        for layer in block.layers[1:]:
+            assert read.count(id(layer.weights)) == read.count(id(layer.shifts)) == 1
+        # each net's own first layer, once
+        for net in nets:
+            assert read.count(id(net.layers[0].weights)) == 1
+
     def test_layers_cannot_be_appended(self):
         _, net = self._net()
         with pytest.raises(AttributeError):

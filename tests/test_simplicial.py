@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funcrelu import simplicial
 from funcrelu.simplicial import (
+    SUPPORT_SLACK,
     AffineForm,
     ScaledGrid,
     SimplexId,
@@ -15,6 +17,7 @@ from funcrelu.simplicial import (
     in_simplex,
     in_Sprime,
     locate_batch,
+    point_batch,
     simplex_vertices,
     simplices_containing_origin,
     spike,
@@ -443,6 +446,59 @@ def test_batched_spike_forms_equal_the_per_centre_rows(t, N, R):
         assert row.tobytes() == b_loop.tobytes()
         assert spike_forms(t, scale, centre)[1].tobytes() == row.tobytes()
 
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_pair_rows_are_one_read_only_table_per_t(t):
+    k, j = simplicial._pair_rows(t)
+    assert simplicial._pair_rows(t)[0] is k
+    ref_k, ref_j = np.nonzero(~np.eye(t, dtype=bool))
+    assert np.array_equal(k, ref_k) and np.array_equal(j, ref_j)
+    with pytest.raises(ValueError, match="read-only"):
+        k[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        j[...] = 0
+
+
+def _reference_support_pairs(y, grid):
+    """support_pairs as it was written before its per-axis columns came
+    from one transposed copy: columns indexed per pair, and the kept pairs
+    taken by a boolean mask of a broadcast point column."""
+    pts, _ = point_batch(y, grid.t)
+    u = np.clip((pts + grid.R) / grid.h, -2.0, grid.N + 2.0)
+    lo = np.maximum(np.ceil(u - 1.0 - SUPPORT_SLACK), 0).astype(np.int64)
+    hi = np.minimum(np.floor(u + 1.0 + SUPPORT_SLACK), grid.N).astype(np.int64)
+    point = np.arange(pts.shape[0])
+    node = np.zeros(pts.shape[0], dtype=np.int64)
+    top = np.full(pts.shape[0], -np.inf)
+    bottom = np.full(pts.shape[0], np.inf)
+    for k in range(grid.t):
+        cand = lo[point, k, None] + np.arange(3)
+        d = u[point, k, None] - cand
+        d_top = np.maximum(top[:, None], d)
+        d_bottom = np.minimum(bottom[:, None], d)
+        keep = ((cand <= hi[point, k, None])
+                & (d_top - d_bottom <= 1.0 + SUPPORT_SLACK))
+        point = np.broadcast_to(point[:, None], keep.shape)[keep]
+        node = (node[:, None] * (grid.N + 1) + cand)[keep]
+        top, bottom = d_top[keep], d_bottom[keep]
+    return point, node
+
+
+@pytest.mark.parametrize("t,N,R", [(1, 8, 1.0), (2, 5, 0.6729), (3, 4, 1.295091801838947),
+                                   (5, 4, 1.0535), (7, 3, 1.0)])
+def test_support_pairs_equal_the_reference_pairs_in_order(t, N, R):
+    grid = ScaledGrid(t, R, N)
+    rng = np.random.default_rng(t * 100 + N)
+    nodes = grid.nodes(rng.integers(0, grid.node_count, 64))
+    inside = rng.uniform(-R, R, (64, t))
+    planes = inside.copy()
+    planes[:, ::2] = nodes[:, ::2]  # every other coordinate on a lattice plane
+    outside = rng.uniform(-R - 3 * grid.h, R + 3 * grid.h, (64, t))
+    for pts in (nodes, planes, nodes + 1e-9, outside, inside):
+        got = support_pairs(pts, grid)
+        want = _reference_support_pairs(pts, grid)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
 
 class TestScalarPoints:
