@@ -15,7 +15,7 @@ import math
 import resource
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -252,10 +252,10 @@ def _cmd_run(args):
     cfg.functional = _functional_from_doc(functional, cfg)
     t0 = time.perf_counter()
     report = pipeline.run_rate_experiment(cfg)
-    report.summary["wall_seconds"] = time.perf_counter() - t0
-    # the process's peak resident set so far; ru_maxrss is in KiB on Linux
-    report.summary["peak_rss_mb"] = (
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+    report = replace(report, summary={
+        **report.summary, "wall_seconds": time.perf_counter() - t0,
+        # the process's peak resident set so far; ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
     report.to_csv(out_dir / "report.csv")
     report.summary_to_json(out_dir / "summary.json")
     print(f"wrote {out_dir / 'report.csv'} and {out_dir / 'summary.json'}",

@@ -17,6 +17,7 @@ term).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -283,19 +284,19 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def generate_inputs(cls: InputClass, s: int) -> list:
-    """Deterministic sample of the input class (fixed seed, fixed order)."""
+    """Deterministic sample of the input class (fixed seed, fixed order).
+
+    Each kind draws its coefficients as one (count, n) array, input by
+    input in the order the per-input sampler drew them, so the stream and
+    the bits are that sampler's."""
     _check_input_class(cls, s)
     rng = np.random.default_rng(cls.seed)
-    out = []
     if cls.kind == "polynomial_ball":
-        idx = tensor_multi_indices(s, int(cls.beta))
-        for i in range(cls.sample_count):
-            c = rng.standard_normal(idx.shape[0])
-            c /= np.linalg.norm(c)
-            out.append(SeriesInput(idx, c, f"{cls.kind}[deg={int(cls.beta)},seed={cls.seed},i={i}]"))
-        return out
-    idx = tensor_multi_indices(s, cls.degree_cap)
-    total = idx.sum(axis=1)
+        label, idx = f"deg={int(cls.beta)}", tensor_multi_indices(s, int(cls.beta))
+        c = rng.standard_normal((cls.sample_count, idx.shape[0]))
+        c /= _row_norms(c)[:, None]
+    else:
+        label, idx = f"beta={cls.beta}", tensor_multi_indices(s, cls.degree_cap)
     if cls.kind == "hoelder_ball":
         # Random series calibrated blockwise: the l2 mass above
         # coordinatewise degree g is (up to per-block jitter) g^(-2 beta),
@@ -366,16 +367,14 @@ def generate_inputs(cls: InputClass, s: int) -> list:
         for lo in range(0, count, run):
             top = np.max(np.abs(row_products(probe_B, c[lo:lo + run])), axis=1)
             c[lo:lo + run] /= np.maximum(top, 1e-30)[:, None]
-        out += [SeriesInput(idx, c[i], f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]")
-                for i in range(count)]
-    else:  # sobolev_like
+    elif cls.kind == "sobolev_like":
+        total = idx.sum(axis=1)
         decay = (1.0 + total) ** (-(cls.beta + 0.5))
         weight = (1.0 + total) ** cls.beta
-        for i in range(cls.sample_count):
-            c = rng.uniform(-1.0, 1.0, idx.shape[0]) * decay
-            c /= max(float(np.linalg.norm(weight * c)), 1e-30)
-            out.append(SeriesInput(idx, c, f"{cls.kind}[beta={cls.beta},seed={cls.seed},i={i}]"))
-    return out
+        c = rng.uniform(-1.0, 1.0, (cls.sample_count, idx.shape[0])) * decay
+        c /= np.maximum(_row_norms(weight * c), 1e-30)[:, None]
+    return [SeriesInput(idx, c[i], f"{cls.kind}[{label},seed={cls.seed},i={i}]")
+            for i in range(cls.sample_count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,8 +505,12 @@ def evaluate_functional_net(fnet: FunctionalNet, f: InputFunction) -> float:
     return float(evaluate_batch(fnet.net, nu[None, :])[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentRow:
+    """One (m, N) point of a sweep, made whole by :func:`_measure_point`:
+    a skipped point keeps its defaults, status ``skipped`` and the cap it
+    is over as ``reason``."""
+
     m: int
     t: int
     N: int
@@ -531,10 +534,15 @@ class ExperimentRow:
     network_file: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
+    """A sweep's grid rows, in (m, N) order, and its summary, which holds
+    the budget ladder's points too; made once by
+    :func:`run_rate_experiment`.  A caller that adds to the summary makes a
+    new report with ``dataclasses.replace``."""
+
     functional: str
-    rows: list = field(default_factory=list)
+    rows: tuple = ()
     summary: dict = field(default_factory=dict)
 
     def completed(self):
@@ -583,12 +591,31 @@ def _class_radius(op, nus, p, C_K, c1_surrogate):
     return RadiusSpec(op.basis.m, op.basis.s, p, C_K, c1_surrogate)
 
 
-def _rule_state(cfg, inputs, m):
-    """The degree-m operator and what a sweep needs of the inputs on its
-    rule: (functional bound to the rule, op, vectors, functional values,
-    eps_hat, radius).  Each input is sampled at the nodes once, and every
-    projection and functional value reads the stack of those samples, one
-    call for all inputs, each row bit-equal to that input's own call."""
+@dataclass(frozen=True, eq=False)
+class DegreeState:
+    """What a sweep needs at degree m whatever N: the operator, the
+    functional bound to its rule, the sample's vectors ``nus`` (n, t) and
+    functional values ``F_vals`` (n,), the largest projection error
+    ``eps_hat``, the cube's radius, mu at the vectors ``mu_at_nu`` (n,) and
+    ``omega_t``, the functional's modulus transferred to the cube.  These
+    are the polynomial term's inputs, which depend on m alone."""
+
+    op: DiscretizationOperator
+    functional: TargetFunctional
+    nus: np.ndarray = field(repr=False)
+    F_vals: np.ndarray = field(repr=False)
+    eps_hat: float
+    radius: RadiusSpec
+    mu_at_nu: np.ndarray = field(repr=False)
+    omega_t: Callable = field(repr=False)
+
+
+def _rule_state(cfg, inputs, m) -> DegreeState:
+    """The degree-m record of a sweep over ``inputs``.  Each input is
+    sampled at the rule's nodes once, and every projection and functional
+    value reads the stack of those samples, one call for all inputs, each
+    row bit-equal to that input's own call; mu and the transferred modulus
+    are made here once, not at each N."""
     op = make_operator(cfg.s, m, cfg.filter_kind)
     samples = sample_inputs(inputs, op.rule)
     nus = discretize(op, samples)
@@ -597,8 +624,10 @@ def _rule_state(cfg, inputs, m):
     functional = cfg.functional.bind(op.rule)
     F_vals = real_array(functional.apply_sampled(samples, op.rule),
                         "functional values").reshape(len(inputs))
-    eps_hat = float(np.max(projection_error(op, samples, cfg.p)))
-    return functional, op, nus, F_vals, eps_hat, radius
+    return DegreeState(
+        op, functional, nus, F_vals, float(np.max(projection_error(op, samples, cfg.p))),
+        radius, mu_values(functional, op, nus),
+        transfer_modulus(functional.omega, op.basis.m, cfg.s, cfg.p, cfg.c1_surrogate))
 
 
 def _nominal_nonzeros(t, N):
@@ -620,59 +649,53 @@ def _over_cap(cfg, t, N, weight_cap) -> str:
     return ""
 
 
-def _measure_point(cfg, functional, op, nus, F_vals, eps_hat, radius,
-                   N, spike_block, dump_dir=None):
-    """Build the net at (m, N) from ``spike_block(t)`` and measure every
-    error piece; a point over the caps calls nothing."""
-    t = op.t
-    row = ExperimentRow(m=op.basis.m, t=t, N=N, R=radius.R, eps_hat=eps_hat)
-    row.reason = _over_cap(cfg, t, N, cfg.weight_cap)
-    if row.reason:
-        row.status = "skipped"
-        return row
+def _dump_net(net: ReluNetwork, M: int, path: Path) -> str:
+    """Write ``net`` to ``path`` and return the path, or why it is not
+    written: the JSON format refuses a matrix above its entry limit."""
+    try:
+        raw = serialize(net)
+    except ValueError as exc:
+        return f"not dumped ({exc})"
+    path.write_bytes(raw)
+    if count_nonzero(deserialize(raw)) != M:
+        raise AssertionError("serialized network lost nonzero weights")
+    return str(path)
+
+
+def _measure_point(cfg, degree: DegreeState, N, spike_block, dump_dir=None):
+    """The row at (m, N): build the net on the grid of ``degree``'s cube
+    from ``spike_block(t)`` and measure what depends on N, the net's output
+    theta, the oracle, the grid pieces and the grid bound; the m-only mu
+    and modulus come from ``degree``.  A point over the caps calls
+    nothing."""
+    op, R, eps_hat = degree.op, degree.radius.R, degree.eps_hat
+    m, t = op.basis.m, op.t
+    reason = _over_cap(cfg, t, N, cfg.weight_cap)
+    if reason:
+        return ExperimentRow(m, t, N, R=R, eps_hat=eps_hat, status="skipped", reason=reason)
     block = spike_block(t)
     t0 = time.perf_counter()
-    grid = ScaledGrid(t, radius.R, N)
-    fnet = build_functional_net(functional, op, grid, block)
-    row.J, row.M = depth(fnet.net), count_nonzero(fnet.net)
+    fnet = build_functional_net(degree.functional, op, ScaledGrid(t, R, N), block)
+    J, M = depth(fnet.net), count_nonzero(fnet.net)
     t1 = time.perf_counter()
-    theta = evaluate_batch(fnet.net, nus)
+    theta = evaluate_batch(fnet.net, degree.nus)
     t2 = time.perf_counter()
-    mu_at_nu = mu_values(functional, op, nus)
-    direct = interpolant_values(fnet.spec, nus)
+    direct = interpolant_values(fnet.spec, degree.nus)
     t3 = time.perf_counter()
-    row.mu_seconds = fnet.mu_seconds
-    row.build_seconds = t1 - t0 - row.mu_seconds
-    row.eval_seconds, row.oracle_seconds = t2 - t1, t3 - t2
-    errors = np.abs(F_vals - theta)
-    poly_pieces = np.abs(F_vals - mu_at_nu)
-    grid_pieces = np.abs(mu_at_nu - theta)
-    omega_t = transfer_modulus(functional.omega, op.basis.m, cfg.s, cfg.p,
-                               cfg.c1_surrogate)
-    row.sup_error = float(errors.max())
-    row.poly_gap = float(poly_pieces.max())
-    row.grid_gap = float(grid_pieces.max())
-    row.grid_bound = interpolation_error_bound(t, N, radius.R, omega_t)
-    row.oracle_gap = float(np.max(np.abs(theta - direct)))
-    row.decomposition_ok = bool(
-        np.all(errors <= poly_pieces + grid_pieces + 1e-12)
-    )
-    if dump_dir is not None:
-        path = Path(dump_dir) / f"net_m{op.basis.m}_N{N}.json"
-        try:
-            raw = serialize(fnet.net)
-        except ValueError as exc:
-            # the JSON format refuses a matrix above its entry limit; keep
-            # the row, note why the network file is absent
-            row.network_file = f"not dumped ({exc})"
-        else:
-            path.write_bytes(raw)
-            reloaded = deserialize(raw)
-            if count_nonzero(reloaded) != row.M:
-                raise AssertionError("serialized network lost nonzero weights")
-            row.network_file = str(path)
-    row.wall_seconds = time.perf_counter() - t0
-    return row
+    errors = np.abs(degree.F_vals - theta)
+    poly_pieces = np.abs(degree.F_vals - degree.mu_at_nu)
+    grid_pieces = np.abs(degree.mu_at_nu - theta)
+    network_file = ("" if dump_dir is None
+                    else _dump_net(fnet.net, M, Path(dump_dir) / f"net_m{m}_N{N}.json"))
+    return ExperimentRow(
+        m, t, N, R=R, J=J, M=M, sup_error=float(errors.max()), eps_hat=eps_hat,
+        poly_gap=float(poly_pieces.max()), grid_gap=float(grid_pieces.max()),
+        grid_bound=interpolation_error_bound(t, N, R, degree.omega_t),
+        oracle_gap=float(np.max(np.abs(theta - direct))),
+        decomposition_ok=bool(np.all(errors <= poly_pieces + grid_pieces + 1e-12)),
+        mu_seconds=fnet.mu_seconds, build_seconds=t1 - t0 - fnet.mu_seconds,
+        eval_seconds=t2 - t1, oracle_seconds=t3 - t2, network_file=network_file,
+        wall_seconds=time.perf_counter() - t0)
 
 
 def _fit_c_hat(rows, omega: PowerModulus) -> float:
@@ -742,7 +765,7 @@ def _budget_ladder_rows(cfg, per_m_state, spike_block):
         if N < 1 or (m, N) in seen:
             continue
         seen.add((m, N))
-        rows.append(_measure_point(cfg, *per_m_state(m), N, spike_block))
+        rows.append(_measure_point(cfg, per_m_state(m), N, spike_block))
     done = [r for r in rows if r.status == "ok" and r.M > math.e**math.e]
     info = {"c9_eff": c9_eff, "points": len(done)}
     if len(done) >= 2:
@@ -758,7 +781,10 @@ def _budget_ladder_rows(cfg, per_m_state, spike_block):
 
 def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Sweep (m, N), measure sup errors over the sampled class, reconstruct
-    the two-term bound, and fit the budget-ladder decay exponent."""
+    the two-term bound, and fit the budget-ladder decay exponent.  Each
+    degree's :class:`DegreeState` is made once, at its first grid or ladder
+    point, and each t's spike block likewise; the report is made once,
+    after its summary."""
     if cfg.functional is None or cfg.input_class is None:
         raise ValueError("config needs a functional and an input class")
     # every sweep value is checked before an input is drawn or a net dumped
@@ -778,62 +804,49 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.dump_dir is not None:
         Path(cfg.dump_dir).mkdir(parents=True, exist_ok=True)
 
-    state_cache = {}
-
-    def per_m_state(m):
-        if m not in state_cache:
+    def staged(stage, make):
+        """``make``, its value kept per argument, its misses timed into
+        ``stage_seconds[stage]``."""
+        @functools.cache
+        def kept(key):
             t0 = time.perf_counter()
-            state_cache[m] = _rule_state(cfg, inputs, m)
-            stage_seconds["sample"] += time.perf_counter() - t0
-        return state_cache[m]
+            value = make(key)
+            stage_seconds[stage] += time.perf_counter() - t0
+            return value
+        return kept
 
+    per_m_state = staged("sample", lambda m: _rule_state(cfg, inputs, m))
     # one spike block per t, built at the first point that needs it; its
     # nets share the block's deeper layers and their index forms, and the
     # blocks go when the experiment ends
-    blocks = {}
-
-    def spike_block(t):
-        if t not in blocks:
-            t0 = time.perf_counter()
-            blocks[t] = build_spike_net(t)
-            stage_seconds["block"] += time.perf_counter() - t0
-        return blocks[t]
-
-    report = ExperimentReport(functional=cfg.functional.name)
-    for m in cfg.m_values:
-        functional, op, nus, F_vals, eps_hat, radius = per_m_state(m)
-        for N in cfg.N_values:
-            row = _measure_point(cfg, functional, op, nus, F_vals, eps_hat,
-                                 radius, N, spike_block, dump_dir=cfg.dump_dir)
-            report.rows.append(row)
-
-    done = report.completed()
-    report.summary = {
+    spike_block = staged("block", build_spike_net)
+    rows = tuple(_measure_point(cfg, degree, N, spike_block, dump_dir=cfg.dump_dir)
+                 for degree in map(per_m_state, cfg.m_values) for N in cfg.N_values)
+    done = [r for r in rows if r.status == "ok"]
+    summary = {
         "functional": cfg.functional.name,
-        "input_class": vars(cfg.input_class),
+        "input_class": dict(vars(cfg.input_class)),
         "s": cfg.s,
         "p": cfg.p,
         "filter": cfg.filter_kind,
         "c1_surrogate": cfg.c1_surrogate,
         "completed_points": len(done),
-        "skipped_points": [(r.m, r.N, r.reason) for r in report.rows
-                           if r.status != "ok"],
+        "skipped_points": [(r.m, r.N, r.reason) for r in rows if r.status != "ok"],
         "c_hat": _fit_c_hat(done, cfg.functional.omega),
         "max_oracle_gap": max((r.oracle_gap for r in done), default=0.0),
         "decomposition_ok": all(r.decomposition_ok for r in done),
     }
-    measured = list(report.rows)
+    measured = list(rows)
     if cfg.ladder:
-        ladder_rows, ladder_info = _budget_ladder_rows(cfg, per_m_state,
-                                                       spike_block)
+        ladder_rows, ladder_info = _budget_ladder_rows(cfg, per_m_state, spike_block)
         ladder_info["skipped_points"] = [(r.m, r.N, r.reason) for r in ladder_rows
                                          if r.status != "ok"]
-        report.summary["budget_ladder"] = ladder_info
-        report.summary["budget_ladder_rows"] = [
+        summary["budget_ladder"] = ladder_info
+        summary["budget_ladder_rows"] = [
             (r.m, r.N, r.M, r.sup_error, r.status) for r in ladder_rows
         ]
         measured += ladder_rows
     for stage in ("mu", "build", "eval", "oracle"):
         stage_seconds[stage] = sum(getattr(r, f"{stage}_seconds") for r in measured)
-    report.summary["stage_seconds"] = stage_seconds
-    return report
+    summary["stage_seconds"] = stage_seconds
+    return ExperimentReport(cfg.functional.name, rows, summary)

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import json
 import math
 import os
@@ -142,7 +142,9 @@ class TestGenerateInputs:
                                                ("hoelder_ball", 2.0, 0),
                                                ("hoelder_ball", 2.0, 1),
                                                ("sobolev_like", 1.5, 12),
-                                               ("polynomial_ball", 3, 32)])
+                                               ("sobolev_like", 2.0, 0),
+                                               ("polynomial_ball", 3, 32),
+                                               ("polynomial_ball", 0, 32)])
     def test_same_stream_as_the_per_input_sampler(self, kind, beta, cap, s, seed,
                                                   count, monkeypatch):
         cls = InputClass(kind, beta, count, seed=seed, degree_cap=cap)
@@ -560,11 +562,11 @@ def test_rule_state_equals_per_input_formulas(make, p):
     )
     inputs = generate_inputs(cfg.input_class, cfg.s)
     for m in (0, 1, 2):
-        _, _, nus, F_vals, eps_hat, _ = _rule_state(cfg, inputs, m)
+        degree = _rule_state(cfg, inputs, m)
         ref_nus, ref_F, ref_eps = _reference_rule_state(cfg, inputs, m, g)
-        assert np.array_equal(nus, ref_nus)
-        assert np.array_equal(F_vals, ref_F)
-        assert eps_hat == ref_eps
+        assert np.array_equal(degree.nus, ref_nus)
+        assert np.array_equal(degree.F_vals, ref_F)
+        assert degree.eps_hat == ref_eps
 
 
 def test_rule_state_projects_the_stack_once_per_degree(monkeypatch):
@@ -677,16 +679,17 @@ def test_rate_config_takes_only_its_kinds():
 
 
 def _doctor_poly_gap(kind, row):
-    row.poly_gap = 2.0 * float(verify._rate_config(kind).functional.omega(row.eps_hat))
+    omega = verify._rate_config(kind).functional.omega
+    return replace(row, poly_gap=2.0 * float(omega(row.eps_hat)))
 
 
 def _doctor_grid_gap(kind, row):
-    row.grid_gap = 1.5 * row.grid_bound
+    return replace(row, grid_gap=1.5 * row.grid_bound)
 
 
 def _doctor_affine_grid_gap(kind, row):
     # far below the interpolation bound, far above rounding
-    row.grid_gap = 1e-11
+    return replace(row, grid_gap=1e-11)
 
 
 @pytest.mark.parametrize("kind, doctor, words", [
@@ -694,10 +697,10 @@ def _doctor_affine_grid_gap(kind, row):
     (kind, _doctor_grid_gap, "grid gap") for kind in ("inner", "sin", "l1")] + [
     ("inner", _doctor_affine_grid_gap, "for an affine mu")])
 def test_rate_check_holds_each_error_term_to_its_bound(kind, doctor, words, monkeypatch):
-    report = copy.deepcopy(verify.rate_report(kind))
+    report = verify.rate_report(kind)
     row = report.completed()[-1]
-    doctor(kind, row)
-    monkeypatch.setitem(verify._REPORT_CACHE, kind, report)
+    rows = tuple(doctor(kind, r) if r is row else r for r in report.rows)
+    monkeypatch.setitem(verify._REPORT_CACHE, kind, replace(report, rows=rows))
     result = verify.check_rate_experiment()
     assert not result.passed
     failures = [d for d in result.details if d.startswith("FAIL")]
@@ -742,6 +745,55 @@ def _recording_spike_net(monkeypatch):
     monkeypatch.setattr(pipeline_module, "build_spike_net", recording)
     monkeypatch.setattr(constructors, "build_spike_net", recording)
     return calls
+
+
+class TestOneRecordPerDegree:
+    def test_mu_and_the_modulus_are_made_once_per_degree(self, monkeypatch):
+        # the polynomial term's inputs depend on m alone: one call each per
+        # degree, not one per built point
+        calls = {"mu_values": 0, "transfer_modulus": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(pipeline_module, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(pipeline_module, name, counted)
+        report = run_rate_experiment(_seed7_config("inner"))
+        # 10 built and 2 skipped grid points and 5 ladder points over m = 0, 1, 2
+        assert len(report.completed()) == 10 and len(report.rows) == 12
+        assert [r[-1] for r in report.summary["budget_ladder_rows"]] == ["ok"] * 5
+        assert calls == {"mu_values": 3, "transfer_modulus": 3}
+
+    def test_rows_and_the_report_are_fixed_when_made(self):
+        # t=3 at N=64 has 274625 nodes, over the cap
+        cfg = replace(_seed7_config("inner"), m_values=(0, 1), N_values=(4, 64),
+                      node_cap=1000, ladder=False)
+        report = run_rate_experiment(cfg)
+        assert isinstance(report.rows, tuple)
+        assert [r.status for r in report.rows] == ["ok", "ok", "ok", "skipped"]
+        for row in report.rows:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                row.sup_error = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                row.status = "ok"
+        for name, value in (("rows", ()), ("summary", {}), ("functional", "")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, value)
+        # the summary holds a copy of the input class's fields, so writing
+        # into it leaves the frozen class as it was made
+        report.summary["input_class"]["beta"] = 99.0
+        assert cfg.input_class.beta == 2.0
+
+    def test_a_net_too_large_to_write_keeps_its_row(self, monkeypatch, tmp_path):
+        cfg = replace(_seed7_config("inner"), m_values=(0, 1), N_values=(2, 4),
+                      ladder=False)
+        plain = _report_reprs(run_rate_experiment(cfg))
+        monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 0)
+        report = run_rate_experiment(replace(cfg, dump_dir=str(tmp_path)))
+        assert all(r.network_file.startswith("not dumped (") for r in report.rows)
+        assert list(tmp_path.iterdir()) == []
+        rows, summary = _report_reprs(report)
+        assert [{**r, "network_file": "''"} for r in rows] == plain[0]
+        assert summary == plain[1]
 
 
 class TestOneSpikeBlockPerT:

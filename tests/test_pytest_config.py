@@ -150,10 +150,8 @@ def test_only_the_program_s_own_arrays_are_cast_to_float():
 # why; every other one is frozen=True, so an object shared between nets or
 # runs stays what it was made
 MUTABLE_DATACLASSES = {
-    "pipeline.ExperimentRow": "filled field by field in _measure_point",
     "pipeline.ExperimentConfig": "set after it is made by cli, verify.rate_report "
                                  "and bench/workloads.verify_config_mismatches",
-    "pipeline.ExperimentReport": "run_rate_experiment appends its rows and sets its summary",
 }
 
 
