@@ -33,10 +33,8 @@ follows the point chunks or the BLAS thread count.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -45,12 +43,13 @@ from .simplicial import (ScaledGrid, integer_size, point_batch, read_only,
                          real_array, spike_layer_shapes, spike_shifts,
                          support_pairs)
 
-FORMAT_VERSION = 1
-# a grid net: its stored block, its output row and its grid
-GRID_FORMAT_VERSION = 2
+# the version written; versions 1 (a net without a grid) and 2 (a grid
+# net), both all dense, are still read
+FORMAT_VERSION = 3
 
-# Refuse to densify absurdly large matrices when writing the JSON format,
-# which stores row-major dense weights.
+# The most entries of one written matrix, and of one matrix a document
+# declares by its nonzeros: layers are dense in memory, so a short
+# document must not make the reader allocate a huge one.
 SERIALIZE_ENTRY_LIMIT = 50_000_000
 
 
@@ -496,71 +495,62 @@ def evaluate_batch(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
 _VALUE_RUN = 1 << 14
 
 
-def _float_list(w) -> list:
-    """Pieces of the JSON list of the entries of ``w`` in row-major order:
-    joined, the text ``json.dumps([float(v) for v in w.ravel()])`` writes.
+def _json_list(a: np.ndarray) -> list:
+    """Pieces of the JSON list of the 1-D array ``a`` of floats or
+    integers: joined, the text ``json.dumps(a.tolist())`` writes (floats
+    by repr, so every bit round-trips).  Each piece joins the strings of
+    ``_VALUE_RUN`` entries, so only one run's strings exist at a time."""
+    runs = [", ".join(map(repr, a[lo : lo + _VALUE_RUN].tolist()))
+            for lo in range(0, a.size, _VALUE_RUN)]
+    return ["[", ", ".join(runs), "]"]
 
-    Only the entries whose bits are not those of +0.0 go through repr (so
-    -0.0 stays ``-0.0``), and each run of +0.0 is one string repetition:
-    the cost follows the nonzeros, not the entries.  Each piece joins the
-    strings of ``_VALUE_RUN`` nonzeros, so only one run's strings exist at
-    a time.
-    """
+
+def _entries(where: str, key: str, w) -> list:
+    """Pieces of ``"<key>": [...]``, the entries of ``w`` in row-major
+    order.  If any entry has the bits of +0.0, only the others are
+    listed (-0.0 among them), and ``, "<key>_at": [...]`` follows: their
+    flat indices.  An array above ``SERIALIZE_ENTRY_LIMIT`` entries, a
+    shift vector too, raises ValueError."""
+    if w.size > SERIALIZE_ENTRY_LIMIT:
+        raise ValueError(f"{where} {key} with shape {w.shape} is too large for the "
+                         f"file format: more than {SERIALIZE_ENTRY_LIMIT} entries")
     a = np.asarray(w, dtype=float).ravel()
-    nz = np.flatnonzero(a.view(np.int64))
-    # zeros before each nonzero, then after the last one
-    gaps = np.diff(nz, prepend=-1, append=a.size) - 1
-    pieces = []
-    for lo in range(0, nz.size, _VALUE_RUN):
-        runs = map(operator.mul, repeat(", 0.0"), gaps[lo : lo + _VALUE_RUN].tolist())
-        values = map(", ".__add__,
-                     map(float.__repr__, a[nz[lo : lo + _VALUE_RUN]].tolist()))
-        pieces.append("".join(map(operator.add, runs, values)))
-    pieces.append(", 0.0" * int(gaps[-1]))
-    # every piece opens with its separator; the first one must not
-    pieces[0] = "[" + pieces[0][2:]
-    pieces.append("]")
-    return pieces
+    at = np.flatnonzero(a.view(np.int64))
+    if at.size == a.size:
+        return [f'"{key}": ', *_json_list(a)]
+    return [f'"{key}": ', *_json_list(a[at]), f', "{key}_at": ', *_json_list(at)]
 
 
 def serialize(net: ReluNetwork) -> bytes:
-    """JSON encoding with full round-trip precision.
+    """JSON encoding with full round-trip precision, format version 3.
 
     Floats are written with Python repr, which is exact for binary64, so
     deserialize(serialize(net)) reproduces every weight bit for bit.  The
-    format stores every matrix dense and row-major; a matrix above
-    ``SERIALIZE_ENTRY_LIMIT`` entries is refused with ValueError.  A net
-    without a grid is written as version 1.  A grid net is written as
-    version 2: its stored layers (one spike block), its output row of
-    node values and ``"grid": {"t", "R", "N"}``, no copy written out.
+    document holds each stored layer's weights and shifts and the output
+    matrix, each row-major, and a grid net's ``"grid": {"t", "R", "N"}``:
+    a grid net is its stored layers (one spike block) and its output row
+    of node values, no copy written out.  An array with no +0.0 entry is
+    written dense; any other by its other entries and their flat indices
+    (:func:`_entries`), so the document follows the nonzeros.  An array
+    above ``SERIALIZE_ENTRY_LIMIT`` entries is refused with ValueError.
     The bytes are those ``json.dumps`` writes for the document, keys in
-    the order below.
+    the order below; a net with no +0.0 entry gets the text of versions 1
+    and 2 but for the version number.
     """
-    shapes = [(f"layer {j}", *l.weights.shape) for j, l in enumerate(net.layers)]
-    shapes.append(("output", *net.output.shape))
-    for what, rows, cols in shapes:
-        if rows * cols > SERIALIZE_ENTRY_LIMIT:
-            raise ValueError(
-                f"{what} with shape ({rows}, {cols}) is too large for the "
-                "dense JSON format"
-            )
-    version = FORMAT_VERSION if net.grid is None else GRID_FORMAT_VERSION
-    parts = [f'{{"version": {version}, "input_dim": {net.input_dim}, '
+    parts = [f'{{"version": {FORMAT_VERSION}, "input_dim": {net.input_dim}, '
              '"layers": [']
     for j, l in enumerate(net.layers):
-        parts.append(f'{", " if j else ""}{{"rows": {l.rows}, "cols": {l.cols}, '
-                     '"weights": ')
-        parts += _float_list(l.weights)
-        parts.append(', "shifts": ')
-        parts += _float_list(l.shifts)
+        parts.append(f'{", " if j else ""}{{"rows": {l.rows}, "cols": {l.cols}, ')
+        parts += _entries(f"layer {j}", "weights", l.weights)
+        parts.append(", ")
+        parts += _entries(f"layer {j}", "shifts", l.shifts)
         parts.append("}")
     rows, cols = net.output.shape
-    parts.append(f'], "output": {{"rows": {rows}, "cols": {cols}, "weights": ')
-    parts += _float_list(net.output)
+    parts.append(f'], "output": {{"rows": {rows}, "cols": {cols}, ')
+    parts += _entries("output", "weights", net.output)
     parts.append("}")
     if net.grid is not None:
-        g = net.grid
-        parts.append(f', "grid": {{"t": {g.t}, "R": {g.R!r}, "N": {g.N}}}')
+        parts.append(f', "grid": {{"t": {net.grid.t}, "R": {net.grid.R!r}, "N": {net.grid.N}}}')
     parts.append("}")
     return "".join(parts).encode("utf-8")
 
@@ -581,16 +571,22 @@ def _size(doc, key, where) -> int:
     return value
 
 
-def _numbers(doc, key, where, count) -> np.ndarray:
+def _numbers(doc, key, where, count, kind=float) -> np.ndarray:
+    """The list ``doc[key]`` as an array of ``kind``: finite numbers
+    (JSON integers among them), or integers for ``kind=int``.  With a
+    ``count``, the list must have that many entries."""
     values = _require(doc, key, where)
     if not (isinstance(values, list)
-            and set(map(type, values)) <= {float, int}):
-        raise NetworkFormatError(f"{where} {key} must be a list of numbers")
-    if len(values) != count:
+            and set(map(type, values)) <= {int, kind}):
+        raise NetworkFormatError(f"{where} {key} must be a list of "
+                                 f"{'numbers' if kind is float else 'integers'}")
+    if count is not None and len(values) != count:
         raise NetworkFormatError(
             f"{where} {key} has {len(values)} entries, expected {count}")
     try:
-        arr = np.array(values, dtype=float)
+        # two calls, so that the float cast shows to the cast check of
+        # tests/test_pytest_config.py
+        arr = np.array(values, dtype=float) if kind is float else np.array(values, dtype=int)
     except OverflowError as exc:
         raise NetworkFormatError(f"{where} {key}: {exc}") from exc
     if not np.all(np.isfinite(arr)):
@@ -598,10 +594,32 @@ def _numbers(doc, key, where, count) -> np.ndarray:
     return arr
 
 
-def _matrix(doc, where) -> np.ndarray:
+def _array(doc, key, where, count, by_index) -> np.ndarray:
+    """The ``count`` entries of the array ``doc[key]``.  With
+    ``by_index`` (a version-3 document) and a ``"<key>_at"`` list, that
+    list gives the flat indices of the listed values, rising strictly
+    within [0, count), and every other entry is +0.0.  Such an array of
+    more than ``SERIALIZE_ENTRY_LIMIT`` entries is refused before
+    anything is allocated: a short document cannot declare a huge one.
+    Any other form raises :class:`NetworkFormatError` naming the field."""
+    if not (by_index and f"{key}_at" in doc):
+        return _numbers(doc, key, where, count)
+    if count > SERIALIZE_ENTRY_LIMIT:
+        raise NetworkFormatError(f"{where} {key}_at: {count} entries, above the file "
+                                 f"format's limit of {SERIALIZE_ENTRY_LIMIT}")
+    values = _numbers(doc, key, where, None)
+    at = _numbers(doc, f"{key}_at", where, values.size, int)
+    if at.size and not (at[0] >= 0 and at[-1] < count and np.all(at[1:] > at[:-1])):
+        raise NetworkFormatError(f"{where} {key}_at must rise strictly within [0, {count})")
+    full = np.zeros(count)
+    full[at] = values
+    return full
+
+
+def _matrix(doc, where, by_index) -> np.ndarray:
     rows = _size(doc, "rows", where)
     cols = _size(doc, "cols", where)
-    values = _numbers(doc, "weights", where, rows * cols)
+    values = _array(doc, "weights", where, rows * cols, by_index)
     try:
         return values.reshape(rows, cols)
     except ValueError as exc:  # a dimension beyond what numpy can index
@@ -613,7 +631,7 @@ def _same_bits(a, b) -> bool:
 
 
 def _grid_net(doc_net: ReluNetwork) -> ReluNetwork:
-    """The interpolation net of a version-2 document: the grid's
+    """The interpolation net of a document with a grid: the grid's
     :func:`funcrelu.constructors.build_interpolation_net` with the output
     row as node values.  ``doc_net``, the document's own net, must have
     one output row and that net's block bit for bit: a pass over
@@ -634,9 +652,12 @@ def _grid_net(doc_net: ReluNetwork) -> ReluNetwork:
 
 
 def deserialize(raw: bytes) -> ReluNetwork:
-    """Network from :func:`serialize` output, of either version; a
-    version-2 document gives a net with its grid.  Any malformed document
-    raises :class:`NetworkFormatError`."""
+    """Network from :func:`serialize` output.  Version 3 is read with its
+    ``_at`` lists and its grid, if it has one; versions 1 and 2, written
+    before it and dense throughout, are read as they always were, and a
+    version-2 document must have a grid.  A document with a grid gives a
+    net with its grid.  Any malformed document raises
+    :class:`NetworkFormatError`."""
     try:
         doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     except (ValueError, TypeError, RecursionError) as exc:
@@ -644,24 +665,25 @@ def deserialize(raw: bytes) -> ReluNetwork:
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level JSON object expected")
     version = _require(doc, "version", "network")
-    if type(version) is not int or version not in (FORMAT_VERSION,
-                                                   GRID_FORMAT_VERSION):
+    if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
         raise NetworkFormatError(f"unsupported format version {version!r}")
+    by_index = version == FORMAT_VERSION
     input_dim = _size(doc, "input_dim", "network")
     ldocs = _require(doc, "layers", "network")
     if not isinstance(ldocs, list):
         raise NetworkFormatError("'layers' must be a list")
     layers = []
     for j, ldoc in enumerate(ldocs):
-        weights = _matrix(ldoc, f"layer {j}")
-        layers.append(Layer(weights, _numbers(ldoc, "shifts", f"layer {j}",
-                                              weights.shape[0])))
-    out = _matrix(_require(doc, "output", "network"), "output")
-    if version == GRID_FORMAT_VERSION:
+        weights = _matrix(ldoc, f"layer {j}", by_index)
+        layers.append(Layer(weights, _array(ldoc, "shifts", f"layer {j}",
+                                            weights.shape[0], by_index)))
+    out = _matrix(_require(doc, "output", "network"), "output", by_index)
+    has_grid = version == 2 or (by_index and "grid" in doc)
+    if has_grid:
         gdoc = _require(doc, "grid", "network")
         t_R_N = [_require(gdoc, key, "grid") for key in ("t", "R", "N")]
     try:
-        if version == FORMAT_VERSION:
+        if not has_grid:
             return ReluNetwork(input_dim, layers, out)
         # ReluNetwork checks the layer count before it lists t^2 + t + 1
         # shapes, so the document's size bounds what t makes

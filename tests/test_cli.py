@@ -78,8 +78,8 @@ def test_build_interp_is_limited_by_the_file_format(tmp_path, monkeypatch):
     # the writer's limit bounds each stored matrix: here the 25 node values
     monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 24)
     out = tmp_path / "big.json"
-    with pytest.raises(ValueError, match="output with shape .1, 25. is too large "
-                                         "for the dense JSON format"):
+    with pytest.raises(ValueError, match="output weights with shape .1, 25. is too large "
+                                         "for the file format: more than 24 entries"):
         main(["build-interp", "--t", "1", "--N", "24", "--R", "1", "--values", "ones",
               "--out", str(out)])
     assert not out.exists()

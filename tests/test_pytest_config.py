@@ -106,7 +106,7 @@ def test_the_blas_check_sees_a_product_in_a_named_function(tmp_path):
 # refuse a complex dtype that a cast would drop to its real part
 FLOAT_CASTS_ALLOWED = {
     "legendre.legendre_values", "legendre.tensor_eval", "functions._asbatch",
-    "pipeline.sample_inputs", "relu_net._float_list", "relu_net._numbers",
+    "pipeline.sample_inputs", "relu_net._entries", "relu_net._numbers",
     "simplicial.spike_shifts", "simplicial.simplex_vertices", "simplicial.in_S0",
     "verify.check_spike_equivalence",
 }

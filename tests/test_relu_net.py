@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -313,18 +315,31 @@ class TestSerialization:
             deserialize(b"[1, 2, 3]")
 
     def test_oversized_layer_refused(self, monkeypatch):
-        # the dense row-major format is for desk-scale networks; a layer
-        # above the entry limit is refused, not written
-        net = ReluNetwork(3, [Layer(np.ones((4, 3)), np.zeros(4))], np.ones((1, 4)))
+        # layers are dense in memory; a layer above the entry limit is
+        # refused, not written, and not read where its document lists it
+        # by its nonzeros: what the writer writes, the reader reads
+        weights = np.ones((4, 3))
+        weights[1, 2] = 0.0
+        net = ReluNetwork(3, [Layer(weights, np.zeros(4))], np.ones((1, 4)))
         monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 11)
-        with pytest.raises(ValueError, match=r"layer 0 with shape \(4, 3\) is too large"):
+        with pytest.raises(ValueError, match=r"^layer 0 weights with shape \(4, 3\) is too "
+                                             r"large for the file format: more than 11 "
+                                             r"entries$"):
             serialize(net)
         monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 12)
-        assert serialize(net) == _reference_serialize(net)
+        raw = serialize(net)
+        assert raw == _reference_v3(net)
+        assert json.loads(raw)["layers"][0]["weights_at"] == [0, 1, 2, 3, 4, 6, 7, 8, 9,
+                                                              10, 11]
+        assert serialize(deserialize(raw)) == raw
+        monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 11)
+        with pytest.raises(NetworkFormatError, match="^layer 0 weights_at: 12 entries, "
+                                                     "above the file format's limit of 11$"):
+            deserialize(raw)
 
     def test_large_block_net_written_without_expansion(self):
-        # expanded, its layers are above the entry limit; version 2 writes
-        # its block and 59 049 node values
+        # expanded, its layers are above the entry limit; its document
+        # holds its block and 59 049 node values
         grid = ScaledGrid(5, 1.0, 8)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
         tracemalloc.start()
@@ -333,7 +348,9 @@ class TestSerialization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert json.loads(raw)["version"] == relu_net.GRID_FORMAT_VERSION
+        doc = json.loads(raw)
+        assert doc["version"] == relu_net.FORMAT_VERSION
+        assert doc["grid"] == {"t": 5, "R": 1.0, "N": 8}
         # the pieces of the output row: about 110 B per node value
         assert peak < 160 * grid.node_count
 
@@ -366,7 +383,8 @@ class TestSerialization:
     def test_bad_value_deep_in_a_long_list_named(self, value):
         grid = ScaledGrid(2, 1.0, 4)
         net = build_interpolation_net(InterpolationSpec(grid, np.ones(grid.node_count)))
-        doc = json.loads(serialize(dense_expansion(net)))
+        # the version-1 text, which lists every entry of a layer
+        doc = json.loads(_reference_serialize(dense_expansion(net)))
         assert len(doc["layers"][1]["weights"]) > 10_000
         doc = _mutated(doc, ("layers", 1, "weights", -1), value)
         with pytest.raises(NetworkFormatError, match="layer 1 weights"):
@@ -385,23 +403,38 @@ class TestSerialization:
         assert deserialize(serialize(net)).input_dim == 2
 
     @pytest.mark.parametrize("text", ["1e999", "NaN", "-Infinity"])
-    def test_non_finite_weight_named(self, text):
-        raw = serialize(build_min_net(2)).replace(
-            b'"weights": [0.0', b'"weights": [' + text.encode(), 1)
-        with pytest.raises(NetworkFormatError, match="non-finite"):
+    @pytest.mark.parametrize("version", [3, 1])
+    def test_non_finite_weight_named(self, text, version):
+        # the first listed weight of layer 0 made non-finite
+        write = serialize if version == 3 else _reference_serialize
+        raw, n = re.subn(rb'"weights": \[[^,\]]+', b'"weights": [' + text.encode(),
+                         write(build_min_net(2)), count=1)
+        assert n == 1
+        with pytest.raises(NetworkFormatError, match="non-finite entries in layer 0 weights"):
             deserialize(raw)
+
+    @pytest.mark.parametrize("key,value", [
+        ("weights", True), ("weights", "x"), ("weights", None), ("weights_at", True),
+        ("weights_at", "x"), ("weights_at", None), ("weights_at", 10200.0)])
+    def test_bad_value_deep_in_a_long_v3_list_named(self, key, value):
+        doc = json.loads(serialize(_interp(2, 100)))
+        assert len(doc["output"][key]) > 10_000
+        doc = _mutated(doc, ("output", key, -1), value)
+        with pytest.raises(NetworkFormatError, match=f"output {key}"):
+            deserialize(json.dumps(doc).encode())
 
 
 def _reference_serialize(net):
-    """Reference for serialize: the document built as Python objects, every
-    entry a float, and written by json.dumps.  A grid net's document holds
-    its stored layers, its output row and its grid."""
+    """The version-1 or version-2 document that serialize wrote before
+    version 3, and that deserialize still reads: built as Python objects,
+    every entry a float, dense, and written by json.dumps.  A grid net's
+    document (version 2) holds its stored layers, its output row and its
+    grid."""
     def dense(w):
         return [float(v) for v in np.asarray(w, dtype=float).ravel()]
 
     doc = {
-        "version": relu_net.FORMAT_VERSION if net.grid is None
-        else relu_net.GRID_FORMAT_VERSION,
+        "version": 1 if net.grid is None else 2,
         "input_dim": net.input_dim,
         "layers": [
             {"rows": l.rows, "cols": l.cols, "weights": dense(l.weights),
@@ -410,6 +443,34 @@ def _reference_serialize(net):
         ],
         "output": {"rows": net.output.shape[0], "cols": net.output.shape[1],
                    "weights": dense(net.output)},
+    }
+    if net.grid is not None:
+        doc["grid"] = {"t": net.grid.t, "R": net.grid.R, "N": net.grid.N}
+    return json.dumps(doc).encode("utf-8")
+
+
+def _reference_v3(net):
+    """Reference for serialize: the version-3 document built as Python
+    objects and written by json.dumps.  Each array is its entries as
+    floats if none is +0.0; else the others, -0.0 among them, and their
+    flat indices under "<key>_at"."""
+    def put(doc, key, w):
+        values = [float(v) for v in np.asarray(w, dtype=float).ravel()]
+        at = [i for i, v in enumerate(values) if v != 0.0 or math.copysign(1.0, v) < 0.0]
+        if len(at) == len(values):
+            doc[key] = values
+        else:
+            doc[key], doc[key + "_at"] = [values[i] for i in at], at
+        return doc
+
+    doc = {
+        "version": 3,
+        "input_dim": net.input_dim,
+        "layers": [put(put({"rows": l.rows, "cols": l.cols}, "weights", l.weights),
+                       "shifts", l.shifts)
+                   for l in net.layers],
+        "output": put({"rows": net.output.shape[0], "cols": net.output.shape[1]},
+                      "weights", net.output),
     }
     if net.grid is not None:
         doc["grid"] = {"t": net.grid.t, "R": net.grid.R, "N": net.grid.N}
@@ -425,14 +486,20 @@ FLOATS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
-                                               max_side=12), elements=FLOATS))
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=1, min_side=0,
+                                               max_side=40), elements=FLOATS)
+       | hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=1, min_side=0,
+                                               max_side=40)))
 @example(np.zeros(0))
-@example(np.zeros((0, 3)))
-@example(np.zeros((4, 5)))
+@example(np.zeros(0, np.int64))
+@example(np.zeros(20))
 @example(np.full(3, -0.0))
-def test_float_list_writes_what_json_dumps_writes(a):
-    assert "".join(relu_net._float_list(a)) == json.dumps([float(v) for v in a.ravel()])
+@example(np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]))
+def test_json_list_writes_what_json_dumps_writes(a):
+    # a short run, so most examples join several runs
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(relu_net, "_VALUE_RUN", 3)
+        assert "".join(relu_net._json_list(a)) == json.dumps(a.tolist())
 
 
 def _interp(t, N):
@@ -503,9 +570,25 @@ SERIALIZED_NETS = {
 def test_serialize_writes_the_json_dumps_document(name):
     net = SERIALIZED_NETS[name]()
     raw = serialize(net)
-    assert raw == _reference_serialize(net)
+    assert raw == _reference_v3(net)
     back = deserialize(raw)
-    assert serialize(back) == _reference_serialize(back) == raw
+    assert serialize(back) == _reference_v3(back) == raw
+
+
+def _has_positive_zero(net) -> bool:
+    return any(np.any((a == 0.0) & ~np.signbit(a))
+               for a in [net.output, *(x for l in net.layers for x in (l.weights, l.shifts))])
+
+
+@pytest.mark.parametrize("name", ["random", "signed-zeros"])
+def test_a_net_without_positive_zeros_keeps_its_old_text(name):
+    # every array dense, so the bytes are those of version 1 but for the
+    # version number
+    net = SERIALIZED_NETS[name]()
+    assert not _has_positive_zero(net)
+    old = _reference_serialize(net)
+    assert old.startswith(b'{"version": 1, ')
+    assert serialize(net) == b'{"version": 3, ' + old[len(b'{"version": 1, '):]
 
 
 def test_serialize_peak_memory_follows_the_document():
@@ -519,19 +602,62 @@ def test_serialize_peak_memory_follows_the_document():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * len(raw)
-    assert raw == _reference_serialize(net)
+    assert raw == _reference_v3(net)
 
 
 @pytest.mark.parametrize("name", [n for n in SERIALIZED_NETS if n.startswith("interp")])
 def test_reloaded_grid_net_expands_to_its_v1_document(name):
     # the version-1 bytes of the expanded net are those the format wrote
-    # for every interpolation net before version 2
+    # for every interpolation net before version 2; the expanded net, with
+    # no grid, is written as version 3 the same way from either net
     net = SERIALIZED_NETS[name]()
     back = deserialize(serialize(net))
     assert back.grid == net.grid
-    v1 = serialize(dense_expansion(back))
-    assert json.loads(v1)["version"] == relu_net.FORMAT_VERSION
-    assert v1 == _reference_serialize(dense_expansion(net))
+    assert _reference_serialize(dense_expansion(back)) == _reference_serialize(
+        dense_expansion(net))
+    v3 = serialize(dense_expansion(back))
+    assert "grid" not in json.loads(v3)
+    assert v3 == _reference_v3(dense_expansion(net))
+
+
+# documents that serialize wrote before version 3, and the nets they hold
+DATA = Path(__file__).parent / "data"
+OLD_DOCUMENTS = {
+    "v1_min_d3.json": lambda: build_min_net(3),
+    "v1_spike_t2.json": lambda: build_spike_net(2),
+    "v1_zero.json": zero_net,
+    "v2_interp_t1_N4.json": lambda: _interp(1, 4),
+    "v2_interp_t2_N4.json": lambda: _interp(2, 4),
+}
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("name", list(OLD_DOCUMENTS))
+def test_an_old_document_loads_to_the_net_built_today(name):
+    raw = (DATA / name).read_bytes()
+    net = OLD_DOCUMENTS[name]()
+    # the reference writer still writes the old bytes
+    assert raw == _reference_serialize(net)
+    back = deserialize(raw)
+    assert back.input_dim == net.input_dim and back.grid == net.grid
+    assert len(back.layers) == len(net.layers)
+    for mine, theirs in zip(back.layers, net.layers):
+        assert mine.weights.shape == theirs.weights.shape
+        assert np.array_equal(_bits(mine.weights), _bits(theirs.weights))
+        assert np.array_equal(_bits(mine.shifts), _bits(theirs.shifts))
+    assert np.array_equal(_bits(back.output), _bits(net.output))
+    assert serialize(back) == serialize(net)
+
+
+def test_an_old_document_s_at_keys_are_not_read():
+    # the indices are read in version 3 only
+    doc = json.loads((DATA / "v2_interp_t1_N4.json").read_bytes())
+    doc["output"]["weights_at"] = "x"
+    doc["layers"][1]["shifts_at"] = [0]
+    assert serialize(deserialize(json.dumps(doc))) == serialize(_interp(1, 4))
 
 
 def _json_paths(doc, prefix=()):
@@ -564,8 +690,9 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=8,
 )
-VALID_DOC = json.loads(serialize(build_min_net(3)))
-VALID_V2_DOC = json.loads(serialize(_interp(2, 2)))
+VALID_DOC = json.loads(_reference_serialize(build_min_net(3)))
+VALID_V2_DOC = json.loads(_reference_serialize(_interp(2, 2)))
+VALID_V3_DOC = json.loads(serialize(_interp(2, 2)))
 
 
 def _deserializes_or_names_error(raw):
@@ -605,6 +732,17 @@ def test_fuzz_mutated_document(path, delete, value):
 @given(st.sampled_from(list(_json_paths(VALID_V2_DOC))), st.booleans(), JSON_VALUES)
 def test_fuzz_mutated_v2_document(path, delete, value):
     doc = _mutated(VALID_V2_DOC, path, value, delete)
+    _deserializes_or_names_error(json.dumps(doc).encode())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_json_paths(VALID_V3_DOC))), st.booleans(), JSON_VALUES)
+def test_fuzz_mutated_v3_document(path, delete, value):
+    # a grid net's document, its output and every layer but the last
+    # listed by their nonzeros
+    assert "weights_at" in VALID_V3_DOC["output"] and "grid" in VALID_V3_DOC
+    assert all("weights_at" in l for l in VALID_V3_DOC["layers"][:-1])
+    doc = _mutated(VALID_V3_DOC, path, value, delete)
     _deserializes_or_names_error(json.dumps(doc).encode())
 
 
@@ -663,7 +801,7 @@ def _huge_t(doc):
     lambda d: _mutated(d, ("grid", "R"), 10**400),
     lambda d: _mutated(d, ("grid", "R"), 2.0),
     _short_output,
-    lambda d: _mutated(d, ("version",), relu_net.FORMAT_VERSION),
+    lambda d: _mutated(d, ("version",), 1),
     lambda d: _mutated(d, ("input_dim",), 3),
     _short_middle_layer,
     _two_output_rows,
@@ -682,6 +820,75 @@ def test_malformed_v2_document_named(edit, monkeypatch):
         deserialize(raw)
     if edit is _huge_t:
         assert built == []
+
+
+def _at_list(path, edit):
+    """An edit of VALID_V3_DOC's index list at ``path``."""
+    def apply(doc):
+        at = list(functools.reduce(lambda d, k: d[k], path, doc))
+        return _mutated(doc, path, edit(at))
+    return apply
+
+
+def _swap_first_two(at):
+    at[0], at[1] = at[1], at[0]
+    return at
+
+
+W1_AT = ("layers", 1, "weights_at")
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda d: _mutated(d, W1_AT, "abc"), "layer 1 weights_at"),
+    (lambda d: _mutated(d, W1_AT, None), "layer 1 weights_at"),
+    (lambda d: _mutated(d, W1_AT, {"0": 1}), "layer 1 weights_at"),
+    (lambda d: _mutated(d, ("layers", 1, "shifts_at"), 7), "layer 1 shifts_at"),
+    (lambda d: _mutated(d, ("output", "weights_at"), "x"), "output weights_at"),
+    (lambda d: _mutated(d, W1_AT + (0,), True), "layer 1 weights_at"),
+    (lambda d: _mutated(d, W1_AT + (0,), 0.0), "layer 1 weights_at"),
+    (lambda d: _mutated(d, W1_AT + (0,), "0"), "layer 1 weights_at"),
+    (lambda d: _mutated(d, W1_AT + (0,), 10**400), "layer 1 weights_at"),
+    (lambda d: _mutated(d, W1_AT + (0,), -1), "layer 1 weights_at"),
+    (lambda d: _mutated(d, W1_AT + (-1,), 66), "layer 1 weights_at"),
+    (lambda d: _mutated(d, W1_AT + (-1,), 10**6), "layer 1 weights_at"),
+    (_at_list(W1_AT, lambda at: [at[0], *at[:-1]]), "layer 1 weights_at"),
+    (_at_list(W1_AT, _swap_first_two), "layer 1 weights_at"),
+    (_at_list(W1_AT, lambda at: at[:-1]), "layer 1 weights_at"),
+    (_at_list(W1_AT, lambda at: at + [65]), "layer 1 weights_at"),
+    (_at_list(("layers", 1, "shifts_at"), lambda at: at + [0]), "layer 1 shifts_at"),
+    (_at_list(("output", "weights_at"), lambda at: at[1:]), "output weights_at"),
+], ids=["str", "null", "object", "shifts-int", "output-str", "bool-entry", "float-entry",
+        "str-entry", "huge-entry", "negative-entry", "entry-at-size", "entry-beyond-size",
+        "repeated-entry", "falling-entry", "one-index-short", "one-index-more",
+        "shift-index-without-value", "output-index-short"])
+def test_malformed_v3_index_list_named(edit, field):
+    # layer 1 is (11, 6): its 66 entries are listed by 12 indices
+    assert len(VALID_V3_DOC["layers"][1]["weights_at"]) == 12
+    raw = json.dumps(edit(VALID_V3_DOC)).encode()
+    with pytest.raises(NetworkFormatError, match=f"^{field}"):
+        deserialize(raw)
+
+
+@pytest.mark.parametrize("layer,field", [
+    ({"rows": 10**6, "cols": 10**6, "weights": [], "weights_at": [],
+      "shifts": [], "shifts_at": []}, "layer 0 weights_at: 1000000000000 entries"),
+    ({"rows": 10**9, "cols": 0, "weights": [], "shifts": [], "shifts_at": []},
+     "layer 0 shifts_at: 1000000000 entries"),
+])
+def test_a_short_v3_document_cannot_declare_a_huge_layer(layer, field):
+    raw = json.dumps({"version": 3, "input_dim": layer["cols"], "layers": [layer],
+                      "output": {"rows": 1, "cols": layer["rows"], "weights": [],
+                                 "weights_at": []}}).encode()
+    assert len(raw) < 250
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetworkFormatError, match=f"^{field}, above the file "
+                                                     "format's limit of 50000000$"):
+            deserialize(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_full_pass_output_stage_within_the_budget(monkeypatch):
