@@ -14,7 +14,6 @@ import json
 import math
 import resource
 import sys
-import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .constructors import (
     build_spike_net,
     timed,
 )
-from .discretize import InputFunction, discretize, make_operator
+from .discretize import FILTER_KINDS, InputFunction, discretize, make_operator
 from .functions import CUBE_FUNCTIONS, get_function, get_node_function
 from .legendre import default_rule_size, gauss_legendre_rule
 from .relu_net import count_nonzero, depth, serialize
@@ -183,7 +182,12 @@ _INT = ("an integer", _is_int)
 _NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
 _INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
-_STR = ("a string", lambda v: isinstance(v, str))
+
+
+def _one_of(names):
+    """The kind of a config value that must be one of ``names``."""
+    return f"one of {sorted(names)}", lambda v: isinstance(v, str) and v in names
+
 
 # config key -> (ExperimentConfig field, kind of value); every default is
 # the dataclasses'
@@ -191,7 +195,7 @@ _RUN_KEYS = {
     "s": ("s", _INT), "p": ("p", _NUMBER),
     "functional": ("functional", _ANY), "input_class": ("input_class", _ANY),
     "m_values": ("m_values", _INTS), "N_values": ("N_values", _INTS),
-    "filter": ("filter_kind", _STR), "c1_surrogate": ("c1_surrogate", _NUMBER),
+    "filter": ("filter_kind", _one_of(FILTER_KINDS)), "c1_surrogate": ("c1_surrogate", _NUMBER),
     "C_K": ("C_K", ("a number or null", lambda v: v is None or _NUMBER[1](v))),
     "node_cap": ("node_cap", _INT), "weight_cap": ("weight_cap", _INT),
     "dump_networks": ("dump_networks", _BOOL), "budget_ladder": ("ladder", _BOOL),
@@ -199,7 +203,9 @@ _RUN_KEYS = {
 }
 # the sampler names a bad input-class value
 _CLASS_KEYS = {f.name: (f.name, _ANY) for f in fields(pipeline.InputClass)}
-_FUNCTIONAL_KEYS = {"name": ("name", _STR), "g": ("g", _STR), "value": ("value", _NUMBER)}
+_FUNCTIONAL_NAMES = ("inner-product", "sin-inner-product", "constant", "l1-norm")
+_FUNCTIONAL_KEYS = {"name": ("name", _one_of(_FUNCTIONAL_NAMES)),
+                    "g": ("g", _one_of(CUBE_FUNCTIONS)), "value": ("value", _NUMBER)}
 
 
 def _config_fields(doc, table, where):
@@ -231,12 +237,12 @@ def _functional_from_doc(doc, cfg):
     name = doc.get("name", "inner-product")
     if name == "constant":
         return pipeline.constant_functional(float(doc.get("value", 0.0)))
+    if name == "l1-norm":
+        return pipeline.l1_norm_functional(cfg.s, cfg.p)
     g = get_function(doc.get("g", "gaussian"))
     if name == "inner-product":
         return pipeline.inner_product_functional(g, rule, cfg.p)
-    if name == "sin-inner-product":
-        return pipeline.sin_inner_product_functional(g, rule, cfg.p)
-    raise SystemExit(f"unknown functional {name!r}")
+    return pipeline.sin_inner_product_functional(g, rule, cfg.p)
 
 
 def _cmd_run(args):
@@ -250,10 +256,9 @@ def _cmd_run(args):
         doc["dump_dir"] = str(out_dir / "networks")
     cfg = pipeline.ExperimentConfig(input_class=cls, **doc)
     cfg.functional = _functional_from_doc(functional, cfg)
-    t0 = time.perf_counter()
-    report = pipeline.run_rate_experiment(cfg)
+    report, seconds = timed(pipeline.run_rate_experiment, cfg)
     report = replace(report, summary={
-        **report.summary, "wall_seconds": time.perf_counter() - t0,
+        **report.summary, "wall_seconds": seconds,
         # the process's peak resident set so far; ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
     report.to_csv(out_dir / "report.csv")

@@ -12,6 +12,7 @@ network path with the direct path.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -80,6 +81,17 @@ def build_spike_net(t: int) -> ReluNetwork:
     return ReluNetwork(t, layers, np.array([[1.0]]))
 
 
+@functools.cache
+def shared_block(t: int) -> ReluNetwork:
+    """The process's spike block of dimension t: :func:`build_spike_net`
+    at the first call for t, the same net afterwards.  Every functional
+    net and every reloaded grid document of that t holds its deeper
+    ``Layer`` objects and their index forms; a block lives as long as the
+    process.  Sharing is safe because nets and layers are fixed when made
+    (see :mod:`funcrelu.relu_net`)."""
+    return build_spike_net(t)
+
+
 def spike_nominal_nonzeros(t: int) -> int:
     """Nonzero count of one unshifted spike block including a unit output
     coefficient: first layer 3t(t-1) + 4t, plus the minimum network over
@@ -125,9 +137,10 @@ def build_interpolation_net(spec: InterpolationSpec,
     nonzero count is at most node_count * spike_nominal_nonzeros(t).
 
     ``block`` is a spike net of the grid's t to build from instead of a
-    new one; the net then holds its deeper ``Layer`` objects, and with them
-    their index forms (:attr:`funcrelu.relu_net.Layer.form`), and only the
-    scaled first layer is its own.  A grid net, or a block of other
+    new one, such as :func:`shared_block`; the net then holds its deeper
+    ``Layer`` objects, and with them their index forms
+    (:attr:`funcrelu.relu_net.Layer.form`), and only the scaled first
+    layer is its own.  A grid net, or a block of other
     shapes, raises ValueError.  Sharing is safe because a net, its layers
     and its node values are fixed when made (see
     :mod:`funcrelu.relu_net`): the net's output row is ``spec``'s
@@ -172,8 +185,8 @@ def interpolation_error_bound(t: int, N: int, R: float, omega) -> float:
     return 2.0 * t * float(omega(2.0 * R / N))
 
 
-def timed(builder, *args, **kwargs):
-    """(result, elapsed seconds) of a build call."""
+def timed(call, *args, **kwargs):
+    """(result, elapsed seconds) of a call."""
     t0 = time.perf_counter()
-    net = builder(*args, **kwargs)
-    return net, time.perf_counter() - t0
+    result = call(*args, **kwargs)
+    return result, time.perf_counter() - t0

@@ -30,10 +30,11 @@ import numpy as np
 from .constructors import (
     InterpolationSpec,
     build_interpolation_net,
-    build_spike_net,
     interpolant_values,
     interpolation_error_bound,
+    shared_block,
     spike_nominal_nonzeros,
+    timed,
 )
 from .discretize import (
     DiscretizationOperator,
@@ -480,16 +481,15 @@ def _node_values(S: np.ndarray, phi: Callable, grid: ScaledGrid,
 
 def build_functional_net(functional: TargetFunctional,
                          op: DiscretizationOperator,
-                         grid: ScaledGrid,
-                         block: Optional[ReluNetwork] = None) -> FunctionalNet:
+                         grid: ScaledGrid) -> FunctionalNet:
     """Interpolation network for the discretized target over the grid.
 
     mu is written run by run in place into the one array of node values
     (:func:`_node_values`), so no other array of all nodes is made; for a
     Phi that works row by row without BLAS it is bit-equal to
     :func:`mu_values` at the nodes (see there), and its time is the
-    result's ``mu_seconds``.  ``block`` is passed on to
-    :func:`build_interpolation_net`."""
+    result's ``mu_seconds``.  The net is built from the process's block
+    of the grid's t, :func:`funcrelu.constructors.shared_block`."""
     if grid.t != op.t:
         raise ValueError(f"grid dimension {grid.t} != operator size {op.t}")
     t0 = time.perf_counter()
@@ -497,7 +497,7 @@ def build_functional_net(functional: TargetFunctional,
     _node_values(*_mu_map(functional, op), grid, values)
     mu_seconds = time.perf_counter() - t0
     spec = InterpolationSpec(grid, values)
-    return FunctionalNet(op, build_interpolation_net(spec, block), spec, mu_seconds)
+    return FunctionalNet(op, build_interpolation_net(spec, shared_block(grid.t)), spec, mu_seconds)
 
 
 def evaluate_functional_net(fnet: FunctionalNet, f: InputFunction) -> float:
@@ -662,20 +662,18 @@ def _dump_net(net: ReluNetwork, M: int, path: Path) -> str:
     return str(path)
 
 
-def _measure_point(cfg, degree: DegreeState, N, spike_block, dump_dir=None):
+def _measure_point(cfg, degree: DegreeState, N, dump_dir=None):
     """The row at (m, N): build the net on the grid of ``degree``'s cube
-    from ``spike_block(t)`` and measure what depends on N, the net's output
-    theta, the oracle, the grid pieces and the grid bound; the m-only mu
-    and modulus come from ``degree``.  A point over the caps calls
-    nothing."""
+    and measure what depends on N, the net's output theta, the oracle,
+    the grid pieces and the grid bound; the m-only mu and modulus come
+    from ``degree``.  A point over the caps calls nothing."""
     op, R, eps_hat = degree.op, degree.radius.R, degree.eps_hat
     m, t = op.basis.m, op.t
     reason = _over_cap(cfg, t, N, cfg.weight_cap)
     if reason:
         return ExperimentRow(m, t, N, R=R, eps_hat=eps_hat, status="skipped", reason=reason)
-    block = spike_block(t)
     t0 = time.perf_counter()
-    fnet = build_functional_net(degree.functional, op, ScaledGrid(t, R, N), block)
+    fnet = build_functional_net(degree.functional, op, ScaledGrid(t, R, N))
     J, M = depth(fnet.net), count_nonzero(fnet.net)
     t1 = time.perf_counter()
     theta = evaluate_batch(fnet.net, degree.nus)
@@ -715,7 +713,7 @@ def _fit_c_hat(rows, omega: PowerModulus) -> float:
 _LADDER_BUDGETS = 5  # weight budgets on the ladder's geometric grid
 
 
-def _budget_ladder_rows(cfg, per_m_state, spike_block):
+def _budget_ladder_rows(cfg, per_m_state):
     """Budget-ladder realization of the degree-for-budget pairing.
 
     The pairing rule picks, for a weight budget B, the largest m with
@@ -724,7 +722,7 @@ def _budget_ladder_rows(cfg, per_m_state, spike_block):
     scale, so c9 is calibrated from the largest feasible build: the top
     budget is the largest nominal size buildable at the largest m under
     node_cap and ladder_weight_cap.  Each budget B then builds the largest
-    N at its m that fits node_cap and B, from ``spike_block(t)``.
+    N at its m that fits node_cap and B.
     """
     s = cfg.s
     m_cands = sorted(cfg.ladder_m_values)
@@ -765,7 +763,7 @@ def _budget_ladder_rows(cfg, per_m_state, spike_block):
         if N < 1 or (m, N) in seen:
             continue
         seen.add((m, N))
-        rows.append(_measure_point(cfg, per_m_state(m), N, spike_block))
+        rows.append(_measure_point(cfg, per_m_state(m), N))
     done = [r for r in rows if r.status == "ok" and r.M > math.e**math.e]
     info = {"c9_eff": c9_eff, "points": len(done)}
     if len(done) >= 2:
@@ -783,8 +781,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Sweep (m, N), measure sup errors over the sampled class, reconstruct
     the two-term bound, and fit the budget-ladder decay exponent.  Each
     degree's :class:`DegreeState` is made once, at its first grid or ladder
-    point, and each t's spike block likewise; the report is made once,
-    after its summary."""
+    point; the report is made once, after its summary."""
     if cfg.functional is None or cfg.input_class is None:
         raise ValueError("config needs a functional and an input class")
     # every sweep value is checked before an input is drawn or a net dumped
@@ -797,30 +794,18 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             raise ValueError("ladder m values must be integers >= 1, got none")
         for m in cfg.ladder_m_values:
             integer_size(m, "ladder m values", 1)
-    t0 = time.perf_counter()
-    inputs = generate_inputs(cfg.input_class, cfg.s)
-    stage_seconds = {"inputs": time.perf_counter() - t0, "sample": 0.0,
-                     "block": 0.0}
+    inputs, seconds = timed(generate_inputs, cfg.input_class, cfg.s)
+    stage_seconds = {"inputs": seconds, "sample": 0.0}
     if cfg.dump_dir is not None:
         Path(cfg.dump_dir).mkdir(parents=True, exist_ok=True)
 
-    def staged(stage, make):
-        """``make``, its value kept per argument, its misses timed into
-        ``stage_seconds[stage]``."""
-        @functools.cache
-        def kept(key):
-            t0 = time.perf_counter()
-            value = make(key)
-            stage_seconds[stage] += time.perf_counter() - t0
-            return value
-        return kept
+    @functools.cache
+    def per_m_state(m):
+        degree, seconds = timed(_rule_state, cfg, inputs, m)
+        stage_seconds["sample"] += seconds
+        return degree
 
-    per_m_state = staged("sample", lambda m: _rule_state(cfg, inputs, m))
-    # one spike block per t, built at the first point that needs it; its
-    # nets share the block's deeper layers and their index forms, and the
-    # blocks go when the experiment ends
-    spike_block = staged("block", build_spike_net)
-    rows = tuple(_measure_point(cfg, degree, N, spike_block, dump_dir=cfg.dump_dir)
+    rows = tuple(_measure_point(cfg, degree, N, dump_dir=cfg.dump_dir)
                  for degree in map(per_m_state, cfg.m_values) for N in cfg.N_values)
     done = [r for r in rows if r.status == "ok"]
     summary = {
@@ -838,7 +823,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     }
     measured = list(rows)
     if cfg.ladder:
-        ladder_rows, ladder_info = _budget_ladder_rows(cfg, per_m_state, spike_block)
+        ladder_rows, ladder_info = _budget_ladder_rows(cfg, per_m_state)
         ladder_info["skipped_points"] = [(r.m, r.N, r.reason) for r in ladder_rows
                                          if r.status != "ok"]
         summary["budget_ladder"] = ladder_info

@@ -507,16 +507,23 @@ def _json_list(a: np.ndarray) -> list:
 
 def _entries(where: str, key: str, w) -> list:
     """Pieces of ``"<key>": [...]``, the entries of ``w`` in row-major
-    order.  If any entry has the bits of +0.0, only the others are
-    listed (-0.0 among them), and ``, "<key>_at": [...]`` follows: their
-    flat indices.  An array above ``SERIALIZE_ENTRY_LIMIT`` entries, a
-    shift vector too, raises ValueError."""
+    order.  Where leaving out the entries with the bits of +0.0 makes the
+    text shorter, only the others are listed (-0.0 among them), and
+    ``, "<key>_at": [...]`` follows: their flat indices; on a tie the
+    array is written dense.  An array above ``SERIALIZE_ENTRY_LIMIT``
+    entries, a shift vector too, raises ValueError."""
     if w.size > SERIALIZE_ENTRY_LIMIT:
         raise ValueError(f"{where} {key} with shape {w.shape} is too large for the "
                          f"file format: more than {SERIALIZE_ENTRY_LIMIT} entries")
     a = np.asarray(w, dtype=float).ravel()
     at = np.flatnonzero(a.view(np.int64))
-    if at.size == a.size:
+    # Both texts list the k entries other than +0.0.  Dense adds the
+    # "0.0" of each of the n - k others and n - 1 ", " in all, 5n - 3k - 2
+    # characters; by index adds the index list, its key, brackets and
+    # digits, and k - 1 ", " in each of its two lists.
+    digits = at.size + sum(at.size - int(np.searchsorted(at, 10 ** d))
+                           for d in range(1, len(str(a.size))))
+    if len(f', "{key}_at": []') + digits + 4 * max(at.size - 1, 0) >= 5 * a.size - 3 * at.size - 2:
         return [f'"{key}": ', *_json_list(a)]
     return [f'"{key}": ', *_json_list(a[at]), f', "{key}_at": ', *_json_list(at)]
 
@@ -529,10 +536,11 @@ def serialize(net: ReluNetwork) -> bytes:
     document holds each stored layer's weights and shifts and the output
     matrix, each row-major, and a grid net's ``"grid": {"t", "R", "N"}``:
     a grid net is its stored layers (one spike block) and its output row
-    of node values, no copy written out.  An array with no +0.0 entry is
-    written dense; any other by its other entries and their flat indices
-    (:func:`_entries`), so the document follows the nonzeros.  An array
-    above ``SERIALIZE_ENTRY_LIMIT`` entries is refused with ValueError.
+    of node values, no copy written out.  An array is written by its
+    entries other than +0.0 and their flat indices where that text is
+    shorter than its dense text, else dense (:func:`_entries`), so the
+    document follows the nonzeros.  An array above
+    ``SERIALIZE_ENTRY_LIMIT`` entries is refused with ValueError.
     The bytes are those ``json.dumps`` writes for the document, keys in
     the order below; a net with no +0.0 entry gets the text of versions 1
     and 2 but for the version number.
@@ -633,17 +641,19 @@ def _same_bits(a, b) -> bool:
 def _grid_net(doc_net: ReluNetwork) -> ReluNetwork:
     """The interpolation net of a document with a grid: the grid's
     :func:`funcrelu.constructors.build_interpolation_net` with the output
-    row as node values.  ``doc_net``, the document's own net, must have
-    one output row and that net's block bit for bit: a pass over
-    candidate copies is exact only for a spike block."""
+    row as node values, built from the process's block of that t
+    (:func:`funcrelu.constructors.shared_block`).  ``doc_net``, the
+    document's own net, must have one output row and that net's block
+    bit for bit: a pass over candidate copies is exact only for a spike
+    block."""
     # constructors imports this module
-    from .constructors import InterpolationSpec, build_interpolation_net
+    from .constructors import InterpolationSpec, build_interpolation_net, shared_block
 
     out, grid = doc_net.output, doc_net.grid
     if out.shape[0] != 1:
         raise ValueError(f"output has {out.shape[0]} rows; the grid's node "
                          "values are one row")
-    net = build_interpolation_net(InterpolationSpec(grid, out.ravel()))
+    net = build_interpolation_net(InterpolationSpec(grid, out.ravel()), shared_block(grid.t))
     for j, (mine, theirs) in enumerate(zip(net.layers, doc_net.layers)):
         if not (_same_bits(mine.weights, theirs.weights)
                 and _same_bits(mine.shifts, theirs.shifts)):

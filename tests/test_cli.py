@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -205,6 +206,30 @@ def test_run_experiment(tmp_path, capsys):
     assert "sup_error" in capsys.readouterr().out
 
 
+def test_run_l1_norm_config(tmp_path):
+    # the functional of verify's third rate kind, by name
+    config = {
+        "functional": {"name": "l1-norm"},
+        "input_class": {"kind": "hoelder_ball", "sample_count": 4, "seed": 3},
+        "m_values": [0, 1],
+        "N_values": [2],
+        "budget_ladder": False,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["functional"] == "l1-norm"
+    report = pipeline.run_rate_experiment(pipeline.ExperimentConfig(
+        functional=pipeline.l1_norm_functional(1, 2.0),
+        input_class=pipeline.InputClass("hoelder_ball", sample_count=4, seed=3),
+        m_values=(0, 1), N_values=(2,), ladder=False))
+    with open(out_dir / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["sup_error"]) for r in rows] == [r.sup_error for r in report.rows]
+
+
 @pytest.mark.parametrize("field, value", [("sample_count", 2.5), ("sample_count", True),
                                           ("degree_cap", -1), ("beta", "2")])
 def test_run_bad_input_class_field_is_named(tmp_path, field, value):
@@ -225,6 +250,10 @@ def test_run_bad_input_class_field_is_named(tmp_path, field, value):
     ({"colour": "red"}, "colour"),
     ({"input_class": {"kind": "hoelder_ball", "colour": "red"}}, "colour"),
     ({"functional": {"name": "inner-product", "colour": "red"}}, "colour"),
+    ({"functional": {"name": "cosine"}}, "name"),
+    ({"functional": {"name": "sin-inner-product", "g": "nope"}}, "g"),
+    ({"functional": {"g": "nope"}}, "g"),
+    ({"filter": "nope"}, "filter"),
     ({"input_class": [4]}, "input_class"),
     ({"p": None}, "p"),
     ({"m_values": 3}, "m_values"),

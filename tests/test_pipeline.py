@@ -420,7 +420,7 @@ class TestRunRateExperiment:
         # the ladder's cap admits N=2, the sweep's weight_cap does not
         inputs = generate_inputs(cfg.input_class, cfg.s)
         rows, _ = pipeline_module._budget_ladder_rows(
-            cfg, lambda m: _rule_state(cfg, inputs, m), constructors.build_spike_net)
+            cfg, lambda m: _rule_state(cfg, inputs, m))
         assert [(r.N, r.status, r.reason) for r in rows] == [
             (1, "ok", ""), (2, "skipped", "weight_cap:5886")]
 
@@ -733,7 +733,7 @@ def _seed7_config(kind, seed=7):
 
 
 def _recording_spike_net(monkeypatch):
-    """The t of every build_spike_net call, by the pipeline or the
+    """The t of every build_spike_net call, by the shared blocks or the
     interpolation-net builder."""
     calls = []
     real = constructors.build_spike_net
@@ -742,9 +742,30 @@ def _recording_spike_net(monkeypatch):
         calls.append(t)
         return real(t)
 
-    monkeypatch.setattr(pipeline_module, "build_spike_net", recording)
     monkeypatch.setattr(constructors, "build_spike_net", recording)
     return calls
+
+
+def _counting_forms(monkeypatch):
+    """One entry per index form made."""
+    made = []
+    form = relu_net._IndexForm
+    monkeypatch.setattr(relu_net, "_IndexForm", lambda *a: made.append(1) or form(*a))
+    return made
+
+
+def _keeping_nets(monkeypatch):
+    """The net of every build_functional_net call of the pipeline."""
+    nets = []
+    real = build_functional_net
+
+    def keeping(*args):
+        fnet = real(*args)
+        nets.append(fnet.net)
+        return fnet
+
+    monkeypatch.setattr(pipeline_module, "build_functional_net", keeping)
+    return nets
 
 
 class TestOneRecordPerDegree:
@@ -796,6 +817,7 @@ class TestOneRecordPerDegree:
         assert summary == plain[1]
 
 
+@pytest.mark.usefixtures("fresh_blocks")
 class TestOneSpikeBlockPerT:
     def test_seed7_builds_each_t_once(self, monkeypatch):
         calls = _recording_spike_net(monkeypatch)
@@ -811,33 +833,17 @@ class TestOneSpikeBlockPerT:
         assert [r.reason for r in report.rows if r.m == 2] == [
             "node_cap:243", "node_cap:3125"]
         assert calls == [1, 3]
-        assert report.summary["stage_seconds"]["block"] > 0.0
 
     @pytest.mark.parametrize("seed", [7, 1501])
     @pytest.mark.parametrize("kind", ["inner", "sin", "l1"])
     def test_report_equals_one_block_per_net(self, kind, seed, monkeypatch):
         shared = _report_reprs(run_rate_experiment(_seed7_config(kind, seed)))
-        real = build_functional_net
-
-        def own_block(functional, op, grid, block=None):
-            return real(functional, op, grid)
-
-        monkeypatch.setattr(pipeline_module, "build_functional_net", own_block)
+        monkeypatch.setattr(pipeline_module, "shared_block", constructors.build_spike_net)
         assert _report_reprs(run_rate_experiment(_seed7_config(kind, seed))) == shared
 
     def test_nets_of_one_t_share_the_deeper_layers(self, monkeypatch):
-        nets = []
-        real = build_functional_net
-
-        def keeping(*args):
-            fnet = real(*args)
-            nets.append(fnet.net)
-            return fnet
-
-        monkeypatch.setattr(pipeline_module, "build_functional_net", keeping)
-        made = []
-        form = relu_net._IndexForm
-        monkeypatch.setattr(relu_net, "_IndexForm", lambda *a: made.append(1) or form(*a))
+        nets = _keeping_nets(monkeypatch)
+        made = _counting_forms(monkeypatch)
         run_rate_experiment(_seed7_config("inner"))
         assert len(nets) == 15
         assert len({id(net.layers[0]) for net in nets}) == 15
@@ -851,6 +857,57 @@ class TestOneSpikeBlockPerT:
                 assert all(a is b for a, b in zip(layers, deeper[0], strict=True))
         # one index form per first layer, and one per shared layer
         assert len(made) == 15 + sum(t * t + t for t in by_t) == 59
+
+    def test_a_second_experiment_builds_no_block(self, monkeypatch):
+        calls = _recording_spike_net(monkeypatch)
+        made = _counting_forms(monkeypatch)
+        first = _report_reprs(run_rate_experiment(_seed7_config("inner")))
+        assert (calls, len(made)) == ([1, 3, 5], 59)
+        # the blocks and their forms stay for the process: only the 15
+        # first layers, one per net, are made again
+        assert _report_reprs(run_rate_experiment(_seed7_config("inner"))) == first
+        assert (calls, len(made)) == ([1, 3, 5], 59 + 15)
+
+    def test_reloaded_documents_share_the_block(self, monkeypatch):
+        nets = _keeping_nets(monkeypatch)
+        run_rate_experiment(replace(_seed7_config("inner"), m_values=(1,),
+                                    N_values=(2,), ladder=False))
+        [net] = nets
+        raw = relu_net.serialize(net)
+        reloaded = [deserialize(raw), deserialize(raw)]
+        for back in reloaded:
+            assert back.grid == net.grid
+            assert back.layers[0] is not net.layers[0]
+            assert all(a is b for a, b in zip(back.layers[1:], net.layers[1:], strict=True))
+        assert reloaded[0].layers[0] is not reloaded[1].layers[0]
+
+
+def _doubled_last_layer(block):
+    """``block`` with its last layer doubled: the shape of a spike block,
+    twice its values."""
+    last = block.layers[-1]
+    layers = [*block.layers[:-1], relu_net.Layer(2.0 * last.weights, last.shifts)]
+    return relu_net.ReluNetwork(block.input_dim, layers, block.output)
+
+
+class TestADoctoredBlockStaysInItsTest:
+    """In file order: the first test builds its nets from a doctored
+    block, and the second, which clears no block first, must find the
+    real one."""
+
+    CFG = replace(_seed7_config("inner"), m_values=(0, 1), N_values=(2, 4), ladder=False)
+
+    def test_a_doctored_block_changes_the_report(self, fresh_blocks, monkeypatch):
+        build = constructors.build_spike_net
+        monkeypatch.setattr(constructors, "build_spike_net",
+                            lambda t: _doubled_last_layer(build(t)))
+        # the nets read twice the spike the oracle reads
+        assert run_rate_experiment(self.CFG).summary["max_oracle_gap"] > 0.1
+
+    def test_the_next_report_hashes_as_before(self, monkeypatch):
+        shared = _report_reprs(run_rate_experiment(self.CFG))
+        monkeypatch.setattr(pipeline_module, "shared_block", constructors.build_spike_net)
+        assert _report_reprs(run_rate_experiment(self.CFG)) == shared
 
 
 def test_bound_functional_matches_unbound():
@@ -912,8 +969,7 @@ def test_report_has_stage_times(tmp_path, monkeypatch):
     header = (tmp_path / "report.csv").read_text().splitlines()[0].split(",")
     assert set(timing) <= set(header)
     stages = json.loads((tmp_path / "summary.json").read_text())["stage_seconds"]
-    assert set(stages) == {"inputs", "sample", "block", "mu", "build", "eval",
-                           "oracle"}
+    assert set(stages) == {"inputs", "sample", "mu", "build", "eval", "oracle"}
     assert all(v >= 0.0 for v in stages.values())
 
 

@@ -318,8 +318,8 @@ class TestSerialization:
         # layers are dense in memory; a layer above the entry limit is
         # refused, not written, and not read where its document lists it
         # by its nonzeros: what the writer writes, the reader reads
-        weights = np.ones((4, 3))
-        weights[1, 2] = 0.0
+        weights = np.zeros((4, 3))
+        weights[1, 2] = 1.0
         net = ReluNetwork(3, [Layer(weights, np.zeros(4))], np.ones((1, 4)))
         monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 11)
         with pytest.raises(ValueError, match=r"^layer 0 weights with shape \(4, 3\) is too "
@@ -329,8 +329,7 @@ class TestSerialization:
         monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 12)
         raw = serialize(net)
         assert raw == _reference_v3(net)
-        assert json.loads(raw)["layers"][0]["weights_at"] == [0, 1, 2, 3, 4, 6, 7, 8, 9,
-                                                              10, 11]
+        assert json.loads(raw)["layers"][0]["weights_at"] == [5]
         assert serialize(deserialize(raw)) == raw
         monkeypatch.setattr(relu_net, "SERIALIZE_ENTRY_LIMIT", 11)
         with pytest.raises(NetworkFormatError, match="^layer 0 weights_at: 12 entries, "
@@ -417,7 +416,7 @@ class TestSerialization:
         ("weights", True), ("weights", "x"), ("weights", None), ("weights_at", True),
         ("weights_at", "x"), ("weights_at", None), ("weights_at", 10200.0)])
     def test_bad_value_deep_in_a_long_v3_list_named(self, key, value):
-        doc = json.loads(serialize(_interp(2, 100)))
+        doc = json.loads(serialize(_sparse_interp(2, 200)))
         assert len(doc["output"][key]) > 10_000
         doc = _mutated(doc, ("output", key, -1), value)
         with pytest.raises(NetworkFormatError, match=f"output {key}"):
@@ -451,16 +450,16 @@ def _reference_serialize(net):
 
 def _reference_v3(net):
     """Reference for serialize: the version-3 document built as Python
-    objects and written by json.dumps.  Each array is its entries as
-    floats if none is +0.0; else the others, -0.0 among them, and their
-    flat indices under "<key>_at"."""
+    objects and written by json.dumps.  Each array is the shorter text of
+    two: its entries as floats, and its entries other than +0.0 (-0.0
+    among them) with their flat indices under "<key>_at"; the first on a
+    tie."""
     def put(doc, key, w):
         values = [float(v) for v in np.asarray(w, dtype=float).ravel()]
         at = [i for i, v in enumerate(values) if v != 0.0 or math.copysign(1.0, v) < 0.0]
-        if len(at) == len(values):
-            doc[key] = values
-        else:
-            doc[key], doc[key + "_at"] = [values[i] for i in at], at
+        dense = {key: values}
+        listed = {key: [values[i] for i in at], key + "_at": at}
+        doc.update(listed if len(json.dumps(listed)) < len(json.dumps(dense)) else dense)
         return doc
 
     doc = {
@@ -506,6 +505,15 @@ def _interp(t, N):
     grid = ScaledGrid(t, 1.0, N)
     values = np.random.default_rng(t * N).uniform(-1.0, 1.0, grid.node_count)
     values[0] = 0.0
+    return build_interpolation_net(InterpolationSpec(grid, values))
+
+
+def _sparse_interp(t, N):
+    """A grid net with three of every four node values +0.0, so that its
+    output row is written by its nonzeros."""
+    grid = ScaledGrid(t, 1.0, N)
+    values = np.random.default_rng(t * N).uniform(-1.0, 1.0, grid.node_count)
+    values[np.arange(grid.node_count) % 4 > 0] = 0.0
     return build_interpolation_net(InterpolationSpec(grid, values))
 
 
@@ -589,6 +597,22 @@ def test_a_net_without_positive_zeros_keeps_its_old_text(name):
     old = _reference_serialize(net)
     assert old.startswith(b'{"version": 1, ')
     assert serialize(net) == b'{"version": 3, ' + old[len(b'{"version": 1, '):]
+
+
+@pytest.mark.parametrize("row, listed", [
+    ([1.0] * 3 + [0.0] * 5, False),  # a tie: both texts take 38 characters
+    ([1.0] * 2 + [0.0] * 6, True),
+    ([0.0] + [0.5] * 40, False),     # one +0.0: its index costs more than it saves
+    ([0.0] * 41, True),
+    ([0.0], False),
+])
+def test_an_array_takes_the_shorter_text(row, listed):
+    net = ReluNetwork(1, [Layer(np.ones((len(row), 1)), np.ones(len(row)))],
+                      np.array([row]))
+    raw = serialize(net)
+    assert raw == _reference_v3(net)
+    assert ("weights_at" in json.loads(raw)["output"]) == listed
+    assert serialize(deserialize(raw)) == raw
 
 
 def test_serialize_peak_memory_follows_the_document():
@@ -692,7 +716,7 @@ JSON_VALUES = st.recursive(
 )
 VALID_DOC = json.loads(_reference_serialize(build_min_net(3)))
 VALID_V2_DOC = json.loads(_reference_serialize(_interp(2, 2)))
-VALID_V3_DOC = json.loads(serialize(_interp(2, 2)))
+VALID_V3_DOC = json.loads(serialize(_sparse_interp(2, 2)))
 
 
 def _deserializes_or_names_error(raw):
@@ -738,10 +762,11 @@ def test_fuzz_mutated_v2_document(path, delete, value):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(list(_json_paths(VALID_V3_DOC))), st.booleans(), JSON_VALUES)
 def test_fuzz_mutated_v3_document(path, delete, value):
-    # a grid net's document, its output and every layer but the last
-    # listed by their nonzeros
+    # a grid net's document: its output and its block's middle layers
+    # listed by their nonzeros, its first and last two layers dense
     assert "weights_at" in VALID_V3_DOC["output"] and "grid" in VALID_V3_DOC
-    assert all("weights_at" in l for l in VALID_V3_DOC["layers"][:-1])
+    assert ["weights_at" in l for l in VALID_V3_DOC["layers"]] == [
+        False, True, True, True, True, False, False]
     doc = _mutated(VALID_V3_DOC, path, value, delete)
     _deserializes_or_names_error(json.dumps(doc).encode())
 
@@ -811,7 +836,7 @@ def _huge_t(doc):
         "N-true", "N-huge", "R-inf", "R-nan", "R-negative", "R-huge", "R-other",
         "short-output", "version-1", "input-dim-not-t", "middle-layer-shape",
         "two-output-rows", "t-1000"])
-def test_malformed_v2_document_named(edit, monkeypatch):
+def test_malformed_v2_document_named(edit, monkeypatch, fresh_blocks):
     raw = json.dumps(edit(VALID_V2_DOC)).encode()
     built = []
     monkeypatch.setattr(constructors, "build_spike_net",
@@ -889,6 +914,20 @@ def test_a_short_v3_document_cannot_declare_a_huge_layer(layer, field):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_block_one_bit_off_is_refused_and_the_shared_block_stays(fresh_blocks):
+    doc = json.loads(serialize(_interp(2, 2)))
+    weights = doc["layers"][3]["weights"]
+    weights[0] = float(np.nextafter(weights[0], 2.0))
+    shared = constructors.shared_block(2)
+    with pytest.raises(NetworkFormatError, match=r"^layer 3 is not the spike block of the "
+                                                 r"grid ScaledGrid\(t=2, R=1.0, N=2\)$"):
+        deserialize(json.dumps(doc).encode())
+    assert constructors.shared_block(2) is shared
+    for mine, real in zip(shared.layers, build_spike_net(2).layers, strict=True):
+        assert np.array_equal(_bits(mine.weights), _bits(real.weights))
+        assert np.array_equal(_bits(mine.shifts), _bits(real.shifts))
 
 
 def test_full_pass_output_stage_within_the_budget(monkeypatch):
