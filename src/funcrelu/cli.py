@@ -28,7 +28,7 @@ from .constructors import (
     timed,
 )
 from .discretize import FILTER_KINDS, InputFunction, discretize, make_operator
-from .functions import CUBE_FUNCTIONS, get_function, get_node_function
+from .functions import CUBE_FUNCTIONS, NODE_FUNCTIONS, get_function, get_node_function
 from .legendre import default_rule_size, gauss_legendre_rule
 from .relu_net import count_nonzero, depth, serialize
 from .simplicial import ScaledGrid, integer_size, spike
@@ -79,6 +79,14 @@ def _csv_pairs(path, key, header):
             yield (where, *pair)
 
 
+def _builtin(option, name, table):
+    """Exit naming ``option`` and the names in ``table`` when ``name``,
+    which is no file, is not one of them either."""
+    if name not in table:
+        raise SystemExit(f"{option}: {name!r} is neither a file nor a built-in "
+                         f"name; choose from {sorted(table)}")
+
+
 def _node_values(args, grid):
     path = Path(args.values)
     if path.exists():
@@ -98,6 +106,7 @@ def _node_values(args, grid):
                 f"values file covers {int(seen.sum())} of {grid.node_count} nodes"
             )
         return values
+    _builtin("--values", args.values, NODE_FUNCTIONS)
     return get_node_function(args.values)(grid.node_array())
 
 
@@ -122,6 +131,7 @@ def _input_function(spec: str, s: int) -> InputFunction:
         xs, vs = xs[order], vs[order]
         return InputFunction(lambda x: np.interp(np.atleast_2d(x)[:, 0], xs, vs),
                              tag=f"csv:{path.name}")
+    _builtin("--input", spec, CUBE_FUNCTIONS)
     return get_function(spec)
 
 

@@ -25,7 +25,9 @@ pairs: one per point without a grid, else the point's candidate copies,
 the vertices of its simplex (at most 2^(t+1) - 1).  Each layer
 multiplies by its index form, :attr:`Layer.form` (each row's nonzero
 columns and weights, numpy only, no BLAS), made once per layer, so nets
-that share a block's layers share their forms.  The output stage adds
+that share a block's layers share their forms.  The layers of a run of
+pairs share one buffer, in which the rows a layer only copies stay
+where its input has them (see :func:`_index_layer`).  The output stage adds
 each point's terms in ascending column order from 0.0, so no value
 follows the point chunks or the BLAS thread count.
 """
@@ -123,7 +125,13 @@ class Layer:
         ``relu`` names the runs that hold a weight or a shift below zero.
         On the output of a relu layer the other runs add nonnegative terms,
         so relu would leave them as they are (a zero may differ in sign
-        only), and the pass applies relu to the named runs alone."""
+        only), and the pass applies relu to the named runs alone.
+
+        ``kept`` is the longest run that copies input rows unchanged, row
+        r from input row r + cols - rows, with weight 1.0, no shift and no
+        relu: the carried units of the minimum network.  Forward's buffer
+        ends every layer's rows at one buffer row, so those rows are
+        already in place (see :func:`_index_layer`)."""
         w, b = self.weights, self.shifts
         row, col = np.nonzero(w)
         values, cols = w[row, col].tolist(), col.tolist()
@@ -143,8 +151,20 @@ class Layer:
             if min(values[at:end], default=0.0) < 0.0 or min(shifts[lo:hi]) < 0.0:
                 relu.append(slice(lo, hi))
             at = end
-        return _IndexForm(len(count), tuple(runs),
-                          b[:, None] if any(shifts) else None, tuple(relu))
+        # the longest run whose row r is input row r + cols - rows, unchanged
+        rows, shift = w.shape[0], w.shape[1] - w.shape[0]
+        copies = [(r.stop - r.start, j) for j, (r, terms) in enumerate(runs)
+                  if len(terms) == 1 and terms[0][1] is None
+                  and isinstance(terms[0][0], slice)
+                  and terms[0][0] == slice(r.start + shift, r.stop + shift)
+                  and not any(shifts[r]) and r not in relu]
+        kept = runs.pop(max(copies)[1])[0] if copies else None
+        parts = ((slice(0, rows),) if kept is None else
+                 tuple(p for p in (slice(0, kept.start), slice(kept.stop, rows))
+                       if p.start < p.stop))
+        return _IndexForm(rows, w.shape[1], tuple(runs),
+                          b[:, None] if any(shifts) else None, tuple(relu),
+                          kept, parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,12 +364,16 @@ class _IndexForm(NamedTuple):
     per run one term per nonzero, the run's k-th nonzeros in ascending
     column order.  A term is (src, scale): the rows of the input it reads,
     a slice where they are consecutive, and its weights, None where all
-    are 1.0, -1.0 where all are -1.0, else a (rows, 1) array."""
+    are 1.0, -1.0 where all are -1.0, else a (rows, 1) array.  The run
+    ``kept`` is not in ``runs``: its row r is input row r + cols - rows."""
 
     rows: int
+    cols: int
     runs: tuple  # (slice of rows, terms)
     shifts: Optional[np.ndarray]  # (rows, 1), or None where all are zero
     relu: tuple  # slices of rows that relu can change
+    kept: Optional[slice]  # rows that copy input rows unchanged, or None
+    parts: tuple  # slices of the rows outside kept, in order
 
 
 def _term(cols: list, weights: list) -> tuple:
@@ -363,19 +387,14 @@ def _term(cols: list, weights: list) -> tuple:
     return src, np.array(weights)[:, None]
 
 
-def _index_product(form: _IndexForm, h: np.ndarray) -> np.ndarray:
-    """W @ h for the layer of ``form``, h (cols, pairs): each row adds its
-    terms in ascending column order, one rounding per add, as
-    ``csr_matrix @ h`` does.  It starts from the first term, not from 0.0,
-    so a row whose sum is zero may differ from that product in the sign
-    of the zero only.  No BLAS call."""
-    out = np.empty((form.rows, h.shape[1]))
-    for rows, terms in form.runs:
+def _run_products(runs: tuple, h: np.ndarray, out: np.ndarray):
+    """Rows of W @ h into ``out``, run by run (see :func:`_index_product`)."""
+    for rows, terms in runs:
         o = out[rows]
         if not terms:
             o.fill(0.0)
             continue
-        (src, scale), *rest = terms
+        src, scale = terms[0]
         x = h[src] if isinstance(src, slice) else np.take(h, src, axis=0, out=o)
         if scale is None:
             if x is not o:
@@ -384,27 +403,54 @@ def _index_product(form: _IndexForm, h: np.ndarray) -> np.ndarray:
             np.negative(x, out=o)
         else:
             np.multiply(x, scale, out=o)
-        for src, scale in rest:
-            x = h[src]
+        for src, scale in terms[1:]:
             if scale is None:
-                o += x
+                o += h[src]
             elif isinstance(scale, float):
-                o -= x
+                o -= h[src]
             else:
-                o += x * scale
+                o += h[src] * scale
+
+
+def _index_product(form: _IndexForm, h: np.ndarray, out=None) -> np.ndarray:
+    """W @ h for the layer of ``form``, h (cols, pairs), into ``out`` if
+    given: each row adds its terms in ascending column order, one rounding
+    per add, as ``csr_matrix @ h`` does.  It starts from the first term,
+    not from 0.0, so a row whose sum is zero may differ from that product
+    in the sign of the zero only.  No BLAS call."""
+    out = np.empty((form.rows, h.shape[1])) if out is None else out
+    _run_products(form.runs, h, out)
+    if form.kept is not None:
+        shift = form.cols - form.rows
+        np.copyto(out[form.kept], h[form.kept.start + shift : form.kept.stop + shift])
     return out
 
 
-def _index_layer(form: _IndexForm, h: np.ndarray) -> np.ndarray:
-    """relu(W @ h + b) for the layer of ``form``, h the output of a relu
-    layer; equal to it computed with ``csr_matrix @ h`` up to the sign of
-    a zero."""
-    h = _index_product(form, h)
+def _index_layer(form: _IndexForm, buf: np.ndarray, spare: np.ndarray) -> tuple:
+    """relu(W @ h + b) for the layer of ``form`` in forward's buffers:
+    h, the output of a relu layer, is the last ``form.cols`` rows of
+    ``buf``, and the result goes to the last ``form.rows`` rows of the
+    returned (buffer, spare) pair's buffer; equal to it computed with
+    ``csr_matrix @ h`` up to the sign of a zero.  Both arrays have the
+    same shape.  Ending both layers at one row leaves the kept rows where
+    the input has them; the others are computed in ``spare`` and copied
+    in.  A layer without kept rows is computed in ``spare`` whole, which
+    becomes the buffer."""
+    end = buf.shape[0]
+    top = end - form.rows
+    out = spare[top:]
+    _run_products(form.runs, buf[end - form.cols :], out)
     if form.shifts is not None:
-        h += form.shifts
+        for part in form.parts:
+            out[part] += form.shifts[part]
     for rows in form.relu:
-        np.maximum(h[rows], 0.0, out=h[rows])
-    return h
+        o = out[rows]
+        np.maximum(o, 0.0, out=o)
+    if form.kept is None:
+        return spare, buf
+    for part in form.parts:
+        buf[top + part.start : top + part.stop] = out[part]
+    return buf, spare
 
 
 def _forward_pairs(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
@@ -428,6 +474,7 @@ def _forward_pairs(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
     """
     forms = [l.form for l in net.layers]
     units = net.layers[-1].rows if net.layers else net.input_dim
+    rows = max((f.rows for f in forms), default=0)
     chunk = _chunk_points(net)
     outs = [np.empty((0, net.output_dim))]  # an empty batch has no chunk
     for lo in range(0, pts.shape[0], chunk):
@@ -439,15 +486,19 @@ def _forward_pairs(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
         # layer's activations in cache
         for a in range(0, point.shape[0], _PAIR_RUN):
             p, c = point[a : a + _PAIR_RUN], copy[a : a + _PAIR_RUN]
-            h = part[p].T  # a net of no layers outputs its input
-            if forms:
-                h = _index_product(forms[0], h)
-                h += (net.layers[0].shifts[:, None] if net.grid is None
-                      else _grid_shifts(net.grid, c).T)
-                np.maximum(h, 0.0, out=h)
+            if not forms:  # a net of no layers outputs its input
+                value[a : a + _PAIR_RUN] = part[p]
+                continue
+            # the layer buffer and, for deeper layers, its spare
+            bufs = np.empty((2 if len(forms) > 1 else 1, rows, p.shape[0]))
+            buf, spare = bufs[0], bufs[-1]
+            h = _index_product(forms[0], part[p].T, buf[rows - forms[0].rows :])
+            h += (net.layers[0].shifts[:, None] if net.grid is None
+                  else _grid_shifts(net.grid, c).T)
+            np.maximum(h, 0.0, out=h)
             for form in forms[1:]:
-                h = _index_layer(form, h)
-            value[a : a + _PAIR_RUN] = h.T
+                buf, spare = _index_layer(form, buf, spare)
+            value[a : a + _PAIR_RUN] = buf[rows - units :].T
         outs.append(_output_stage(net.output, point, copy, value, part.shape[0]))
     return np.vstack(outs)
 

@@ -191,6 +191,13 @@ def locate_batch(z):
 SUPPORT_SLACK = 1e-6
 
 
+# How far, in cells, each offset of a generic point lies from 0, from 1
+# and from the point's other offsets (see support_pairs): far above both
+# SUPPORT_SLACK and an offset's rounding, so the window test keeps
+# exactly the Kuhn vertices of such a point.
+GENERIC_GAP = 4 * SUPPORT_SLACK
+
+
 def support_pairs(y, grid: ScaledGrid):
     """(point, node) index pairs of every grid node whose spike can be
     nonzero at a point.
@@ -202,23 +209,69 @@ def support_pairs(y, grid: ScaledGrid):
     pairs at a generic point, and at most 2^(t+1) - 1 anywhere (the
     nodes i with u - i in {0, 1}^t or {-1, 0}^t at a lattice node).
 
+    A point is generic where, on every axis, the window holds the two
+    nodes n_k and n_k + 1 of its cell, and its offsets f = u - n lie more
+    than ``GENERIC_GAP`` from 0, from 1 and from each other.  Its pairs
+    are then exactly the Kuhn vertices n, n + e_rho(1), ...,
+    n + e_rho(1) + ... + e_rho(t), rho ordering f from largest to
+    smallest (Kuhn 1960), written in a fixed number of array operations
+    whatever t is.  Every other point, a lattice node, a point on a face
+    or within slack of one, or one at or outside the cube's boundary,
+    goes through the axis-by-axis window test of :func:`_window_pairs`;
+    on t = 1 every point does.
+
     Pairs come point by point, nodes in ascending flat (C order) index.
     Rejects non-finite points; a finite point more than one cell outside
     the cube has no pair, so an interpolant is 0 there.
     """
     pts, _ = point_batch(y, grid.t)
     # clipping before the int cast keeps far-out points (1e300) in range;
-    # two cells out, the window on that axis is already empty.  Rows of
-    # u, lo and hi are axes, from one transposed copy of the points.
-    u = np.clip((np.ascontiguousarray(pts.T) + grid.R) / grid.h, -2.0, grid.N + 2.0)
+    # two cells out, the window on that axis is already empty
+    u = (pts + grid.R) / grid.h
+    np.maximum(u, -2.0, out=u)
+    np.minimum(u, grid.N + 2.0, out=u)
     lo = np.maximum(np.ceil(u - 1.0 - SUPPORT_SLACK), 0).astype(np.int64)
     hi = np.minimum(np.floor(u + 1.0 + SUPPORT_SLACK), grid.N).astype(np.int64)
-    point = np.arange(pts.shape[0])
-    node = np.zeros(pts.shape[0], dtype=np.int64)
-    # each pair's largest and smallest offset over the axes so far
-    top = np.full(pts.shape[0], -np.inf)
-    bottom = np.full(pts.shape[0], np.inf)
-    for u_k, lo_k, hi_k in zip(u, lo, hi):
+    if grid.t == 1:
+        return _window_pairs(u, lo, hi, grid.N)
+    # each point's offsets f = u - lo between a 0 and a 1, sorted: a
+    # generic point's neighbours there lie more than GENERIC_GAP apart
+    f = np.zeros((pts.shape[0], grid.t + 2))
+    f[:, -1] = 1.0
+    np.subtract(u, lo, out=f[:, 1:-1])
+    order = np.argsort(f[:, 1:-1], axis=1)
+    f.sort(axis=1)
+    generic = (((f[:, 1:] - f[:, :-1]) > GENERIC_GAP).all(axis=1)
+               & (hi - lo == 1).all(axis=1))
+    # C-order strides; each Kuhn step adds the stride of the axis with the
+    # next largest offset, so the vertices come in ascending flat index
+    stride = (grid.N + 1) ** np.arange(grid.t - 1, -1, -1, dtype=np.int64)
+    node = np.cumsum(np.concatenate([(lo * stride).sum(axis=1)[:, None],
+                                     stride[order[:, ::-1]]], axis=1), axis=1)
+    if generic.all():
+        return np.arange(pts.shape[0]).repeat(grid.t + 1), node.ravel()
+    kuhn = np.flatnonzero(generic)
+    tie = np.flatnonzero(~generic)
+    tie_point, tie_node = _window_pairs(u[tie], lo[tie], hi[tie], grid.N)
+    point = np.concatenate([kuhn.repeat(grid.t + 1), tie[tie_point]])
+    # two runs, each in point order: a stable sort merges them
+    merged = np.argsort(point, kind="stable")
+    return point[merged], np.concatenate([node[kuhn].ravel(), tie_node])[merged]
+
+
+def _window_pairs(u, lo, hi, N: int):
+    """The pairs of :func:`support_pairs`, axis by axis: from offsets u
+    (points, t) in cells and each axis's node window [lo, hi], every node
+    of the window whose offsets stay within 1 + SUPPORT_SLACK of each
+    other, in ascending flat index."""
+    # the first axis keeps every node of its window: its offsets are
+    # each pair's largest and smallest offset so far
+    cand = lo[:, :1] + np.arange(3)
+    d = u[:, :1] - cand
+    keep = np.flatnonzero(cand <= hi[:, :1])
+    point, node = keep // 3, np.take(cand, keep)
+    top = bottom = np.take(d, keep)
+    for u_k, lo_k, hi_k in zip(u.T[1:], lo.T[1:], hi.T[1:]):
         cand = lo_k[point, None] + np.arange(3)
         d = u_k[point, None] - cand
         d_top = np.maximum(top[:, None], d)
@@ -227,7 +280,7 @@ def support_pairs(y, grid: ScaledGrid):
         keep = np.flatnonzero((cand <= hi_k[point, None])
                               & (d_top - d_bottom <= 1.0 + SUPPORT_SLACK))
         point = point[keep // 3]
-        node = np.take(node[:, None] * (grid.N + 1) + cand, keep)
+        node = np.take(node[:, None] * (N + 1) + cand, keep)
         top, bottom = np.take(d_top, keep), np.take(d_bottom, keep)
     return point, node
 

@@ -92,6 +92,13 @@ def test_build_interp_names_an_n_beyond_float_range():
               "--values", "ones"])
 
 
+def test_build_interp_names_an_unknown_values_name():
+    with pytest.raises(SystemExit, match=r"^--values: 'nope' is neither a file nor a "
+                                         r"built-in name; choose from \['coordinate-sum', "
+                                         r"'euclidean-norm', 'ones', 'sum-of-squares', 'zeros'\]$"):
+        main(["build-interp", "--t", "2", "--N", "2", "--R", "1.0", "--values", "nope"])
+
+
 def test_build_stats_line_counts_bytes(tmp_path, capsys):
     out = tmp_path / "interp.json"
     main(["build-interp", "--t", "2", "--N", "4", "--R", "1.0", "--values", "ones",
@@ -148,6 +155,13 @@ def test_discretize_bad_csv_names_file_and_line(tmp_path, text, problem):
     samples.write_text(text)
     with pytest.raises(SystemExit, match=f"f.csv: {problem}"):
         main(["discretize", "--s", "1", "--m", "1", "--input", str(samples)])
+
+
+def test_discretize_names_an_unknown_input_name():
+    with pytest.raises(SystemExit, match=r"^--input: 'nope' is neither a file nor a "
+                                         r"built-in name; choose from \['abs-first', "
+                                         r"'coordinate-sum', .*'zero'\]$"):
+        main(["discretize", "--s", "1", "--m", "1", "--input", "nope"])
 
 
 def test_spike_grid_csv(tmp_path):

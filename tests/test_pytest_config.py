@@ -93,6 +93,17 @@ def test_mu_makes_no_blas_call():
     assert _blas_uses(ROOT / "src" / "funcrelu" / "pipeline.py", MU_FUNCTIONS) == []
 
 
+# the pass's pairs and first-layer shifts come from simplicial: the
+# Kuhn vertices, the axis-by-axis window test and the copies' shifts
+PAIR_FUNCTIONS = ("support_pairs", "_window_pairs", "spike_shifts")
+
+
+def test_pairs_and_shifts_make_no_blas_call():
+    # so forward's pairs and shifts follow no BLAS build either; flat node
+    # indices come from integer arithmetic, never from a product
+    assert _blas_uses(ROOT / "src" / "funcrelu" / "simplicial.py", PAIR_FUNCTIONS) == []
+
+
 def test_the_blas_check_sees_a_product_in_a_named_function(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("def f(a, b):\n    return a @ b\n\n\ndef g(a, b):\n"

@@ -1086,6 +1086,25 @@ class TestPrunedForward:
                                   _full_pass(reference, x[None])[0])
         assert evaluate_batch(net, X[-k:])[0] == 0.0  # the far-out point
 
+    @pytest.mark.parametrize("t,R", [(1, 1.0), (3, 1.1969), (5, 0.7548)])
+    def test_the_rate_experiment_s_points(self, t, R):
+        # the criterion-6 nets at N = 4: each m=0 row samples a point on the
+        # cube's face (u = N), and points near a simplex face are generic
+        # just past GENERIC_GAP or tie points just inside it
+        grid = ScaledGrid(t, R, 4)
+        rng = np.random.default_rng(800 + t)
+        net = build_interpolation_net(
+            InterpolationSpec(grid, rng.uniform(-3.0, 3.0, grid.node_count)))
+        k = 4 if t == 5 else 16
+        X = rng.uniform(-R, R, (3 * k, t))
+        X[0, 0], X[1, -1] = R, -R
+        gap = rng.choice((-5e-6, -3e-6, 3e-6, 5e-6), (2 * k, 1))
+        # offsets gap cells off a cell face, then gap cells from each other
+        X[k : 2 * k, :1] = -R + grid.h * (rng.integers(0, 4, (k, 1)) + 0.5 + gap[:k])
+        X[2 * k :, -1:] = X[2 * k :, :1] + grid.h * gap[k:]
+        pruned = forward(net, X)
+        assert np.array_equal(pruned, _full_pass(expand_blocks(net), X))
+
     def test_lattice_nodes_of_a_non_dyadic_grid(self):
         # at a node, a neighbour's first-layer form rounds to about +-1e-16;
         # a candidate window with no slack misses that neighbour here and
@@ -1244,6 +1263,18 @@ def _index_product(layer, h):
     return relu_net._index_product(layer.form, h)
 
 
+def _buffer_layer(form, h):
+    """relu_net._index_layer on inputs h (cols, points) at the end of a
+    buffer with room above them: the rows it writes.  Every other row of
+    the buffer and its spare is nan, so a read outside the input shows in
+    the result."""
+    rows = max(form.rows, form.cols) + 3
+    buf, spare = np.full((2, rows, h.shape[1]), np.nan)
+    buf[rows - form.cols :] = h
+    out, _ = relu_net._index_layer(form, buf, spare)
+    return out[rows - form.rows :]
+
+
 def _zero_signed_inputs(rng, cols, points, signed):
     """(cols, points) inputs holding +0.0, -0.0, repeated small values (so
     that terms cancel) and random ones; negative ones too if ``signed``."""
@@ -1294,11 +1325,52 @@ class TestBlockIndexForm:
         layer = Layer(w, shifts)
         h = _zero_signed_inputs(rng, cols, 50, signed=False)
         form = layer.form
-        got = relu_net._index_layer(form, h)
+        got = _buffer_layer(form, h)
         want = np.maximum(sp.csr_matrix(w) @ h + shifts[:, None], 0.0)
         assert np.array_equal(got, want)
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
         assert (form.shifts is None) == (seed % 3 == 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_carried_run_stays_in_place(self, seed):
+        # a run of rows that copy input rows with weight 1.0, no shift and
+        # no relu, row r from input row r + cols - rows, among rows of two
+        # or three terms with shifts: its rows are not computed, and the
+        # layer is still the CSR layer
+        rng = np.random.default_rng(60 + seed)
+        rows, cols = (30, 34) if seed % 2 else (34, 30)
+        lo, hi = 6, 24
+        w = np.zeros((rows, cols))
+        for r in range(rows):
+            at = rng.choice(cols, rng.integers(2, 4), replace=False)
+            w[r, at] = rng.choice([1.0, -1.0, 0.37, -2.5], at.size)
+        w[lo:hi] = 0.0
+        w[np.arange(lo, hi), np.arange(lo, hi) + cols - rows] = 1.0
+        shifts = rng.choice([0.0, 0.25, -0.75], rows) * (seed % 3 != 0)
+        shifts[lo:hi] = 0.0
+        form = Layer(w, shifts).form
+        assert form.kept == slice(lo, hi)
+        assert all(rows_ != form.kept for rows_, _ in form.runs)
+        h = _zero_signed_inputs(rng, cols, 50, signed=False)
+        got = _buffer_layer(form, h)
+        want = np.maximum(sp.csr_matrix(w) @ h + shifts[:, None], 0.0)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        assert np.array_equal(_index_product(Layer(w, shifts), h), sp.csr_matrix(w) @ h)
+        # with a shift the run is computed like any other
+        shifts = shifts.copy()
+        shifts[lo:hi] = 0.25
+        form = Layer(w, shifts).form
+        assert form.kept is None
+        want = np.maximum(sp.csr_matrix(w) @ h + shifts[:, None], 0.0)
+        assert (_buffer_layer(form, h) + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    @pytest.mark.parametrize("t,kept", [(5, 756), (7, 2862)])
+    def test_the_block_s_carried_units_stay_in_place(self, t, kept):
+        # of the 812 rows per pair that copy a unit at t=5 (2970 at t=7),
+        # all but the two each layer moves to its front are not computed
+        forms = [l.form for l in build_spike_net(t).layers[1:]]
+        assert sum(f.kept.stop - f.kept.start for f in forms if f.kept) == kept
+        assert sum(f.kept is None for f in forms) == 3
 
     def test_repeated_evaluate_builds_it_once(self, monkeypatch):
         grid = ScaledGrid(2, 1.0, 4)

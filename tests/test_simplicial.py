@@ -461,9 +461,11 @@ def test_pair_rows_are_one_read_only_table_per_t(t):
 
 
 def _reference_support_pairs(y, grid):
-    """support_pairs as it was written before its per-axis columns came
-    from one transposed copy: columns indexed per pair, and the kept pairs
-    taken by a boolean mask of a broadcast point column."""
+    """support_pairs as the axis loop alone, on every point: as it was
+    written before its per-axis columns came from one transposed copy
+    (columns indexed per pair, and the kept pairs taken by a boolean mask
+    of a broadcast point column), and before generic points took the Kuhn
+    vertices."""
     pts, _ = point_batch(y, grid.t)
     u = np.clip((pts + grid.R) / grid.h, -2.0, grid.N + 2.0)
     lo = np.maximum(np.ceil(u - 1.0 - SUPPORT_SLACK), 0).astype(np.int64)
@@ -499,6 +501,76 @@ def test_support_pairs_equal_the_reference_pairs_in_order(t, N, R):
         got = support_pairs(pts, grid)
         want = _reference_support_pairs(pts, grid)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+
+
+def _same_pairs(got, want):
+    return all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+
+
+def _tie_points(grid, rng, k=24):
+    """Named batches of k points each where the window test decides: on
+    lattice nodes, 0.5e-6 and 2e-6 cells off a cell face (either side of
+    SUPPORT_SLACK) and 5e-6 off (just past GENERIC_GAP), with two equal
+    offsets, on the cube's faces, one and two cells outside, at +-1e300;
+    and random points inside."""
+    t, R, h = grid.t, grid.R, grid.h
+    inside = rng.uniform(-R, R, (k, t))
+    rows, axis = np.arange(k), rng.integers(0, t, k)
+
+    def moved(values):
+        pts = inside.copy()
+        pts[rows, axis] = values
+        return pts
+
+    plane = rng.integers(0, grid.N + 1, k)
+    sets = {"nodes": grid.nodes(rng.integers(0, grid.node_count, k)), "inside": inside,
+            "cube face": moved(rng.choice((-R, R), k)),
+            "far": moved(rng.choice((-1e300, 1e300), k))}
+    for off in (0.5e-6, 2e-6, 5e-6):
+        sets[f"{off} off a face"] = moved(-R + h * (plane + rng.choice((-off, off), k)))
+    for cells in (1, 2):
+        sets[f"{cells} cells out"] = moved(rng.choice((-1.0, 1.0), k) * (R + cells * h))
+    if t > 1:
+        diagonal = inside.copy()
+        diagonal[:, 1] = diagonal[:, 0] + h * rng.integers(-1, 2, k)
+        sets["equal offsets"] = diagonal
+    sets["all"] = np.vstack(list(sets.values()))
+    return sets
+
+
+@pytest.mark.parametrize("t", range(1, 8))
+def test_support_pairs_equal_the_axis_loop_at_ties(t):
+    # the Kuhn vertices of the generic points and the window test of the
+    # others, merged in point order, are the axis loop's pairs on every point
+    grid = ScaledGrid(t, 1.295091801838947, (8, 6, 4, 3, 2, 2, 2)[t - 1])
+    rng = np.random.default_rng(700 + t)
+    for name, pts in _tie_points(grid, rng).items():
+        assert _same_pairs(support_pairs(pts, grid), _reference_support_pairs(pts, grid)), name
+    # the m=0 rate rows: one point on the cube's face among generic ones
+    pts = rng.uniform(-grid.R, grid.R, (64, t))
+    pts[17, 0] = grid.R
+    assert _same_pairs(support_pairs(pts, grid), _reference_support_pairs(pts, grid))
+
+
+# a coordinate's offset from its lattice plane, in cells: exact, within
+# and past the slack and GENERIC_GAP, or anywhere in the cell
+_OFFSETS = st.one_of(st.sampled_from([0.0, 0.5e-6, -0.5e-6, 2e-6, -2e-6, 5e-6, -5e-6]),
+                     st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 9), st.floats(0.1, 10.0), st.data())
+def test_support_pairs_equal_the_axis_loop_anywhere(t, N, R, data):
+    grid = ScaledGrid(t, R, N)
+    k = data.draw(st.integers(1, 12))
+    cells = data.draw(st.lists(st.lists(st.integers(-3, N + 2), min_size=t, max_size=t),
+                               min_size=k, max_size=k))
+    offsets = data.draw(st.lists(st.lists(_OFFSETS, min_size=t, max_size=t),
+                                 min_size=k, max_size=k))
+    pts = -R + grid.h * (np.array(cells) + np.array(offsets))
+    if data.draw(st.booleans()):  # two equal offsets: a diagonal face
+        pts[:, -1] = pts[:, 0] + grid.h * data.draw(st.integers(-2, 2))
+    assert _same_pairs(support_pairs(pts, grid), _reference_support_pairs(pts, grid))
 
 
 class TestScalarPoints:
