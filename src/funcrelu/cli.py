@@ -30,7 +30,7 @@ from .constructors import (
 from .discretize import FILTER_KINDS, InputFunction, discretize, make_operator
 from .functions import CUBE_FUNCTIONS, NODE_FUNCTIONS, get_function, get_node_function
 from .legendre import default_rule_size, gauss_legendre_rule
-from .relu_net import count_nonzero, depth, serialize
+from .relu_net import check_entry_count, count_nonzero, depth, serialize
 from .simplicial import ScaledGrid, integer_size, spike
 
 
@@ -112,6 +112,9 @@ def _node_values(args, grid):
 
 def _cmd_build_interp(args):
     grid = ScaledGrid(args.t, args.R, args.N)
+    # the document holds the node values as one output row: refuse a row
+    # the writer would refuse before the values or the net are made
+    check_entry_count("output weights", (1, grid.node_count))
     values = _node_values(args, grid)
     spec = InterpolationSpec(grid, values)
     net, seconds = timed(build_interpolation_net, spec)
@@ -213,8 +216,10 @@ _RUN_KEYS = {
 }
 # the sampler names a bad input-class value
 _CLASS_KEYS = {f.name: (f.name, _ANY) for f in fields(pipeline.InputClass)}
-_FUNCTIONAL_NAMES = ("inner-product", "sin-inner-product", "constant", "l1-norm")
-_FUNCTIONAL_KEYS = {"name": ("name", _one_of(_FUNCTIONAL_NAMES)),
+# functional name -> the keys beside "name" that it reads
+_FUNCTIONAL_READS = {"inner-product": ("g",), "sin-inner-product": ("g",),
+                     "constant": ("value",), "l1-norm": ()}
+_FUNCTIONAL_KEYS = {"name": ("name", _one_of(_FUNCTIONAL_READS)),
                     "g": ("g", _one_of(CUBE_FUNCTIONS)), "value": ("value", _NUMBER)}
 
 
@@ -236,6 +241,12 @@ def _config_fields(doc, table, where):
 
 def _functional_from_doc(doc, cfg):
     doc = _config_fields(doc, _FUNCTIONAL_KEYS, "functional")
+    name = doc.get("name", "inner-product")
+    reads = ("name", *_FUNCTIONAL_READS[name])
+    for key in doc:
+        if key not in reads:
+            raise ValueError(f"{key} is not read by the {name} functional, which "
+                             f"reads {list(reads)}")
     # a ladder-only run sizes the rule by the ladder's degrees
     ladder_m_values = cfg.ladder_m_values if cfg.ladder else ()
     m_values = cfg.m_values or ladder_m_values
@@ -244,7 +255,6 @@ def _functional_from_doc(doc, cfg):
     if not cfg.N_values and not ladder_m_values:
         raise ValueError("N_values is empty and no budget ladder runs: nothing to measure")
     rule = gauss_legendre_rule(default_rule_size(max(m_values)), cfg.s)
-    name = doc.get("name", "inner-product")
     if name == "constant":
         return pipeline.constant_functional(float(doc.get("value", 0.0)))
     if name == "l1-norm":

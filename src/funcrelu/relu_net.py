@@ -35,6 +35,7 @@ follows the point chunks or the BLAS thread count.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -122,14 +123,9 @@ class Layer:
         has a few thousand nonzeros at most, so the runs are read from
         Python lists of them.
 
-        ``relu`` names the runs that hold a weight or a shift below zero.
-        On the output of a relu layer the other runs add nonnegative terms,
-        so relu would leave them as they are (a zero may differ in sign
-        only), and the pass applies relu to the named runs alone.
-
         ``kept`` is the longest run that copies input rows unchanged, row
-        r from input row r + cols - rows, with weight 1.0, no shift and no
-        relu: the carried units of the minimum network.  Forward's buffer
+        r from input row r + cols - rows, with weight 1.0 and no shift:
+        the carried units of the minimum network.  Forward's buffer
         ends every layer's rows at one buffer row, so those rows are
         already in place (see :func:`_index_layer`)."""
         w, b = self.weights, self.shifts
@@ -139,7 +135,7 @@ class Layer:
         # each run's first row, then the end: a layer of no rows has no run
         edges = sorted({0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), w.shape[0]})
         count, shifts = count.tolist(), b.tolist()
-        runs, relu = [], []
+        runs = []
         at = 0  # the run's first nonzero
         for lo, hi in zip(edges[:-1], edges[1:]):
             k = count[lo]
@@ -148,8 +144,6 @@ class Layer:
             runs.append((slice(lo, hi), tuple(_term(cols[at + i : end : k],
                                                     values[at + i : end : k])
                                               for i in range(k))))
-            if min(values[at:end], default=0.0) < 0.0 or min(shifts[lo:hi]) < 0.0:
-                relu.append(slice(lo, hi))
             at = end
         # the longest run whose row r is input row r + cols - rows, unchanged
         rows, shift = w.shape[0], w.shape[1] - w.shape[0]
@@ -157,14 +151,13 @@ class Layer:
                   if len(terms) == 1 and terms[0][1] is None
                   and isinstance(terms[0][0], slice)
                   and terms[0][0] == slice(r.start + shift, r.stop + shift)
-                  and not any(shifts[r]) and r not in relu]
+                  and not any(shifts[r])]
         kept = runs.pop(max(copies)[1])[0] if copies else None
         parts = ((slice(0, rows),) if kept is None else
                  tuple(p for p in (slice(0, kept.start), slice(kept.stop, rows))
                        if p.start < p.stop))
         return _IndexForm(rows, w.shape[1], tuple(runs),
-                          b[:, None] if any(shifts) else None, tuple(relu),
-                          kept, parts)
+                          b[:, None] if any(shifts) else None, kept, parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +364,6 @@ class _IndexForm(NamedTuple):
     cols: int
     runs: tuple  # (slice of rows, terms)
     shifts: Optional[np.ndarray]  # (rows, 1), or None where all are zero
-    relu: tuple  # slices of rows that relu can change
     kept: Optional[slice]  # rows that copy input rows unchanged, or None
     parts: tuple  # slices of the rows outside kept, in order
 
@@ -412,13 +404,12 @@ def _run_products(runs: tuple, h: np.ndarray, out: np.ndarray):
                 o += h[src] * scale
 
 
-def _index_product(form: _IndexForm, h: np.ndarray, out=None) -> np.ndarray:
-    """W @ h for the layer of ``form``, h (cols, pairs), into ``out`` if
-    given: each row adds its terms in ascending column order, one rounding
-    per add, as ``csr_matrix @ h`` does.  It starts from the first term,
-    not from 0.0, so a row whose sum is zero may differ from that product
-    in the sign of the zero only.  No BLAS call."""
-    out = np.empty((form.rows, h.shape[1])) if out is None else out
+def _index_product(form: _IndexForm, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """W @ h for the layer of ``form``, h (cols, pairs), into ``out``
+    (rows, pairs): each row adds its terms in ascending column order, one
+    rounding per add, as ``csr_matrix @ h`` does.  It starts from the
+    first term, not from 0.0, so a row whose sum is zero may differ from
+    that product in the sign of the zero only.  No BLAS call."""
     _run_products(form.runs, h, out)
     if form.kept is not None:
         shift = form.cols - form.rows
@@ -426,31 +417,49 @@ def _index_product(form: _IndexForm, h: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _index_layer(form: _IndexForm, buf: np.ndarray, spare: np.ndarray) -> tuple:
+def _index_layer(form: _IndexForm, buf: np.ndarray, spare: np.ndarray) -> None:
     """relu(W @ h + b) for the layer of ``form`` in forward's buffers:
     h, the output of a relu layer, is the last ``form.cols`` rows of
-    ``buf``, and the result goes to the last ``form.rows`` rows of the
-    returned (buffer, spare) pair's buffer; equal to it computed with
-    ``csr_matrix @ h`` up to the sign of a zero.  Both arrays have the
-    same shape.  Ending both layers at one row leaves the kept rows where
-    the input has them; the others are computed in ``spare`` and copied
-    in.  A layer without kept rows is computed in ``spare`` whole, which
-    becomes the buffer."""
+    ``buf``, and the result replaces the last ``form.rows`` rows of
+    ``buf``; equal to it computed with ``csr_matrix @ h`` up to the sign
+    of a zero.  ``spare`` has the shape of ``buf``.  Ending both layers
+    at one row leaves the kept rows where the input has them.  Every
+    other row takes one step: it is computed in ``spare``, gets its shift
+    where the form has any, and relu places it in ``buf``.
+
+    Relu on a row whose weights and shift are all >= 0 changes no bit:
+    each unit of h is >= +0, +inf or nan (the first layer applies relu,
+    which turns -0.0 into +0.0), such a row sums to such a value, and
+    ``np.maximum(x, 0.0)`` returns it as it is."""
     end = buf.shape[0]
     top = end - form.rows
     out = spare[top:]
     _run_products(form.runs, buf[end - form.cols :], out)
-    if form.shifts is not None:
-        for part in form.parts:
-            out[part] += form.shifts[part]
-    for rows in form.relu:
-        o = out[rows]
-        np.maximum(o, 0.0, out=o)
-    if form.kept is None:
-        return spare, buf
     for part in form.parts:
-        buf[top + part.start : top + part.stop] = out[part]
-    return buf, spare
+        o = out[part]
+        if form.shifts is not None:
+            o += form.shifts[part]
+        np.maximum(o, 0.0, out=buf[top + part.start : top + part.stop])
+
+
+def _pair_run(net: ReluNetwork, forms: list, x: np.ndarray, copy: np.ndarray) -> np.ndarray:
+    """The last-layer units (units, pairs) of one run of pairs, x their
+    inputs (input_dim, pairs) and ``copy`` their grid copies: the first
+    layer, then each deeper one by :func:`_index_layer`, in one buffer of
+    the widest layer's rows and a spare, where every layer's rows end at
+    the buffer's last row.  Both are freed on return, before the next run
+    makes its own."""
+    if not forms:  # a net of no layers outputs its input
+        return x
+    rows = max(f.rows for f in forms)
+    buf, spare = np.empty((2, rows, x.shape[1]))
+    h = _index_product(forms[0], x, buf[rows - forms[0].rows :])
+    h += (net.layers[0].shifts[:, None] if net.grid is None
+          else _grid_shifts(net.grid, copy).T)
+    np.maximum(h, 0.0, out=h)
+    for form in forms[1:]:
+        _index_layer(form, buf, spare)
+    return buf[rows - forms[-1].rows :]
 
 
 def _forward_pairs(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
@@ -460,9 +469,9 @@ def _forward_pairs(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
     :func:`funcrelu.simplicial.support_pairs` in ascending node order.
     The first layer adds each pair's shifts (a grid copy's from
     :func:`_grid_shifts`) and applies relu to every unit; each deeper
-    layer is :func:`_index_layer`.  It keeps the last-layer values of
-    each pair, never an array over the grid's copies, in chunks of a
-    bounded number of pairs (:func:`_chunk_points`).
+    layer is :func:`_index_layer`, both in :func:`_pair_run`.  It keeps
+    the last-layer values of each pair, never an array over the grid's
+    copies, in chunks of a bounded number of pairs (:func:`_chunk_points`).
 
     The result is that of every copy written out as CSR layers and run
     in full, bit for bit.  Each index product equals the CSR product up
@@ -474,7 +483,6 @@ def _forward_pairs(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
     """
     forms = [l.form for l in net.layers]
     units = net.layers[-1].rows if net.layers else net.input_dim
-    rows = max((f.rows for f in forms), default=0)
     chunk = _chunk_points(net)
     outs = [np.empty((0, net.output_dim))]  # an empty batch has no chunk
     for lo in range(0, pts.shape[0], chunk):
@@ -486,19 +494,7 @@ def _forward_pairs(net: ReluNetwork, pts: np.ndarray) -> np.ndarray:
         # layer's activations in cache
         for a in range(0, point.shape[0], _PAIR_RUN):
             p, c = point[a : a + _PAIR_RUN], copy[a : a + _PAIR_RUN]
-            if not forms:  # a net of no layers outputs its input
-                value[a : a + _PAIR_RUN] = part[p]
-                continue
-            # the layer buffer and, for deeper layers, its spare
-            bufs = np.empty((2 if len(forms) > 1 else 1, rows, p.shape[0]))
-            buf, spare = bufs[0], bufs[-1]
-            h = _index_product(forms[0], part[p].T, buf[rows - forms[0].rows :])
-            h += (net.layers[0].shifts[:, None] if net.grid is None
-                  else _grid_shifts(net.grid, c).T)
-            np.maximum(h, 0.0, out=h)
-            for form in forms[1:]:
-                buf, spare = _index_layer(form, buf, spare)
-            value[a : a + _PAIR_RUN] = buf[rows - units :].T
+            value[a : a + _PAIR_RUN] = _pair_run(net, forms, part[p].T, c).T
         outs.append(_output_stage(net.output, point, copy, value, part.shape[0]))
     return np.vstack(outs)
 
@@ -556,16 +552,24 @@ def _json_list(a: np.ndarray) -> list:
     return ["[", ", ".join(runs), "]"]
 
 
+def check_entry_count(what: str, shape: tuple) -> None:
+    """Raise the writer's ValueError, naming ``what``, if an array of
+    ``shape`` has more than ``SERIALIZE_ENTRY_LIMIT`` entries, so a caller
+    can refuse what :func:`serialize` would refuse before it builds it."""
+    if math.prod(shape) > SERIALIZE_ENTRY_LIMIT:
+        raise ValueError(f"{what} with shape {shape} is too large for the "
+                         f"file format: more than {SERIALIZE_ENTRY_LIMIT} entries")
+
+
 def _entries(where: str, key: str, w) -> list:
     """Pieces of ``"<key>": [...]``, the entries of ``w`` in row-major
     order.  Where leaving out the entries with the bits of +0.0 makes the
     text shorter, only the others are listed (-0.0 among them), and
     ``, "<key>_at": [...]`` follows: their flat indices; on a tie the
     array is written dense.  An array above ``SERIALIZE_ENTRY_LIMIT``
-    entries, a shift vector too, raises ValueError."""
-    if w.size > SERIALIZE_ENTRY_LIMIT:
-        raise ValueError(f"{where} {key} with shape {w.shape} is too large for the "
-                         f"file format: more than {SERIALIZE_ENTRY_LIMIT} entries")
+    entries, a shift vector too, raises ValueError
+    (:func:`check_entry_count`)."""
+    check_entry_count(f"{where} {key}", w.shape)
     a = np.asarray(w, dtype=float).ravel()
     at = np.flatnonzero(a.view(np.int64))
     # Both texts list the k entries other than +0.0.  Dense adds the

@@ -86,6 +86,15 @@ def test_build_interp_is_limited_by_the_file_format(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_build_interp_refuses_a_node_row_beyond_the_file_format_at_once(monkeypatch):
+    # 101^9 node values: refused before any value or net is made
+    monkeypatch.setattr(cli, "_node_values", lambda args, grid: pytest.fail("values made"))
+    with pytest.raises(ValueError, match=r"^output weights with shape \(1, 1093685272684360901\) "
+                                         r"is too large for the file format: more than "
+                                         r"50000000 entries$"):
+        main(["build-interp", "--t", "9", "--N", "100", "--R", "1", "--values", "ones"])
+
+
 def test_build_interp_names_an_n_beyond_float_range():
     with pytest.raises(ValueError, match=r"^N must be at most the float64 maximum"):
         main(["build-interp", "--t", "2", "--N", "1" + "0" * 400, "--R", "1",
@@ -267,6 +276,11 @@ def test_run_bad_input_class_field_is_named(tmp_path, field, value):
     ({"functional": {"name": "cosine"}}, "name"),
     ({"functional": {"name": "sin-inner-product", "g": "nope"}}, "g"),
     ({"functional": {"g": "nope"}}, "g"),
+    # a key the named functional does not read
+    ({"functional": {"name": "l1-norm", "g": "runge"}}, "g"),
+    ({"functional": {"name": "constant", "g": "gaussian"}}, "g"),
+    ({"functional": {"name": "inner-product", "value": 5}}, "value"),
+    ({"functional": {"value": 5}}, "value"),
     ({"filter": "nope"}, "filter"),
     ({"input_class": [4]}, "input_class"),
     ({"p": None}, "p"),

@@ -1260,19 +1260,30 @@ class TestPrunedForward:
 
 
 def _index_product(layer, h):
-    return relu_net._index_product(layer.form, h)
+    return relu_net._index_product(layer.form, h, np.empty((layer.rows, h.shape[1])))
 
 
 def _buffer_layer(form, h):
     """relu_net._index_layer on inputs h (cols, points) at the end of a
-    buffer with room above them: the rows it writes.  Every other row of
-    the buffer and its spare is nan, so a read outside the input shows in
-    the result."""
+    buffer with room above them: the rows it writes, read from the
+    buffer, whose last row they end at.  Every other row of the buffer
+    and its spare is nan, so a read outside the input shows in the
+    result."""
     rows = max(form.rows, form.cols) + 3
     buf, spare = np.full((2, rows, h.shape[1]), np.nan)
     buf[rows - form.cols :] = h
-    out, _ = relu_net._index_layer(form, buf, spare)
-    return out[rows - form.rows :]
+    assert relu_net._index_layer(form, buf, spare) is None
+    return buf[rows - form.rows :]
+
+
+def _relu_inputs(rng, cols, points):
+    """(cols, points) inputs as a relu layer gives them: +0.0 (never
+    -0.0), subnormal, large and random values, so that sums overflow to
+    +inf too."""
+    h = rng.choice([0.0, 5e-324, 2.2e-310, 1e300, 1.7e308, 0.5, 1.0], size=(cols, points))
+    mask = rng.random((cols, points)) < 0.3
+    h[mask] = rng.uniform(0.0, 3.0, mask.sum())
+    return h
 
 
 def _zero_signed_inputs(rng, cols, points, signed):
@@ -1303,12 +1314,6 @@ class TestBlockIndexForm:
             assert np.array_equal(got, want)
             # equal bits once each zero is +0.0
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
-            if not signed:
-                # relu changes only the rows the form names
-                left = np.ones(layer.rows, dtype=bool)
-                for rows in layer.form.relu:
-                    left[rows] = False
-                assert np.array_equal(np.maximum(want[left], 0.0), want[left])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_layer_is_the_csr_layer(self, seed):
@@ -1332,10 +1337,47 @@ class TestBlockIndexForm:
         assert (form.shifts is None) == (seed % 3 == 0)
 
     @pytest.mark.parametrize("seed", range(6))
+    def test_relu_changes_no_row_without_a_negative_term(self, seed):
+        # rows whose weights and shifts are all >= 0, on the units a relu
+        # layer gives: relu on them returns their sums bit for bit, so the
+        # layer is the CSR layer byte for byte, +inf sums among them
+        rng = np.random.default_rng(80 + seed)
+        rows, cols = 40, 12
+        w = np.zeros((rows, cols))
+        for r in range(rows):
+            at = rng.choice(cols, rng.integers(0, 5), replace=False)
+            w[r, at] = rng.choice([1.0, 0.37, 2.5, 1e-3], at.size)
+        shifts = rng.choice([0.0, 0.0, 0.25, 1e-310], rows) * (seed % 3 != 0)
+        form = Layer(w, shifts).form
+        h = _relu_inputs(rng, cols, 50)
+        with np.errstate(over="ignore"):
+            got = _buffer_layer(form, h)
+            want = np.maximum(sp.csr_matrix(w) @ h + shifts[:, None], 0.0)
+        assert np.isinf(want).any() and (want == 0.0).any()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    def test_a_layer_without_a_kept_run_lands_in_the_buffer(self, t):
+        # the min network's first layer and the last two (the final relu
+        # unit among them) copy no input row; they are placed in the
+        # buffer whole, ending at its last row, like any other layer
+        rng = np.random.default_rng(90 + t)
+        block = build_spike_net(t).layers
+        whole = [j for j, l in enumerate(block) if j and l.form.kept is None]
+        assert whole == sorted({1, len(block) - 2, len(block) - 1})
+        for j in whole:
+            w, b = block[j].weights, block[j].shifts
+            h = _relu_inputs(rng, w.shape[1], 40)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _buffer_layer(block[j].form, h)
+                want = np.maximum(sp.csr_matrix(w) @ h + b[:, None], 0.0)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
     def test_a_carried_run_stays_in_place(self, seed):
-        # a run of rows that copy input rows with weight 1.0, no shift and
-        # no relu, row r from input row r + cols - rows, among rows of two
-        # or three terms with shifts: its rows are not computed, and the
+        # a run of rows that copy input rows with weight 1.0 and no shift,
+        # row r from input row r + cols - rows, among rows of two or
+        # three terms with shifts: its rows are not computed, and the
         # layer is still the CSR layer
         rng = np.random.default_rng(60 + seed)
         rows, cols = (30, 34) if seed % 2 else (34, 30)
